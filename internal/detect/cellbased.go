@@ -97,10 +97,19 @@ func maxDenseCells(n int) int {
 	return limit
 }
 
+// cellGrid lays the Cell-Based grid over a point set. Cells are exactly
+// CellSide wide: L2Radius bounds how many such cells a neighbor can be away,
+// and a grid that shrank its cells to tile the bounds (any partition whose
+// extent is not a multiple of CellSide) would put a neighbor at distance ≈ r
+// one ring beyond it.
+func cellGrid(all *geom.PointSet, r float64) *geom.Grid {
+	return geom.NewGridExactWidth(all.Bounds(), CellSide(all.Dim, r))
+}
+
 func buildCellIndex(all *geom.PointSet, r float64, stats *Stats) *cellIndex {
 	d := all.Dim
 	ix := &cellIndex{
-		grid: geom.NewGridByWidth(all.Bounds(), CellSide(d, r)),
+		grid: cellGrid(all, r),
 		l2:   L2Radius(d),
 	}
 	ix.nb = newNbScratch(d)

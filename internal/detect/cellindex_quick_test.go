@@ -21,7 +21,7 @@ type mapCellIndex struct {
 
 func buildMapCellIndex(all *geom.PointSet, r float64) *mapCellIndex {
 	ix := &mapCellIndex{
-		grid:  geom.NewGridByWidth(all.Bounds(), CellSide(all.Dim, r)),
+		grid:  cellGrid(all, r),
 		cells: make(map[int][]int32),
 	}
 	d := all.Dim

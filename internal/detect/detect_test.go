@@ -173,6 +173,34 @@ func TestKBoundary(t *testing.T) {
 	}
 }
 
+// TestNeighborBeyondShrunkRing pins the Cell-Based exactness bug the PR 11
+// benchmark found (batch-large seeds 27 and 61): on bounds whose extent is
+// not a multiple of the cell side, a grid that shrinks its cells to tile the
+// bounds puts a neighbor at distance ≈ r four cells away, outside the
+// ⌈2√d⌉ = 3 ring, and a point with exactly K neighbors comes out an outlier.
+// Here the x extent is 4.2 cell sides (five cells of 0.84 sides when
+// shrunk): a sits at the top of cell 0, b 4.9 away in cell 4.
+func TestNeighborBeyondShrunkRing(t *testing.T) {
+	side := CellSide(2, 5)
+	core := []geom.Point{
+		{ID: 1, Coords: []float64{0.83 * side, 0}},     // a
+		{ID: 2, Coords: []float64{0.83*side + 4.9, 0}}, // b: a's only neighbor
+		{ID: 3, Coords: []float64{0, 100}},             // pins the bounds' min x
+		{ID: 4, Coords: []float64{4.2 * side, -100}},   // and their max x
+	}
+	params := Params{R: 5, K: 1}
+	want := sortedIDs(New(BruteForce, 7).Detect(core, nil, params).OutlierIDs)
+	if !equalIDs(want, []uint64{3, 4}) {
+		t.Fatalf("brute force outliers = %v, want [3 4]", want)
+	}
+	for _, kind := range allKinds {
+		got := sortedIDs(New(kind, 7).Detect(core, nil, params).OutlierIDs)
+		if !equalIDs(got, want) {
+			t.Errorf("%v: outliers %v, want %v", kind, got, want)
+		}
+	}
+}
+
 func TestEmptyCore(t *testing.T) {
 	support := cluster(rand.New(rand.NewSource(4)), 0, 5, 0, 0, 1)
 	for _, kind := range allKinds {

@@ -191,9 +191,11 @@ func TestClusterEndpoints(t *testing.T) {
 
 // TestWorkerKilledMidJob force-closes one worker the moment it receives a
 // reduce task (the moral equivalent of SIGKILL: its poll loops stop dead,
-// nothing is reported back). The job must still complete — via lease
-// expiry and re-dispatch — with outliers byte-identical to the local
-// engine on the same seed.
+// nothing is reported back). The job must still complete with outliers
+// byte-identical to the local engine on the same seed. Two mechanisms can
+// recover the victim's task and they race on the wall clock — lease expiry
+// with re-dispatch (300 ms here) and speculative execution (200 ms floor) —
+// so the test accepts either winner: the outcome is the invariant.
 func TestWorkerKilledMidJob(t *testing.T) {
 	input := testInput(t, 4000)
 	local := runDetection(t, input, coreConfig())
@@ -246,11 +248,9 @@ func TestWorkerKilledMidJob(t *testing.T) {
 		t.Errorf("outliers diverged after worker loss: %d vs %d IDs", len(clustered.Outliers), len(local.Outliers))
 	}
 	st := coord.Stats()
-	if st.WorkersLost == 0 {
-		t.Errorf("lease expiry not recorded: %+v", st)
-	}
-	if st.Redispatches == 0 {
-		t.Errorf("no re-dispatches after worker loss: %+v", st)
+	leaseRecovered := st.WorkersLost > 0 && st.Redispatches > 0
+	if !leaseRecovered && st.Speculative == 0 {
+		t.Errorf("job finished with neither lease re-dispatch nor speculation recorded: %+v", st)
 	}
 }
 

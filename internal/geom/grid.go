@@ -65,6 +65,33 @@ func NewGridByWidth(domain Rect, width float64) *Grid {
 	return NewGrid(domain, dims)
 }
 
+// NewGridExactWidth builds a grid anchored at domain.Min whose cells are
+// exactly `width` wide in every dimension, with as many cells per dimension
+// as it takes to hold domain.Max inside the last one — so the grid may
+// overshoot domain.Max by up to a cell. NewGridByWidth instead shrinks the
+// width until the cells tile the domain, which breaks any caller that
+// derives a cell-ring radius from the nominal width: with narrower cells a
+// point at distance ≈ r sits one ring further out than ⌈r/width⌉ reaches.
+func NewGridExactWidth(domain Rect, width float64) *Grid {
+	if width <= 0 {
+		panic("geom: NewGridExactWidth requires width > 0")
+	}
+	g := &Grid{
+		Domain: domain.Clone(),
+		Dims:   make([]int, domain.Dim()),
+		width:  make([]float64, domain.Dim()),
+		total:  1,
+	}
+	for i := range g.Dims {
+		n := int((domain.Max[i]-domain.Min[i])/width) + 1
+		g.Dims[i] = n
+		g.width[i] = width
+		g.Domain.Max[i] = domain.Min[i] + float64(n)*width
+		g.total *= n
+	}
+	return g
+}
+
 // NumCells returns the total number of cells.
 func (g *Grid) NumCells() int { return g.total }
 

@@ -459,10 +459,11 @@ func (ix *Index) NeighborhoodCells(p geom.Point, fn func(cell []int64)) {
 	}
 }
 
-// chebDist returns the Chebyshev (L∞) distance between two cell coordinate
+// ChebDist returns the Chebyshev (L∞) distance between two cell coordinate
 // vectors, saturating at math.MaxUint64 rather than overflowing for cells
-// at opposite int64 extremes.
-func chebDist(a, b []int64) uint64 {
+// at opposite int64 extremes. Cells more than 1 apart get the exact distance
+// check in NeighborsInCells; the router's pairwise pass applies the same rule.
+func ChebDist(a, b []int64) uint64 {
 	var max uint64
 	for i := range a {
 		var d uint64
@@ -501,7 +502,7 @@ func (ix *Index) NeighborsInCells(p geom.Point, cells [][]int64, limit int, fn f
 		if fn == nil && limit > 0 && count >= limit {
 			break
 		}
-		exact := chebDist(center, c) > 1
+		exact := ChebDist(center, c) > 1
 		ix.readCellCoords(c, func(pts []geom.Point) {
 			for _, q := range pts {
 				if fn == nil && limit > 0 && count >= limit {

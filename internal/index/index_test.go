@@ -302,7 +302,7 @@ func TestRingCellsInt64Extremes(t *testing.T) {
 					for d := range cell {
 						// Every emitted coordinate must be within Chebyshev
 						// distance radius of the center without wrapping.
-						if got := chebDist(cell, tc.center); got > uint64(radius) {
+						if got := ChebDist(cell, tc.center); got > uint64(radius) {
 							t.Fatalf("radius %d emitted cell %v at Chebyshev distance %d", radius, cell, got)
 						}
 						_ = d

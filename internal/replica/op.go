@@ -30,8 +30,7 @@ type Kind byte
 
 const (
 	// KindAdmit is one point admission with its settled foreign neighbor
-	// count — replayed as a one-item AdmitBatch, which lands the identical
-	// counts and verdict flips because counts only grow within a run.
+	// count, which stands in for the primary's support fan-out on replay.
 	KindAdmit Kind = iota + 1
 	// KindEvict expires one resident by ID. The primary already applied
 	// the cross-shard -1 deltas (each peer records its own KindSupport),
@@ -61,11 +60,10 @@ type Op struct {
 	Kind Kind
 
 	// KindAdmit; Point is shared with KindSupport.
-	Point      geom.Point
-	PointSeq   uint64 // router-assigned global sequence number
-	ArrivedNs  int64
-	Foreign    int
-	CrossLater int
+	Point     geom.Point
+	PointSeq  uint64 // router-assigned global sequence number
+	ArrivedNs int64
+	Foreign   int
 
 	// KindEvict.
 	ID uint64
@@ -96,7 +94,6 @@ func encodeOp(dst []byte, op *Op) []byte {
 		dst = binary.AppendUvarint(dst, op.PointSeq)
 		dst = binary.AppendVarint(dst, op.ArrivedNs)
 		dst = binary.AppendUvarint(dst, uint64(op.Foreign))
-		dst = binary.AppendUvarint(dst, uint64(op.CrossLater))
 	case KindEvict:
 		dst = binary.AppendUvarint(dst, op.ID)
 	case KindSupport:
@@ -144,7 +141,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 		fields := []struct {
 			dst    *uint64
 			signed bool
-		}{{dst: &op.PointSeq}, {signed: true}, {}, {}}
+		}{{dst: &op.PointSeq}, {signed: true}, {}}
 		for i, f := range fields {
 			if f.signed {
 				v, n := binary.Varint(buf[off:])
@@ -165,8 +162,6 @@ func DecodeOp(buf []byte) (*Op, error) {
 				op.PointSeq = v
 			case 2:
 				op.Foreign = int(v)
-			case 3:
-				op.CrossLater = int(v)
 			}
 		}
 	case KindEvict:

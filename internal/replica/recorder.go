@@ -33,9 +33,8 @@ func (r *Recorder) append(op *Op) {
 }
 
 // RecordAdmit logs one successful admission.
-func (r *Recorder) RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign, crossLater int) {
-	r.append(&Op{Kind: KindAdmit, Point: p, PointSeq: seq, ArrivedNs: arrivedNs,
-		Foreign: foreign, CrossLater: crossLater})
+func (r *Recorder) RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int) {
+	r.append(&Op{Kind: KindAdmit, Point: p, PointSeq: seq, ArrivedNs: arrivedNs, Foreign: foreign})
 }
 
 // RecordEvict logs one successful eviction.

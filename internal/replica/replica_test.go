@@ -19,7 +19,7 @@ func sampleOps() []*Op {
 	return []*Op{
 		{Kind: KindAdmit, Seq: 1,
 			Point:    geom.Point{ID: 7, Coords: []float64{1.5, -2.25}},
-			PointSeq: 42, ArrivedNs: -1234567890, Foreign: 3, CrossLater: 2},
+			PointSeq: 42, ArrivedNs: -1234567890, Foreign: 3},
 		{Kind: KindEvict, Seq: 2, ID: 99},
 		{Kind: KindSupport, Seq: 3, Delta: -1,
 			Point: geom.Point{ID: 8, Coords: []float64{0, 0.5}},

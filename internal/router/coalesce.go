@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"dod/internal/errs"
@@ -12,66 +13,138 @@ import (
 	"dod/internal/httpapi"
 	"dod/internal/index"
 	"dod/internal/retry"
+	"dod/internal/stream"
 )
 
 // Coalesced ingest. The per-point protocol costs one shard round trip per
-// point plus one support round trip per (point, peer). This path cuts a
-// batch into SEGMENTS — maximal runs of admissible points with no eviction
-// due between them — and settles each segment in two RPC waves:
+// admission, one per eviction, and one shard→shard support hop per (point,
+// peer) of either — and a window at capacity owes an eviction before every
+// admission. This path cuts a request into SEGMENTS — maximal runs of lines
+// TOGETHER WITH the evictions due before them — and settles each segment in
+// two waves of concurrent calls, at most one per shard per wave:
 //
-//  1. ONE multi-probe /v1/support (delta +1) per peer shard carries every
-//     segment point's foreign cells for that peer. No segment point has
-//     been admitted anywhere yet, so the returned per-probe counts are the
-//     exact pre-segment foreign neighbor counts, and the applied +1s are
-//     exactly the deltas the per-point protocol would have applied.
-//  2. ONE /v1/shard/ingest_batch per owning shard admits its points with
-//     those counts attached, plus the segment-internal cross-shard pairs
-//     the probes could not see (computed right here from the points in
-//     hand, with the index's own acceptance rule).
+//  1. Wave one is read-only. ONE /v1/support (delta 0) per shard carries
+//     every staged point's cells on that shard and asks for the coordinates
+//     of the FIFO victims the shard owns (the router stores none). Nothing
+//     has changed anywhere yet, so the counts are exact against the
+//     PRE-SEGMENT window; the pairwise pass below moves each count to its
+//     point's admission instant from the points in hand — minus foreign
+//     victims evicted at or before its line, plus foreign staged points
+//     admitted before it — with the index's own acceptance rule.
+//  2. Wave two is the only mutation. ONE /v1/shard/ingest_batch per shard
+//     carries that shard's ORDERED list of the segment's operations on cells
+//     it owns: its own admissions (with their settled foreign counts) and
+//     evictions, and the +1/-1 every other shard's admission or eviction
+//     owes its residents.
 //
-// The verdict stream is byte-identical to the per-point protocol's outside
-// failure modes: within a segment neighbor counts only grow, so folding a
-// point's later-arriving +1s after the run crosses K exactly when the
-// interleaved order did. Under terminal shard failures the coalesced path
-// may leak +1s for points that then fail admission — the same class of
-// partial-application the per-point protocol already accepts when a
-// support call succeeds and the admission after it fails.
+// Why order per shard is enough: a resident's count only ever changes by an
+// operation on a point in its neighborhood, every such operation appears in
+// its owner's list, and the list is in the global window's order — so each
+// count walks through exactly the values it takes in a single-process
+// Window, crossing K at the same operations. Verdict lines, Evicted counts,
+// final counts, outlier sets, digests and flip totals are byte-identical to
+// the per-point protocol's; the round trips per request stop growing with
+// the batch. A segment ends only where it must: at the end of the request,
+// or when the FIFO head is itself a staged point (a request larger than
+// the window), which has to commit before it can be evicted.
+//
+// Failure. A terminal wave-one failure (retries exhausted on any shard)
+// fails every line of the segment and leaves the window untouched. A
+// terminal wave-two failure on shard X fails the lines X owns; the other
+// shards have applied the whole segment, and the router commits it —
+// evictions of X's residents included. X then misses one segment's worth
+// of operations: the admissions it did not take were still counted by its
+// peers (the per-point protocol's leak class, when a support call succeeds
+// and the admission after it fails), and, new with this protocol, X keeps
+// victims its peers and the router have retired, and misses the ±1s the
+// segment owed its residents. Retries carry the same idempotency key per
+// (request, segment, wave, shard), so a wave that lands on a promoted
+// standby replays from the replicated cache instead.
 
-// segPoint is one admission staged in the current segment.
-type segPoint struct {
-	pt        geom.Point
-	line      int // index into the batch / output slice
+// segOp is one operation of the current segment, in global window order:
+// the eviction of a committed resident, or the admission of a staged line.
+type segOp struct {
+	admit     bool
+	pt        geom.Point // an eviction's coordinates arrive with wave one
+	line      int        // admission: index into the batch / output slice
+	evictions int        // admission: evictions charged to its line
+	seq       uint64     // admission: pre-assigned global sequence number
+	foreign   int        // admission: settled cross-shard neighbor count
+	failed    bool       // admission: its line was answered with an error
 	cell      []int64
 	owner     string
-	evictions int // evictions charged to this line before staging
+	// peerCells are the cells of the op's neighborhood other shards own.
+	peerCells map[string][][]int64
+}
+
+// shardWave is one shard's share of a segment: what wave one asks it, what
+// wave two tells it, and what it answered.
+type shardWave struct {
+	name      string
+	probes    []SupportProbe
+	probeOps  []int // op index of each probe
+	victims   []uint64
+	victimOps []int // op index of each victim
+	ops       []stream.ShardOp
+	admitOps  []int // op index of each OpAdmit in ops
+	err       error
+	support   SupportResponse
+	ingest    IngestBatchResponse
+}
+
+// eachShard runs fn for every wave concurrently and waits for all of them.
+func eachShard(waves []*shardWave, fn func(w *shardWave)) {
+	if len(waves) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, w := range waves[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	fn(waves[0])
+	wg.Wait()
 }
 
 // ingestCoalescedLocked runs one ingest batch through the coalesced
 // protocol. Callers hold rt.mu.
 func (rt *Router) ingestCoalescedLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
+	// The segment is staged against a private view of the window: head and
+	// live are where the FIFO cursor and the resident count will stand once
+	// the staged ops apply, gone and pending the IDs they remove and add.
 	var (
-		seg     []segPoint
+		ops     []segOp
 		pending = map[uint64]struct{}{}
+		gone    = map[uint64]struct{}{}
+		head    = rt.head
+		live    = len(rt.residents)
 		segIdx  int
 	)
-	flush := func() {
-		if len(seg) == 0 {
-			return
-		}
-		rt.flushSegmentLocked(ctx, topo, now, reqID, segIdx, seg, out)
+	flush := func() bool {
+		ok := rt.flushSegmentLocked(ctx, topo, now, reqID, segIdx, ops, head, out)
 		segIdx++
-		seg = seg[:0]
+		ops = ops[:0]
 		clear(pending)
+		clear(gone)
+		head, live = rt.head, len(rt.residents)
+		return ok
 	}
 	horizonNs := int64(0)
 	if rt.cfg.TTL > 0 {
 		horizonNs = now.Add(-rt.cfg.TTL).UnixNano()
 	}
-	// ttlDue reports whether the committed FIFO head has aged out. Staged
-	// points all arrive "now" and can never be due within their own batch.
-	ttlDue := func() bool {
-		return rt.cfg.TTL > 0 && rt.head < len(rt.fifo) &&
-			rt.residents[rt.fifo[rt.head]].arrivedNs < horizonNs
+	// evictionDue reports whether the window discipline owes an eviction
+	// before the next admission: the window is full, or the FIFO head has
+	// aged out. Staged points all arrive "now" and never age out within
+	// their own request.
+	evictionDue := func() bool {
+		if rt.cfg.Capacity > 0 && live >= rt.cfg.Capacity {
+			return true
+		}
+		return rt.cfg.TTL > 0 && head < len(rt.fifo) && rt.residents[rt.fifo[head]].arrivedNs < horizonNs
 	}
 	for i, it := range items {
 		if it.Err != nil {
@@ -87,57 +160,42 @@ func (rt *Router) ingestCoalescedLocked(ctx context.Context, topo *Topology, now
 			rt.met.lineErrors.Inc()
 			continue
 		}
-		_, dupResident := rt.residents[pt.ID]
-		_, dupPending := pending[pt.ID]
-		if dupResident || dupPending {
+		_, resident := rt.residents[pt.ID]
+		_, evicted := gone[pt.ID]
+		_, staged := pending[pt.ID]
+		if (resident && !evicted) || staged {
 			err := &errs.DuplicateIDError{ID: pt.ID}
 			out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
 			rt.met.lineErrors.Inc()
 			continue
 		}
-		// An eviction due before this point ends the segment: the staged run
-		// commits (entering rt.residents), then the per-point eviction
-		// discipline runs with this line's key, exactly as processLocked
-		// orders it.
 		evictions := 0
-		evictFailed := false
-		if rt.cfg.Capacity > 0 && len(rt.residents)+len(seg) >= rt.cfg.Capacity {
-			flush()
-			lineKey := fmt.Sprintf("%s|%d", reqID, i)
-			for len(rt.residents) >= rt.cfg.Capacity {
-				evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-				if err != nil {
-					out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-					rt.met.lineErrors.Inc()
-					evictFailed = true
-					break
+		for evictionDue() {
+			if head == len(rt.fifo) {
+				// The FIFO head is a staged point: commit the segment so it
+				// can be evicted like any other resident.
+				if len(ops) == 0 {
+					break // nothing resident and nothing staged
 				}
-				if evicted {
-					evictions++
+				if !flush() {
+					evictions = 0 // the failed segment's evictions did not happen
 				}
+				continue
 			}
-		}
-		if !evictFailed && ttlDue() {
-			flush()
-			lineKey := fmt.Sprintf("%s|%d", reqID, i)
-			for ttlDue() {
-				evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-				if err != nil {
-					out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-					rt.met.lineErrors.Inc()
-					evictFailed = true
-					break
-				}
-				if evicted {
-					evictions++
-				}
+			id := rt.fifo[head]
+			head++
+			res, ok := rt.residents[id]
+			if !ok {
+				continue // a ghost slot: its resident was dropped by a forced drain
 			}
+			ops = append(ops, segOp{pt: geom.Point{ID: id}, cell: res.cell})
+			gone[id] = struct{}{}
+			live--
+			evictions++
 		}
-		if evictFailed {
-			continue
-		}
-		seg = append(seg, segPoint{pt: pt, line: i, evictions: evictions})
+		ops = append(ops, segOp{admit: true, pt: pt, line: i, evictions: evictions, cell: topo.CellOf(pt.Coords)})
 		pending[pt.ID] = struct{}{}
+		live++
 	}
 	flush()
 }
@@ -151,212 +209,209 @@ func cellKey(scratch []byte, c []int64) []byte {
 	return scratch
 }
 
-// flushSegmentLocked settles one staged segment: phase one probes every
-// peer once, the pairwise pass counts segment-internal cross-shard
-// neighbors, phase two admits every owner's run in one RPC, and the
-// successes commit to the router's window bookkeeping in arrival order.
-// Callers hold rt.mu.
-func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, segIdx int, seg []segPoint, out []verdictLine) {
-	n := len(seg)
-	baseSeq := rt.seq
-	type peerProbes struct {
-		probes []SupportProbe
-		segIxs []int
+// flushSegmentLocked settles one staged segment — wave one, the pairwise
+// pass, wave two — and commits it to the router's window bookkeeping, head
+// being the FIFO cursor past the segment's victims. It reports false if the
+// segment was abandoned with the window untouched. Callers hold rt.mu.
+func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, segIdx int, ops []segOp, head int, out []verdictLine) bool {
+	if len(ops) == 0 {
+		rt.head = head // ghost slots skipped on the way
+		return true
 	}
-	perPeer := map[string]*peerProbes{}
-	foreign := make([]int, n)
-	failed := make([]bool, n)
-	for j := range seg {
-		sp := &seg[j]
-		sp.cell = topo.CellOf(sp.pt.Coords)
-		sp.owner = topo.Owner(sp.cell)
-		var cellsByPeer map[string][][]int64
+	// Who owns what: each op's owner and the cells of its neighborhood on
+	// other shards, grouped per shard into wave one's probes and victims.
+	byName := map[string]*shardWave{}
+	var waves []*shardWave
+	wave := func(name string) *shardWave {
+		w := byName[name]
+		if w == nil {
+			w = &shardWave{name: name}
+			byName[name] = w
+			waves = append(waves, w)
+		}
+		return w
+	}
+	for j := range ops {
+		op := &ops[j]
+		op.owner = topo.Owner(op.cell)
 		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(sp.cell, radius, func(c []int64) {
+			index.RingCells(op.cell, radius, func(c []int64) {
 				o := topo.Owner(c)
-				if o == sp.owner {
+				if o == op.owner {
 					return // the owning shard splits its own cells locally
 				}
-				if cellsByPeer == nil {
-					cellsByPeer = map[string][][]int64{}
+				if op.peerCells == nil {
+					op.peerCells = map[string][][]int64{}
 				}
-				cellsByPeer[o] = append(cellsByPeer[o], append([]int64(nil), c...))
+				op.peerCells[o] = append(op.peerCells[o], append([]int64(nil), c...))
 			})
 		}
-		for o, cells := range cellsByPeer {
-			pp := perPeer[o]
-			if pp == nil {
-				pp = &peerProbes{}
-				perPeer[o] = pp
+		if op.admit {
+			for o, cells := range op.peerCells {
+				w := wave(o)
+				w.probes = append(w.probes, SupportProbe{Point: op.pt, Cells: cells})
+				w.probeOps = append(w.probeOps, j)
 			}
-			pp.probes = append(pp.probes, SupportProbe{Point: sp.pt, Cells: cells})
-			pp.segIxs = append(pp.segIxs, j)
+		} else {
+			w := wave(op.owner)
+			w.victims = append(w.victims, op.pt.ID)
+			w.victimOps = append(w.victimOps, j)
+		}
+	}
+	failSegment := func(msg string) bool {
+		for j := range ops {
+			if ops[j].admit {
+				out[ops[j].line] = verdictLine{ID: ops[j].pt.ID, Error: msg}
+				rt.met.lineErrors.Inc()
+			}
+		}
+		return false
+	}
+
+	// Wave one: read-only, so a retried call simply reads again.
+	eachShard(waves, func(w *shardWave) {
+		body := EncodeSupportBatch(SupportHeader{Victims: w.victims}, w.probes)
+		key := fmt.Sprintf("%s|seg%d|w1|%s", reqID, segIdx, w.name)
+		rt.met.supportRPCs.Inc()
+		w.err = rt.callShard(ctx, topo, w.name, PathSupport, key, body, &w.support)
+	})
+	sort.Slice(waves, func(a, b int) bool { return waves[a].name < waves[b].name })
+	for _, w := range waves {
+		switch {
+		case w.err != nil:
+			return failSegment(fmt.Sprintf("shard %s unavailable: %v", w.name, w.err))
+		case w.support.Error != "":
+			return failSegment(w.support.Error)
+		case len(w.support.Counts) != len(w.probes) || len(w.support.Victims) != len(w.victims):
+			return failSegment(fmt.Sprintf("shard %s: support answered %d counts, %d victims for %d probes, %d victims",
+				w.name, len(w.support.Counts), len(w.support.Victims), len(w.probes), len(w.victims)))
+		}
+		for idx, c := range w.support.Counts {
+			ops[w.probeOps[idx]].foreign += c
+		}
+		for idx, coords := range w.support.Victims {
+			ops[w.victimOps[idx]].pt.Coords = coords
 		}
 	}
 
-	// Phase one: one support exchange per peer, probes in point order.
-	peers := make([]string, 0, len(perPeer))
-	for o := range perPeer {
-		peers = append(peers, o)
+	// Pairwise pass: move each admission's foreign count from the
+	// pre-segment window to its own instant. Walking the ops in order, every
+	// earlier op on another shard that neighbors the point changed what a
+	// live support call would have returned: an eviction took one neighbor
+	// away, an admission added one. The acceptance rule is the index's own —
+	// cells within Chebyshev distance 1 of the probe's cell auto-accept,
+	// farther cells get the exact distance check, a point never neighbors
+	// its own ID — so the counts match bit for bit. Only ops with cells on
+	// other shards can neighbor a point owned elsewhere, so only they are
+	// bucketed, and only a point's foreign cells are searched.
+	buckets := map[string][]int{}
+	var kscratch []byte
+	baseSeq := rt.seq
+	admits := 0
+	for q := range ops {
+		sq := &ops[q]
+		if sq.admit {
+			admits++
+			sq.seq = baseSeq + uint64(admits)
+			for _, cells := range sq.peerCells {
+				for _, c := range cells {
+					kscratch = cellKey(kscratch, c)
+					exact := index.ChebDist(sq.cell, c) > 1
+					for _, i := range buckets[string(kscratch)] {
+						si := &ops[i]
+						if si.pt.ID == sq.pt.ID {
+							continue
+						}
+						if exact && !geom.WithinDist(si.pt, sq.pt, rt.cfg.R) {
+							continue
+						}
+						if si.admit {
+							sq.foreign++
+						} else {
+							sq.foreign--
+						}
+					}
+				}
+			}
+		}
+		if sq.peerCells != nil {
+			kscratch = cellKey(kscratch, sq.cell)
+			buckets[string(kscratch)] = append(buckets[string(kscratch)], q)
+		}
 	}
-	sort.Strings(peers)
-	failProbes := func(pp *peerProbes, msg string) {
-		for _, j := range pp.segIxs {
-			if failed[j] {
+
+	// Wave two: each shard's ordered share of the segment.
+	for j := range ops {
+		op := &ops[j]
+		w := wave(op.owner)
+		delta := -1
+		if op.admit {
+			delta = +1
+			w.ops = append(w.ops, stream.ShardOp{Kind: stream.OpAdmit, Point: op.pt, Seq: op.seq, Foreign: op.foreign})
+			w.admitOps = append(w.admitOps, j)
+		} else {
+			w.ops = append(w.ops, stream.ShardOp{Kind: stream.OpEvict, ID: op.pt.ID})
+		}
+		for o, cells := range op.peerCells {
+			pw := wave(o)
+			pw.ops = append(pw.ops, stream.ShardOp{Kind: stream.OpSupport, Point: op.pt, Cells: cells, Delta: delta})
+		}
+	}
+	eachShard(waves, func(w *shardWave) {
+		body := EncodeIngestBatch(IngestBatchHeader{ArrivedNs: now.UnixNano(), Count: len(w.ops)}, w.ops)
+		key := fmt.Sprintf("%s|seg%d|w2|%s", reqID, segIdx, w.name)
+		w.err = rt.callShard(ctx, topo, w.name, PathShardIngestBatch, key, body, &w.ingest)
+	})
+	for _, w := range waves {
+		msg := ""
+		switch {
+		case w.err != nil:
+			msg = fmt.Sprintf("shard %s unavailable: %v", w.name, w.err)
+		case w.ingest.Error != "":
+			msg = w.ingest.Error
+		case len(w.ingest.Results) != len(w.admitOps):
+			msg = fmt.Sprintf("shard %s: %d results for %d admissions", w.name, len(w.ingest.Results), len(w.admitOps))
+		}
+		for idx, j := range w.admitOps {
+			op := &ops[j]
+			switch {
+			case msg != "":
+				out[op.line] = verdictLine{ID: op.pt.ID, Error: msg}
+			case w.ingest.Results[idx].Error != "":
+				out[op.line] = verdictLine{ID: op.pt.ID, Error: w.ingest.Results[idx].Error}
+			default:
+				res := w.ingest.Results[idx]
+				out[op.line] = verdictLine{
+					ID: res.ID, Seq: res.Seq, Neighbors: res.Neighbors,
+					Outlier: res.Outlier, Evicted: op.evictions,
+				}
 				continue
 			}
-			failed[j] = true
-			out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: msg}
+			op.failed = true
 			rt.met.lineErrors.Inc()
 		}
 	}
-	for _, o := range peers {
-		pp := perPeer[o]
-		body := EncodeSupportBatch(SupportHeader{Delta: 1}, pp.probes)
-		key := fmt.Sprintf("%s|seg%d|b|%s", reqID, segIdx, o)
-		var resp SupportResponse
-		rt.met.supportRPCs.Inc()
-		if err := rt.callShard(ctx, topo, o, PathSupport, key, body, &resp); err != nil {
-			failProbes(pp, fmt.Sprintf("shard %s unavailable: %v", o, err))
-			continue
-		}
-		if resp.Error != "" {
-			failProbes(pp, resp.Error)
-			continue
-		}
-		if len(resp.Counts) != len(pp.probes) {
-			failProbes(pp, fmt.Sprintf("shard %s: support answered %d counts for %d probes", o, len(resp.Counts), len(pp.probes)))
-			continue
-		}
-		for idx, c := range resp.Counts {
-			foreign[pp.segIxs[idx]] += c
-		}
-	}
 
-	// Pairwise pass: count segment-internal cross-shard neighbor pairs the
-	// pre-segment probes could not see. Buckets key on center cell; the
-	// acceptance rule is the index's own — cells within Chebyshev distance 1
-	// of the probe's cell auto-accept, farther cells get the exact distance
-	// check — so the counts match what live support would have returned.
-	// Failed points are excluded: under the per-point protocol they would
-	// never have been admitted.
-	intraEarlier := make([]int, n)
-	crossLater := make([]int, n)
-	buckets := map[string][]int{}
-	var kscratch []byte
-	for j := range seg {
-		if failed[j] {
-			continue
-		}
-		kscratch = cellKey(kscratch, seg[j].cell)
-		buckets[string(kscratch)] = append(buckets[string(kscratch)], j)
-	}
-	for q := range seg {
-		if failed[q] {
-			continue
-		}
-		sq := &seg[q]
-		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(sq.cell, radius, func(c []int64) {
-				kscratch = cellKey(kscratch, c)
-				for _, i := range buckets[string(kscratch)] {
-					if i == q || seg[i].owner == sq.owner {
-						continue
-					}
-					if radius > 1 && !geom.WithinDist(seg[i].pt, sq.pt, rt.cfg.R) {
-						continue
-					}
-					if i < q {
-						intraEarlier[q]++
-					} else {
-						crossLater[q]++
-					}
-				}
-			})
-		}
-	}
-
-	// Phase two: one batched admission per owning shard, items in arrival
-	// order with their pre-assigned sequence numbers.
-	type ownerRun struct {
-		items  []AdmitItem
-		segIxs []int
-	}
-	perOwner := map[string]*ownerRun{}
-	for j := range seg {
-		if failed[j] {
-			continue
-		}
-		or := perOwner[seg[j].owner]
-		if or == nil {
-			or = &ownerRun{}
-			perOwner[seg[j].owner] = or
-		}
-		or.items = append(or.items, AdmitItem{
-			Point:      seg[j].pt,
-			Seq:        baseSeq + uint64(j) + 1,
-			Foreign:    foreign[j] + intraEarlier[j],
-			CrossLater: crossLater[j],
-		})
-		or.segIxs = append(or.segIxs, j)
-	}
-	owners := make([]string, 0, len(perOwner))
-	for o := range perOwner {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	for _, o := range owners {
-		or := perOwner[o]
-		body := EncodeIngestBatch(IngestBatchHeader{ArrivedNs: now.UnixNano(), Count: len(or.items)}, or.items)
-		key := fmt.Sprintf("%s|seg%d|a|%s", reqID, segIdx, o)
-		var resp IngestBatchResponse
-		failRun := func(msg string) {
-			for _, j := range or.segIxs {
-				failed[j] = true
-				out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: msg}
-				rt.met.lineErrors.Inc()
-			}
-		}
-		if err := rt.callShard(ctx, topo, o, PathShardIngestBatch, key, body, &resp); err != nil {
-			failRun(fmt.Sprintf("shard %s unavailable: %v", o, err))
-			continue
-		}
-		if resp.Error != "" {
-			failRun(resp.Error)
-			continue
-		}
-		if len(resp.Results) != len(or.items) {
-			failRun(fmt.Sprintf("shard %s: %d results for %d admissions", o, len(resp.Results), len(or.items)))
-			continue
-		}
-		for idx, res := range resp.Results {
-			j := or.segIxs[idx]
-			if res.Error != "" {
-				failed[j] = true
-				out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: res.Error}
-				rt.met.lineErrors.Inc()
-				continue
-			}
-			out[seg[j].line] = verdictLine{
-				ID: res.ID, Seq: res.Seq, Neighbors: res.Neighbors,
-				Outlier: res.Outlier, Evicted: seg[j].evictions,
-			}
-		}
-	}
-
-	// Commit successes in arrival order. The whole segment's sequence
-	// numbers are consumed, success or not — they were baked into the
-	// phase-two bodies before any outcome was known, so a failed line
-	// leaves a gap rather than renumbering its successors.
+	// Commit in window order. The whole segment's sequence numbers are
+	// consumed, success or not — they were baked into the wave-two bodies
+	// before any outcome was known, so a failed line leaves a gap rather
+	// than renumbering its successors.
 	arrivedNs := now.UnixNano()
-	for j := range seg {
-		if failed[j] {
-			continue
+	for j := range ops {
+		op := &ops[j]
+		switch {
+		case !op.admit:
+			delete(rt.residents, op.pt.ID)
+			rt.met.evictions.Inc()
+		case !op.failed:
+			rt.fifo = append(rt.fifo, op.pt.ID)
+			rt.residents[op.pt.ID] = resident{cell: op.cell, arrivedNs: arrivedNs}
 		}
-		rt.fifo = append(rt.fifo, seg[j].pt.ID)
-		rt.residents[seg[j].pt.ID] = resident{cell: seg[j].cell, arrivedNs: arrivedNs}
 	}
-	rt.seq = baseSeq + uint64(n)
+	rt.head = head
+	rt.reclaimFifoLocked()
+	rt.seq = baseSeq + uint64(admits)
+	return true
 }
 
 // scoreChunk scores lines [lo, hi) with one read-only support RPC per

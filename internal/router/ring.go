@@ -185,16 +185,22 @@ func (t *Topology) BlockOf(cell []int64) []int64 {
 	return b
 }
 
-// blockHash positions a cell's block on the hash circle.
+// blockHash positions a cell's block on the hash circle: FNV-64a over the
+// block coordinates' little-endian bytes, spelled out so the per-cell
+// ownership lookups of a neighborhood walk allocate nothing.
 func (t *Topology) blockHash(cell []int64) uint64 {
 	t.init()
-	h := fnv.New64a()
-	var buf [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, c := range cell {
-		putUint64(buf[:], uint64(floorDiv(c, int64(t.Block))))
-		h.Write(buf[:])
+		b := uint64(floorDiv(c, int64(t.Block)))
+		for i := 0; i < 8; i++ {
+			h ^= b & 0xff
+			h *= prime64
+			b >>= 8
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Owner returns the name of the shard owning the given cell: the first

@@ -72,9 +72,11 @@ type Config struct {
 	// serve bench can measure one against the other on a single build.
 	LegacyWire bool
 	// NoCoalesce disables request coalescing and issues one shard ingest
-	// RPC per point and one support RPC per (point, peer), as before the
-	// batch wire forms. Verdict streams are identical either way; the knob
-	// exists for the same honest before/after benchmarking.
+	// RPC per point, one evict RPC per victim and one shard→shard support
+	// RPC per (point or victim, peer), as before the batch wire forms.
+	// Verdict streams are identical either way; the knob keeps the
+	// per-point protocol in-tree as the coalesced path's oracle and for
+	// the same honest before/after benchmarking.
 	NoCoalesce bool
 	// Retry shapes shard-call backoff; zero value takes defaults.
 	Retry retry.Policy

@@ -226,7 +226,13 @@ func (c *cluster) streamBatches(rng *rand.Rand, idBase uint64, batches, perBatch
 // (evictions must have flipped the same points on both sides).
 func (c *cluster) checkFinalState() {
 	c.t.Helper()
-	snap := c.ref.Window().Snapshot()
+	c.checkFinalStateAgainst(c.ref.Window())
+}
+
+// checkFinalStateAgainst is checkFinalState against any reference window.
+func (c *cluster) checkFinalStateAgainst(ref *stream.Window) {
+	c.t.Helper()
+	snap := ref.Snapshot()
 	wantOutliers := map[uint64]bool{}
 	for _, id := range snap.OutlierIDs {
 		wantOutliers[id] = true
@@ -263,7 +269,7 @@ func (c *cluster) checkFinalState() {
 			c.t.Fatalf("reference outlier %d is an inlier on the shards", id)
 		}
 	}
-	refStats := c.ref.Window().Stats()
+	refStats := ref.Stats()
 	if flipIn != refStats.FlipIn || flipOut != refStats.FlipOut {
 		c.t.Fatalf("verdict flips: sharded (%d,%d) != reference (%d,%d)",
 			flipIn, flipOut, refStats.FlipIn, refStats.FlipOut)

@@ -56,21 +56,27 @@ type IngestResponse struct {
 // +1/-1 applies an arrival/eviction neighbor-count delta to the matched
 // points (Lemma 3.1: the owning shard's counts are sufficient — no point
 // data crosses the wire, only counts); delta 0 is a read-only count for
-// scoring, early-terminated at Limit.
+// scoring, early-terminated at Limit. Victims (read-only bodies only) lists
+// resident IDs whose coordinates the caller wants back: the router stores
+// none, and needs an eviction victim's to command the eviction's
+// cross-shard half.
 type SupportHeader struct {
-	Delta int `json:"delta"`
-	Limit int `json:"limit,omitempty"`
+	Delta   int      `json:"delta"`
+	Limit   int      `json:"limit,omitempty"`
+	Victims []uint64 `json:"victims,omitempty"`
 }
 
 // SupportResponse answers a support call with the neighbor count found in
 // the requested cells. Multi-probe bodies (EncodeSupportBatch) are answered
 // with one count per probe in Counts, probe order, alongside the summed
-// Count.
+// Count. Victims answers SupportHeader.Victims, one coordinate vector per
+// ID in request order (encoding/json round-trips float64 exactly).
 type SupportResponse struct {
-	Count     int    `json:"count"`
-	Counts    []int  `json:"counts,omitempty"`
-	Error     string `json:"error,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
+	Count     int         `json:"count"`
+	Counts    []int       `json:"counts,omitempty"`
+	Victims   [][]float64 `json:"victims,omitempty"`
+	Error     string      `json:"error,omitempty"`
+	RequestID string      `json:"request_id,omitempty"`
 }
 
 // EvictRequest asks a shard to expire one resident point by ID.
@@ -121,17 +127,17 @@ func appendJSONHeader(dst []byte, v any) []byte {
 	return codec.AppendFrame(dst, frameHeader, payload)
 }
 
-// appendCells appends a frameCells frame: uvarint dim, uvarint count, then
-// count×dim varint cell coordinates.
+// appendCells appends a cell list (a frameCells payload): uvarint dim,
+// uvarint count, then count×dim varint cell coordinates.
 func appendCells(dst []byte, dim int, cells [][]int64) []byte {
-	payload := binary.AppendUvarint(nil, uint64(dim))
-	payload = binary.AppendUvarint(payload, uint64(len(cells)))
+	dst = binary.AppendUvarint(dst, uint64(dim))
+	dst = binary.AppendUvarint(dst, uint64(len(cells)))
 	for _, c := range cells {
 		for _, v := range c {
-			payload = binary.AppendVarint(payload, v)
+			dst = binary.AppendVarint(dst, v)
 		}
 	}
-	return codec.AppendFrame(dst, frameCells, payload)
+	return dst
 }
 
 // decodeCells parses a frameCells payload.
@@ -196,7 +202,7 @@ func DecodeIngest(body []byte) (IngestHeader, geom.Point, error) {
 func EncodeSupport(hdr SupportHeader, p geom.Point, cells [][]int64) []byte {
 	body := appendJSONHeader(nil, hdr)
 	body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, p))
-	body = appendCells(body, p.Dim(), cells)
+	body = codec.AppendFrame(body, frameCells, appendCells(nil, p.Dim(), cells))
 	return codec.AppendSumFrame(body)
 }
 
@@ -321,7 +327,7 @@ type wireFrames struct {
 	points    [][]byte
 	cells     [][]byte
 	entries   [][]byte
-	admits    [][]byte
+	ops       [][]byte
 }
 
 // decodeSealed strips the integrity frame and sorts the remaining frames
@@ -348,8 +354,8 @@ func decodeSealed(body []byte) (*wireFrames, error) {
 			f.cells = append(f.cells, payload)
 		case frameEntry:
 			f.entries = append(f.entries, payload)
-		case frameAdmit:
-			f.admits = append(f.admits, payload)
+		case frameOp:
+			f.ops = append(f.ops, payload)
 		default:
 			return nil, codec.WireErrorf("router: unknown frame kind %d", kind)
 		}

@@ -5,48 +5,32 @@ import (
 
 	"dod/internal/codec"
 	"dod/internal/geom"
+	"dod/internal/stream"
 )
 
-// Coalesced data plane. A router ingest batch used to cost one shard round
-// trip per point plus one shard→shard support hop per peer per point. The
-// batch wire forms below collapse that: the router groups a run of
-// admissions (a "segment") and issues ONE multi-probe /v1/support exchange
-// per peer shard — every segment point's foreign cells in one sealed body —
-// followed by ONE /v1/shard/ingest_batch per owning shard carrying each
-// point with its already-settled foreign neighbor count. Frame kinds and
-// sealing are shared with the per-point protocol.
+// Coalesced data plane: the two bodies of the two-wave segment protocol
+// (coalesce.go). Wave one is a multi-probe /v1/support body — every staged
+// point's foreign cells on one shard, plus in its header the IDs of the FIFO
+// victims that shard owns, whose coordinates come back in the response.
+// Wave two is an /v1/shard/ingest_batch body: one shard's ORDERED list of
+// the segment's operations on cells it owns, one frameOp per operation, in
+// the global window's order. Frame kinds and sealing are shared with the
+// per-point protocol.
 
-// PathShardIngestBatch admits a run of points on their owning shard in one
-// exchange; see EncodeIngestBatch.
+// PathShardIngestBatch applies one shard's ordered share of a segment in
+// one exchange; see EncodeIngestBatch.
 const PathShardIngestBatch = "/v1/shard/ingest_batch"
 
-// frameAdmit is one batched admission: a codec point record followed by
-// uvarint sequence number, uvarint settled foreign neighbor count, and
-// uvarint count of later cross-shard segment arrivals to fold in after the
-// whole segment is admitted.
-const frameAdmit byte = 5
+// frameOp is one stream.ShardOp: a kind byte, then for OpAdmit a codec
+// point record, uvarint sequence number and uvarint settled foreign
+// neighbor count; for OpEvict a uvarint ID; for OpSupport a codec point
+// record, a varint delta and a cell list (as in frameCells).
+const frameOp byte = 5
 
 // SupportProbe is one (point, cells) pair of a multi-probe support body.
 type SupportProbe struct {
 	Point geom.Point
 	Cells [][]int64
-}
-
-// AdmitItem is one point of a batched shard ingest. Foreign is the point's
-// cross-shard neighbor count at its admission instant — pre-segment support
-// (counted by the phase-one probes) plus earlier same-segment arrivals on
-// other shards — so the owning shard can produce the exact sequential
-// verdict without issuing any support call of its own. CrossLater is how
-// many later same-segment arrivals on other shards neighbor this point;
-// the shard folds those +1s in after admitting the whole run, which lands
-// the identical flip decisions the per-point protocol would have made
-// (counts only grow during a segment, so each entry crosses K at most once
-// and the order of the +1s cannot change the outcome).
-type AdmitItem struct {
-	Point      geom.Point
-	Seq        uint64
-	Foreign    int
-	CrossLater int
 }
 
 // IngestBatchHeader is the control header of a batched shard ingest.
@@ -56,8 +40,8 @@ type IngestBatchHeader struct {
 }
 
 // IngestBatchResponse answers a batched shard ingest with one result per
-// admitted item, in item order. Error reports a whole-batch failure (e.g. a
-// corrupt body); per-item failures live in their Results slot.
+// OpAdmit, in op order. Error reports a whole-batch failure (e.g. a corrupt
+// body); per-admission failures live in their Results slot.
 type IngestBatchResponse struct {
 	Results   []IngestResponse `json:"results,omitempty"`
 	Error     string           `json:"error,omitempty"`
@@ -71,13 +55,14 @@ func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
 	body := appendJSONHeader(nil, hdr)
 	for _, pr := range probes {
 		body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, pr.Point))
-		body = appendCells(body, pr.Point.Dim(), pr.Cells)
+		body = codec.AppendFrame(body, frameCells, appendCells(nil, pr.Point.Dim(), pr.Cells))
 	}
 	return codec.AppendSumFrame(body)
 }
 
 // DecodeSupportBatch parses a sealed support body into its probes. Bodies
-// from EncodeSupport decode as exactly one probe.
+// from EncodeSupport decode as exactly one probe; a body may carry no probe
+// only if its header asks for victims.
 func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 	var hdr SupportHeader
 	frames, err := decodeSealed(body)
@@ -87,7 +72,7 @@ func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 	if err := frames.header(&hdr); err != nil {
 		return hdr, nil, err
 	}
-	if len(frames.points) == 0 || len(frames.points) != len(frames.cells) {
+	if len(frames.points) != len(frames.cells) || (len(frames.points) == 0 && len(hdr.Victims) == 0) {
 		return hdr, nil, codec.WireErrorf("router: support body has %d point and %d cell frames",
 			len(frames.points), len(frames.cells))
 	}
@@ -106,21 +91,33 @@ func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 	return hdr, probes, nil
 }
 
-// EncodeIngestBatch builds a sealed batched-ingest body.
-func EncodeIngestBatch(hdr IngestBatchHeader, items []AdmitItem) []byte {
+// EncodeIngestBatch builds a sealed batched-ingest body; frame order is op
+// order.
+func EncodeIngestBatch(hdr IngestBatchHeader, ops []stream.ShardOp) []byte {
 	body := appendJSONHeader(nil, hdr)
-	for _, it := range items {
-		payload := codec.AppendPoint(nil, it.Point)
-		payload = binary.AppendUvarint(payload, it.Seq)
-		payload = binary.AppendUvarint(payload, uint64(it.Foreign))
-		payload = binary.AppendUvarint(payload, uint64(it.CrossLater))
-		body = codec.AppendFrame(body, frameAdmit, payload)
+	var payload []byte
+	for i := range ops {
+		op := &ops[i]
+		payload = append(payload[:0], byte(op.Kind))
+		switch op.Kind {
+		case stream.OpAdmit:
+			payload = codec.AppendPoint(payload, op.Point)
+			payload = binary.AppendUvarint(payload, op.Seq)
+			payload = binary.AppendUvarint(payload, uint64(op.Foreign))
+		case stream.OpEvict:
+			payload = binary.AppendUvarint(payload, op.ID)
+		case stream.OpSupport:
+			payload = codec.AppendPoint(payload, op.Point)
+			payload = binary.AppendVarint(payload, int64(op.Delta))
+			payload = appendCells(payload, op.Point.Dim(), op.Cells)
+		}
+		body = codec.AppendFrame(body, frameOp, payload)
 	}
 	return codec.AppendSumFrame(body)
 }
 
 // DecodeIngestBatch parses a sealed batched-ingest body.
-func DecodeIngestBatch(body []byte) (IngestBatchHeader, []AdmitItem, error) {
+func DecodeIngestBatch(body []byte) (IngestBatchHeader, []stream.ShardOp, error) {
 	var hdr IngestBatchHeader
 	frames, err := decodeSealed(body)
 	if err != nil {
@@ -129,31 +126,61 @@ func DecodeIngestBatch(body []byte) (IngestBatchHeader, []AdmitItem, error) {
 	if err := frames.header(&hdr); err != nil {
 		return hdr, nil, err
 	}
-	items := make([]AdmitItem, 0, len(frames.admits))
-	for _, raw := range frames.admits {
-		pt, n, err := codec.DecodePoint(raw)
-		if err != nil {
+	if len(frames.ops) != hdr.Count {
+		return hdr, nil, codec.WireErrorf("router: op count %d != header %d", len(frames.ops), hdr.Count)
+	}
+	ops := make([]stream.ShardOp, len(frames.ops))
+	for i, raw := range frames.ops {
+		if err := decodeOp(raw, &ops[i]); err != nil {
 			return hdr, nil, err
 		}
-		off := n
-		seq, n := binary.Uvarint(raw[off:])
+	}
+	return hdr, ops, nil
+}
+
+// decodeOp parses one frameOp payload into op.
+func decodeOp(raw []byte, op *stream.ShardOp) error {
+	if len(raw) == 0 {
+		return codec.WireErrorf("router: empty op frame")
+	}
+	op.Kind = stream.ShardOpKind(raw[0])
+	off := 1
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(raw[off:])
 		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit seq")
+			return 0, codec.WireErrorf("router: truncated op %s", what)
 		}
 		off += n
-		foreign, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit foreign count")
-		}
-		off += n
-		later, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit cross-later count")
-		}
-		items = append(items, AdmitItem{Point: pt, Seq: seq, Foreign: int(foreign), CrossLater: int(later)})
+		return v, nil
 	}
-	if len(items) != hdr.Count {
-		return hdr, nil, codec.WireErrorf("router: admit count %d != header %d", len(items), hdr.Count)
+	var err error
+	switch op.Kind {
+	case stream.OpEvict:
+		op.ID, err = uvarint("victim id")
+		return err
+	case stream.OpAdmit, stream.OpSupport:
+	default:
+		return codec.WireErrorf("router: unknown op kind %d", raw[0])
 	}
-	return hdr, items, nil
+	pt, n, err := codec.DecodePoint(raw[off:])
+	if err != nil {
+		return err
+	}
+	op.Point = pt
+	off += n
+	if op.Kind == stream.OpAdmit {
+		if op.Seq, err = uvarint("seq"); err != nil {
+			return err
+		}
+		foreign, err := uvarint("foreign count")
+		op.Foreign = int(foreign)
+		return err
+	}
+	delta, n := binary.Varint(raw[off:])
+	if n <= 0 || (delta != 1 && delta != -1) {
+		return codec.WireErrorf("router: bad op support delta")
+	}
+	op.Delta = int(delta)
+	op.Cells, err = decodeCells(raw[off+n:])
+	return err
 }

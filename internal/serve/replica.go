@@ -7,9 +7,9 @@ import (
 	"net/http"
 	"time"
 
+	"dod/internal/geom"
 	"dod/internal/replica"
 	"dod/internal/router"
-	"dod/internal/stream"
 )
 
 // maxReplicaBodyBytes caps one replication request body. Snapshots carry a
@@ -205,14 +205,11 @@ func (s *ShardServer) applyReplicaOp(op *replica.Op) error {
 	}
 	switch op.Kind {
 	case replica.KindAdmit:
-		// A replayed admission is a one-item precounted batch: the recorded
-		// Foreign count stands in for the primary's live support fan-out, and
-		// CrossLater folds in immediately — bit-identical to the primary's
-		// batch-then-fold because counts only grow within a run.
-		_, errsOut := s.sw.AdmitBatch([]stream.PrecountedAdmission{{
-			Point: op.Point, Seq: op.PointSeq, Foreign: op.Foreign, CrossLater: op.CrossLater,
-		}}, time.Unix(0, op.ArrivedNs), s.owns(topo))
-		return errsOut[0]
+		// The recorded Foreign count stands in for the primary's support
+		// fan-out (or, on the coalesced path, the router's settled count).
+		_, err := s.sw.Admit(op.Point, op.PointSeq, time.Unix(0, op.ArrivedNs), s.owns(topo),
+			func(geom.Point, [][]int64, int, int) (int, error) { return op.Foreign, nil })
+		return err
 	case replica.KindEvict:
 		// No support fan-out: every peer recorded its own half of this
 		// eviction as a KindSupport op in its own log.

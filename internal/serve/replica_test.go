@@ -18,8 +18,10 @@ import (
 	"time"
 
 	"dod/internal/geom"
+	"dod/internal/index"
 	"dod/internal/replica"
 	"dod/internal/router"
+	"dod/internal/stream"
 )
 
 const (
@@ -151,6 +153,32 @@ func (p *replicaPair) ingest(id uint64, x, y float64) []byte {
 	return raw
 }
 
+// batch applies one ordered segment through the primary's batched endpoint
+// and returns the raw response.
+func (p *replicaPair) batch(reqID string, arrivedNs int64, ops []stream.ShardOp) []byte {
+	p.t.Helper()
+	body := router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: arrivedNs, Count: len(ops)}, ops)
+	status, raw := postBody(p.t, p.primSrv.URL+router.PathShardIngestBatch, reqID, body)
+	if status != http.StatusOK || bytes.Contains(raw, []byte(`"error"`)) {
+		p.t.Fatalf("batch %s: status %d: %s", reqID, status, raw)
+	}
+	return raw
+}
+
+// cellsAround lists the grid cells of the neighborhood of (x, y).
+func cellsAround(t *testing.T, x, y float64) [][]int64 {
+	t.Helper()
+	ix, err := index.New(index.Config{Dim: pairDim, R: pairR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells [][]int64
+	ix.NeighborhoodCells(geom.Point{Coords: []float64{x, y}}, func(c []int64) {
+		cells = append(cells, append([]int64(nil), c...))
+	})
+	return cells
+}
+
 func (p *replicaPair) evict(id uint64) {
 	p.t.Helper()
 	raw, err := json.Marshal(router.EvictRequest{ID: id})
@@ -199,6 +227,15 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 	}
 	p.evict(3)
 	p.evict(17)
+	// One coalesced segment carrying all four op kinds, as the router's wave
+	// two sends it: an own eviction and admission, and the ±1s another
+	// shard's admission and eviction owe this shard's residents.
+	p.batch("seg-1", 5000, []stream.ShardOp{
+		{Kind: stream.OpEvict, ID: 4},
+		{Kind: stream.OpSupport, Point: geom.Point{ID: 900, Coords: []float64{2.2, 1.1}}, Cells: cellsAround(t, 2.2, 1.1), Delta: +1},
+		{Kind: stream.OpAdmit, Point: geom.Point{ID: 31, Coords: []float64{2.1, 1.9}}, Seq: 31, Foreign: 2},
+		{Kind: stream.OpSupport, Point: geom.Point{ID: 901, Coords: []float64{0.3, 3.1}}, Cells: cellsAround(t, 0.3, 3.1), Delta: -1},
+	})
 
 	st := p.waitSynced()
 	if st.Head == 0 || st.Acked != st.Head {
@@ -213,7 +250,7 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 		t.Fatalf("digest seq anchors: primary %d standby %d, want %d", dp.Seq, ds.Seq, st.Head)
 	}
 	if dp.Points != 28 {
-		t.Fatalf("points = %d, want 28 (30 admitted - 2 evicted)", dp.Points)
+		t.Fatalf("points = %d, want 28 (31 admitted - 3 evicted)", dp.Points)
 	}
 
 	// The standby's window state is the primary's, entry for entry.
@@ -318,16 +355,14 @@ func TestPromotionFlipsStandby(t *testing.T) {
 		p.ingest(i, float64(i%3), float64(i%3))
 	}
 
-	// A batched admission under one idempotency key, as the router sends.
-	items := []router.AdmitItem{
-		{Point: geom.Point{ID: 100, Coords: []float64{1, 1}}, Seq: 1000},
-		{Point: geom.Point{ID: 101, Coords: []float64{1.1, 1}}, Seq: 1001},
+	// An ordered segment under one idempotency key, as the router sends.
+	ops := []stream.ShardOp{
+		{Kind: stream.OpAdmit, Point: geom.Point{ID: 100, Coords: []float64{1, 1}}, Seq: 1000},
+		{Kind: stream.OpEvict, ID: 2},
+		{Kind: stream.OpAdmit, Point: geom.Point{ID: 101, Coords: []float64{1.1, 1}}, Seq: 1001},
 	}
-	batch := router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: 5000, Count: len(items)}, items)
-	status, primResp := postBody(t, p.primSrv.URL+router.PathShardIngestBatch, "batch-route-1", batch)
-	if status != http.StatusOK {
-		t.Fatalf("primary batch: status %d: %s", status, primResp)
-	}
+	batch := router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: 5000, Count: len(ops)}, ops)
+	primResp := p.batch("batch-route-1", 5000, ops)
 	p.waitSynced()
 
 	// Promote: the router pushes the successor epoch at the standby.

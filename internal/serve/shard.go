@@ -32,11 +32,19 @@ import (
 //	                         to peers for boundary cells.
 //	POST /v1/shard/evict     expire one resident point by ID (the router
 //	                         owns the global FIFO and commands evictions).
+//	POST /v1/shard/ingest_batch
+//	                         the coalesced path's only mutation: this
+//	                         shard's ordered share of a router segment —
+//	                         own admissions and evictions, and the ±1s other
+//	                         shards' owe its residents — under one lock,
+//	                         calling no peer.
 //	POST /v1/support         boundary-cell support (Lemma 3.1): count — and
 //	                         for delta ±1, adjust — this shard's residents
 //	                         that neighbor the probe point in the given
-//	                         cells. Called by peer shards and, for scoring,
-//	                         by the router.
+//	                         cells. Called by peer shards (per-point
+//	                         protocol) and by the router: read-only, for
+//	                         scoring and as a segment's first wave, which
+//	                         also returns eviction victims' coordinates.
 //	GET  /v1/shard/export    the full resident slice (drain/handoff).
 //	POST /v1/shard/import    adopt entries exported from a draining peer.
 //	POST /v1/shard/topology  install a new ownership epoch.
@@ -48,8 +56,9 @@ import (
 // retry blindly.
 //
 // Mutation ordering is the router's job: it serializes ingests, evicts and
-// drains globally, so at most one mutation originator is active at a time
-// and cross-shard support calls can never form a lock cycle.
+// drains globally. On the per-point path at most one mutation originator is
+// active at a time, so cross-shard support calls can never form a lock
+// cycle; on the coalesced path shards mutate concurrently but call no one.
 type ShardServer struct {
 	cfg ShardServerConfig
 	sw  *stream.ShardWindow
@@ -146,6 +155,7 @@ type shardMetrics struct {
 	exports       *obs.Counter
 	topoPushes    *obs.Counter
 	wireErrors    *obs.Counter
+	opErrors      *obs.Counter
 	replicaOps    *obs.Counter // standby: ops applied from the primary's log
 }
 
@@ -199,6 +209,7 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 		exports:       s.reg.Counter("dod_shard_exports_total", "entries exported during drain/handoff"),
 		topoPushes:    s.reg.Counter("dod_shard_topology_pushes_total", "topology epochs installed"),
 		wireErrors:    s.reg.Counter("dod_shard_wire_errors_total", "malformed or corrupt wire bodies rejected"),
+		opErrors:      s.reg.Counter("dod_shard_op_errors_total", "segment evict/support ops this shard's window refused"),
 		replicaOps:    s.reg.Counter("dod_replica_ops_total", "replication log ops", obs.L("dir", "applied")),
 	}
 	s.dedupe.evictions = s.met.dedupeEvicts
@@ -504,10 +515,11 @@ func (s *ShardServer) handleShardIngest(w http.ResponseWriter, r *http.Request) 
 	s.writeRaw(w, status, resp)
 }
 
-// handleShardIngestBatch admits a router-coalesced run of points in one
-// exchange. Foreign neighbor counts arrive precomputed (the router settled
-// them with one multi-probe support call per peer), so no support fan-out
-// happens here — the whole run commits under one window lock.
+// handleShardIngestBatch applies this shard's ordered share of a router
+// segment — own admissions and evictions, and the ±1s other shards'
+// admissions and evictions owe its residents — in one exchange and under
+// one window lock. Foreign neighbor counts arrive settled, so nothing here
+// calls a peer.
 func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -524,27 +536,26 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
 	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, func() (int, []byte) {
-		hdr, items, err := router.DecodeIngestBatch(body)
+		hdr, ops, err := router.DecodeIngestBatch(body)
 		if err != nil {
 			s.met.wireErrors.Inc()
 			return http.StatusBadRequest, marshalJSON(router.IngestBatchResponse{Error: err.Error(), RequestID: reqID})
 		}
-		in := make([]stream.PrecountedAdmission, len(items))
-		for i, it := range items {
-			in[i] = stream.PrecountedAdmission{
-				Point: it.Point, Seq: it.Seq, Foreign: it.Foreign, CrossLater: it.CrossLater,
+		verdicts, opErrs := s.sw.ApplyOps(ops, time.Unix(0, hdr.ArrivedNs), s.owns(topo))
+		out := router.IngestBatchResponse{RequestID: reqID}
+		for i := range ops {
+			switch {
+			case ops[i].Kind == stream.OpAdmit && opErrs[i] != nil:
+				out.Results = append(out.Results, router.IngestResponse{ID: ops[i].Point.ID, Error: opErrs[i].Error()})
+			case ops[i].Kind == stream.OpAdmit:
+				v := verdicts[i]
+				out.Results = append(out.Results, router.IngestResponse{ID: v.ID, Seq: v.Seq, Neighbors: v.Neighbors, Outlier: v.Outlier})
+				s.met.ingests.Inc()
+			case opErrs[i] != nil:
+				s.met.opErrors.Inc()
+			case ops[i].Kind == stream.OpEvict:
+				s.met.evicts.Inc()
 			}
-		}
-		verdicts, admitErrs := s.sw.AdmitBatch(in, time.Unix(0, hdr.ArrivedNs), s.owns(topo))
-		out := router.IngestBatchResponse{Results: make([]router.IngestResponse, len(items)), RequestID: reqID}
-		for i := range items {
-			if admitErrs[i] != nil {
-				out.Results[i] = router.IngestResponse{ID: items[i].Point.ID, Error: admitErrs[i].Error()}
-				continue
-			}
-			v := verdicts[i]
-			out.Results[i] = router.IngestResponse{ID: v.ID, Seq: v.Seq, Neighbors: v.Neighbors, Outlier: v.Outlier}
-			s.met.ingests.Inc()
 		}
 		return http.StatusOK, marshalJSON(out)
 	})
@@ -597,36 +608,44 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
+	// DecodeSupportBatch subsumes the per-point form: a body from
+	// EncodeSupport parses as exactly one probe. Multi-probe bodies (a
+	// segment's wave one, chunked scoring) answer one count per probe plus
+	// the sum, in one round trip per shard instead of one per point. Probes
+	// against one shard are independent, so applying them in order equals
+	// applying them one RPC at a time.
+	hdr, probes, err := router.DecodeSupportBatch(body)
+	if err != nil {
+		s.met.wireErrors.Inc()
+		s.writeRaw(w, http.StatusBadRequest, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID}))
+		return
+	}
 	serve := func() (int, []byte) {
-		// DecodeSupportBatch subsumes the per-point form: a body from
-		// EncodeSupport parses as exactly one probe. Multi-probe bodies
-		// (coalesced segment support, chunked scoring) answer one count per
-		// probe plus the sum, in one round trip per peer instead of one per
-		// point. Probes against one shard are independent, so applying them
-		// in order equals applying them one RPC at a time.
-		hdr, probes, err := router.DecodeSupportBatch(body)
-		if err != nil {
-			s.met.wireErrors.Inc()
-			return http.StatusBadRequest, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID})
-		}
-		total := 0
-		counts := make([]int, len(probes))
+		out := router.SupportResponse{Counts: make([]int, len(probes)), RequestID: reqID}
 		for i, pr := range probes {
 			n, err := s.sw.ApplySupport(pr.Point, pr.Cells, hdr.Delta, hdr.Limit)
 			if err != nil {
 				return http.StatusOK, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID})
 			}
-			counts[i] = n
-			total += n
+			out.Counts[i] = n
+			out.Count += n
+		}
+		if hdr.Delta == 0 && len(hdr.Victims) > 0 {
+			out.Victims = s.sw.CoordsOf(hdr.Victims)
+			for i, c := range out.Victims {
+				if c == nil {
+					return http.StatusOK, marshalJSON(router.SupportResponse{
+						Error: fmt.Sprintf("shard %s does not hold %d", s.cfg.Name, hdr.Victims[i]), RequestID: reqID})
+				}
+			}
 		}
 		s.met.supportServed.Inc()
-		return http.StatusOK, marshalJSON(router.SupportResponse{Count: total, Counts: counts, RequestID: reqID})
+		return http.StatusOK, marshalJSON(out)
 	}
-	// Read-only support (scoring) skips the idempotency cache; only
-	// delta-applying calls need exactly-once semantics. The delta lives in
-	// the sealed body, so peek cheaply: mutating callers always send a
-	// request ID, and scoring callers send none or delta 0.
-	if reqID == "" {
+	// Only delta-applying calls need exactly-once semantics: a read-only
+	// body (scoring, a segment's wave one) is answered afresh on every
+	// retry and stays out of the idempotency cache and the op log.
+	if hdr.Delta == 0 {
 		status, resp := serve()
 		s.writeRaw(w, status, resp)
 		return

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -26,7 +27,8 @@ import (
 // predicate) are processed against the local index exactly as Window
 // does, and the remaining cells are handed to a SupportFunc, which the
 // serving layer implements as codec-framed /v1/support calls to the
-// owning shards.
+// owning shards — or, on the router's coalesced path, are settled by the
+// router and arrive as part of an ordered op list (ApplyOps).
 //
 // Unlike Window, a ShardWindow has no capacity or TTL of its own:
 // eviction order is a property of the GLOBAL window, so the router tracks
@@ -56,7 +58,7 @@ type ShardWindow struct {
 // (Admit and EvictByID deliberately leak those deltas; the standby must
 // leak them identically).
 type OpRecorder interface {
-	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign, crossLater int)
+	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int)
 	RecordEvict(id uint64)
 	RecordSupport(p geom.Point, cells [][]int64, delta int)
 	RecordImport(entries []ExportedEntry)
@@ -130,10 +132,14 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
 
 // splitCells partitions p's neighborhood cells into owned and foreign,
-// copying coordinates (the enumeration reuses its scratch slice).
+// copying coordinates (the enumeration reuses its scratch slice) into one
+// shared backing array.
 func (sw *ShardWindow) splitCells(p geom.Point, owns OwnsFunc) (local, remote [][]int64) {
+	var flat []int64
 	sw.ix.NeighborhoodCells(p, func(cell []int64) {
-		c := append([]int64(nil), cell...)
+		n := len(flat)
+		flat = append(flat, cell...)
+		c := flat[n:len(flat):len(flat)]
 		if owns == nil || owns(c) {
 			local = append(local, c)
 		} else {
@@ -185,11 +191,16 @@ func (sw *ShardWindow) bump(e *entry, delta int) {
 // with delta +1) and files the entry. The returned Verdict carries the
 // router-assigned global sequence number.
 func (sw *ShardWindow) Admit(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, support SupportFunc) (Verdict, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.admitLocked(p, seq, now, owns, support)
+}
+
+// admitLocked is Admit under sw.mu.
+func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, support SupportFunc) (Verdict, error) {
 	if p.Dim() != sw.cfg.Dim {
 		return Verdict{}, &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: sw.cfg.Dim}
 	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
 	if _, dup := sw.entries[p.ID]; dup {
 		return Verdict{}, &errs.DuplicateIDError{ID: p.ID}
 	}
@@ -234,89 +245,73 @@ func (sw *ShardWindow) Admit(p geom.Point, seq uint64, now time.Time, owns OwnsF
 	}
 	sw.entries[p.ID] = e
 	if sw.rec != nil {
-		sw.rec.RecordAdmit(p, seq, now.UnixNano(), foreign, 0)
+		sw.rec.RecordAdmit(p, seq, now.UnixNano(), foreign)
 	}
 	return Verdict{ID: p.ID, Seq: seq, Neighbors: n, Outlier: e.outlier}, nil
 }
 
-// PrecountedAdmission is one admission of an AdmitBatch: the point, its
-// router-assigned global sequence number, its cross-shard neighbor count at
-// the admission instant (already settled by the router's coalesced support
-// probes), and how many LATER same-segment arrivals on other shards
-// neighbor it.
-type PrecountedAdmission struct {
-	Point      geom.Point
-	Seq        uint64
-	Foreign    int
-	CrossLater int
+// ShardOpKind tags one step of an ordered segment; see ApplyOps.
+type ShardOpKind byte
+
+const (
+	// OpAdmit admits Point, which this shard owns, as the global window's
+	// Seq-th point. Foreign is its cross-shard neighbor count at that
+	// instant, already settled by the router.
+	OpAdmit ShardOpKind = iota + 1
+	// OpEvict expires the resident ID, which this shard owns.
+	OpEvict
+	// OpSupport is another shard's admission (Delta +1) or eviction
+	// (Delta -1) of Point, seen from here: this shard's residents that
+	// neighbor Point in Cells — the cells of Point's neighborhood this
+	// shard owns — gain or lose one neighbor.
+	OpSupport
+)
+
+// ShardOp is one step of an ordered segment. Which fields are set depends
+// on Kind.
+type ShardOp struct {
+	Kind    ShardOpKind
+	Point   geom.Point // OpAdmit, OpSupport
+	Seq     uint64     // OpAdmit
+	Foreign int        // OpAdmit
+	ID      uint64     // OpEvict
+	Cells   [][]int64  // OpSupport
+	Delta   int        // OpSupport
 }
 
-// AdmitBatch admits a run of points under one lock without issuing any
-// support calls: each point's foreign neighbor count arrives precomputed,
-// and the cross-shard +1s owed to a point by later same-segment arrivals
-// are folded in after the run. The result is bit-identical to admitting
-// the run through Admit with live support — local counts see earlier
-// same-owner arrivals because they are already in the index, foreign
-// counts arrive via Foreign, and the deferred +1s reproduce the exact flip
-// decisions because counts only grow within a run (each entry crosses K at
-// most once, whatever the order). Per-item failures leave their slot's
-// error set and the run continues, matching the router's per-line error
-// discipline.
-func (sw *ShardWindow) AdmitBatch(items []PrecountedAdmission, now time.Time, owns OwnsFunc) ([]Verdict, []error) {
-	verdicts := make([]Verdict, len(items))
-	errsOut := make([]error, len(items))
+// ApplyOps applies this shard's share of a router segment: every admission
+// and eviction of the segment that touches a cell this shard owns, in the
+// global window's order, under one lock and with no support call. Each op
+// is the same mutation the per-point protocol performs (Admit with the
+// foreign count in hand, EvictByID without fan-out, ApplySupport), records
+// the same replication op, and bumps counts with the same flip rules; since
+// every shard sees every operation on its cells in the one global order,
+// each resident's count walks through exactly the values it takes in a
+// single-process Window, and so do the flip totals. Verdicts and errors are
+// index-aligned with ops (a Verdict only for OpAdmit); a failed op leaves
+// its error, changes nothing, and the run continues — as an OpEvict does
+// whose resident is gone (lost when a lagging standby was promoted).
+func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]Verdict, []error) {
+	verdicts := make([]Verdict, len(ops))
+	errsOut := make([]error, len(ops))
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	for i, it := range items {
-		if it.Point.Dim() != sw.cfg.Dim {
-			errsOut[i] = &errs.DimMismatchError{ID: it.Point.ID, Got: it.Point.Dim(), Want: sw.cfg.Dim}
-			continue
-		}
-		if _, dup := sw.entries[it.Point.ID]; dup {
-			errsOut[i] = &errs.DuplicateIDError{ID: it.Point.ID}
-			continue
-		}
-		local, _ := sw.splitCells(it.Point, owns)
-		n, err := sw.applyLocalDelta(it.Point, local, +1)
-		if err != nil {
-			errsOut[i] = err
-			continue
-		}
-		n += it.Foreign
-		pc := it.Point.Clone()
-		if err := sw.ix.Insert(pc); err != nil {
-			if sw.rec != nil && len(local) > 0 {
-				sw.rec.RecordSupport(it.Point, local, +1) // mirror the leaked local deltas
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case OpAdmit:
+			verdicts[i], errsOut[i] = sw.admitLocked(op.Point, op.Seq, now, owns,
+				func(geom.Point, [][]int64, int, int) (int, error) { return op.Foreign, nil })
+		case OpEvict:
+			if ok, err := sw.evictLocked(op.ID, owns, nil); err != nil {
+				errsOut[i] = err
+			} else if !ok {
+				errsOut[i] = fmt.Errorf("evict %d: not resident on this shard", op.ID)
 			}
-			errsOut[i] = err
-			continue
-		}
-		sw.ingested++
-		if sw.met != nil {
-			sw.met.ingested.Inc()
-		}
-		e := &entry{pt: pc, seq: it.Seq, arrived: now, count: n, outlier: n < sw.cfg.K}
-		if e.outlier {
-			sw.outliers++
-		}
-		sw.entries[it.Point.ID] = e
-		// Recording the item's CrossLater with the admission lets the standby
-		// replay the run one item at a time, folding each item's deferred +1s
-		// immediately: counts only grow within a run, so each entry crosses K
-		// at most once whatever the interleaving — final counts, verdicts and
-		// flip totals are identical to the primary's batch-then-fold order.
-		if sw.rec != nil {
-			sw.rec.RecordAdmit(it.Point, it.Seq, now.UnixNano(), it.Foreign, it.CrossLater)
-		}
-		verdicts[i] = Verdict{ID: it.Point.ID, Seq: it.Seq, Neighbors: n, Outlier: e.outlier}
-	}
-	for i, it := range items {
-		if errsOut[i] != nil || it.CrossLater == 0 {
-			continue
-		}
-		e := sw.entries[it.Point.ID]
-		for k := 0; k < it.CrossLater; k++ {
-			sw.bump(e, +1)
+		case OpSupport:
+			_, errsOut[i] = sw.supportLocked(op.Point, op.Cells, op.Delta)
+		default:
+			errsOut[i] = fmt.Errorf("unknown shard op kind %d", op.Kind)
 		}
 	}
 	return verdicts, errsOut
@@ -329,6 +324,11 @@ func (sw *ShardWindow) AdmitBatch(items []PrecountedAdmission, now time.Time, ow
 func (sw *ShardWindow) EvictByID(id uint64, owns OwnsFunc, support SupportFunc) (bool, error) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	return sw.evictLocked(id, owns, support)
+}
+
+// evictLocked is EvictByID under sw.mu.
+func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc, support SupportFunc) (bool, error) {
 	victim := sw.entries[id]
 	if victim == nil {
 		return false, nil
@@ -361,10 +361,10 @@ func (sw *ShardWindow) EvictByID(id uint64, owns OwnsFunc, support SupportFunc) 
 }
 
 // ApplySupport serves one boundary-support request from a peer shard (or a
-// read-only score probe from the router): count p's neighbors among the
-// given cells — all of which this shard should own — applying delta to
-// each matched resident's count with the usual flip rules. Delta 0 with
-// limit > 0 early-terminates the count at limit (scoring semantics,
+// read-only probe from the router): count p's neighbors among the given
+// cells — all of which this shard should own — applying delta to each
+// matched resident's count with the usual flip rules. Delta 0 is read-only;
+// with limit > 0 it early-terminates the count at limit (scoring semantics,
 // matching Window.ScorePoint's NeighborCount cap).
 func (sw *ShardWindow) ApplySupport(p geom.Point, cells [][]int64, delta, limit int) (int, error) {
 	sw.mu.Lock()
@@ -372,11 +372,31 @@ func (sw *ShardWindow) ApplySupport(p geom.Point, cells [][]int64, delta, limit 
 	if delta == 0 {
 		return sw.ix.NeighborsInCells(p, cells, limit, nil)
 	}
+	return sw.supportLocked(p, cells, delta)
+}
+
+// supportLocked applies and records one non-zero support delta under sw.mu.
+func (sw *ShardWindow) supportLocked(p geom.Point, cells [][]int64, delta int) (int, error) {
 	n, err := sw.applyLocalDelta(p, cells, delta)
 	if err == nil && sw.rec != nil {
 		sw.rec.RecordSupport(p, cells, delta)
 	}
 	return n, err
+}
+
+// CoordsOf returns a copy of each listed resident's coordinates, in order —
+// what the router, which stores none, needs to command an eviction's
+// cross-shard half. A nil slot marks an ID that is not resident here.
+func (sw *ShardWindow) CoordsOf(ids []uint64) [][]float64 {
+	out := make([][]float64, len(ids))
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	for i, id := range ids {
+		if e := sw.entries[id]; e != nil {
+			out[i] = append([]float64(nil), e.pt.Coords...)
+		}
+	}
+	return out
 }
 
 // Export captures every resident entry in global-sequence order — the

@@ -131,6 +131,79 @@ func (h *shardHarness) process(p geom.Point, capacity int, now time.Time) (Verdi
 	return v, nil
 }
 
+// processSegment mimics the router's coalesced ingest: the capacity
+// evictions due before each point and the point's admission become one
+// ordered op list per shard — own admit (its foreign count settled here by
+// brute force over the live set), own evict, and the ±1 either owes the
+// residents of every other shard — and each list is applied with one
+// ApplyOps call, in no particular shard order.
+func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.Time) []Verdict {
+	probe := h.shards[h.names[0]]
+	lists := map[string][]ShardOp{}
+	// touch files delta with every other shard owning a cell near p.
+	touch := func(p geom.Point, owner string, delta int) {
+		byOwner := map[string][][]int64{}
+		probe.ix.NeighborhoodCells(p, func(c []int64) {
+			if o := h.owner(c); o != owner {
+				byOwner[o] = append(byOwner[o], append([]int64(nil), c...))
+			}
+		})
+		for o, cells := range byOwner {
+			lists[o] = append(lists[o], ShardOp{Kind: OpSupport, Point: p, Cells: cells, Delta: delta})
+		}
+	}
+	type slot struct {
+		shard string
+		op    int
+	}
+	slots := make([]slot, len(pts))
+	evictions := make([]int, len(pts))
+	for i, p := range pts {
+		for capacity > 0 && len(h.fifo)-h.head >= capacity {
+			id := h.fifo[h.head]
+			h.head++
+			owner := h.owner(h.cells[id])
+			lists[owner] = append(lists[owner], ShardOp{Kind: OpEvict, ID: id})
+			touch(h.coords[id], owner, -1)
+			delete(h.cells, id)
+			delete(h.coords, id)
+			h.evicted++
+			evictions[i]++
+		}
+		cell := probe.ix.CellCoords(p)
+		owner := h.owner(cell)
+		foreign := 0
+		for id, q := range h.coords {
+			if h.owner(h.cells[id]) != owner && geom.WithinDist(p, q, probe.cfg.R) {
+				foreign++
+			}
+		}
+		h.seq++
+		slots[i] = slot{owner, len(lists[owner])}
+		lists[owner] = append(lists[owner], ShardOp{Kind: OpAdmit, Point: p, Seq: h.seq, Foreign: foreign})
+		touch(p, owner, +1)
+		h.fifo = append(h.fifo, p.ID)
+		h.cells[p.ID] = append([]int64(nil), cell...)
+		h.coords[p.ID] = p
+	}
+	results := map[string][]Verdict{}
+	for name, ops := range lists {
+		verdicts, opErrs := h.shards[name].ApplyOps(ops, now, h.ownsFor(name))
+		for i, err := range opErrs {
+			if err != nil {
+				h.t.Fatalf("shard %s op %d (%+v): %v", name, i, ops[i], err)
+			}
+		}
+		results[name] = verdicts
+	}
+	out := make([]Verdict, len(pts))
+	for i, s := range slots {
+		out[i] = results[s.shard][s.op]
+		out[i].Evicted = evictions[i]
+	}
+	return out
+}
+
 // outlierIDs aggregates the current outlier set across shards.
 func (h *shardHarness) outlierIDs() []uint64 {
 	var ids []uint64
@@ -230,6 +303,76 @@ func TestShardWindowMatchesWindow(t *testing.T) {
 				}
 				if int(lenSum) != refStats.Len {
 					t.Fatalf("resident count: sharded %d != reference %d", lenSum, refStats.Len)
+				}
+			})
+		}
+	}
+}
+
+// TestApplyOpsMatchesWindow is the ordered-segment property: a random
+// stream at capacity, cut into segments of random length (from one line to
+// more than the whole window, so admissions, evictions and both kinds of
+// foreign delta interleave every way the router can produce), applied as
+// per-shard ordered lists across 1, 2 and 4 shards, equals a single-process
+// Window in every verdict, every resident's final count, and the flip totals.
+func TestApplyOpsMatchesWindow(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				const (
+					r        = 1.2
+					k        = 3
+					capacity = 90
+					n        = 700
+				)
+				rng := rand.New(rand.NewSource(seed))
+				ref, err := NewWindow(Config{R: r, K: k, Dim: 2, Capacity: capacity})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := newShardHarness(t, shards, ShardConfig{R: r, K: k, Dim: 2}, 2)
+				now := time.Unix(1700000000, 0)
+				for id := uint64(1); id <= n; {
+					size := 1 + rng.Intn(40)
+					if rng.Intn(8) == 0 {
+						size = capacity + rng.Intn(30)
+					}
+					var seg []geom.Point
+					for ; len(seg) < size && id <= n; id++ {
+						seg = append(seg, geom.Point{ID: id, Coords: []float64{rng.Float64() * 10, rng.Float64() * 10}})
+					}
+					want, errsOut := ref.ProcessBatch(seg, now)
+					got := h.processSegment(seg, capacity, now)
+					for i := range seg {
+						if errsOut[i] != nil {
+							t.Fatal(errsOut[i])
+						}
+						if got[i] != want[i] {
+							t.Fatalf("point %d: sharded verdict %+v != reference %+v", seg[i].ID, got[i], want[i])
+						}
+					}
+					now = now.Add(time.Millisecond)
+				}
+				refStats := ref.Stats()
+				var flipIn, flipOut uint64
+				residents := 0
+				for _, sw := range h.shards {
+					st := sw.Stats()
+					flipIn += st.FlipIn
+					flipOut += st.FlipOut
+					for _, e := range sw.Export() {
+						residents++
+						re := ref.entries[e.Point.ID]
+						if re == nil || re.count != e.Count || re.outlier != e.Outlier {
+							t.Fatalf("resident %d: sharded count %d outlier %v, reference %+v", e.Point.ID, e.Count, e.Outlier, re)
+						}
+					}
+				}
+				if residents != refStats.Len {
+					t.Fatalf("resident count: sharded %d != reference %d", residents, refStats.Len)
+				}
+				if flipIn != refStats.FlipIn || flipOut != refStats.FlipOut {
+					t.Fatalf("flips: sharded (%d,%d) != reference (%d,%d)", flipIn, flipOut, refStats.FlipIn, refStats.FlipOut)
 				}
 			})
 		}
