@@ -19,11 +19,10 @@ import (
 )
 
 // The -json mode measures the detection kernels and one end-to-end pipeline
-// run, emitting a machine-readable record per benchmark. Committed
-// BENCH_<date>.json files form the repository's performance trajectory:
-// re-running `dodbench -json` on the same hardware class and diffing
-// against the last committed baseline shows whether a change moved the hot
-// paths.
+// run, emitting a machine-readable record per benchmark: re-running
+// `dodbench -json` on the same hardware class and diffing two documents
+// shows whether a change moved the kernels' hot paths. The serving tiers
+// and the committed trajectory belong to the bench/ module.
 
 // benchFile is the top-level JSON document.
 type benchFile struct {
@@ -43,11 +42,6 @@ type benchFile struct {
 	Parallel []parallelRecord `json:"parallel"`
 	Pipeline pipelineRecord   `json:"pipeline"`
 	Dist     distRecord       `json:"dist"`
-	// Serve measures the NDJSON serving tier over loopback HTTP — the fast
-	// wire path against the legacy one on the same build, single-process and
-	// sharded — so the committed baseline documents the wire-path speedup
-	// and the support-RPC coalescing factor.
-	Serve serveSection `json:"serve"`
 	// HighDim measures the detector tactics on a clustered 32-dimensional
 	// workload — the regime where grid enumeration and kd-tree pruning
 	// collapse — and records which tactic the DMT planner routes to there.
@@ -660,12 +654,6 @@ func runJSONBench(cfg benchRunConfig, path string) error {
 		return err
 	}
 	doc.Dist = distRec
-	fmt.Fprintf(os.Stderr, "dodbench: measuring serving tier (%d points)\n", cfg.points)
-	serveSec, err := measureServe(cfg)
-	if err != nil {
-		return err
-	}
-	doc.Serve = serveSec
 	fmt.Fprintf(os.Stderr, "dodbench: measuring high-dimensional tactics\n")
 	hd, err := measureHighDim(cfg)
 	if err != nil {

@@ -9,7 +9,6 @@
 //	dodbench -json BENCH.json      # machine-readable kernel + pipeline benchmarks
 //	dodbench -json - -cpuprofile cpu.pprof
 //	dodbench -parcheck -parcheck-min 2  # gate: parallel kernel >= 2x sequential
-//	dodbench -servecheck -servecheck-min 2  # gate: fast wire path >= 2x legacy
 //
 // Larger -segment-n / -base-n values reduce the laptop-scale artifacts
 // discussed in EXPERIMENTS.md at the price of longer runs.
@@ -17,7 +16,8 @@
 // -json switches from figure tables to the benchmark suite: each detection
 // kernel is measured with testing.Benchmark (ns/op, allocs/op, distance
 // computations) and one traced end-to-end run contributes per-stage span
-// totals; the document is the format committed as BENCH_<date>.json.
+// totals; CI uploads the document as an artifact (the committed
+// trajectory is bench/records/, written by the bench/ module).
 // -cpuprofile and -memprofile write pprof profiles of whichever mode ran.
 package main
 
@@ -77,10 +77,6 @@ func main() {
 	parCheck := flag.Bool("parcheck", false, "benchmark the parallel Cell-Based kernel against the sequential one at GOMAXPROCS workers, verify bit-identity, and exit nonzero if the speedup ratio is below -parcheck-min")
 	parCheckMin := flag.Float64("parcheck-min", 0, "minimum parallel/sequential throughput ratio for -parcheck")
 	parCheckN := flag.Int("parcheck-n", 8000, "dataset size for -parcheck")
-	serveCheck := flag.Bool("servecheck", false, "benchmark the fast NDJSON serving wire path against the legacy one over loopback HTTP, verify the two answer byte-identical streams, and exit nonzero below -servecheck-min or above -servecheck-allocs")
-	serveCheckMin := flag.Float64("servecheck-min", 0, "minimum fast/legacy ingest throughput ratio for -servecheck")
-	serveCheckAllocs := flag.Float64("servecheck-allocs", 0, "maximum whole-process allocations per ingested line for -servecheck (0 disables)")
-	serveCheckN := flag.Int("servecheck-n", 6000, "dataset size for -servecheck")
 	graphCheck := flag.Bool("graphcheck", false, "verify the Prox-Graph tactic answers byte-identically to BruteForce on fixed seeds (low- and high-dimensional, sequential and tiled) and exit nonzero on the first divergence")
 	graphCheckN := flag.Int("graphcheck-n", 2500, "dataset size for -graphcheck")
 	approx := flag.Bool("approx", false, "allow approximate detector candidates (e.g. Sens-Sample) in figure runs")
@@ -121,13 +117,6 @@ func main() {
 
 	if *parCheck {
 		if err := runParCheck(*parCheckN, *parCheckMin); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *serveCheck {
-		if err := runServeCheck(*serveCheckN, *serveCheckMin, *serveCheckAllocs); err != nil {
 			fail(err)
 		}
 		return

@@ -100,11 +100,12 @@ func clusterLocal(core, support []geom.Point, params Params) (map[uint64]localLa
 		return facts, 0
 	}
 
-	// Grid index with cell width eps: neighbors lie in the 3^d block. The
-	// map holds one entry per *occupied cell*, far fewer than one per point
-	// on dense data — hint len/8 (min 16) instead of overallocating buckets
-	// for len(all) entries.
-	grid := geom.NewGridByWidth(geom.Bounds(all), params.Eps)
+	// Grid index with cells exactly eps wide, so neighbors lie in the 3^d
+	// block (a grid that shrinks its cells to tile the bounds would put
+	// points ≈ eps apart two cells apart). The map holds one entry per
+	// *occupied cell*, far fewer than one per point on dense data — hint
+	// len/8 (min 16) instead of overallocating buckets for len(all) entries.
+	grid := geom.NewGridExactWidth(geom.Bounds(all), params.Eps)
 	cells := make(map[int][]int, cellMapHint(len(all)))
 	for i, p := range all {
 		ord := grid.CellOrdinal(p)

@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,6 +103,130 @@ func TestCentralizedSingleDenseCluster(t *testing.T) {
 	}
 	if res.NumClusters != 1 {
 		t.Errorf("got %d clusters, want 1", res.NumClusters)
+	}
+}
+
+// checkAgainstDefinition holds a clustering to DBSCAN's O(n²) definition,
+// which fixes everything but which cluster a border point joins: a point is
+// core iff at least MinPts points (itself included) lie within Eps; two core
+// points share a label iff a chain of core points, each within Eps of the
+// next, connects them; a non-core point is noise iff no core point lies
+// within Eps of it, and otherwise carries the label of one that does.
+func checkAgainstDefinition(t *testing.T, points []geom.Point, params Params, res *Result) {
+	t.Helper()
+	n := len(points)
+	near := func(i, j int) bool { return geom.WithinDist(points[i], points[j], params.Eps) }
+	core := make([]bool, n)
+	for i := range points {
+		count := 0
+		for j := range points {
+			if near(i, j) {
+				count++
+			}
+		}
+		core[i] = count >= params.MinPts
+	}
+	comp := make([]int, n) // a core point's component, named by its smallest member
+	for i := range comp {
+		comp[i] = -1
+	}
+	for i := range points {
+		if !core[i] || comp[i] >= 0 {
+			continue
+		}
+		comp[i] = i
+		for queue := []int{i}; len(queue) > 0; queue = queue[1:] {
+			for j := range points {
+				if core[j] && comp[j] < 0 && near(queue[0], j) {
+					comp[j] = i
+					queue = append(queue, j)
+				}
+			}
+		}
+	}
+	labelOf := map[int]int{} // component -> label
+	compOf := map[int]int{}  // label -> component
+	for i, p := range points {
+		label := res.Labels[p.ID]
+		if !core[i] {
+			reachable, matched := false, false
+			for j := range points {
+				if core[j] && near(i, j) {
+					reachable = true
+					matched = matched || res.Labels[points[j].ID] == label
+				}
+			}
+			if reachable != matched || (!reachable && label != Noise) {
+				t.Fatalf("non-core point %d %v labeled %d: core point in reach %v, one of them so labeled %v",
+					p.ID, p.Coords, label, reachable, matched)
+			}
+			continue
+		}
+		if label == Noise {
+			t.Fatalf("core point %d %v labeled noise", p.ID, p.Coords)
+		}
+		if want, seen := labelOf[comp[i]]; seen && want != label {
+			t.Fatalf("core point %d %v labeled %d, the rest of its density-connected component %d", p.ID, p.Coords, label, want)
+		}
+		if c, seen := compOf[label]; seen && c != comp[i] {
+			t.Fatalf("label %d joins core points %d and %d, which no core chain connects", label, points[c].ID, p.ID)
+		}
+		labelOf[comp[i]], compOf[label] = label, comp[i]
+	}
+	if res.NumClusters != len(labelOf) {
+		t.Fatalf("NumClusters = %d, definition has %d", res.NumClusters, len(labelOf))
+	}
+}
+
+// TestNeighborsAcrossShrunkCells is the regression for an extent that is
+// not a multiple of Eps: over [0, 2.5·Eps] a grid that shrinks its cells to
+// tile the extent makes three cells of 0.83·Eps, which puts the points at
+// 0.8·Eps and 1.7·Eps — 0.9·Eps apart — two cells apart, outside each
+// other's 3-cell block, and splits the one chain into two clusters.
+func TestNeighborsAcrossShrunkCells(t *testing.T) {
+	params := Params{Eps: 2, MinPts: 2}
+	var pts []geom.Point
+	for i, x := range []float64{0, 0.8, 1.7, 2.5} {
+		pts = append(pts, geom.Point{ID: uint64(i), Coords: []float64{x * params.Eps}})
+	}
+	res, err := Cluster(pts, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumClusters != 1 {
+		t.Errorf("got %d clusters (%v), want the one chain", res.NumClusters, res.Labels)
+	}
+	checkAgainstDefinition(t, pts, params, res)
+}
+
+// TestCentralizedMatchesDefinition checks Cluster against the definition on
+// extents that are no multiple of Eps, with half the sites of a jittered
+// lattice of pitch 0.93·Eps occupied: nearest pairs sit just inside Eps, so
+// one missed pair changes who is core or connected.
+func TestCentralizedMatchesDefinition(t *testing.T) {
+	params := Params{Eps: 1, MinPts: 3}
+	const pitch = 0.93
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			w, h := 2+rng.Float64()*5, 2+rng.Float64()*5
+			var pts []geom.Point
+			for x := 0.0; x < w; x += pitch {
+				for y := 0.0; y < h; y += pitch {
+					if rng.Intn(2) == 0 {
+						continue
+					}
+					pts = append(pts, geom.Point{ID: uint64(len(pts)), Coords: []float64{
+						x + rng.Float64()*0.06, y + rng.Float64()*0.06,
+					}})
+				}
+			}
+			res, err := Cluster(pts, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstDefinition(t, pts, params, res)
+		})
 	}
 }
 

@@ -42,10 +42,13 @@ func NewGrid(domain Rect, dims []int) *Grid {
 	return &Grid{Domain: domain.Clone(), Dims: clamped, width: width, total: total}
 }
 
-// NewGridByWidth builds a grid whose cells are at most `width` wide in every
-// dimension (the Cell-Based detector's r/(2√d) layout). The domain is
-// covered exactly; the last cell in each dimension may be narrower in
-// effect, but for indexing all cells have equal width.
+// NewGridByWidth builds a grid that tiles the domain exactly with equal
+// cells at most `width` wide in every dimension: unless the extent is a
+// multiple of `width`, the cells come out NARROWER than asked. A caller
+// that scans a fixed ring of cells must therefore derive its radius from
+// CellWidth, not from the nominal width — as internal/loci, the one
+// remaining caller, does; callers that need the nominal width to hold use
+// NewGridExactWidth.
 func NewGridByWidth(domain Rect, width float64) *Grid {
 	if width <= 0 {
 		panic("geom: NewGridByWidth requires width > 0")

@@ -107,16 +107,3 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg st
 		RequestID string `json:"request_id,omitempty"`
 	}{Error: code, Message: msg, RequestID: r.Header.Get(HeaderRequestID)})
 }
-
-// WriteNDJSON streams n lines through one buffered encoder.
-func WriteNDJSON(w http.ResponseWriter, n int, line func(enc *json.Encoder, i int) error) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := 0; i < n; i++ {
-		if err := line(enc, i); err != nil {
-			return
-		}
-	}
-	bw.Flush()
-}

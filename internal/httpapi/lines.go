@@ -33,8 +33,8 @@ var respBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64*1024); ret
 
 // WriteVerdicts encodes verdict lines through the wirejson fast encoder
 // into one pooled buffer and writes the response in a single call. The
-// bytes are identical to streaming each line through a json.Encoder (the
-// legacy path, still available via WriteNDJSON).
+// bytes are identical to streaming each line through a json.Encoder
+// (FuzzWireJSON holds the encoder to that).
 func WriteVerdicts(w http.ResponseWriter, lines []VerdictLine) {
 	bp := respBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]

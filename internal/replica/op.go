@@ -29,17 +29,14 @@ import (
 type Kind byte
 
 const (
-	// KindAdmit is one point admission with its settled foreign neighbor
-	// count, which stands in for the primary's support fan-out on replay.
+	// KindAdmit is one point admission with the foreign neighbor count the
+	// router had settled for it.
 	KindAdmit Kind = iota + 1
-	// KindEvict expires one resident by ID. The primary already applied
-	// the cross-shard -1 deltas (each peer records its own KindSupport),
-	// so replay runs without a support fan-out.
+	// KindEvict expires one resident by ID. Its neighbors on other shards
+	// lose their count through those shards' own KindSupport ops.
 	KindEvict
-	// KindSupport applies a neighbor-count delta to residents in a cell
-	// set — a peer-served boundary delta, or the local half of a mutation
-	// whose primary-side operation failed midway (the delta is already in
-	// the primary's window, so the standby must mirror it).
+	// KindSupport applies the ±1 another shard's admission or eviction owes
+	// this shard's residents in a cell set.
 	KindSupport
 	// KindImport adopts drained entries with their live bookkeeping.
 	KindImport

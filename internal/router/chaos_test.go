@@ -1,8 +1,9 @@
 // Chaos harness: the sharded tier's byte-identity guarantee under seeded,
-// reproducible transport faults on every router→shard and shard→shard hop.
+// reproducible transport faults on every router→shard hop.
 //
 // The router's HTTP client rolls decisions at sites "route.<path>" and each
-// shard's peer client at "shard.<name><path>", all pure functions of
+// shard's outbound client at "shard.<name><path>" (only a replicating shard
+// makes outbound calls; see TestReplicaChaosFailover), all pure functions of
 // (seed, site). The injected mix is latency, errors, dropped responses and
 // partition windows — exactly the faults the retry + idempotency-key layer
 // must absorb without the verdict stream diverging from the single-process

@@ -16,14 +16,14 @@ import (
 	"dod/internal/stream"
 )
 
-// Coalesced ingest. The per-point protocol costs one shard round trip per
-// admission, one per eviction, and one shard→shard support hop per (point,
-// peer) of either — and a window at capacity owes an eviction before every
-// admission. This path cuts a request into SEGMENTS — maximal runs of lines
-// TOGETHER WITH the evictions due before them — and settles each segment in
+// The sharded tier's one ingest path. A window at capacity owes an eviction
+// before every admission, and either can touch residents on several shards,
+// so settling points one at a time would cost round trips in proportion to
+// the batch. Instead a request is cut into SEGMENTS — maximal runs of lines
+// TOGETHER WITH the evictions due before them — and each segment settles in
 // two waves of concurrent calls, at most one per shard per wave:
 //
-//  1. Wave one is read-only. ONE /v1/support (delta 0) per shard carries
+//  1. Wave one is read-only. ONE /v1/support per shard carries
 //     every staged point's cells on that shard and asks for the coordinates
 //     of the FIFO victims the shard owns (the router stores none). Nothing
 //     has changed anywhere yet, so the counts are exact against the
@@ -42,8 +42,8 @@ import (
 // its owner's list, and the list is in the global window's order — so each
 // count walks through exactly the values it takes in a single-process
 // Window, crossing K at the same operations. Verdict lines, Evicted counts,
-// final counts, outlier sets, digests and flip totals are byte-identical to
-// the per-point protocol's; the round trips per request stop growing with
+// final counts, outlier sets and flip totals are byte-identical to the
+// single-process Window's, and the round trips per request do not grow with
 // the batch. A segment ends only where it must: at the end of the request,
 // or when the FIFO head is itself a staged point (a request larger than
 // the window), which has to commit before it can be evicted.
@@ -54,10 +54,9 @@ import (
 // shards have applied the whole segment, and the router commits it —
 // evictions of X's residents included. X then misses one segment's worth
 // of operations: the admissions it did not take were still counted by its
-// peers (the per-point protocol's leak class, when a support call succeeds
-// and the admission after it fails), and, new with this protocol, X keeps
-// victims its peers and the router have retired, and misses the ±1s the
-// segment owed its residents. Retries carry the same idempotency key per
+// peers, it keeps victims its peers and the router have retired, and it
+// misses the ±1s the segment owed its residents — until failover or a
+// forced drain replaces its slice. Retries carry the same idempotency key per
 // (request, segment, wave, shard), so a wave that lands on a promoted
 // standby replays from the replicated cache instead.
 
@@ -109,9 +108,9 @@ func eachShard(waves []*shardWave, fn func(w *shardWave)) {
 	wg.Wait()
 }
 
-// ingestCoalescedLocked runs one ingest batch through the coalesced
-// protocol. Callers hold rt.mu.
-func (rt *Router) ingestCoalescedLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
+// ingestLocked runs one ingest batch through the two-wave segment protocol.
+// Callers hold rt.mu.
+func (rt *Router) ingestLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
 	// The segment is staged against a private view of the window: head and
 	// live are where the FIFO cursor and the resident count will stand once
 	// the staged ops apply, gone and pending the IDs they remove and add.
@@ -415,9 +414,11 @@ func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now ti
 }
 
 // scoreChunk scores lines [lo, hi) with one read-only support RPC per
-// owning shard for the whole chunk, then replays the per-line sequential
-// accumulation — sorted owners, stop at K, breaker-open shards skipped —
-// so every line answers exactly what the per-line protocol would have.
+// owning shard for the whole chunk: each probe's neighborhood cells are
+// grouped by owner, every owner reports its count capped at K, and the
+// capped sum equals the single-process count (min distributes over the
+// partition). Shards whose breaker is open are skipped — scoring degrades
+// to the reachable window rather than blocking.
 func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo, hi int, out []scoreLine) {
 	topo := rt.topology()
 	type probeSet struct {
@@ -484,7 +485,7 @@ func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo,
 			res.open = true // degraded: count what the healthy shards can see
 			continue
 		}
-		body := EncodeSupportBatch(SupportHeader{Delta: 0, Limit: rt.cfg.K}, ps.probes)
+		body := EncodeSupportBatch(SupportHeader{Limit: rt.cfg.K}, ps.probes)
 		var resp SupportResponse
 		rt.met.supportRPCs.Inc()
 		if err := rt.callShard(ctx, topo, o, PathSupport, "", body, &resp); err != nil {
@@ -506,10 +507,8 @@ func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo,
 			lineCounts[j-lo][o] = resp.Counts[idx]
 		}
 	}
-	// Replay: each per-owner capped count equals what a per-line call would
-	// have returned, so accumulating them in the same sorted order — with
-	// the same early stop at K — reproduces the per-line verdicts; an
-	// unreachable owner only errors the lines that would have reached it.
+	// Accumulate each line's owners in sorted order, stopping at K: an
+	// unreachable owner only errors the lines that still needed its count.
 	for i := lo; i < hi; i++ {
 		owners := ownersOf[i-lo]
 		if owners == nil {

@@ -1,4 +1,4 @@
-// Tests of the two-wave coalesced protocol at capacity: how many calls a
+// Tests of the two-wave segment protocol at capacity: how many calls a
 // request costs, and byte-identity where the protocol has its seams — TTL
 // and capacity evictions inside one segment, a request larger than the
 // window, per-line errors between evictions.
@@ -60,15 +60,16 @@ func pointLines(rng *rand.Rand, firstID uint64, n int) string {
 
 // TestCoalescedCallCount pins the protocol's cost: a 50-line request on a
 // full window over 3 shards — 50 evictions, 50 admissions — settles in two
-// waves of at most one call per shard, with no per-victim evict call and no
-// shard→shard support at all, and still counts every eviction.
+// waves of at most one call per shard, with no call to the retired per-point
+// endpoints and — no standby being configured — no outbound call from any
+// shard at all, and still counts every eviction.
 func TestCoalescedCallCount(t *testing.T) {
 	const shards, capacity, lines = 3, 200, 50
 	routerTx := &countingTransport{}
-	peerTx := &countingTransport{}
+	shardTx := &countingTransport{}
 	c := newCluster(t, clusterOpts{
 		shards: shards, capacity: capacity, block: 2,
-		shardTransport: func(string) http.RoundTripper { return peerTx },
+		shardTransport: func(string) http.RoundTripper { return shardTx },
 		routerOpts:     func(cfg *router.Config) { cfg.Transport = routerTx },
 	})
 	rng := rand.New(rand.NewSource(3))
@@ -78,7 +79,6 @@ func TestCoalescedCallCount(t *testing.T) {
 	evictions := c.rt.Registry().Counter("dod_route_evictions_total", "evictions commanded across shards")
 	supportRPCs := c.rt.Registry().Counter("dod_support_rpc_total", "boundary support round trips issued over the wire")
 	routerTx.take()
-	peerTx.take()
 	evicted0, support0 := evictions.Value(), supportRPCs.Value()
 
 	c.both("/v1/ingest", pointLines(rng, capacity+1, lines), "at capacity")
@@ -93,8 +93,8 @@ func TestCoalescedCallCount(t *testing.T) {
 	if paths[router.PathSupport] > shards || paths[router.PathShardIngestBatch] > shards {
 		t.Errorf("more than one call per shard per wave: %v", paths)
 	}
-	if peer, peerPaths := peerTx.take(); peer != 0 {
-		t.Errorf("shard→shard calls = %d (%v), want 0", peer, peerPaths)
+	if n, shardPaths := shardTx.take(); n != 0 {
+		t.Errorf("shards made %d outbound calls since start-up (%v), want 0", n, shardPaths)
 	}
 	if got := evictions.Value() - evicted0; got != lines {
 		t.Errorf("dod_route_evictions_total advanced by %d, want %d", got, lines)
@@ -108,22 +108,15 @@ func TestCoalescedCallCount(t *testing.T) {
 // TestCoalescedRequestLargerThanWindow streams requests of more lines than
 // the window holds — the one place a segment must end before the request
 // does, because the FIFO head becomes a point of the request itself — with
-// malformed, duplicate and wrong-dimension lines riding along, on the
-// coalesced path and on the per-point oracle (NoCoalesce + LegacyWire). Both
-// answer the single-process reference's bytes, so each answers the other's.
+// malformed, duplicate and wrong-dimension lines riding along, and answers
+// the single-process reference's bytes.
 func TestCoalescedRequestLargerThanWindow(t *testing.T) {
-	for _, perPoint := range []bool{false, true} {
-		t.Run(fmt.Sprintf("perPoint=%v", perPoint), func(t *testing.T) {
-			c := newCluster(t, clusterOpts{shards: 3, capacity: 40, block: 2, routerOpts: func(cfg *router.Config) {
-				cfg.NoCoalesce, cfg.LegacyWire = perPoint, perPoint
-			}})
-			rng := rand.New(rand.NewSource(17))
-			id := c.streamBatches(rng, 0, 2, 25)
-			id = c.streamBatches(rng, id, 3, 130)
-			c.streamBatches(rng, id, 2, 25)
-			c.checkFinalState()
-		})
-	}
+	c := newCluster(t, clusterOpts{shards: 3, capacity: 40, block: 2})
+	rng := rand.New(rand.NewSource(17))
+	id := c.streamBatches(rng, 0, 2, 25)
+	id = c.streamBatches(rng, id, 3, 130)
+	c.streamBatches(rng, id, 2, 25)
+	c.checkFinalState()
 }
 
 // TestCoalescedErrorsBetweenEvictions walks the duplicate rule through a

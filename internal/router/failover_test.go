@@ -284,7 +284,7 @@ func TestPromotionRefusedBeyondLagBound(t *testing.T) {
 	c := newCluster(t, clusterOpts{
 		shards: 2, capacity: 150, block: 2,
 		standbys: []string{"s1"},
-		replicaTransport: func(string) http.RoundTripper {
+		shardTransport: func(string) http.RoundTripper {
 			return blackholeTransport{}
 		},
 		routerOpts: func(cfg *router.Config) {
@@ -552,7 +552,7 @@ func TestReplicaChaosFailover(t *testing.T) {
 			c := newCluster(t, clusterOpts{
 				shards: 2, capacity: 150, block: 2,
 				standbys: []string{"s1"},
-				replicaTransport: func(name string) http.RoundTripper {
+				shardTransport: func(name string) http.RoundTripper {
 					return fault.Transport(nil, in, "replica."+name)
 				},
 				routerOpts: func(cfg *router.Config) {

@@ -112,7 +112,7 @@ func (rt *Router) Promote(ctx context.Context, name string) (*PromoteResponse, e
 	}
 	// Push the successor epoch to the promoted standby first — the push is
 	// what flips it from replica replay to serving — then to the survivors,
-	// whose peer support calls must follow the name to its new address.
+	// so every shard stands on the same epoch.
 	ordered := make([]ShardInfo, 0, len(next.Shards))
 	for _, s := range next.Shards {
 		if s.Name == name {

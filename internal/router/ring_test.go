@@ -3,10 +3,12 @@ package router
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"dod/internal/geom"
 	"dod/internal/index"
+	"dod/internal/stream"
 )
 
 func testTopology(shards ...string) *Topology {
@@ -140,30 +142,31 @@ func TestCellOfMatchesIndex(t *testing.T) {
 func TestWireRoundTrips(t *testing.T) {
 	p := geom.Point{ID: 42, Coords: []float64{1.5, -2.25}}
 
-	ib := EncodeIngest(IngestHeader{Seq: 7, ArrivedNs: 123456}, p)
-	hdr, gotP, err := DecodeIngest(ib)
+	cells := [][]int64{{-3, 4}, {0, 0}, {9223372036854775807, -9223372036854775808}}
+	q := geom.Point{ID: 43, Coords: []float64{-0.5, 8}}
+
+	ops := []stream.ShardOp{
+		{Kind: stream.OpEvict, ID: 9},
+		{Kind: stream.OpAdmit, Point: p, Seq: 7, Foreign: 2},
+		{Kind: stream.OpSupport, Point: q, Cells: cells, Delta: -1},
+	}
+	ib := EncodeIngestBatch(IngestBatchHeader{ArrivedNs: 123456, Count: len(ops)}, ops)
+	hdr, gotOps, err := DecodeIngestBatch(ib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Seq != 7 || hdr.ArrivedNs != 123456 || !gotP.Equal(p) {
-		t.Fatalf("ingest round-trip mismatch: %+v %v", hdr, gotP)
+	if hdr.ArrivedNs != 123456 || !reflect.DeepEqual(gotOps, ops) {
+		t.Fatalf("ingest batch round-trip mismatch: %+v %+v", hdr, gotOps)
 	}
 
-	cells := [][]int64{{-3, 4}, {0, 0}, {9223372036854775807, -9223372036854775808}}
-	sb := EncodeSupport(SupportHeader{Delta: -1, Limit: 5}, p, cells)
-	shdr, sp, gotCells, err := DecodeSupport(sb)
+	probes := []SupportProbe{{Point: p, Cells: cells}, {Point: q, Cells: cells[:1]}}
+	sb := EncodeSupportBatch(SupportHeader{Limit: 5, Victims: []uint64{9, 11}}, probes)
+	shdr, gotProbes, err := DecodeSupportBatch(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shdr.Delta != -1 || shdr.Limit != 5 || !sp.Equal(p) || len(gotCells) != len(cells) {
-		t.Fatalf("support round-trip mismatch: %+v %v %v", shdr, sp, gotCells)
-	}
-	for i := range cells {
-		for d := range cells[i] {
-			if gotCells[i][d] != cells[i][d] {
-				t.Fatalf("cell %d mismatch: %v != %v", i, gotCells[i], cells[i])
-			}
-		}
+	if shdr.Limit != 5 || !reflect.DeepEqual(shdr.Victims, []uint64{9, 11}) || !reflect.DeepEqual(gotProbes, probes) {
+		t.Fatalf("support round-trip mismatch: %+v %+v", shdr, gotProbes)
 	}
 
 	entries := []Entry{
@@ -190,7 +193,7 @@ func TestWireRoundTrips(t *testing.T) {
 	for off := 0; off < len(sb); off++ {
 		mut := append([]byte(nil), sb...)
 		mut[off] ^= 0x40
-		if _, _, _, err := DecodeSupport(mut); err == nil {
+		if _, _, err := DecodeSupportBatch(mut); err == nil {
 			t.Fatalf("corrupted byte %d decoded cleanly", off)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,9 +16,7 @@ import (
 
 	"dod/internal/detect"
 	"dod/internal/errs"
-	"dod/internal/geom"
 	"dod/internal/httpapi"
-	"dod/internal/index"
 	"dod/internal/obs"
 	"dod/internal/retry"
 )
@@ -66,18 +63,6 @@ type Config struct {
 	// injection seam. Nil uses httpapi.NewTransport, tuned for persistent
 	// router→shard connection reuse.
 	Transport http.RoundTripper
-	// LegacyWire disables the zero-allocation NDJSON fast path and encodes
-	// responses through encoding/json, as before the wirejson codec. The
-	// two paths are byte-identical on the wire; the knob exists so the
-	// serve bench can measure one against the other on a single build.
-	LegacyWire bool
-	// NoCoalesce disables request coalescing and issues one shard ingest
-	// RPC per point, one evict RPC per victim and one shard→shard support
-	// RPC per (point or victim, peer), as before the batch wire forms.
-	// Verdict streams are identical either way; the knob keeps the
-	// per-point protocol in-tree as the coalesced path's oracle and for
-	// the same honest before/after benchmarking.
-	NoCoalesce bool
 	// Retry shapes shard-call backoff; zero value takes defaults.
 	Retry retry.Policy
 	// RetryAttempts bounds shard-call attempts; default 8.
@@ -498,21 +483,6 @@ type verdictLine = httpapi.VerdictLine
 // scoreLine answers one score line.
 type scoreLine = httpapi.ScoreLine
 
-// readBatch parses up to MaxBatch NDJSON point lines via the shared parser,
-// with the same per-line and request-level error behavior as the
-// single-process tier. Callers must Release the batch once the response is
-// written.
-func (rt *Router) readBatch(r *http.Request) (*httpapi.Batch, error) {
-	if rt.cfg.LegacyWire {
-		items, err := httpapi.ReadBatch(r, rt.cfg.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		return &httpapi.Batch{Items: items}, nil
-	}
-	return httpapi.ReadBatchPooled(r, rt.cfg.MaxBatch)
-}
-
 func (rt *Router) writeBatchError(w http.ResponseWriter, r *http.Request, err error) {
 	httpapi.WriteBatchError(w, r, err)
 }
@@ -548,7 +518,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	batch, err := rt.readBatch(r)
+	batch, err := httpapi.ReadBatchPooled(r, rt.cfg.MaxBatch)
 	if err != nil {
 		rt.writeBatchError(w, r, err)
 		return
@@ -575,128 +545,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	topo := rt.topology()
 	now := rt.now()
-	if rt.cfg.NoCoalesce {
-		for i, it := range items {
-			if it.Err != nil {
-				out[i] = verdictLine{ID: it.Pt.ID, Error: it.Err.Error()}
-				rt.met.lineErrors.Inc()
-				continue
-			}
-			lineKey := fmt.Sprintf("%s|%d", reqID, i)
-			v, err := rt.processLocked(r.Context(), topo, it.Pt, now, lineKey)
-			rt.met.ingestLines.Inc()
-			if err != nil {
-				out[i] = verdictLine{ID: it.Pt.ID, Error: err.Error()}
-				rt.met.lineErrors.Inc()
-				continue
-			}
-			out[i] = v
-		}
-	} else {
-		rt.ingestCoalescedLocked(r.Context(), topo, now, reqID, items, out)
-	}
+	rt.ingestLocked(r.Context(), topo, now, reqID, items, out)
 	rt.mu.Unlock()
-	if rt.cfg.LegacyWire {
-		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
-		return
-	}
 	httpapi.WriteVerdicts(w, out)
-}
-
-// processLocked ingests one point with the single-process window's exact
-// discipline — dimension check, duplicate check, capacity evictions, TTL
-// evictions, then admission — each eviction and the admission delegated to
-// the owning shard. Callers hold rt.mu and pass the batch's resolved
-// topology; holding the mutex guarantees it stays current for the call.
-func (rt *Router) processLocked(ctx context.Context, topo *Topology, pt geom.Point, now time.Time, lineKey string) (verdictLine, error) {
-	if pt.Dim() != rt.cfg.Dim {
-		return verdictLine{}, &errs.DimMismatchError{ID: pt.ID, Got: pt.Dim(), Want: rt.cfg.Dim}
-	}
-	if _, dup := rt.residents[pt.ID]; dup {
-		return verdictLine{}, &errs.DuplicateIDError{ID: pt.ID}
-	}
-	evictions := 0
-	if rt.cfg.Capacity > 0 {
-		for len(rt.residents) >= rt.cfg.Capacity {
-			evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-			if err != nil {
-				return verdictLine{}, err
-			}
-			if evicted {
-				evictions++
-			}
-		}
-	}
-	if rt.cfg.TTL > 0 {
-		horizonNs := now.Add(-rt.cfg.TTL).UnixNano()
-		for rt.head < len(rt.fifo) {
-			id := rt.fifo[rt.head]
-			res, ok := rt.residents[id]
-			if ok && res.arrivedNs >= horizonNs {
-				break
-			}
-			evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-			if err != nil {
-				return verdictLine{}, err
-			}
-			if evicted {
-				evictions++
-			}
-		}
-	}
-	cell := topo.CellOf(pt.Coords)
-	owner := topo.Owner(cell)
-	seq := rt.seq + 1
-	body := EncodeIngest(IngestHeader{Seq: seq, ArrivedNs: now.UnixNano()}, pt)
-	var resp IngestResponse
-	if err := rt.callShard(ctx, topo, owner, PathShardIngest, lineKey+"|ingest", body, &resp); err != nil {
-		return verdictLine{}, fmt.Errorf("shard %s unavailable: %v", owner, err)
-	}
-	if resp.Error != "" {
-		return verdictLine{}, errors.New(resp.Error)
-	}
-	rt.seq = seq
-	rt.fifo = append(rt.fifo, pt.ID)
-	rt.residents[pt.ID] = resident{cell: cell, arrivedNs: now.UnixNano()}
-	return verdictLine{ID: resp.ID, Seq: resp.Seq, Neighbors: resp.Neighbors, Outlier: resp.Outlier, Evicted: evictions}, nil
-}
-
-// evictHeadLocked expires the globally oldest point: the owning shard
-// applies the eviction (and its cross-shard count deltas); the router
-// retires the FIFO slot. It reports whether a live resident was actually
-// evicted — a FIFO slot whose resident was purged by a forced drain is
-// skipped for free and must not count toward the verdict's Evicted field.
-// Callers hold rt.mu.
-func (rt *Router) evictHeadLocked(ctx context.Context, topo *Topology, lineKey string) (bool, error) {
-	id := rt.fifo[rt.head]
-	res, ok := rt.residents[id]
-	if !ok {
-		// A ghost slot: its resident was dropped by a forced drain.
-		rt.head++
-		rt.reclaimFifoLocked()
-		return false, nil
-	}
-	owner := topo.Owner(res.cell)
-	body, err := json.Marshal(EvictRequest{ID: id})
-	if err != nil {
-		return false, err
-	}
-	var resp EvictResponse
-	key := lineKey + "|evict|" + strconv.FormatUint(id, 10)
-	if err := rt.callShard(ctx, topo, owner, PathShardEvict, key, body, &resp); err != nil {
-		return false, fmt.Errorf("evicting %d from shard %s: %v", id, owner, err)
-	}
-	if resp.Error != "" {
-		return false, fmt.Errorf("evicting %d from shard %s: %s", id, owner, resp.Error)
-	}
-	if !resp.Evicted {
-		return false, fmt.Errorf("evicting %d: shard %s does not hold it (ownership drift)", id, owner)
-	}
-	rt.head++
-	delete(rt.residents, id)
-	rt.met.evictions.Inc()
-	rt.reclaimFifoLocked()
-	return true, nil
 }
 
 // reclaimFifoLocked drops the drained FIFO prefix once it dominates the
@@ -718,7 +569,7 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	batch, err := rt.readBatch(r)
+	batch, err := httpapi.ReadBatchPooled(r, rt.cfg.MaxBatch)
 	if err != nil {
 		rt.writeBatchError(w, r, err)
 		return
@@ -727,9 +578,8 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	items := batch.Items
 	out := httpapi.GetScores(len(items))
 	defer httpapi.PutScores(out)
-	// Scoring is read-only: fan the batch out in contiguous chunks. Each
-	// chunk coalesces its probes into one support RPC per owning shard
-	// (scoreChunk) unless NoCoalesce asks for the per-line protocol.
+	// Scoring is read-only: fan the batch out in contiguous chunks, each
+	// coalescing its probes into one support RPC per owning shard.
 	const chunk = 64
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(items); lo += chunk {
@@ -740,86 +590,11 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			if !rt.cfg.NoCoalesce {
-				rt.scoreChunk(r.Context(), items, lo, hi, out)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				it := items[i]
-				if it.Err != nil {
-					out[i] = scoreLine{ID: it.Pt.ID, Error: it.Err.Error()}
-					rt.met.lineErrors.Inc()
-					continue
-				}
-				rt.met.scoreLines.Inc()
-				out[i] = rt.scoreOne(r.Context(), it.Pt)
-			}
+			rt.scoreChunk(r.Context(), items, lo, hi, out)
 		}(lo, hi)
 	}
 	wg.Wait()
-	if rt.cfg.LegacyWire {
-		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
-		return
-	}
 	httpapi.WriteScores(w, out)
-}
-
-// scoreOne scores one probe point: its neighborhood cells are grouped by
-// owner and each owning shard reports its capped neighbor count through a
-// read-only support call; the capped sum equals the single-process count
-// (min distributes over the partition). Shards whose breaker is open are
-// skipped — scoring degrades to the reachable window rather than blocking.
-func (rt *Router) scoreOne(ctx context.Context, pt geom.Point) scoreLine {
-	if pt.Dim() != rt.cfg.Dim {
-		err := &errs.DimMismatchError{ID: pt.ID, Got: pt.Dim(), Want: rt.cfg.Dim}
-		rt.met.lineErrors.Inc()
-		return scoreLine{ID: pt.ID, Error: err.Error()}
-	}
-	topo := rt.topology()
-	center := topo.CellOf(pt.Coords)
-	byOwner := map[string][][]int64{}
-	for radius := 0; radius <= rt.l2; radius++ {
-		index.RingCells(center, radius, func(c []int64) {
-			cc := append([]int64(nil), c...)
-			o := topo.Owner(cc)
-			byOwner[o] = append(byOwner[o], cc)
-		})
-	}
-	owners := make([]string, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	total := 0
-	for _, o := range owners {
-		if rt.breaker(o).State() == retry.BreakerOpen {
-			continue // degraded: count what the healthy shards can see
-		}
-		body := EncodeSupport(SupportHeader{Delta: 0, Limit: rt.cfg.K}, pt, byOwner[o])
-		var resp SupportResponse
-		rt.met.supportRPCs.Inc()
-		if err := rt.callShard(ctx, topo, o, PathSupport, "", body, &resp); err != nil {
-			rt.met.lineErrors.Inc()
-			return scoreLine{ID: pt.ID, Error: fmt.Sprintf("shard %s unavailable: %v", o, err)}
-		}
-		if resp.Error != "" {
-			rt.met.lineErrors.Inc()
-			return scoreLine{ID: pt.ID, Error: resp.Error}
-		}
-		total += resp.Count
-		if total >= rt.cfg.K {
-			break // already an inlier; min(total, K) is decided
-		}
-	}
-	if total > rt.cfg.K {
-		total = rt.cfg.K
-	}
-	return scoreLine{ID: pt.ID, Neighbors: total, Outlier: total < rt.cfg.K}
-}
-
-// writeNDJSON streams n lines through one buffered encoder.
-func writeNDJSON(w http.ResponseWriter, n int, line func(enc *json.Encoder, i int) error) {
-	httpapi.WriteNDJSON(w, n, line)
 }
 
 // ---- drain / handoff ----------------------------------------------------
@@ -888,7 +663,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		entries = nil
 		// The departing shard's slice is gone. Purge its residents from the
 		// router's window bookkeeping — their FIFO slots become ghosts that
-		// evictHeadLocked skips — and report exactly what was dropped, so a
+		// staging skips — and report exactly what was dropped, so a
 		// forced drain is an observable loss, never a silent one.
 		cells := map[string]bool{}
 		for id, res := range rt.residents {

@@ -43,15 +43,13 @@ type clusterOpts struct {
 	capacity   int
 	block      int
 	routerOpts func(*router.Config)
-	// shardTransport, when set, supplies each shard's peer-call transport
-	// (the chaos tests wrap fault injection here, keyed by shard name).
+	// shardTransport, when set, supplies each shard's transport for outbound
+	// calls — only the replication hop makes any (the failover chaos tests
+	// inject faults here, keyed by shard name).
 	shardTransport func(name string) http.RoundTripper
 	// standbys lists shard names that get a warm standby: a -standby twin
 	// behind its own listener, with the primary replicating to it.
 	standbys []string
-	// replicaTransport, when set, supplies each primary's replication-hop
-	// transport (the failover chaos tests inject faults here).
-	replicaTransport func(name string) http.RoundTripper
 }
 
 const (
@@ -73,10 +71,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	var infos []router.ShardInfo
 	for i := 0; i < o.shards; i++ {
 		name := fmt.Sprintf("s%d", i)
-		scfg := serve.ShardServerConfig{
-			Name: name, R: testR, K: testK, Dim: testDim,
-			Retry: retry.Policy{Base: time.Millisecond},
-		}
+		scfg := serve.ShardServerConfig{Name: name, R: testR, K: testK, Dim: testDim}
 		if o.shardTransport != nil {
 			scfg.Transport = o.shardTransport(name)
 		}
@@ -84,11 +79,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 		if standby[name] {
 			// The standby exists before its primary: the primary's shipper
 			// dials it from the first appended op.
-			sb, err := serve.NewShard(serve.ShardServerConfig{
-				Name: name, R: testR, K: testK, Dim: testDim,
-				Retry:   retry.Policy{Base: time.Millisecond},
-				Standby: true,
-			})
+			sb, err := serve.NewShard(serve.ShardServerConfig{Name: name, R: testR, K: testK, Dim: testDim, Standby: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,9 +90,6 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 			c.stbySrvs[name] = sbSrv
 			scfg.Replica = sbSrv.URL
 			scfg.ReplicaInterval = 2 * time.Millisecond
-			if o.replicaTransport != nil {
-				scfg.ReplicaTransport = o.replicaTransport(name)
-			}
 			info.Standby = sbSrv.URL
 		}
 		ss, err := serve.NewShard(scfg)

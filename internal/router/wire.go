@@ -8,14 +8,14 @@ import (
 	"dod/internal/geom"
 )
 
-// Shard wire protocol. Mutating data-plane bodies (ingest, support,
-// import) and the export stream are sequences of internal/codec frames —
-// a JSON header frame for control metadata, binary frames for points,
-// cell lists and window entries — sealed with a codec.FrameSum integrity
-// frame, exactly like the distributed runtime's task bodies: transport
-// corruption anywhere in a body is a typed decode failure the caller
-// retries, never a silently wrong neighbor count. Responses and pure
-// control calls (evict, topology) are small JSON.
+// Shard wire protocol. Data-plane bodies (a segment's read-only support
+// probes and its ordered op list, see wire_batch.go; import) and the export
+// stream are sequences of internal/codec frames — a JSON header frame for
+// control metadata, binary frames for points, cell lists, window entries
+// and ops — sealed with a codec.FrameSum integrity frame, exactly like the
+// distributed runtime's task bodies: transport corruption anywhere in a
+// body is a typed decode failure the caller retries, never a silently
+// wrong neighbor count. Responses and topology pushes are small JSON.
 const (
 	frameHeader byte = 1 // JSON control header
 	framePoint  byte = 2 // one codec point record
@@ -23,8 +23,10 @@ const (
 	frameEntry  byte = 4 // one window entry (point + seq + arrival + count + verdict)
 )
 
-// Shard-side endpoints. The router (and, for /v1/support, peer shards)
-// are the only intended callers.
+// Shard-side endpoints; the router is the only intended caller.
+// PathShardIngest and PathShardEvict are the retired per-point protocol's:
+// no shard serves them and no router calls them, but traffic tallies (the
+// benchmark's per-path call counts) still name them to show they stay at 0.
 const (
 	PathShardIngest   = "/v1/shard/ingest"
 	PathShardEvict    = "/v1/shard/evict"
@@ -34,15 +36,7 @@ const (
 	PathShardTopology = "/v1/shard/topology"
 )
 
-// IngestHeader is the control header of a shard ingest body: the global
-// sequence number assigned by the router and the arrival timestamp that
-// drives TTL eviction.
-type IngestHeader struct {
-	Seq       uint64 `json:"seq"`
-	ArrivedNs int64  `json:"arrivedNs"`
-}
-
-// IngestResponse answers a shard ingest.
+// IngestResponse answers one admission of a batched shard ingest.
 type IngestResponse struct {
 	ID        uint64 `json:"id"`
 	Seq       uint64 `json:"seq"`
@@ -52,43 +46,26 @@ type IngestResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// SupportHeader is the control header of a boundary-support body. Delta
-// +1/-1 applies an arrival/eviction neighbor-count delta to the matched
-// points (Lemma 3.1: the owning shard's counts are sufficient — no point
-// data crosses the wire, only counts); delta 0 is a read-only count for
-// scoring, early-terminated at Limit. Victims (read-only bodies only) lists
-// resident IDs whose coordinates the caller wants back: the router stores
-// none, and needs an eviction victim's to command the eviction's
-// cross-shard half.
+// SupportHeader is the control header of a boundary-support body, which is
+// always read-only (Lemma 3.1: the owning shard's counts are sufficient —
+// no point data crosses the wire, only counts). Limit > 0 early-terminates
+// each probe's count, as scoring wants. Victims lists resident IDs whose
+// coordinates the caller wants back: the router stores none, and needs an
+// eviction victim's to settle the eviction's cross-shard half.
 type SupportHeader struct {
-	Delta   int      `json:"delta"`
 	Limit   int      `json:"limit,omitempty"`
 	Victims []uint64 `json:"victims,omitempty"`
 }
 
-// SupportResponse answers a support call with the neighbor count found in
-// the requested cells. Multi-probe bodies (EncodeSupportBatch) are answered
-// with one count per probe in Counts, probe order, alongside the summed
-// Count. Victims answers SupportHeader.Victims, one coordinate vector per
-// ID in request order (encoding/json round-trips float64 exactly).
+// SupportResponse answers a support body with one count per probe in
+// Counts, probe order. Victims answers SupportHeader.Victims, one
+// coordinate vector per ID in request order (encoding/json round-trips
+// float64 exactly).
 type SupportResponse struct {
-	Count     int         `json:"count"`
 	Counts    []int       `json:"counts,omitempty"`
 	Victims   [][]float64 `json:"victims,omitempty"`
 	Error     string      `json:"error,omitempty"`
 	RequestID string      `json:"request_id,omitempty"`
-}
-
-// EvictRequest asks a shard to expire one resident point by ID.
-type EvictRequest struct {
-	ID uint64 `json:"id"`
-}
-
-// EvictResponse answers an evict call.
-type EvictResponse struct {
-	Evicted   bool   `json:"evicted"`
-	Error     string `json:"error,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
 }
 
 // TopologyResponse acknowledges a topology push.
@@ -169,70 +146,6 @@ func decodeCells(payload []byte) ([][]int64, error) {
 		cells = append(cells, c)
 	}
 	return cells, nil
-}
-
-// EncodeIngest builds a sealed shard-ingest body.
-func EncodeIngest(hdr IngestHeader, p geom.Point) []byte {
-	body := appendJSONHeader(nil, hdr)
-	body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, p))
-	return codec.AppendSumFrame(body)
-}
-
-// DecodeIngest parses a sealed shard-ingest body.
-func DecodeIngest(body []byte) (IngestHeader, geom.Point, error) {
-	var hdr IngestHeader
-	var pt geom.Point
-	frames, err := decodeSealed(body)
-	if err != nil {
-		return hdr, pt, err
-	}
-	if err := frames.header(&hdr); err != nil {
-		return hdr, pt, err
-	}
-	raw, ok := frames.first(framePoint)
-	if !ok {
-		return hdr, pt, codec.WireErrorf("router: ingest body lacks point frame")
-	}
-	pt, _, err = codec.DecodePoint(raw)
-	return hdr, pt, err
-}
-
-// EncodeSupport builds a sealed boundary-support body: the probe point and
-// the foreign cells the caller's ring expansion reached.
-func EncodeSupport(hdr SupportHeader, p geom.Point, cells [][]int64) []byte {
-	body := appendJSONHeader(nil, hdr)
-	body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, p))
-	body = codec.AppendFrame(body, frameCells, appendCells(nil, p.Dim(), cells))
-	return codec.AppendSumFrame(body)
-}
-
-// DecodeSupport parses a sealed boundary-support body.
-func DecodeSupport(body []byte) (SupportHeader, geom.Point, [][]int64, error) {
-	var hdr SupportHeader
-	frames, err := decodeSealed(body)
-	if err != nil {
-		return hdr, geom.Point{}, nil, err
-	}
-	if err := frames.header(&hdr); err != nil {
-		return hdr, geom.Point{}, nil, err
-	}
-	raw, ok := frames.first(framePoint)
-	if !ok {
-		return hdr, geom.Point{}, nil, codec.WireErrorf("router: support body lacks point frame")
-	}
-	pt, _, err := codec.DecodePoint(raw)
-	if err != nil {
-		return hdr, geom.Point{}, nil, err
-	}
-	rawCells, ok := frames.first(frameCells)
-	if !ok {
-		return hdr, geom.Point{}, nil, codec.WireErrorf("router: support body lacks cells frame")
-	}
-	cells, err := decodeCells(rawCells)
-	if err != nil {
-		return hdr, geom.Point{}, nil, err
-	}
-	return hdr, pt, cells, nil
 }
 
 // appendEntry appends one frameEntry frame.
@@ -372,19 +285,4 @@ func (f *wireFrames) header(v any) error {
 		return codec.WireErrorf("router: bad header frame: %v", err)
 	}
 	return nil
-}
-
-// first returns the first frame payload of the given kind.
-func (f *wireFrames) first(kind byte) ([]byte, bool) {
-	switch kind {
-	case framePoint:
-		if len(f.points) > 0 {
-			return f.points[0], true
-		}
-	case frameCells:
-		if len(f.cells) > 0 {
-			return f.cells[0], true
-		}
-	}
-	return nil, false
 }

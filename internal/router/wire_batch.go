@@ -8,14 +8,14 @@ import (
 	"dod/internal/stream"
 )
 
-// Coalesced data plane: the two bodies of the two-wave segment protocol
-// (coalesce.go). Wave one is a multi-probe /v1/support body — every staged
-// point's foreign cells on one shard, plus in its header the IDs of the FIFO
-// victims that shard owns, whose coordinates come back in the response.
-// Wave two is an /v1/shard/ingest_batch body: one shard's ORDERED list of
-// the segment's operations on cells it owns, one frameOp per operation, in
-// the global window's order. Frame kinds and sealing are shared with the
-// per-point protocol.
+// The two bodies of the two-wave segment protocol (coalesce.go). Wave one
+// is a multi-probe /v1/support body — every staged point's foreign cells on
+// one shard, plus in its header the IDs of the FIFO victims that shard owns,
+// whose coordinates come back in the response; scoring sends the same body
+// with a Limit and no victims. Wave two is an /v1/shard/ingest_batch body:
+// one shard's ORDERED list of the segment's operations on cells it owns,
+// one frameOp per operation, in the global window's order. Frame kinds and
+// sealing are wire.go's.
 
 // PathShardIngestBatch applies one shard's ordered share of a segment in
 // one exchange; see EncodeIngestBatch.
@@ -49,8 +49,7 @@ type IngestBatchResponse struct {
 }
 
 // EncodeSupportBatch builds a sealed multi-probe support body: the header,
-// then one (point, cells) frame pair per probe, paired by order. A
-// single-probe body is byte-compatible with EncodeSupport.
+// then one (point, cells) frame pair per probe, paired by order.
 func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
 	body := appendJSONHeader(nil, hdr)
 	for _, pr := range probes {
@@ -60,9 +59,8 @@ func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
 	return codec.AppendSumFrame(body)
 }
 
-// DecodeSupportBatch parses a sealed support body into its probes. Bodies
-// from EncodeSupport decode as exactly one probe; a body may carry no probe
-// only if its header asks for victims.
+// DecodeSupportBatch parses a sealed support body into its probes; a body
+// may carry no probe only if its header asks for victims.
 func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 	var hdr SupportHeader
 	frames, err := decodeSealed(body)

@@ -7,9 +7,9 @@ import (
 	"net/http"
 	"time"
 
-	"dod/internal/geom"
 	"dod/internal/replica"
 	"dod/internal/router"
+	"dod/internal/stream"
 )
 
 // maxReplicaBodyBytes caps one replication request body. Snapshots carry a
@@ -203,32 +203,24 @@ func (s *ShardServer) applyReplicaOp(op *replica.Op) error {
 	if topo == nil {
 		return fmt.Errorf("replica: window op %d before any topology", op.Kind)
 	}
+	// Window mutations replay through the entry the primary applied them
+	// by. A recorded admission carries its own arrival instant and the
+	// foreign count the router had settled for it.
+	var step stream.ShardOp
 	switch op.Kind {
 	case replica.KindAdmit:
-		// The recorded Foreign count stands in for the primary's support
-		// fan-out (or, on the coalesced path, the router's settled count).
-		_, err := s.sw.Admit(op.Point, op.PointSeq, time.Unix(0, op.ArrivedNs), s.owns(topo),
-			func(geom.Point, [][]int64, int, int) (int, error) { return op.Foreign, nil })
-		return err
+		step = stream.ShardOp{Kind: stream.OpAdmit, Point: op.Point, Seq: op.PointSeq, Foreign: op.Foreign}
 	case replica.KindEvict:
-		// No support fan-out: every peer recorded its own half of this
-		// eviction as a KindSupport op in its own log.
-		ok, err := s.sw.EvictByID(op.ID, s.owns(topo), nil)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("replica: evict replay: id %d not resident", op.ID)
-		}
-		return nil
+		step = stream.ShardOp{Kind: stream.OpEvict, ID: op.ID}
 	case replica.KindSupport:
-		_, err := s.sw.ApplySupport(op.Point, op.Cells, op.Delta, 0)
-		return err
+		step = stream.ShardOp{Kind: stream.OpSupport, Point: op.Point, Cells: op.Cells, Delta: op.Delta}
 	case replica.KindImport:
 		return s.sw.Import(op.Entries)
 	default:
 		return fmt.Errorf("replica: unknown op kind %d", op.Kind)
 	}
+	_, opErrs := s.sw.ApplyOps([]stream.ShardOp{step}, time.Unix(0, op.ArrivedNs), s.owns(topo))
+	return opErrs[0]
 }
 
 // installReplicatedTopology installs a topology that arrived through the

@@ -140,17 +140,16 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// ingest admits one point through the primary's shard wire endpoint.
-func (p *replicaPair) ingest(id uint64, x, y float64) []byte {
+// admitOp is a one-op segment admitting (x, y) as the seq-th point.
+func admitOp(id, seq uint64, x, y float64) []stream.ShardOp {
+	return []stream.ShardOp{{Kind: stream.OpAdmit, Point: geom.Point{ID: id, Coords: []float64{x, y}}, Seq: seq}}
+}
+
+// ingest admits one point through the primary's batched endpoint.
+func (p *replicaPair) ingest(id uint64, x, y float64) {
 	p.t.Helper()
 	p.seq++
-	body := router.EncodeIngest(router.IngestHeader{Seq: p.seq, ArrivedNs: int64(p.seq)},
-		geom.Point{ID: id, Coords: []float64{x, y}})
-	status, raw := postBody(p.t, p.primSrv.URL+router.PathShardIngest, fmt.Sprintf("ing-%d", id), body)
-	if status != http.StatusOK {
-		p.t.Fatalf("ingest %d: status %d: %s", id, status, raw)
-	}
-	return raw
+	p.batch(fmt.Sprintf("ing-%d", id), int64(p.seq), admitOp(id, p.seq, x, y))
 }
 
 // batch applies one ordered segment through the primary's batched endpoint
@@ -179,15 +178,13 @@ func cellsAround(t *testing.T, x, y float64) [][]int64 {
 	return cells
 }
 
+// evict expires one resident through the primary's batched endpoint.
 func (p *replicaPair) evict(id uint64) {
 	p.t.Helper()
-	raw, err := json.Marshal(router.EvictRequest{ID: id})
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	status, resp := postBody(p.t, p.primSrv.URL+router.PathShardEvict, fmt.Sprintf("evc-%d", id), raw)
-	if status != http.StatusOK || !bytes.Contains(resp, []byte(`"evicted":true`)) {
-		p.t.Fatalf("evict %d: status %d: %s", id, status, resp)
+	before := p.primary.Window().Stats().Evicted
+	p.batch(fmt.Sprintf("evc-%d", id), 0, []stream.ShardOp{{Kind: stream.OpEvict, ID: id}})
+	if got := p.primary.Window().Stats().Evicted; got != before+1 {
+		p.t.Fatalf("evict %d: evicted count %d -> %d, want +1", id, before, got)
 	}
 }
 
@@ -446,15 +443,17 @@ func TestDedupeCapacityAndMetrics(t *testing.T) {
 		t.Fatalf("topology push: status %d: %s", status, body)
 	}
 
-	var last []byte
-	for i := uint64(1); i <= 3; i++ {
-		body := router.EncodeIngest(router.IngestHeader{Seq: i, ArrivedNs: int64(i)},
-			geom.Point{ID: i, Coords: []float64{float64(i), 0}})
-		status, resp := postBody(t, srv.URL+router.PathShardIngest, fmt.Sprintf("cap-%d", i), body)
+	admit := func(i uint64) []byte {
+		body := router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: int64(i), Count: 1}, admitOp(i, i, float64(i), 0))
+		status, resp := postBody(t, srv.URL+router.PathShardIngestBatch, fmt.Sprintf("cap-%d", i), body)
 		if status != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %s", i, status, resp)
 		}
-		last = resp
+		return resp
+	}
+	var last []byte
+	for i := uint64(1); i <= 3; i++ {
+		last = admit(i)
 	}
 	if n := metricValue(t, srv.URL, "dod_shard_dedupe_evictions_total"); n != 1 {
 		t.Fatalf("dedupe evictions = %g, want 1 (capacity 2, 3 keys)", n)
@@ -465,14 +464,38 @@ func TestDedupeCapacityAndMetrics(t *testing.T) {
 
 	// The newest key is still cached: a retry replays identical bytes and
 	// counts a hit, not a re-execution.
-	body := router.EncodeIngest(router.IngestHeader{Seq: 3, ArrivedNs: 3},
-		geom.Point{ID: 3, Coords: []float64{3, 0}})
-	status, resp := postBody(t, srv.URL+router.PathShardIngest, "cap-3", body)
-	if status != http.StatusOK || !bytes.Equal(resp, last) {
-		t.Fatalf("cached retry diverged (status %d): %s vs %s", status, resp, last)
+	if resp := admit(3); !bytes.Equal(resp, last) {
+		t.Fatalf("cached retry diverged: %s vs %s", resp, last)
 	}
 	if n := metricValue(t, srv.URL, "dod_shard_dedupe_hits_total"); n != 1 {
 		t.Fatalf("dedupe hits = %g, want 1", n)
+	}
+}
+
+// TestRetiredEndpointsAnswer404 pins the per-point protocol's removal: a
+// shard with a topology installed serves neither /v1/shard/ingest nor
+// /v1/shard/evict, and a POST to either leaves the window and the ingest
+// counter exactly as they were.
+func TestRetiredEndpointsAnswer404(t *testing.T) {
+	p := newReplicaPair(t)
+	for i := uint64(1); i <= 5; i++ {
+		p.ingest(i, float64(i%3), float64(i%2))
+	}
+	digest, points := p.primary.Window().Digest()
+	ingests := metricValue(t, p.primSrv.URL, "dod_shard_ingests_total")
+	for path, body := range map[string][]byte{
+		router.PathShardIngest: router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: 9, Count: 1}, admitOp(9, 9, 1, 1)),
+		router.PathShardEvict:  []byte(`{"id":1}`),
+	} {
+		if status, raw := postBody(t, p.primSrv.URL+path, "retired-"+path, body); status != http.StatusNotFound {
+			t.Errorf("POST %s: status %d (%s), want 404", path, status, raw)
+		}
+	}
+	if d, n := p.primary.Window().Digest(); d != digest || n != points {
+		t.Errorf("window changed: digest %x/%d points, was %x/%d", d, n, digest, points)
+	}
+	if got := metricValue(t, p.primSrv.URL, "dod_shard_ingests_total"); got != ingests {
+		t.Errorf("dod_shard_ingests_total = %g, was %g", got, ingests)
 	}
 }
 

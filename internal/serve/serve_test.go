@@ -352,3 +352,59 @@ func TestBatchLimit(t *testing.T) {
 		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestIngestHandlerAllocs pins the ingest handler's allocation ceiling on a
+// window at capacity, where every admitted line also evicts: parse, window
+// and encode together stay under 10 allocations per line. The count covers
+// the whole process (worker pool included) plus the test's own request and
+// recorder, which the batch size amortizes.
+func TestIngestHandlerAllocs(t *testing.T) {
+	const (
+		capacity = 1000
+		lines    = 500
+		runs     = 8
+		ceiling  = 10.0
+	)
+	s, err := New(Config{Stream: stream.Config{R: 1.2, K: 3, Dim: 2, Capacity: capacity}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	rng := rand.New(rand.NewSource(5))
+	id := uint64(0)
+	batch := func(n int) []byte {
+		var buf bytes.Buffer
+		for i := 0; i < n; i++ {
+			id++
+			fmt.Fprintf(&buf, `{"id":%d,"coords":[%g,%g]}`+"\n", id, rng.Float64()*30, rng.Float64()*30)
+		}
+		return buf.Bytes()
+	}
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || bytes.Contains(rec.Body.Bytes(), []byte(`"error"`)) {
+			t.Fatalf("ingest: status %d: %.200s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	post(batch(capacity))
+	// AllocsPerRun calls the function once to warm up, then runs times.
+	bodies := make([][]byte, runs+1)
+	for i := range bodies {
+		bodies[i] = batch(lines)
+	}
+	next := 0
+	perRun := testing.AllocsPerRun(runs, func() {
+		post(bodies[next])
+		next++
+	})
+	if st := s.Window().Stats(); st.Len != capacity || st.Evicted != uint64((runs+1)*lines) {
+		t.Fatalf("window not at capacity throughout: %+v", st)
+	}
+	if perLine := perRun / lines; perLine > ceiling {
+		t.Errorf("ingest handler: %.2f allocations per line, ceiling %.0f", perLine, ceiling)
+	} else {
+		t.Logf("ingest handler: %.2f allocations per line", perLine)
+	}
+}

@@ -85,12 +85,6 @@ type Config struct {
 	// MaxBodyBytes caps one request body; default DefaultMaxBodyBytes.
 	// Oversize uploads get a structured 413.
 	MaxBodyBytes int64
-	// LegacyWire routes NDJSON parsing and response encoding through
-	// reflection-based encoding/json instead of the pooled wirejson fast
-	// path. The two paths are byte-identical on the wire; this knob exists
-	// so dodbench can measure the fast path against the pre-optimization
-	// codec on the same build.
-	LegacyWire bool
 	// Remote, when set, is preferred for /v1/score, behind a circuit
 	// breaker that falls back to the in-process window on repeated
 	// failures. See RemoteScorer.
@@ -268,7 +262,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, endpoint string) {
 	writeErrorBody(w, r, http.StatusTooManyRequests, "overloaded", errs.ErrOverloaded.Error())
 }
 
-// writeBatchError classifies a readBatch failure through the shared
+// writeBatchError classifies a batch read failure through the shared
 // classifier (internal/httpapi): 413 "body_too_large" for an oversize body,
 // 400 "batch_too_large" past the line cap, 408 when the client's send
 // stalled out the request, 400 otherwise — identical across tiers.
@@ -323,22 +317,6 @@ type verdictLine = httpapi.VerdictLine
 // scoreLine answers one score line.
 type scoreLine = httpapi.ScoreLine
 
-// readBatch parses up to MaxBatch NDJSON point lines from the request via
-// the shared parser — the pooled wirejson fast path by default, the
-// encoding/json legacy path under Config.LegacyWire. A parse failure on
-// line i is returned as a per-line error at index i, keeping request-level
-// failures for oversize input.
-func (s *Server) readBatch(r *http.Request) (*httpapi.Batch, error) {
-	if s.cfg.LegacyWire {
-		items, err := httpapi.ReadBatch(r, s.cfg.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		return &httpapi.Batch{Items: items}, nil
-	}
-	return httpapi.ReadBatchPooled(r, s.cfg.MaxBatch)
-}
-
 // wireScratch stages the parseable lines of one batch (points plus their
 // request-line indices) so the hot loop reuses the slices across requests.
 type wireScratch struct {
@@ -374,7 +352,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	readStart := s.now()
-	batch, err := s.readBatch(r)
+	batch, err := httpapi.ReadBatchPooled(r, s.cfg.MaxBatch)
 	s.observeSince(s.met.ingestStage[stageRead], readStart)
 	if err != nil {
 		s.writeBatchError(w, r, err)
@@ -427,11 +405,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 	s.observeSince(s.met.ingestStage[stageProcess], procStart)
 	writeStart := s.now()
-	if s.cfg.LegacyWire {
-		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
-	} else {
-		httpapi.WriteVerdicts(w, out)
-	}
+	httpapi.WriteVerdicts(w, out)
 	s.observeSince(s.met.ingestStage[stageWrite], writeStart)
 }
 
@@ -449,7 +423,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	readStart := s.now()
-	batch, err := s.readBatch(r)
+	batch, err := httpapi.ReadBatchPooled(r, s.cfg.MaxBatch)
 	s.observeSince(s.met.scoreStage[stageRead], readStart)
 	if err != nil {
 		s.writeBatchError(w, r, err)
@@ -502,11 +476,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	s.observeSince(s.met.scoreStage[stageProcess], procStart)
 	writeStart := s.now()
-	if s.cfg.LegacyWire {
-		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
-	} else {
-		httpapi.WriteScores(w, out)
-	}
+	httpapi.WriteScores(w, out)
 	s.observeSince(s.met.scoreStage[stageWrite], writeStart)
 }
 
@@ -545,11 +515,6 @@ func (s *Server) scoreChunkLocal(items []httpapi.BatchItem, out []scoreLine, lo,
 		sc := scores[j]
 		out[i] = scoreLine{ID: sc.ID, Neighbors: sc.Neighbors, Outlier: sc.Outlier}
 	}
-}
-
-// writeNDJSON streams n lines through one buffered encoder.
-func writeNDJSON(w http.ResponseWriter, n int, line func(enc *json.Encoder, i int) error) {
-	httpapi.WriteNDJSON(w, n, line)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,23 +1,18 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dod/internal/geom"
 	"dod/internal/httpapi"
 	"dod/internal/obs"
 	"dod/internal/replica"
-	"dod/internal/retry"
 	"dod/internal/router"
 	"dod/internal/stream"
 )
@@ -27,24 +22,19 @@ import (
 // router-pushed topology. It speaks the codec-framed shard wire protocol
 // (internal/router/wire.go):
 //
-//	POST /v1/shard/ingest    admit one point with a router-assigned global
-//	                         sequence number; neighbor counting fans out
-//	                         to peers for boundary cells.
-//	POST /v1/shard/evict     expire one resident point by ID (the router
-//	                         owns the global FIFO and commands evictions).
 //	POST /v1/shard/ingest_batch
-//	                         the coalesced path's only mutation: this
-//	                         shard's ordered share of a router segment —
-//	                         own admissions and evictions, and the ±1s other
-//	                         shards' owe its residents — under one lock,
-//	                         calling no peer.
-//	POST /v1/support         boundary-cell support (Lemma 3.1): count — and
-//	                         for delta ±1, adjust — this shard's residents
-//	                         that neighbor the probe point in the given
-//	                         cells. Called by peer shards (per-point
-//	                         protocol) and by the router: read-only, for
-//	                         scoring and as a segment's first wave, which
-//	                         also returns eviction victims' coordinates.
+//	                         the data plane's only mutation: this shard's
+//	                         ordered share of a router segment — own
+//	                         admissions (global sequence numbers and foreign
+//	                         neighbor counts settled by the router) and
+//	                         evictions, and the ±1s other shards' owe its
+//	                         residents — under one lock.
+//	POST /v1/support         boundary-cell support (Lemma 3.1), read-only:
+//	                         count this shard's residents that neighbor
+//	                         each probe point in the given cells. The
+//	                         router calls it for scoring and as a segment's
+//	                         first wave, which also returns eviction
+//	                         victims' coordinates.
 //	GET  /v1/shard/export    the full resident slice (drain/handoff).
 //	POST /v1/shard/import    adopt entries exported from a draining peer.
 //	POST /v1/shard/topology  install a new ownership epoch.
@@ -52,13 +42,12 @@ import (
 //
 // Every mutating endpoint is idempotent by X-Dod-Request-Id: a retried
 // request (lost response, injected fault) replays the recorded response
-// instead of re-applying its count deltas, so the router and peers may
-// retry blindly.
+// instead of re-applying its count deltas, so the router may retry blindly.
 //
-// Mutation ordering is the router's job: it serializes ingests, evicts and
-// drains globally. On the per-point path at most one mutation originator is
-// active at a time, so cross-shard support calls can never form a lock
-// cycle; on the coalesced path shards mutate concurrently but call no one.
+// Mutation ordering is the router's job: it serializes ingests, evictions
+// and drains globally. Shards apply a segment concurrently and call no one —
+// the only outbound call a shard ever makes is the replication hop to its
+// standby.
 type ShardServer struct {
 	cfg ShardServerConfig
 	sw  *stream.ShardWindow
@@ -66,7 +55,6 @@ type ShardServer struct {
 	reg *obs.Registry
 	met *shardMetrics
 
-	client  *http.Client
 	dedupe  *dedupeCache
 	started time.Time
 
@@ -110,14 +98,10 @@ type ShardServerConfig struct {
 	MaxBodyBytes int64
 	// Obs is the metrics registry; default a fresh one.
 	Obs *obs.Registry
-	// Transport is the HTTP transport for peer support calls — the fault
-	// injection seam. Nil uses httpapi.NewTransport, tuned for the dense
-	// shard↔shard connection graph (high per-host idle connection reuse).
+	// Transport is the HTTP transport for every outbound call this shard
+	// makes — today only the replication hop to Replica — and the fault
+	// injection seam. Nil uses httpapi.NewTransport.
 	Transport http.RoundTripper
-	// Retry shapes peer-call backoff; zero value takes defaults.
-	Retry retry.Policy
-	// RetryAttempts bounds peer-call attempts; default 8.
-	RetryAttempts int
 	// DedupeCapacity caps the idempotency replay cache (entries, FIFO);
 	// default DefaultDedupeCapacity. Size it above the peak number of
 	// in-flight request IDs a caller may retry.
@@ -126,9 +110,6 @@ type ShardServerConfig struct {
 	// mutation is appended to a sequence-numbered op log and shipped to it
 	// asynchronously (internal/replica).
 	Replica string
-	// ReplicaTransport overrides the replication hop's HTTP transport —
-	// the fault-injection seam. Nil uses httpapi.NewTransport.
-	ReplicaTransport http.RoundTripper
 	// ReplicaInterval is the ship poll period (0 = replica default).
 	ReplicaInterval time.Duration
 	// Standby runs this server as a warm standby: it serves the
@@ -146,9 +127,6 @@ type shardMetrics struct {
 	ingests       *obs.Counter
 	evicts        *obs.Counter
 	supportServed *obs.Counter
-	supportIssued *obs.Counter
-	supportRPCs   *obs.Counter
-	peerRetries   *obs.Counter
 	dedupeHits    *obs.Counter
 	dedupeEvicts  *obs.Counter
 	imports       *obs.Counter
@@ -168,9 +146,6 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.RetryAttempts <= 0 {
-		cfg.RetryAttempts = 8
-	}
 	if cfg.DedupeCapacity <= 0 {
 		cfg.DedupeCapacity = DefaultDedupeCapacity
 	}
@@ -183,16 +158,11 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = httpapi.NewTransport()
-	}
 	s := &ShardServer{
 		cfg:     cfg,
 		sw:      sw,
 		mux:     http.NewServeMux(),
 		reg:     cfg.Obs,
-		client:  &http.Client{Transport: transport},
 		started: time.Now(),
 	}
 	s.dedupe = newDedupeCache(cfg.DedupeCapacity)
@@ -200,9 +170,6 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 		ingests:       s.reg.Counter("dod_shard_ingests_total", "points admitted to this shard slice"),
 		evicts:        s.reg.Counter("dod_shard_evicts_total", "router-commanded evictions applied"),
 		supportServed: s.reg.Counter("dod_shard_support_total", "boundary support calls", obs.L("dir", "served")),
-		supportIssued: s.reg.Counter("dod_shard_support_total", "boundary support calls", obs.L("dir", "issued")),
-		supportRPCs:   s.reg.Counter("dod_support_rpc_total", "boundary support round trips issued over the wire"),
-		peerRetries:   s.reg.Counter("dod_shard_peer_retries_total", "retried peer support calls"),
 		dedupeHits:    s.reg.Counter("dod_shard_dedupe_hits_total", "mutating requests answered from the idempotency cache"),
 		dedupeEvicts:  s.reg.Counter("dod_shard_dedupe_evictions_total", "idempotency cache entries aged out FIFO"),
 		imports:       s.reg.Counter("dod_shard_imports_total", "entries adopted during drain/handoff"),
@@ -224,9 +191,7 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 			}
 			return float64(s.topo.Epoch)
 		})
-	s.mux.HandleFunc(router.PathShardIngest, s.handleShardIngest)
 	s.mux.HandleFunc(router.PathShardIngestBatch, s.handleShardIngestBatch)
-	s.mux.HandleFunc(router.PathShardEvict, s.handleShardEvict)
 	s.mux.HandleFunc(router.PathSupport, s.handleSupport)
 	s.mux.HandleFunc(router.PathShardExport, s.handleShardExport)
 	s.mux.HandleFunc(router.PathShardImport, s.handleShardImport)
@@ -249,15 +214,15 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 		s.replog = replica.NewLog(cfg.Obs)
 		s.rec = replica.NewRecorder(s.replog, cfg.Obs)
 		s.sw.SetRecorder(s.rec)
-		rt := cfg.ReplicaTransport
-		if rt == nil {
-			rt = httpapi.NewTransport()
+		transport := cfg.Transport
+		if transport == nil {
+			transport = httpapi.NewTransport()
 		}
 		shipper, err := replica.NewShipper(replica.ShipperConfig{
 			From:     cfg.Name,
 			Standby:  cfg.Replica,
 			Log:      s.replog,
-			Client:   &http.Client{Transport: rt},
+			Client:   &http.Client{Transport: transport},
 			Interval: cfg.ReplicaInterval,
 			Snapshot: s.replicaSnapshot,
 			Obs:      cfg.Obs,
@@ -314,95 +279,6 @@ func (s *ShardServer) topology() *router.Topology {
 // owns builds the ownership predicate for one captured topology.
 func (s *ShardServer) owns(topo *router.Topology) stream.OwnsFunc {
 	return func(cell []int64) bool { return topo.Owner(cell) == s.cfg.Name }
-}
-
-// supportFunc builds the SupportFunc that resolves foreign cells through
-// peer /v1/support calls, grouped per owning shard. Each (request, peer)
-// pair gets a derived idempotency key, so internal retries — and the
-// router's retries of the whole operation — can never double-apply a
-// delta.
-func (s *ShardServer) supportFunc(ctx context.Context, topo *router.Topology, reqID string) stream.SupportFunc {
-	return func(p geom.Point, cells [][]int64, delta, limit int) (int, error) {
-		byOwner := map[string][][]int64{}
-		for _, c := range cells {
-			o := topo.Owner(c)
-			byOwner[o] = append(byOwner[o], c)
-		}
-		owners := make([]string, 0, len(byOwner))
-		for o := range byOwner {
-			if o == s.cfg.Name {
-				// owns() and this func share one topology capture, so a
-				// self-referential support call cannot happen; calling
-				// ourselves over HTTP would deadlock on the window mutex.
-				return 0, fmt.Errorf("shard %s: support cells route back to self (topology torn?)", s.cfg.Name)
-			}
-			owners = append(owners, o)
-		}
-		sort.Strings(owners)
-		total := 0
-		for _, o := range owners {
-			body := router.EncodeSupport(router.SupportHeader{Delta: delta, Limit: limit}, p, byOwner[o])
-			var resp router.SupportResponse
-			key := fmt.Sprintf("%s|sup|%s|%d", reqID, o, delta)
-			s.met.supportRPCs.Inc()
-			if err := s.postPeer(ctx, topo.ShardURL(o), router.PathSupport, key, body, &resp); err != nil {
-				return 0, fmt.Errorf("support from %s: %w", o, err)
-			}
-			if resp.Error != "" {
-				return 0, fmt.Errorf("support from %s: %s", o, resp.Error)
-			}
-			s.met.supportIssued.Inc()
-			total += resp.Count
-		}
-		if limit > 0 && total > limit {
-			total = limit
-		}
-		return total, nil
-	}
-}
-
-// postPeer POSTs a body to a peer shard with bounded retries. Mutating
-// calls are safe to retry because the receiver dedupes by the request ID.
-func (s *ShardServer) postPeer(ctx context.Context, base, path, reqID string, body []byte, out any) error {
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			s.met.peerRetries.Inc()
-			if err := retry.Sleep(ctx, s.cfg.Retry.Delay(attempt, nil)); err != nil {
-				return err
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(router.HeaderRequestID, reqID)
-		resp, err := s.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode/100 != 2 {
-			lastErr = fmt.Errorf("peer %s%s: status %d: %s", base, path, resp.StatusCode, bytes.TrimSpace(raw))
-			if resp.StatusCode/100 == 4 {
-				return lastErr // a malformed request will not heal with retries
-			}
-			continue
-		}
-		if err := json.Unmarshal(raw, out); err != nil {
-			lastErr = fmt.Errorf("peer %s%s: bad response: %v", base, path, err)
-			continue
-		}
-		return nil
-	}
-	return lastErr
 }
 
 // readWireBody reads a size-capped request body.
@@ -479,42 +355,6 @@ func (s *ShardServer) handleShardTopology(w http.ResponseWriter, r *http.Request
 	})
 }
 
-func (s *ShardServer) handleShardIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	topo := s.requireTopology(w, r)
-	if topo == nil {
-		return
-	}
-	body, err := s.readWireBody(w, r)
-	if err != nil {
-		s.writeBatchError(w, r, err)
-		return
-	}
-	reqID := r.Header.Get(router.HeaderRequestID)
-	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, func() (int, []byte) {
-		hdr, pt, err := router.DecodeIngest(body)
-		if err != nil {
-			s.met.wireErrors.Inc()
-			return http.StatusBadRequest, marshalJSON(router.IngestResponse{Error: err.Error(), RequestID: reqID})
-		}
-		v, err := s.sw.Admit(pt, hdr.Seq, time.Unix(0, hdr.ArrivedNs), s.owns(topo), s.supportFunc(r.Context(), topo, reqID))
-		if err != nil {
-			return http.StatusOK, marshalJSON(router.IngestResponse{ID: pt.ID, Error: err.Error(), RequestID: reqID})
-		}
-		s.met.ingests.Inc()
-		return http.StatusOK, marshalJSON(router.IngestResponse{
-			ID: v.ID, Seq: v.Seq, Neighbors: v.Neighbors, Outlier: v.Outlier, RequestID: reqID,
-		})
-	})
-	if ran {
-		s.recordDedupe(reqID, status, resp)
-	}
-	s.writeRaw(w, status, resp)
-}
-
 // handleShardIngestBatch applies this shard's ordered share of a router
 // segment — own admissions and evictions, and the ±1s other shards'
 // admissions and evictions owe its residents — in one exchange and under
@@ -565,38 +405,11 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 	s.writeRaw(w, status, resp)
 }
 
-func (s *ShardServer) handleShardEvict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	topo := s.requireTopology(w, r)
-	if topo == nil {
-		return
-	}
-	var req router.EvictRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrorBody(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	reqID := r.Header.Get(router.HeaderRequestID)
-	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, func() (int, []byte) {
-		ok, err := s.sw.EvictByID(req.ID, s.owns(topo), s.supportFunc(r.Context(), topo, reqID))
-		if err != nil {
-			return http.StatusOK, marshalJSON(router.EvictResponse{Error: err.Error(), RequestID: reqID})
-		}
-		if ok {
-			s.met.evicts.Inc()
-		}
-		return http.StatusOK, marshalJSON(router.EvictResponse{Evicted: ok, RequestID: reqID})
-	})
-	if ran {
-		s.recordDedupe(reqID, status, resp)
-	}
-	s.writeRaw(w, status, resp)
-}
-
+// handleSupport answers a read-only multi-probe support body — a segment's
+// wave one, or a chunk of score lines — with one count per probe and the
+// coordinates of the eviction victims the header names. It changes nothing,
+// so a retry simply reads again: the call stays out of the idempotency
+// cache and the op log.
 func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -608,53 +421,35 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
-	// DecodeSupportBatch subsumes the per-point form: a body from
-	// EncodeSupport parses as exactly one probe. Multi-probe bodies (a
-	// segment's wave one, chunked scoring) answer one count per probe plus
-	// the sum, in one round trip per shard instead of one per point. Probes
-	// against one shard are independent, so applying them in order equals
-	// applying them one RPC at a time.
+	fail := func(status int, msg string) {
+		s.writeRaw(w, status, marshalJSON(router.SupportResponse{Error: msg, RequestID: reqID}))
+	}
 	hdr, probes, err := router.DecodeSupportBatch(body)
 	if err != nil {
 		s.met.wireErrors.Inc()
-		s.writeRaw(w, http.StatusBadRequest, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID}))
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	serve := func() (int, []byte) {
-		out := router.SupportResponse{Counts: make([]int, len(probes)), RequestID: reqID}
-		for i, pr := range probes {
-			n, err := s.sw.ApplySupport(pr.Point, pr.Cells, hdr.Delta, hdr.Limit)
-			if err != nil {
-				return http.StatusOK, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID})
-			}
-			out.Counts[i] = n
-			out.Count += n
+	out := router.SupportResponse{Counts: make([]int, len(probes)), RequestID: reqID}
+	for i, pr := range probes {
+		n, err := s.sw.ApplySupport(pr.Point, pr.Cells, hdr.Limit)
+		if err != nil {
+			fail(http.StatusOK, err.Error())
+			return
 		}
-		if hdr.Delta == 0 && len(hdr.Victims) > 0 {
-			out.Victims = s.sw.CoordsOf(hdr.Victims)
-			for i, c := range out.Victims {
-				if c == nil {
-					return http.StatusOK, marshalJSON(router.SupportResponse{
-						Error: fmt.Sprintf("shard %s does not hold %d", s.cfg.Name, hdr.Victims[i]), RequestID: reqID})
-				}
+		out.Counts[i] = n
+	}
+	if len(hdr.Victims) > 0 {
+		out.Victims = s.sw.CoordsOf(hdr.Victims)
+		for i, c := range out.Victims {
+			if c == nil {
+				fail(http.StatusOK, fmt.Sprintf("shard %s does not hold %d", s.cfg.Name, hdr.Victims[i]))
+				return
 			}
 		}
-		s.met.supportServed.Inc()
-		return http.StatusOK, marshalJSON(out)
 	}
-	// Only delta-applying calls need exactly-once semantics: a read-only
-	// body (scoring, a segment's wave one) is answered afresh on every
-	// retry and stays out of the idempotency cache and the op log.
-	if hdr.Delta == 0 {
-		status, resp := serve()
-		s.writeRaw(w, status, resp)
-		return
-	}
-	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, serve)
-	if ran {
-		s.recordDedupe(reqID, status, resp)
-	}
-	s.writeRaw(w, status, resp)
+	s.met.supportServed.Inc()
+	s.writeRaw(w, http.StatusOK, marshalJSON(out))
 }
 
 func (s *ShardServer) handleShardExport(w http.ResponseWriter, r *http.Request) {

@@ -15,14 +15,20 @@ func digestWindow(t *testing.T, n int) *ShardWindow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owns := func([]int64) bool { return true }
 	for i := 0; i < n; i++ {
 		p := geom.Point{ID: uint64(i + 1), Coords: []float64{float64(i % 4), float64(i % 3)}}
-		if _, err := sw.Admit(p, uint64(i+1), time.Unix(0, int64(i)), owns, nil); err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
+		applyOp(t, sw, time.Unix(0, int64(i)), ShardOp{Kind: OpAdmit, Point: p, Seq: uint64(i + 1)})
 	}
 	return sw
+}
+
+// applyOp applies one op to a window that owns every cell and fails the
+// test if the window refuses it.
+func applyOp(t *testing.T, sw *ShardWindow, now time.Time, op ShardOp) {
+	t.Helper()
+	if _, errs := sw.ApplyOps([]ShardOp{op}, now, nil); errs[0] != nil {
+		t.Fatalf("op %+v: %v", op, errs[0])
+	}
 }
 
 // TestDigestDeterministic pins the anti-entropy contract: two windows built
@@ -41,10 +47,7 @@ func TestDigestDeterministic(t *testing.T) {
 	}
 
 	// One extra admission diverges the digest.
-	owns := func([]int64) bool { return true }
-	if _, err := b.Admit(geom.Point{ID: 1000, Coords: []float64{50, 50}}, 1000, time.Unix(0, 0), owns, nil); err != nil {
-		t.Fatal(err)
-	}
+	applyOp(t, b, time.Unix(0, 0), ShardOp{Kind: OpAdmit, Point: geom.Point{ID: 1000, Coords: []float64{50, 50}}, Seq: 1000})
 	if db2, _ := b.Digest(); db2 == da {
 		t.Fatal("digest unchanged after admission")
 	}
@@ -53,10 +56,14 @@ func TestDigestDeterministic(t *testing.T) {
 	// too: the digest covers counts, not just point identity.
 	dc, _ := a.Digest()
 	// Residents at (1,1) live in cell (2,2) with side r/(2√2)≈0.424.
-	if n, err := a.ApplySupport(geom.Point{ID: 2000, Coords: []float64{1, 1}},
-		[][]int64{{2, 2}}, 1, 0); err != nil || n == 0 {
-		t.Fatalf("support delta: n=%d err=%v (probe must touch residents)", n, err)
+	probe, cells := geom.Point{ID: 2000, Coords: []float64{1, 1}}, [][]int64{{2, 2}}
+	if n, err := a.ApplySupport(probe, cells, 0); err != nil || n == 0 {
+		t.Fatalf("support probe: n=%d err=%v (probe must touch residents)", n, err)
 	}
+	if dc1, _ := a.Digest(); dc1 != dc {
+		t.Fatal("digest changed after a read-only support probe")
+	}
+	applyOp(t, a, time.Unix(0, 0), ShardOp{Kind: OpSupport, Point: probe, Cells: cells, Delta: +1})
 	if dc2, _ := a.Digest(); dc2 == dc {
 		t.Fatal("digest unchanged after a count delta")
 	}
@@ -66,14 +73,11 @@ func TestDigestDeterministic(t *testing.T) {
 // (sequence) order, not map iteration order: windows whose surviving state
 // is equal digest equally even when interior evictions happened.
 func TestDigestEvictionOrderIndependent(t *testing.T) {
-	owns := func([]int64) bool { return true }
 	a := digestWindow(t, 12)
 	b := digestWindow(t, 12)
 	for _, id := range []uint64{3, 7} {
 		for _, sw := range []*ShardWindow{a, b} {
-			if ok, err := sw.EvictByID(id, owns, nil); !ok || err != nil {
-				t.Fatalf("evict %d: ok=%v err=%v", id, ok, err)
-			}
+			applyOp(t, sw, time.Unix(0, 0), ShardOp{Kind: OpEvict, ID: id})
 		}
 	}
 	da, na := a.Digest()

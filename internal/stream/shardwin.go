@@ -25,10 +25,12 @@ import (
 // data needs to be replicated. Every operation that would touch a foreign
 // cell is split: cells this shard owns (per the caller-supplied ownership
 // predicate) are processed against the local index exactly as Window
-// does, and the remaining cells are handed to a SupportFunc, which the
-// serving layer implements as codec-framed /v1/support calls to the
-// owning shards — or, on the router's coalesced path, are settled by the
-// router and arrive as part of an ordered op list (ApplyOps).
+// does, and the remaining cells are the router's to settle — an
+// admission's foreign neighbor count arrives with it, and what an
+// admission or eviction elsewhere owes this shard's residents arrives as
+// a ±1 step of the same ordered op list. ApplyOps is the one entry that
+// admits, evicts or applies a delta, on a primary and on a standby
+// replaying its primary's log alike.
 //
 // Unlike Window, a ShardWindow has no capacity or TTL of its own:
 // eviction order is a property of the GLOBAL window, so the router tracks
@@ -53,10 +55,7 @@ type ShardWindow struct {
 // OpRecorder observes every successful window mutation for replication.
 // Calls arrive with the window mutex held, so the recorded order IS the
 // mutation order — replaying the records in sequence rebuilds the window
-// bit for bit. RecordSupport additionally mirrors the local half of a
-// mutation whose cross-shard phase failed after local deltas were applied
-// (Admit and EvictByID deliberately leak those deltas; the standby must
-// leak them identically).
+// bit for bit.
 type OpRecorder interface {
 	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int)
 	RecordEvict(id uint64)
@@ -80,15 +79,6 @@ type ShardConfig struct {
 	Shards int // index lock stripes, not serving shards
 	Obs    *obs.Registry
 }
-
-// SupportFunc resolves the foreign part of one neighborhood operation: it
-// must deliver (point, cells, delta, limit) to the shards owning those
-// cells and return the total neighbor count they report. Implementations
-// retry internally — a returned error is terminal for the operation.
-// Delta +1/-1 must be applied exactly once per call (the serving layer
-// uses request-ID idempotency to keep retries safe); delta 0 with
-// limit > 0 is a read-only count capped at limit.
-type SupportFunc func(p geom.Point, cells [][]int64, delta, limit int) (int, error)
 
 // OwnsFunc reports whether this shard owns a grid cell under the current
 // topology. The cell slice is only valid during the call.
@@ -131,22 +121,20 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 // Config returns the shard window configuration.
 func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
 
-// splitCells partitions p's neighborhood cells into owned and foreign,
-// copying coordinates (the enumeration reuses its scratch slice) into one
-// shared backing array.
-func (sw *ShardWindow) splitCells(p geom.Point, owns OwnsFunc) (local, remote [][]int64) {
+// ownedCells lists the cells of p's neighborhood this shard owns, copying
+// coordinates (the enumeration reuses its scratch slice) into one shared
+// backing array.
+func (sw *ShardWindow) ownedCells(p geom.Point, owns OwnsFunc) (local [][]int64) {
 	var flat []int64
 	sw.ix.NeighborhoodCells(p, func(cell []int64) {
+		if owns != nil && !owns(cell) {
+			return
+		}
 		n := len(flat)
 		flat = append(flat, cell...)
-		c := flat[n:len(flat):len(flat)]
-		if owns == nil || owns(c) {
-			local = append(local, c)
-		} else {
-			remote = append(remote, c)
-		}
+		local = append(local, flat[n:len(flat):len(flat)])
 	})
-	return local, remote
+	return local
 }
 
 // applyLocalDelta visits p's neighbors in the given owned cells, adjusting
@@ -185,54 +173,30 @@ func (sw *ShardWindow) bump(e *entry, delta int) {
 	}
 }
 
-// Admit ingests p as the global window's seq-th point. The router has
-// already evicted whatever the global capacity/TTL required, so Admit only
-// counts neighbors (local cells directly, foreign cells through support
-// with delta +1) and files the entry. The returned Verdict carries the
-// router-assigned global sequence number.
-func (sw *ShardWindow) Admit(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, support SupportFunc) (Verdict, error) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.admitLocked(p, seq, now, owns, support)
-}
-
-// admitLocked is Admit under sw.mu.
-func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, support SupportFunc) (Verdict, error) {
+// admitLocked files p, which this shard owns, as the global window's seq-th
+// point. The router has already evicted whatever the global capacity/TTL
+// required and settled foreign, p's neighbor count on other shards at this
+// instant, so admission only counts the neighbors in owned cells (each
+// gains one) and files the entry. The returned Verdict carries the
+// router-assigned global sequence number. Callers hold sw.mu.
+func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, foreign int) (Verdict, error) {
 	if p.Dim() != sw.cfg.Dim {
 		return Verdict{}, &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: sw.cfg.Dim}
 	}
 	if _, dup := sw.entries[p.ID]; dup {
 		return Verdict{}, &errs.DuplicateIDError{ID: p.ID}
 	}
-	local, remote := sw.splitCells(p, owns)
-	n, err := sw.applyLocalDelta(p, local, +1)
+	// Past the dimension check neither index call below can fail, so a
+	// refused admission leaves the window untouched.
+	n, err := sw.applyLocalDelta(p, sw.ownedCells(p, owns), +1)
 	if err != nil {
 		return Verdict{}, err
 	}
-	// From here on the local +1 deltas are in the window. If the operation
-	// fails midway (support or index error) they deliberately stay — and the
-	// standby must mirror the leak, so the failure paths record the local
-	// half as a bare support delta.
-	leakLocal := func() {
-		if sw.rec != nil && len(local) > 0 {
-			sw.rec.RecordSupport(p, local, +1)
-		}
-	}
-	foreign := 0
-	if len(remote) > 0 && support != nil {
-		rn, err := support(p, remote, +1, 0)
-		if err != nil {
-			leakLocal()
-			return Verdict{}, err
-		}
-		foreign = rn
-		n += rn
-	}
+	n += foreign
 	// One clone serves both the index and the entry: neither mutates
 	// coordinates, and Export clones again before anything leaves the lock.
 	pc := p.Clone()
 	if err := sw.ix.Insert(pc); err != nil {
-		leakLocal()
 		return Verdict{}, err
 	}
 	sw.ingested++
@@ -281,12 +245,10 @@ type ShardOp struct {
 
 // ApplyOps applies this shard's share of a router segment: every admission
 // and eviction of the segment that touches a cell this shard owns, in the
-// global window's order, under one lock and with no support call. Each op
-// is the same mutation the per-point protocol performs (Admit with the
-// foreign count in hand, EvictByID without fan-out, ApplySupport), records
-// the same replication op, and bumps counts with the same flip rules; since
-// every shard sees every operation on its cells in the one global order,
-// each resident's count walks through exactly the values it takes in a
+// global window's order, under one lock and calling no one. Each op records
+// one replication op and bumps counts with Window's flip rules; since every
+// shard sees every operation on its cells in the one global order, each
+// resident's count walks through exactly the values it takes in a
 // single-process Window, and so do the flip totals. Verdicts and errors are
 // index-aligned with ops (a Verdict only for OpAdmit); a failed op leaves
 // its error, changes nothing, and the run continues — as an OpEvict does
@@ -300,16 +262,11 @@ func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]
 		op := &ops[i]
 		switch op.Kind {
 		case OpAdmit:
-			verdicts[i], errsOut[i] = sw.admitLocked(op.Point, op.Seq, now, owns,
-				func(geom.Point, [][]int64, int, int) (int, error) { return op.Foreign, nil })
+			verdicts[i], errsOut[i] = sw.admitLocked(op.Point, op.Seq, now, owns, op.Foreign)
 		case OpEvict:
-			if ok, err := sw.evictLocked(op.ID, owns, nil); err != nil {
-				errsOut[i] = err
-			} else if !ok {
-				errsOut[i] = fmt.Errorf("evict %d: not resident on this shard", op.ID)
-			}
+			errsOut[i] = sw.evictLocked(op.ID, owns)
 		case OpSupport:
-			_, errsOut[i] = sw.supportLocked(op.Point, op.Cells, op.Delta)
+			errsOut[i] = sw.supportLocked(op.Point, op.Cells, op.Delta)
 		default:
 			errsOut[i] = fmt.Errorf("unknown shard op kind %d", op.Kind)
 		}
@@ -317,33 +274,17 @@ func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]
 	return verdicts, errsOut
 }
 
-// EvictByID expires the resident point with the given ID: its local
-// neighbors each lose a count (with inlier→outlier flips), foreign
-// neighbors lose theirs through support with delta -1, and the point
-// leaves the index. It reports whether the ID was resident.
-func (sw *ShardWindow) EvictByID(id uint64, owns OwnsFunc, support SupportFunc) (bool, error) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.evictLocked(id, owns, support)
-}
-
-// evictLocked is EvictByID under sw.mu.
-func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc, support SupportFunc) (bool, error) {
+// evictLocked expires the resident with the given ID: its neighbors in
+// owned cells each lose a count (with inlier→outlier flips) and the point
+// leaves the index. Neighbors on other shards lose theirs through the
+// OpSupport the router files with their owners. Callers hold sw.mu.
+func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc) error {
 	victim := sw.entries[id]
 	if victim == nil {
-		return false, nil
+		return fmt.Errorf("evict %d: not resident on this shard", id)
 	}
-	local, remote := sw.splitCells(victim.pt, owns)
-	if _, err := sw.applyLocalDelta(victim.pt, local, -1); err != nil {
-		return false, err
-	}
-	if len(remote) > 0 && support != nil {
-		if _, err := support(victim.pt, remote, -1, 0); err != nil {
-			if sw.rec != nil && len(local) > 0 {
-				sw.rec.RecordSupport(victim.pt, local, -1) // mirror the leaked local deltas
-			}
-			return false, err
-		}
+	if _, err := sw.applyLocalDelta(victim.pt, sw.ownedCells(victim.pt, owns), -1); err != nil {
+		return err
 	}
 	sw.ix.Remove(victim.pt)
 	delete(sw.entries, id)
@@ -357,31 +298,29 @@ func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc, support SupportFunc
 	if sw.rec != nil {
 		sw.rec.RecordEvict(id)
 	}
-	return true, nil
+	return nil
 }
 
-// ApplySupport serves one boundary-support request from a peer shard (or a
-// read-only probe from the router): count p's neighbors among the given
-// cells — all of which this shard should own — applying delta to each
-// matched resident's count with the usual flip rules. Delta 0 is read-only;
-// with limit > 0 it early-terminates the count at limit (scoring semantics,
-// matching Window.ScorePoint's NeighborCount cap).
-func (sw *ShardWindow) ApplySupport(p geom.Point, cells [][]int64, delta, limit int) (int, error) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if delta == 0 {
-		return sw.ix.NeighborsInCells(p, cells, limit, nil)
-	}
-	return sw.supportLocked(p, cells, delta)
-}
-
-// supportLocked applies and records one non-zero support delta under sw.mu.
-func (sw *ShardWindow) supportLocked(p geom.Point, cells [][]int64, delta int) (int, error) {
-	n, err := sw.applyLocalDelta(p, cells, delta)
+// supportLocked applies and records one ±1 support delta: p was admitted
+// to or evicted from another shard, and this shard's residents that
+// neighbor it in cells gain or lose one. Callers hold sw.mu.
+func (sw *ShardWindow) supportLocked(p geom.Point, cells [][]int64, delta int) error {
+	_, err := sw.applyLocalDelta(p, cells, delta)
 	if err == nil && sw.rec != nil {
 		sw.rec.RecordSupport(p, cells, delta)
 	}
-	return n, err
+	return err
+}
+
+// ApplySupport answers one read-only boundary-support probe (Lemma 3.1):
+// p's neighbor count among the given cells — all of which this shard should
+// own — early-terminated at limit when limit > 0 (scoring semantics,
+// matching Window.ScorePoint's NeighborCount cap). It changes nothing; the
+// ±1 deltas a mutation owes this shard arrive through ApplyOps.
+func (sw *ShardWindow) ApplySupport(p geom.Point, cells [][]int64, limit int) (int, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.ix.NeighborsInCells(p, cells, limit, nil)
 }
 
 // CoordsOf returns a copy of each listed resident's coordinates, in order —

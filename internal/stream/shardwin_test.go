@@ -11,9 +11,10 @@ import (
 )
 
 // shardHarness wires N ShardWindows together in-process: ownership is a
-// deterministic hash of the cell block, and support calls go straight to
-// the owning shard's ApplySupport — the protocol the HTTP tier implements
-// over the wire, minus the wire.
+// deterministic hash of the cell block, and the harness plays the router —
+// it keeps the global FIFO and turns each segment into one ordered op list
+// per shard. The protocol the HTTP tier implements over the wire, minus the
+// wire.
 type shardHarness struct {
 	t      *testing.T
 	shards map[string]*ShardWindow
@@ -74,66 +75,31 @@ func (h *shardHarness) ownsFor(name string) OwnsFunc {
 	return func(cell []int64) bool { return h.owner(cell) == name }
 }
 
-// support groups foreign cells by owner and applies them directly.
-func (h *shardHarness) support(p geom.Point, cells [][]int64, delta, limit int) (int, error) {
+// score counts q's neighbors across every shard, capped at limit — the
+// router's read-only support fan-out.
+func (h *shardHarness) score(q geom.Point, limit int) int {
 	byOwner := map[string][][]int64{}
-	for _, c := range cells {
+	h.shards[h.names[0]].ix.NeighborhoodCells(q, func(c []int64) {
 		o := h.owner(c)
-		byOwner[o] = append(byOwner[o], c)
-	}
+		byOwner[o] = append(byOwner[o], append([]int64(nil), c...))
+	})
 	total := 0
 	for o, cs := range byOwner {
-		n, err := h.shards[o].ApplySupport(p, cs, delta, limit)
+		n, err := h.shards[o].ApplySupport(q, cs, limit)
 		if err != nil {
-			return 0, err
+			h.t.Fatal(err)
 		}
 		total += n
 	}
-	if limit > 0 && total > limit {
+	if total > limit {
 		total = limit
 	}
-	return total, nil
+	return total
 }
 
-// process mimics the router's serialized ingest: capacity evictions first
-// (global FIFO order), then route-by-cell and admit.
-func (h *shardHarness) process(p geom.Point, capacity int, now time.Time) (Verdict, error) {
-	evictions := 0
-	for capacity > 0 && len(h.fifo)-h.head >= capacity {
-		id := h.fifo[h.head]
-		h.head++
-		owner := h.owner(h.cells[id])
-		ok, err := h.shards[owner].EvictByID(id, h.ownsFor(owner), h.support)
-		if err != nil {
-			return Verdict{}, err
-		}
-		if !ok {
-			h.t.Fatalf("evict %d: not resident on %s", id, owner)
-		}
-		delete(h.cells, id)
-		delete(h.coords, id)
-		h.evicted++
-		evictions++
-	}
-	anyShard := h.shards[h.names[0]]
-	cell := anyShard.ix.CellCoords(p)
-	owner := h.owner(cell)
-	h.seq++
-	v, err := h.shards[owner].Admit(p, h.seq, now, h.ownsFor(owner), h.support)
-	if err != nil {
-		h.seq--
-		return Verdict{}, err
-	}
-	h.fifo = append(h.fifo, p.ID)
-	h.cells[p.ID] = append([]int64(nil), cell...)
-	h.coords[p.ID] = p
-	v.Evicted = evictions
-	return v, nil
-}
-
-// processSegment mimics the router's coalesced ingest: the capacity
-// evictions due before each point and the point's admission become one
-// ordered op list per shard — own admit (its foreign count settled here by
+// processSegment mimics the router's ingest: the capacity evictions due
+// before each point and the point's admission become one ordered op list
+// per shard — own admit (its foreign count settled here by
 // brute force over the live set), own evict, and the ±1 either owes the
 // residents of every other shard — and each list is applied with one
 // ApplyOps call, in no particular shard order.
@@ -248,10 +214,7 @@ func TestShardWindowMatchesWindow(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := h.process(p, capacity, now)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := h.processSegment([]geom.Point{p}, capacity, now)[0]
 					if got != want {
 						t.Fatalf("point %d: sharded verdict %+v != reference %+v", p.ID, got, want)
 					}
@@ -264,15 +227,7 @@ func TestShardWindowMatchesWindow(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						cellProbe := h.shards[h.names[0]].ix
-						var cells [][]int64
-						cellProbe.NeighborhoodCells(q, func(c []int64) {
-							cells = append(cells, append([]int64(nil), c...))
-						})
-						gotN, err := h.support(q, cells, 0, k)
-						if err != nil {
-							t.Fatal(err)
-						}
+						gotN := h.score(q, k)
 						if gotN != wantSc.Neighbors || (gotN < k) != wantSc.Outlier {
 							t.Fatalf("score %d: sharded %d != reference %+v", q.ID, gotN, wantSc)
 						}
@@ -404,10 +359,7 @@ func TestShardWindowHandoff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := h.process(p, capacity, now)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := h.processSegment([]geom.Point{p}, capacity, now)[0]
 			if got != want {
 				t.Fatalf("point %d: %+v != %+v", p.ID, got, want)
 			}
