@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"encoding/json"
 )
 
 // Frames are the envelope of the distributed runtime's task and result
@@ -79,6 +80,50 @@ func StripSumFrame(body []byte) ([]byte, error) {
 		off += n
 	}
 	return nil, corrupt("codec: message lacks integrity frame")
+}
+
+// FrameHeader is the kind of the JSON control-header frame of a sealed
+// shard-tier body (router wire protocol, replication hop).
+const FrameHeader byte = 1
+
+// AppendHeaderFrame appends a FrameHeader frame carrying v as JSON.
+func AppendHeaderFrame(dst []byte, v any) []byte {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		// All header types marshal; a failure is a programming error.
+		panic("codec: marshal header frame: " + err.Error())
+	}
+	return AppendFrame(dst, FrameHeader, payload)
+}
+
+// DecodeSealed checks and strips body's integrity frame, unmarshals its
+// FrameHeader frame into hdr — a body without one is malformed — and hands
+// every other frame to fn in body order. Payloads alias body.
+func DecodeSealed(body []byte, hdr any, fn func(kind byte, payload []byte) error) error {
+	data, err := StripSumFrame(body)
+	if err != nil {
+		return err
+	}
+	sawHeader := false
+	for off := 0; off < len(data); {
+		kind, payload, n, err := DecodeFrame(data[off:])
+		if err != nil {
+			return err
+		}
+		off += n
+		if kind == FrameHeader {
+			if err := json.Unmarshal(payload, hdr); err != nil {
+				return corrupt("codec: bad header frame: %v", err)
+			}
+			sawHeader = true
+		} else if err := fn(kind, payload); err != nil {
+			return err
+		}
+	}
+	if !sawHeader {
+		return corrupt("codec: body lacks header frame")
+	}
+	return nil
 }
 
 // AppendFrame appends a (kind, length, payload) frame to dst.

@@ -42,39 +42,14 @@ func NewGrid(domain Rect, dims []int) *Grid {
 	return &Grid{Domain: domain.Clone(), Dims: clamped, width: width, total: total}
 }
 
-// NewGridByWidth builds a grid that tiles the domain exactly with equal
-// cells at most `width` wide in every dimension: unless the extent is a
-// multiple of `width`, the cells come out NARROWER than asked. A caller
-// that scans a fixed ring of cells must therefore derive its radius from
-// CellWidth, not from the nominal width — as internal/loci, the one
-// remaining caller, does; callers that need the nominal width to hold use
-// NewGridExactWidth.
-func NewGridByWidth(domain Rect, width float64) *Grid {
-	if width <= 0 {
-		panic("geom: NewGridByWidth requires width > 0")
-	}
-	dims := make([]int, domain.Dim())
-	for i := range dims {
-		extent := domain.Max[i] - domain.Min[i]
-		n := int(extent / width)
-		if float64(n)*width < extent {
-			n++
-		}
-		if n < 1 {
-			n = 1
-		}
-		dims[i] = n
-	}
-	return NewGrid(domain, dims)
-}
-
 // NewGridExactWidth builds a grid anchored at domain.Min whose cells are
 // exactly `width` wide in every dimension, with as many cells per dimension
 // as it takes to hold domain.Max inside the last one — so the grid may
-// overshoot domain.Max by up to a cell. NewGridByWidth instead shrinks the
-// width until the cells tile the domain, which breaks any caller that
-// derives a cell-ring radius from the nominal width: with narrower cells a
-// point at distance ≈ r sits one ring further out than ⌈r/width⌉ reaches.
+// overshoot domain.Max by up to a cell. It is the package's one width-based
+// constructor, and its cells are never narrower than asked: shrinking the
+// width until the cells tile the domain would break any caller that derives
+// a cell-ring radius from the nominal width — with narrower cells a point at
+// distance ≈ r sits one ring further out than ⌈r/width⌉ reaches.
 func NewGridExactWidth(domain Rect, width float64) *Grid {
 	if width <= 0 {
 		panic("geom: NewGridExactWidth requires width > 0")

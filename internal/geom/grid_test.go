@@ -69,28 +69,6 @@ func TestGridCellRectsTileDomain(t *testing.T) {
 	}
 }
 
-func TestNewGridByWidth(t *testing.T) {
-	g := NewGridByWidth(r2(0, 0, 10, 4), 3)
-	if g.Dims[0] != 4 || g.Dims[1] != 2 {
-		t.Fatalf("dims = %v, want [4 2]", g.Dims)
-	}
-	// exact division should not add an extra cell
-	g2 := NewGridByWidth(r2(0, 0, 9, 9), 3)
-	if g2.Dims[0] != 3 || g2.Dims[1] != 3 {
-		t.Fatalf("dims = %v, want [3 3]", g2.Dims)
-	}
-}
-
-func TestNewGridByWidthDegenerateDomain(t *testing.T) {
-	g := NewGridByWidth(r2(5, 0, 5, 10), 2) // zero extent in x
-	if g.Dims[0] != 1 {
-		t.Fatalf("zero-extent dimension should get 1 cell, got %d", g.Dims[0])
-	}
-	if got := g.CellCoords(pt(5, 3))[0]; got != 0 {
-		t.Fatalf("point in degenerate dim should map to cell 0, got %d", got)
-	}
-}
-
 func TestGridNeighborhood(t *testing.T) {
 	g := NewGrid(r2(0, 0, 10, 10), []int{10, 10})
 	count := func(idx []int, radius int) int {

@@ -82,7 +82,7 @@ func newIndex(points []geom.Point, cellWidth float64) *index {
 	// points share a cell, so a len(points) hint overallocates buckets.
 	hint := len(points)/8 + 1
 	ix := &index{
-		grid:   geom.NewGridByWidth(geom.Bounds(points), cellWidth),
+		grid:   newGridByWidth(geom.Bounds(points), cellWidth),
 		cells:  make(map[int][]int, hint),
 		points: points,
 	}
@@ -91,6 +91,30 @@ func newIndex(points []geom.Point, cellWidth float64) *index {
 		ix.cells[ord] = append(ix.cells[ord], i)
 	}
 	return ix
+}
+
+// newGridByWidth builds a grid that tiles the domain exactly with equal
+// cells at most `width` wide in every dimension: unless the extent is a
+// multiple of `width`, the cells come out NARROWER than asked. That is safe
+// only because within derives its ring radius from the grid's actual
+// CellWidth, never from the nominal width.
+func newGridByWidth(domain geom.Rect, width float64) *geom.Grid {
+	if width <= 0 {
+		panic("loci: newGridByWidth requires width > 0")
+	}
+	dims := make([]int, domain.Dim())
+	for i := range dims {
+		extent := domain.Max[i] - domain.Min[i]
+		n := int(extent / width)
+		if float64(n)*width < extent {
+			n++
+		}
+		if n < 1 {
+			n = 1
+		}
+		dims[i] = n
+	}
+	return geom.NewGrid(domain, dims)
 }
 
 // within calls fn for every point index within dist of p.

@@ -181,3 +181,29 @@ func TestDistributedValidation(t *testing.T) {
 		t.Error("bad params accepted")
 	}
 }
+
+func r2(x1, y1, x2, y2 float64) geom.Rect {
+	return geom.NewRect([]float64{x1, y1}, []float64{x2, y2})
+}
+
+func TestNewGridByWidth(t *testing.T) {
+	g := newGridByWidth(r2(0, 0, 10, 4), 3)
+	if g.Dims[0] != 4 || g.Dims[1] != 2 {
+		t.Fatalf("dims = %v, want [4 2]", g.Dims)
+	}
+	// exact division should not add an extra cell
+	g2 := newGridByWidth(r2(0, 0, 9, 9), 3)
+	if g2.Dims[0] != 3 || g2.Dims[1] != 3 {
+		t.Fatalf("dims = %v, want [3 3]", g2.Dims)
+	}
+}
+
+func TestNewGridByWidthDegenerateDomain(t *testing.T) {
+	g := newGridByWidth(r2(5, 0, 5, 10), 2) // zero extent in x
+	if g.Dims[0] != 1 {
+		t.Fatalf("zero-extent dimension should get 1 cell, got %d", g.Dims[0])
+	}
+	if got := g.CellCoords(geom.Point{Coords: []float64{5, 3}})[0]; got != 0 {
+		t.Fatalf("point in degenerate dim should map to cell 0, got %d", got)
+	}
+}

@@ -1,7 +1,8 @@
 package replica
 
 import (
-	"dod/internal/geom"
+	"time"
+
 	"dod/internal/obs"
 	"dod/internal/stream"
 )
@@ -32,19 +33,9 @@ func (r *Recorder) append(op *Op) {
 	}
 }
 
-// RecordAdmit logs one successful admission.
-func (r *Recorder) RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int) {
-	r.append(&Op{Kind: KindAdmit, Point: p, PointSeq: seq, ArrivedNs: arrivedNs, Foreign: foreign})
-}
-
-// RecordEvict logs one successful eviction.
-func (r *Recorder) RecordEvict(id uint64) {
-	r.append(&Op{Kind: KindEvict, ID: id})
-}
-
-// RecordSupport logs one applied neighbor-count delta.
-func (r *Recorder) RecordSupport(p geom.Point, cells [][]int64, delta int) {
-	r.append(&Op{Kind: KindSupport, Point: p, Cells: cells, Delta: delta})
+// RecordOp logs one successfully applied segment step.
+func (r *Recorder) RecordOp(op *stream.ShardOp, now time.Time) {
+	r.append(&Op{Kind: KindWindow, ShardOp: *op, ArrivedNs: now.UnixNano()})
 }
 
 // RecordImport logs one successful entry import.

@@ -17,16 +17,19 @@ import (
 // collection fields and negative varint-encoded values.
 func sampleOps() []*Op {
 	return []*Op{
-		{Kind: KindAdmit, Seq: 1,
-			Point:    geom.Point{ID: 7, Coords: []float64{1.5, -2.25}},
-			PointSeq: 42, ArrivedNs: -1234567890, Foreign: 3},
-		{Kind: KindEvict, Seq: 2, ID: 99},
-		{Kind: KindSupport, Seq: 3, Delta: -1,
+		{Kind: KindWindow, Seq: 1, ArrivedNs: -1234567890, ShardOp: stream.ShardOp{
+			Kind:  stream.OpAdmit,
+			Point: geom.Point{ID: 7, Coords: []float64{1.5, -2.25}},
+			Seq:   42, Foreign: 3}},
+		{Kind: KindWindow, Seq: 2, ArrivedNs: 5, ShardOp: stream.ShardOp{Kind: stream.OpEvict, ID: 99}},
+		{Kind: KindWindow, Seq: 3, ShardOp: stream.ShardOp{
+			Kind: stream.OpSupport, Delta: -1,
 			Point: geom.Point{ID: 8, Coords: []float64{0, 0.5}},
-			Cells: [][]int64{{-1, 2}, {3, -4}, {0, 0}}},
-		{Kind: KindSupport, Seq: 4, Delta: 1,
+			Cells: [][]int64{{-1, 2}, {3, -4}, {0, 0}}}},
+		{Kind: KindWindow, Seq: 4, ShardOp: stream.ShardOp{
+			Kind: stream.OpSupport, Delta: 1,
 			Point: geom.Point{ID: 9, Coords: []float64{9, 9}},
-			Cells: [][]int64{}},
+			Cells: [][]int64{}}},
 		{Kind: KindImport, Seq: 5, Entries: []stream.ExportedEntry{
 			{Point: geom.Point{ID: 1, Coords: []float64{1, 1}}, Seq: 10,
 				Arrived: time.Unix(0, 111), Count: 4, Outlier: false},
@@ -39,12 +42,17 @@ func sampleOps() []*Op {
 	}
 }
 
+// evictOp is the smallest window op: evict id, at log position seq.
+func evictOp(seq, id uint64) *Op {
+	return &Op{Kind: KindWindow, Seq: seq, ShardOp: stream.ShardOp{Kind: stream.OpEvict, ID: id}}
+}
+
 // normalizeOp maps nil and empty slices to a canonical form so DeepEqual
 // compares semantics, not allocation accidents.
 func normalizeOp(op *Op) *Op {
 	c := *op
-	if len(c.Cells) == 0 {
-		c.Cells = nil
+	if len(c.ShardOp.Cells) == 0 {
+		c.ShardOp.Cells = nil
 	}
 	if len(c.Entries) == 0 {
 		c.Entries = nil
@@ -72,8 +80,11 @@ func TestDecodeOpRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          nil,
 		"unknown kind":   {0xEE, 0x01},
-		"truncated seq":  {byte(KindEvict)},
-		"truncated body": {byte(KindAdmit), 0x01},
+		"truncated seq":  {byte(KindWindow)},
+		"truncated body": {byte(KindWindow), 0x01},
+		"truncated op":   {byte(KindWindow), 0x01, 0x02, byte(stream.OpAdmit)},
+		"no window op":   {byte(KindWindow), 0x01, 0x02},
+		"unknown op":     {byte(KindWindow), 0x01, 0x02, 0xEE},
 	}
 	for name, buf := range cases {
 		if _, err := DecodeOp(buf); err == nil {
@@ -120,7 +131,7 @@ func TestApplyWireRoundTrip(t *testing.T) {
 
 func TestApplyWireRejectsCorruption(t *testing.T) {
 	body := EncodeApply(ApplyHeader{From: "s1", Count: 1, Head: 1},
-		[][]byte{encodeOp(nil, &Op{Kind: KindEvict, Seq: 1, ID: 5})})
+		[][]byte{encodeOp(nil, evictOp(1, 5))})
 	for i := range body {
 		mangled := append([]byte(nil), body...)
 		mangled[i] ^= 0x40
@@ -133,7 +144,7 @@ func TestApplyWireRejectsCorruption(t *testing.T) {
 	// A count mismatch between header and frames is rejected even when the
 	// checksum is intact (a buggy sender, not a corrupt wire).
 	lying := EncodeApply(ApplyHeader{From: "s1", Count: 3, Head: 1},
-		[][]byte{encodeOp(nil, &Op{Kind: KindEvict, Seq: 1, ID: 5})})
+		[][]byte{encodeOp(nil, evictOp(1, 5))})
 	if _, _, err := DecodeApply(lying); err == nil {
 		t.Fatal("count mismatch accepted")
 	}
@@ -189,7 +200,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 func TestLogAppendWindowAck(t *testing.T) {
 	l := NewLog(nil)
 	for i := 1; i <= 5; i++ {
-		op := &Op{Kind: KindEvict, ID: uint64(i)}
+		op := evictOp(0, uint64(i))
 		if seq := l.Append(op); seq != uint64(i) || op.Seq != uint64(i) {
 			t.Fatalf("append %d: assigned seq %d (op.Seq %d)", i, seq, op.Seq)
 		}
@@ -203,7 +214,7 @@ func TestLogAppendWindowAck(t *testing.T) {
 	if !ok || head != 5 || len(ops) != 5 {
 		t.Fatalf("Window(1): ok=%v head=%d len=%d", ok, head, len(ops))
 	}
-	if got, err := DecodeOp(ops[2]); err != nil || got.Seq != 3 || got.ID != 3 {
+	if got, err := DecodeOp(ops[2]); err != nil || got.Seq != 3 || got.ShardOp.ID != 3 {
 		t.Fatalf("ops[2] = %+v err=%v, want seq 3 id 3", got, err)
 	}
 
@@ -250,15 +261,15 @@ func TestLogNotify(t *testing.T) {
 		t.Fatal("fresh log has a pending nudge")
 	default:
 	}
-	l.Append(&Op{Kind: KindEvict, ID: 1})
+	l.Append(evictOp(0, 1))
 	select {
 	case <-l.Notify():
 	default:
 		t.Fatal("append did not nudge")
 	}
 	// The nudge channel never blocks appends.
-	l.Append(&Op{Kind: KindEvict, ID: 2})
-	l.Append(&Op{Kind: KindEvict, ID: 3})
+	l.Append(evictOp(0, 2))
+	l.Append(evictOp(0, 3))
 	if l.Head() != 3 {
 		t.Fatalf("head=%d, want 3", l.Head())
 	}

@@ -18,11 +18,11 @@ const (
 	PathDigest   = "/v1/shard/digest"
 )
 
-// Replication frame kinds (bodies are sealed with codec.FrameSum).
+// Replication frame kinds, after the codec.FrameHeader control header
+// (bodies are sealed with codec.FrameSum).
 const (
-	frameHeader byte = 1 // JSON control header
-	frameOp     byte = 2 // one encoded op
-	frameEntry  byte = 3 // one snapshot window entry
+	frameOp    byte = 2 // one encoded op
+	frameEntry byte = 3 // one snapshot window entry (stream.AppendEntry)
 )
 
 // ApplyHeader is the control header of an op-shipment body.
@@ -55,11 +55,7 @@ type ApplyResponse struct {
 
 // EncodeApply builds a sealed op-shipment body from pre-encoded ops.
 func EncodeApply(hdr ApplyHeader, ops [][]byte) []byte {
-	payload, err := json.Marshal(hdr)
-	if err != nil {
-		panic("replica: marshal apply header: " + err.Error())
-	}
-	body := codec.AppendFrame(nil, frameHeader, payload)
+	body := codec.AppendHeaderFrame(nil, hdr)
 	for _, op := range ops {
 		body = codec.AppendFrame(body, frameOp, op)
 	}
@@ -69,37 +65,17 @@ func EncodeApply(hdr ApplyHeader, ops [][]byte) []byte {
 // DecodeApply parses a sealed op-shipment body.
 func DecodeApply(body []byte) (ApplyHeader, []*Op, error) {
 	var hdr ApplyHeader
-	data, err := codec.StripSumFrame(body)
+	var ops []*Op
+	err := codec.DecodeSealed(body, &hdr, func(kind byte, payload []byte) error {
+		if kind != frameOp {
+			return codec.WireErrorf("replica: unknown apply frame kind %d", kind)
+		}
+		op, err := DecodeOp(payload)
+		ops = append(ops, op)
+		return err
+	})
 	if err != nil {
 		return hdr, nil, err
-	}
-	var ops []*Op
-	sawHeader := false
-	off := 0
-	for off < len(data) {
-		kind, payload, n, err := codec.DecodeFrame(data[off:])
-		if err != nil {
-			return hdr, nil, err
-		}
-		off += n
-		switch kind {
-		case frameHeader:
-			if err := json.Unmarshal(payload, &hdr); err != nil {
-				return hdr, nil, codec.WireErrorf("replica: bad apply header: %v", err)
-			}
-			sawHeader = true
-		case frameOp:
-			op, err := DecodeOp(payload)
-			if err != nil {
-				return hdr, nil, err
-			}
-			ops = append(ops, op)
-		default:
-			return hdr, nil, codec.WireErrorf("replica: unknown apply frame kind %d", kind)
-		}
-	}
-	if !sawHeader {
-		return hdr, nil, codec.WireErrorf("replica: apply body lacks header frame")
 	}
 	if len(ops) != hdr.Count {
 		return hdr, nil, codec.WireErrorf("replica: apply op count %d != header %d", len(ops), hdr.Count)
@@ -132,53 +108,31 @@ type SnapshotResponse struct {
 
 // EncodeSnapshot builds a sealed bootstrap body.
 func EncodeSnapshot(s *Snapshot) []byte {
-	payload, err := json.Marshal(snapshotHeader{
+	body := codec.AppendHeaderFrame(nil, snapshotHeader{
 		From: s.From, Seq: s.Seq, Count: len(s.Entries), Topology: s.Topology,
 	})
-	if err != nil {
-		panic("replica: marshal snapshot header: " + err.Error())
-	}
-	body := codec.AppendFrame(nil, frameHeader, payload)
+	var payload []byte
 	for _, e := range s.Entries {
-		body = codec.AppendFrame(body, frameEntry, appendEntry(nil, e))
+		payload = stream.AppendEntry(payload[:0], e)
+		body = codec.AppendFrame(body, frameEntry, payload)
 	}
 	return codec.AppendSumFrame(body)
 }
 
 // DecodeSnapshot parses a sealed bootstrap body.
 func DecodeSnapshot(body []byte) (*Snapshot, error) {
-	data, err := codec.StripSumFrame(body)
+	var hdr snapshotHeader
+	s := &Snapshot{}
+	err := codec.DecodeSealed(body, &hdr, func(kind byte, payload []byte) error {
+		if kind != frameEntry {
+			return codec.WireErrorf("replica: unknown snapshot frame kind %d", kind)
+		}
+		e, _, err := stream.DecodeEntry(payload)
+		s.Entries = append(s.Entries, e)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	var hdr snapshotHeader
-	sawHeader := false
-	s := &Snapshot{}
-	off := 0
-	for off < len(data) {
-		kind, payload, n, err := codec.DecodeFrame(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		switch kind {
-		case frameHeader:
-			if err := json.Unmarshal(payload, &hdr); err != nil {
-				return nil, codec.WireErrorf("replica: bad snapshot header: %v", err)
-			}
-			sawHeader = true
-		case frameEntry:
-			e, _, err := decodeEntry(payload)
-			if err != nil {
-				return nil, err
-			}
-			s.Entries = append(s.Entries, e)
-		default:
-			return nil, codec.WireErrorf("replica: unknown snapshot frame kind %d", kind)
-		}
-	}
-	if !sawHeader {
-		return nil, codec.WireErrorf("replica: snapshot body lacks header frame")
 	}
 	if len(s.Entries) != hdr.Count {
 		return nil, codec.WireErrorf("replica: snapshot entry count %d != header %d", len(s.Entries), hdr.Count)

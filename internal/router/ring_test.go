@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"dod/internal/geom"
 	"dod/internal/index"
@@ -169,24 +170,21 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("support round-trip mismatch: %+v %+v", shdr, gotProbes)
 	}
 
-	entries := []Entry{
-		{Point: p, Seq: 3, ArrivedNs: -12, Count: 9, Outlier: true},
-		{Point: geom.Point{ID: 1, Coords: []float64{0, 0}}, Seq: 4, Count: 0, Outlier: false},
+	// Entries travel as the window's own type, victims (outliers with zero
+	// neighbors) and negative arrival instants included.
+	entries := []stream.ExportedEntry{
+		{Point: p, Seq: 3, Arrived: time.Unix(0, -12), Count: 9, Outlier: true},
+		{Point: geom.Point{ID: 1, Coords: []float64{0, 0}}, Seq: 4, Arrived: time.Unix(0, 0), Count: 0, Outlier: false},
 	}
-	eb := EncodeEntries(entries)
-	got, err := DecodeEntries(eb)
+	got, err := DecodeEntries(EncodeEntries(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(entries) {
-		t.Fatalf("entries round-trip: %d != %d", len(got), len(entries))
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatalf("entries round-trip mismatch:\ngot:  %+v\nwant: %+v", got, entries)
 	}
-	for i := range entries {
-		if !got[i].Point.Equal(entries[i].Point) || got[i].Seq != entries[i].Seq ||
-			got[i].ArrivedNs != entries[i].ArrivedNs || got[i].Count != entries[i].Count ||
-			got[i].Outlier != entries[i].Outlier {
-			t.Fatalf("entry %d mismatch: %+v != %+v", i, got[i], entries[i])
-		}
+	if got, err := DecodeEntries(EncodeEntries(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty entry body: %v, %v", got, err)
 	}
 
 	// Corruption anywhere in a sealed body must be a typed failure.

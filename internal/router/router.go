@@ -19,6 +19,7 @@ import (
 	"dod/internal/httpapi"
 	"dod/internal/obs"
 	"dod/internal/retry"
+	"dod/internal/stream"
 )
 
 // DefaultMaxBatch bounds the NDJSON lines per router request, mirroring the
@@ -646,7 +647,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	defer span.End()
 
 	// 1. Snapshot the departing shard's window slice.
-	var entries []Entry
+	var entries []stream.ExportedEntry
 	lostEntries, lostCells := 0, 0
 	exportURL := topo.ShardURL(name) + PathShardExport
 	raw, err := rt.getBody(r.Context(), exportURL)
@@ -688,7 +689,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 
 	// 3. Replay the snapshot to each entry's new owner, counts verbatim.
 	reqID := r.Header.Get(HeaderRequestID)
-	byOwner := map[string][]Entry{}
+	byOwner := map[string][]stream.ExportedEntry{}
 	for _, e := range entries {
 		o := next.Owner(next.CellOf(e.Point.Coords))
 		byOwner[o] = append(byOwner[o], e)
@@ -772,7 +773,7 @@ func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
 // of the global window (debugging and the E2E harness; O(window) transfer).
 func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	topo := rt.topology()
-	var all []Entry
+	var all []stream.ExportedEntry
 	for _, s := range topo.Shards {
 		raw, err := rt.getBody(r.Context(), s.URL+PathShardExport)
 		if err != nil {

@@ -1,26 +1,25 @@
 package router
 
 import (
-	"encoding/binary"
-	"encoding/json"
-
 	"dod/internal/codec"
-	"dod/internal/geom"
+	"dod/internal/stream"
 )
 
 // Shard wire protocol. Data-plane bodies (a segment's read-only support
 // probes and its ordered op list, see wire_batch.go; import) and the export
-// stream are sequences of internal/codec frames — a JSON header frame for
-// control metadata, binary frames for points, cell lists, window entries
-// and ops — sealed with a codec.FrameSum integrity frame, exactly like the
-// distributed runtime's task bodies: transport corruption anywhere in a
-// body is a typed decode failure the caller retries, never a silently
-// wrong neighbor count. Responses and topology pushes are small JSON.
+// stream are sequences of internal/codec frames — a codec.FrameHeader JSON
+// frame for control metadata, binary frames for points, cell lists, window
+// entries and ops — sealed with a codec.FrameSum integrity frame, exactly
+// like the distributed runtime's task bodies: transport corruption anywhere
+// in a body is a typed decode failure the caller retries, never a silently
+// wrong neighbor count. This package owns the bodies — which frames, in what
+// order, under which header; the payloads of ops, cell lists and entries are
+// internal/stream's (stream/wire.go), shared with the replication hop.
+// Responses and topology pushes are small JSON.
 const (
-	frameHeader byte = 1 // JSON control header
-	framePoint  byte = 2 // one codec point record
-	frameCells  byte = 3 // cell coordinate list
-	frameEntry  byte = 4 // one window entry (point + seq + arrival + count + verdict)
+	framePoint byte = 2 // one codec point record
+	frameCells byte = 3 // cell coordinate list (stream.AppendCells)
+	frameEntry byte = 4 // one window entry (stream.AppendEntry)
 )
 
 // Shard-side endpoints; the router is the only intended caller.
@@ -82,151 +81,34 @@ type ImportResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// Entry is one resident window entry on the wire — everything a successor
-// shard needs to adopt the point during drain/handoff. Neighbor counts
-// move verbatim: ownership names where a point is stored, not who its
-// neighbors are, so relocation never changes any count.
-type Entry struct {
-	Point     geom.Point
-	Seq       uint64
-	ArrivedNs int64
-	Count     int
-	Outlier   bool
-}
-
-// appendJSONHeader appends a frameHeader frame carrying v as JSON.
-func appendJSONHeader(dst []byte, v any) []byte {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		// All header types marshal; a failure is a programming error.
-		panic("router: marshal wire header: " + err.Error())
-	}
-	return codec.AppendFrame(dst, frameHeader, payload)
-}
-
-// appendCells appends a cell list (a frameCells payload): uvarint dim,
-// uvarint count, then count×dim varint cell coordinates.
-func appendCells(dst []byte, dim int, cells [][]int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(dim))
-	dst = binary.AppendUvarint(dst, uint64(len(cells)))
-	for _, c := range cells {
-		for _, v := range c {
-			dst = binary.AppendVarint(dst, v)
-		}
-	}
-	return dst
-}
-
-// decodeCells parses a frameCells payload.
-func decodeCells(payload []byte) ([][]int64, error) {
-	dim, n := binary.Uvarint(payload)
-	if n <= 0 || dim == 0 || dim > 1<<16 {
-		return nil, codec.WireErrorf("router: bad cell frame dimension")
-	}
-	off := n
-	count, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return nil, codec.WireErrorf("router: truncated cell frame")
-	}
-	off += n
-	if count > uint64(len(payload[off:])) {
-		return nil, codec.WireErrorf("router: cell count %d exceeds buffer", count)
-	}
-	cells := make([][]int64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		c := make([]int64, dim)
-		for d := range c {
-			v, n := binary.Varint(payload[off:])
-			if n <= 0 {
-				return nil, codec.WireErrorf("router: truncated cell coordinate")
-			}
-			c[d] = v
-			off += n
-		}
-		cells = append(cells, c)
-	}
-	return cells, nil
-}
-
-// appendEntry appends one frameEntry frame.
-func appendEntry(dst []byte, e Entry) []byte {
-	payload := codec.AppendPoint(nil, e.Point)
-	payload = binary.AppendUvarint(payload, e.Seq)
-	payload = binary.AppendVarint(payload, e.ArrivedNs)
-	payload = binary.AppendUvarint(payload, uint64(e.Count))
-	if e.Outlier {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
-	return codec.AppendFrame(dst, frameEntry, payload)
-}
-
-// decodeEntry parses one frameEntry payload.
-func decodeEntry(payload []byte) (Entry, error) {
-	var e Entry
-	pt, n, err := codec.DecodePoint(payload)
-	if err != nil {
-		return e, err
-	}
-	e.Point = pt
-	off := n
-	seq, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return e, codec.WireErrorf("router: truncated entry seq")
-	}
-	off += n
-	e.Seq = seq
-	arrived, n := binary.Varint(payload[off:])
-	if n <= 0 {
-		return e, codec.WireErrorf("router: truncated entry arrival")
-	}
-	off += n
-	e.ArrivedNs = arrived
-	count, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return e, codec.WireErrorf("router: truncated entry count")
-	}
-	off += n
-	e.Count = int(count)
-	if off >= len(payload) {
-		return e, codec.WireErrorf("router: truncated entry verdict")
-	}
-	e.Outlier = payload[off] == 1
-	return e, nil
-}
-
 // EncodeEntries builds a sealed entry-transfer body (export response /
-// import request).
-func EncodeEntries(entries []Entry) []byte {
-	body := appendJSONHeader(nil, struct {
-		Count int `json:"count"`
-	}{len(entries)})
+// import request): one frameEntry per resident. Neighbor counts move
+// verbatim — ownership names where a point is stored, not who its neighbors
+// are, so relocation never changes any count.
+func EncodeEntries(entries []stream.ExportedEntry) []byte {
+	body := codec.AppendHeaderFrame(nil, entriesHeader{len(entries)})
+	var payload []byte
 	for _, e := range entries {
-		body = appendEntry(body, e)
+		payload = stream.AppendEntry(payload[:0], e)
+		body = codec.AppendFrame(body, frameEntry, payload)
 	}
 	return codec.AppendSumFrame(body)
 }
 
 // DecodeEntries parses a sealed entry-transfer body.
-func DecodeEntries(body []byte) ([]Entry, error) {
-	frames, err := decodeSealed(body)
+func DecodeEntries(body []byte) ([]stream.ExportedEntry, error) {
+	var hdr entriesHeader
+	var entries []stream.ExportedEntry
+	err := codec.DecodeSealed(body, &hdr, func(kind byte, payload []byte) error {
+		if kind != frameEntry {
+			return unexpectedFrame("entry-transfer", kind)
+		}
+		e, _, err := stream.DecodeEntry(payload)
+		entries = append(entries, e)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	var hdr struct {
-		Count int `json:"count"`
-	}
-	if err := frames.header(&hdr); err != nil {
-		return nil, err
-	}
-	entries := make([]Entry, 0, len(frames.entries))
-	for _, raw := range frames.entries {
-		e, err := decodeEntry(raw)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
 	}
 	if len(entries) != hdr.Count {
 		return nil, codec.WireErrorf("router: entry count %d != header %d", len(entries), hdr.Count)
@@ -234,55 +116,11 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 	return entries, nil
 }
 
-// wireFrames is a parsed, integrity-checked frame body.
-type wireFrames struct {
-	headerRaw []byte
-	points    [][]byte
-	cells     [][]byte
-	entries   [][]byte
-	ops       [][]byte
+// entriesHeader is the control header of an entry-transfer body.
+type entriesHeader struct {
+	Count int `json:"count"`
 }
 
-// decodeSealed strips the integrity frame and sorts the remaining frames
-// by kind.
-func decodeSealed(body []byte) (*wireFrames, error) {
-	data, err := codec.StripSumFrame(body)
-	if err != nil {
-		return nil, err
-	}
-	f := &wireFrames{}
-	off := 0
-	for off < len(data) {
-		kind, payload, n, err := codec.DecodeFrame(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		switch kind {
-		case frameHeader:
-			f.headerRaw = payload
-		case framePoint:
-			f.points = append(f.points, payload)
-		case frameCells:
-			f.cells = append(f.cells, payload)
-		case frameEntry:
-			f.entries = append(f.entries, payload)
-		case frameOp:
-			f.ops = append(f.ops, payload)
-		default:
-			return nil, codec.WireErrorf("router: unknown frame kind %d", kind)
-		}
-	}
-	return f, nil
-}
-
-// header unmarshals the JSON header frame into v.
-func (f *wireFrames) header(v any) error {
-	if f.headerRaw == nil {
-		return codec.WireErrorf("router: body lacks header frame")
-	}
-	if err := json.Unmarshal(f.headerRaw, v); err != nil {
-		return codec.WireErrorf("router: bad header frame: %v", err)
-	}
-	return nil
+func unexpectedFrame(body string, kind byte) error {
+	return codec.WireErrorf("router: unexpected frame kind %d in %s body", kind, body)
 }

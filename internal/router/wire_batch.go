@@ -1,8 +1,6 @@
 package router
 
 import (
-	"encoding/binary"
-
 	"dod/internal/codec"
 	"dod/internal/geom"
 	"dod/internal/stream"
@@ -14,17 +12,16 @@ import (
 // whose coordinates come back in the response; scoring sends the same body
 // with a Limit and no victims. Wave two is an /v1/shard/ingest_batch body:
 // one shard's ORDERED list of the segment's operations on cells it owns,
-// one frameOp per operation, in the global window's order. Frame kinds and
-// sealing are wire.go's.
+// one frameOp per operation, in the global window's order — the ops the
+// shard applies, logs for its standby and the standby replays, as one type
+// (stream.ShardOp) from here to there. Frame kinds and sealing are wire.go's.
 
 // PathShardIngestBatch applies one shard's ordered share of a segment in
 // one exchange; see EncodeIngestBatch.
 const PathShardIngestBatch = "/v1/shard/ingest_batch"
 
-// frameOp is one stream.ShardOp: a kind byte, then for OpAdmit a codec
-// point record, uvarint sequence number and uvarint settled foreign
-// neighbor count; for OpEvict a uvarint ID; for OpSupport a codec point
-// record, a varint delta and a cell list (as in frameCells).
+// frameOp is one stream.ShardOp (stream.AppendShardOp) — the same payload a
+// replicated shard's op log carries to its standby.
 const frameOp byte = 5
 
 // SupportProbe is one (point, cells) pair of a multi-probe support body.
@@ -51,10 +48,10 @@ type IngestBatchResponse struct {
 // EncodeSupportBatch builds a sealed multi-probe support body: the header,
 // then one (point, cells) frame pair per probe, paired by order.
 func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
-	body := appendJSONHeader(nil, hdr)
+	body := codec.AppendHeaderFrame(nil, hdr)
 	for _, pr := range probes {
 		body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, pr.Point))
-		body = codec.AppendFrame(body, frameCells, appendCells(nil, pr.Point.Dim(), pr.Cells))
+		body = codec.AppendFrame(body, frameCells, stream.AppendCells(nil, pr.Point.Dim(), pr.Cells))
 	}
 	return codec.AppendSumFrame(body)
 }
@@ -63,28 +60,26 @@ func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
 // may carry no probe only if its header asks for victims.
 func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 	var hdr SupportHeader
-	frames, err := decodeSealed(body)
+	var probes []SupportProbe
+	cells := 0 // cell frames seen; the i-th belongs to the i-th point frame
+	err := codec.DecodeSealed(body, &hdr, func(kind byte, payload []byte) (err error) {
+		switch {
+		case kind == framePoint:
+			probes = append(probes, SupportProbe{})
+			probes[len(probes)-1].Point, _, err = codec.DecodePoint(payload)
+		case kind == frameCells && cells < len(probes):
+			probes[cells].Cells, err = stream.DecodeCells(payload, probes[cells].Point.Dim())
+			cells++
+		default:
+			err = unexpectedFrame("support", kind)
+		}
+		return err
+	})
 	if err != nil {
 		return hdr, nil, err
 	}
-	if err := frames.header(&hdr); err != nil {
-		return hdr, nil, err
-	}
-	if len(frames.points) != len(frames.cells) || (len(frames.points) == 0 && len(hdr.Victims) == 0) {
-		return hdr, nil, codec.WireErrorf("router: support body has %d point and %d cell frames",
-			len(frames.points), len(frames.cells))
-	}
-	probes := make([]SupportProbe, len(frames.points))
-	for i := range frames.points {
-		pt, _, err := codec.DecodePoint(frames.points[i])
-		if err != nil {
-			return hdr, nil, err
-		}
-		cells, err := decodeCells(frames.cells[i])
-		if err != nil {
-			return hdr, nil, err
-		}
-		probes[i] = SupportProbe{Point: pt, Cells: cells}
+	if cells != len(probes) || (len(probes) == 0 && len(hdr.Victims) == 0) {
+		return hdr, nil, codec.WireErrorf("router: support body has %d point and %d cell frames", len(probes), cells)
 	}
 	return hdr, probes, nil
 }
@@ -92,23 +87,10 @@ func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
 // EncodeIngestBatch builds a sealed batched-ingest body; frame order is op
 // order.
 func EncodeIngestBatch(hdr IngestBatchHeader, ops []stream.ShardOp) []byte {
-	body := appendJSONHeader(nil, hdr)
+	body := codec.AppendHeaderFrame(nil, hdr)
 	var payload []byte
 	for i := range ops {
-		op := &ops[i]
-		payload = append(payload[:0], byte(op.Kind))
-		switch op.Kind {
-		case stream.OpAdmit:
-			payload = codec.AppendPoint(payload, op.Point)
-			payload = binary.AppendUvarint(payload, op.Seq)
-			payload = binary.AppendUvarint(payload, uint64(op.Foreign))
-		case stream.OpEvict:
-			payload = binary.AppendUvarint(payload, op.ID)
-		case stream.OpSupport:
-			payload = codec.AppendPoint(payload, op.Point)
-			payload = binary.AppendVarint(payload, int64(op.Delta))
-			payload = appendCells(payload, op.Point.Dim(), op.Cells)
-		}
+		payload = stream.AppendShardOp(payload[:0], &ops[i])
 		body = codec.AppendFrame(body, frameOp, payload)
 	}
 	return codec.AppendSumFrame(body)
@@ -117,68 +99,19 @@ func EncodeIngestBatch(hdr IngestBatchHeader, ops []stream.ShardOp) []byte {
 // DecodeIngestBatch parses a sealed batched-ingest body.
 func DecodeIngestBatch(body []byte) (IngestBatchHeader, []stream.ShardOp, error) {
 	var hdr IngestBatchHeader
-	frames, err := decodeSealed(body)
+	var ops []stream.ShardOp
+	err := codec.DecodeSealed(body, &hdr, func(kind byte, payload []byte) error {
+		if kind != frameOp {
+			return unexpectedFrame("ingest-batch", kind)
+		}
+		ops = append(ops, stream.ShardOp{})
+		return stream.DecodeShardOp(payload, &ops[len(ops)-1])
+	})
 	if err != nil {
 		return hdr, nil, err
 	}
-	if err := frames.header(&hdr); err != nil {
-		return hdr, nil, err
-	}
-	if len(frames.ops) != hdr.Count {
-		return hdr, nil, codec.WireErrorf("router: op count %d != header %d", len(frames.ops), hdr.Count)
-	}
-	ops := make([]stream.ShardOp, len(frames.ops))
-	for i, raw := range frames.ops {
-		if err := decodeOp(raw, &ops[i]); err != nil {
-			return hdr, nil, err
-		}
+	if len(ops) != hdr.Count {
+		return hdr, nil, codec.WireErrorf("router: op count %d != header %d", len(ops), hdr.Count)
 	}
 	return hdr, ops, nil
-}
-
-// decodeOp parses one frameOp payload into op.
-func decodeOp(raw []byte, op *stream.ShardOp) error {
-	if len(raw) == 0 {
-		return codec.WireErrorf("router: empty op frame")
-	}
-	op.Kind = stream.ShardOpKind(raw[0])
-	off := 1
-	uvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return 0, codec.WireErrorf("router: truncated op %s", what)
-		}
-		off += n
-		return v, nil
-	}
-	var err error
-	switch op.Kind {
-	case stream.OpEvict:
-		op.ID, err = uvarint("victim id")
-		return err
-	case stream.OpAdmit, stream.OpSupport:
-	default:
-		return codec.WireErrorf("router: unknown op kind %d", raw[0])
-	}
-	pt, n, err := codec.DecodePoint(raw[off:])
-	if err != nil {
-		return err
-	}
-	op.Point = pt
-	off += n
-	if op.Kind == stream.OpAdmit {
-		if op.Seq, err = uvarint("seq"); err != nil {
-			return err
-		}
-		foreign, err := uvarint("foreign count")
-		op.Foreign = int(foreign)
-		return err
-	}
-	delta, n := binary.Varint(raw[off:])
-	if n <= 0 || (delta != 1 && delta != -1) {
-		return codec.WireErrorf("router: bad op support delta")
-	}
-	op.Delta = int(delta)
-	op.Cells, err = decodeCells(raw[off+n:])
-	return err
 }

@@ -203,24 +203,18 @@ func (s *ShardServer) applyReplicaOp(op *replica.Op) error {
 	if topo == nil {
 		return fmt.Errorf("replica: window op %d before any topology", op.Kind)
 	}
-	// Window mutations replay through the entry the primary applied them
-	// by. A recorded admission carries its own arrival instant and the
-	// foreign count the router had settled for it.
-	var step stream.ShardOp
 	switch op.Kind {
-	case replica.KindAdmit:
-		step = stream.ShardOp{Kind: stream.OpAdmit, Point: op.Point, Seq: op.PointSeq, Foreign: op.Foreign}
-	case replica.KindEvict:
-		step = stream.ShardOp{Kind: stream.OpEvict, ID: op.ID}
-	case replica.KindSupport:
-		step = stream.ShardOp{Kind: stream.OpSupport, Point: op.Point, Cells: op.Cells, Delta: op.Delta}
+	case replica.KindWindow:
+		// The segment is the log: the op the primary applied replays, as a
+		// one-op segment, through the entry it was applied by and at the
+		// instant it was applied at.
+		segment := append([]stream.ShardOp(nil), op.ShardOp)
+		_, opErrs := s.sw.ApplyOps(segment, time.Unix(0, op.ArrivedNs), s.owns(topo))
+		return opErrs[0]
 	case replica.KindImport:
 		return s.sw.Import(op.Entries)
-	default:
-		return fmt.Errorf("replica: unknown op kind %d", op.Kind)
 	}
-	_, opErrs := s.sw.ApplyOps([]stream.ShardOp{step}, time.Unix(0, op.ArrivedNs), s.owns(topo))
-	return opErrs[0]
+	return fmt.Errorf("replica: unknown op kind %d", op.Kind)
 }
 
 // installReplicatedTopology installs a topology that arrived through the

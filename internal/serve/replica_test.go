@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -254,6 +255,73 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 	if got, want := p.standby.Window().Stats(), p.primary.Window().Stats(); got.Len != want.Len ||
 		got.Outliers != want.Outliers || got.FlipIn != want.FlipIn || got.FlipOut != want.FlipOut {
 		t.Fatalf("standby stats %+v != primary stats %+v", got, want)
+	}
+}
+
+// TestLogIsTheSegment: the replication log carries the very ops wave 2
+// delivers. With the standby unreachable (so acks trim nothing), one
+// ingest_batch mixing all three kinds and one op that fails must leave in the
+// primary's log exactly the successful steps, in order, each decoding to the
+// stream.ShardOp the router sent and stamped with the batch's arrival
+// instant; once the standby is back, replaying that log lands it on the
+// primary's digest at the same position.
+func TestLogIsTheSegment(t *testing.T) {
+	p := newReplicaPair(t)
+	for i := uint64(1); i <= 12; i++ {
+		p.ingest(i, float64(i%4), float64(i%3))
+	}
+	from := p.waitSynced().Head + 1
+	p.stbySwap.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "standby down", http.StatusServiceUnavailable)
+	}))
+
+	const arrivedNs = 987654321
+	sent := []stream.ShardOp{
+		{Kind: stream.OpEvict, ID: 2},
+		{Kind: stream.OpEvict, ID: 999}, // not resident: refused, not logged
+		{Kind: stream.OpSupport, Point: geom.Point{ID: 900, Coords: []float64{2.2, 1.1}}, Cells: cellsAround(t, 2.2, 1.1), Delta: +1},
+		{Kind: stream.OpAdmit, Point: geom.Point{ID: 13, Coords: []float64{2.1, 1.9}}, Seq: 13, Foreign: 2},
+		{Kind: stream.OpSupport, Point: geom.Point{ID: 901, Coords: []float64{0.3, 2.1}}, Cells: cellsAround(t, 0.3, 2.1), Delta: -1},
+	}
+	p.batch("seg-log", arrivedNs, sent)
+	if n := p.primary.met.opErrors.Value(); n != 1 {
+		t.Fatalf("dod_shard_op_errors_total = %d, want 1 (the non-resident evict)", n)
+	}
+
+	logged, head, ok := p.primary.replog.Window(from, 0)
+	if !ok {
+		t.Fatalf("log trimmed below %d with the standby down", from)
+	}
+	want := append(append([]stream.ShardOp(nil), sent[0]), sent[2:]...)
+	// After the segment's steps comes its idempotency-cache entry.
+	if len(logged) != len(want)+1 || head != from+uint64(len(want)) {
+		t.Fatalf("log holds %d ops up to %d, want %d window ops + 1 dedupe from %d", len(logged), head, len(want), from)
+	}
+	for i, raw := range logged {
+		op, err := replica.DecodeOp(raw)
+		if err != nil {
+			t.Fatalf("log op %d: %v", i, err)
+		}
+		if op.Seq != from+uint64(i) {
+			t.Fatalf("log op %d: seq %d, want %d", i, op.Seq, from+uint64(i))
+		}
+		if i == len(want) {
+			if op.Kind != replica.KindDedupe || op.ReqID != "seg-log" {
+				t.Fatalf("log tail = kind %d req %q, want the batch's dedupe entry", op.Kind, op.ReqID)
+			}
+			break
+		}
+		if op.Kind != replica.KindWindow || op.ArrivedNs != arrivedNs || !reflect.DeepEqual(op.ShardOp, want[i]) {
+			t.Fatalf("log op %d = kind %d at %d: %+v\nwant the op the router sent, at %d: %+v",
+				i, op.Kind, op.ArrivedNs, op.ShardOp, arrivedNs, want[i])
+		}
+	}
+
+	p.stbySwap.Store(p.standby.Handler())
+	st := p.waitSynced()
+	dp, ds := digestOf(t, p.primSrv.URL), digestOf(t, p.stbySrv.URL)
+	if dp.Seq != st.Head || ds.Seq != st.Head || dp.Digest != ds.Digest || dp.Points != ds.Points {
+		t.Fatalf("after replaying the segment: primary %+v standby %+v, head %d", dp, ds, st.Head)
 	}
 }
 

@@ -454,16 +454,9 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 
 func (s *ShardServer) handleShardExport(w http.ResponseWriter, r *http.Request) {
 	entries := s.sw.Export()
-	out := make([]router.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = router.Entry{
-			Point: e.Point, Seq: e.Seq, ArrivedNs: e.Arrived.UnixNano(),
-			Count: e.Count, Outlier: e.Outlier,
-		}
-	}
-	s.met.exports.Add(int64(len(out)))
+	s.met.exports.Add(int64(len(entries)))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(router.EncodeEntries(out)) //nolint:errcheck
+	w.Write(router.EncodeEntries(entries)) //nolint:errcheck
 }
 
 func (s *ShardServer) handleShardImport(w http.ResponseWriter, r *http.Request) {
@@ -478,17 +471,10 @@ func (s *ShardServer) handleShardImport(w http.ResponseWriter, r *http.Request) 
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
 	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, func() (int, []byte) {
-		entries, err := router.DecodeEntries(body)
+		in, err := router.DecodeEntries(body)
 		if err != nil {
 			s.met.wireErrors.Inc()
 			return http.StatusBadRequest, marshalJSON(router.ImportResponse{Error: err.Error(), RequestID: reqID})
-		}
-		in := make([]stream.ExportedEntry, len(entries))
-		for i, e := range entries {
-			in[i] = stream.ExportedEntry{
-				Point: e.Point, Seq: e.Seq, Arrived: time.Unix(0, e.ArrivedNs),
-				Count: e.Count, Outlier: e.Outlier,
-			}
 		}
 		if err := s.sw.Import(in); err != nil {
 			return http.StatusOK, marshalJSON(router.ImportResponse{Error: err.Error(), RequestID: reqID})

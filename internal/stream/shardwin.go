@@ -52,14 +52,14 @@ type ShardWindow struct {
 	flipOut  uint64
 }
 
-// OpRecorder observes every successful window mutation for replication.
-// Calls arrive with the window mutex held, so the recorded order IS the
-// mutation order — replaying the records in sequence rebuilds the window
-// bit for bit.
+// OpRecorder observes every successful window mutation for replication:
+// each ApplyOps step that succeeded, as the very op that was applied and the
+// instant it was applied at, and each import. Calls arrive with the window
+// mutex held, so the recorded order IS the mutation order — replaying the
+// records in sequence rebuilds the window bit for bit. op is only valid
+// during the call.
 type OpRecorder interface {
-	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int)
-	RecordEvict(id uint64)
-	RecordSupport(p geom.Point, cells [][]int64, delta int)
+	RecordOp(op *ShardOp, now time.Time)
 	RecordImport(entries []ExportedEntry)
 }
 
@@ -208,9 +208,6 @@ func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns
 		sw.outliers++
 	}
 	sw.entries[p.ID] = e
-	if sw.rec != nil {
-		sw.rec.RecordAdmit(p, seq, now.UnixNano(), foreign)
-	}
 	return Verdict{ID: p.ID, Seq: seq, Neighbors: n, Outlier: e.outlier}, nil
 }
 
@@ -231,8 +228,10 @@ const (
 	OpSupport
 )
 
-// ShardOp is one step of an ordered segment. Which fields are set depends
-// on Kind.
+// ShardOp is one step of an ordered segment — the one window-mutation type
+// of the shard tier: the router sends it, ApplyOps applies it, the
+// replication log records it and a standby replays it (wire form in
+// wire.go). Which fields are set depends on Kind.
 type ShardOp struct {
 	Kind    ShardOpKind
 	Point   geom.Point // OpAdmit, OpSupport
@@ -245,14 +244,15 @@ type ShardOp struct {
 
 // ApplyOps applies this shard's share of a router segment: every admission
 // and eviction of the segment that touches a cell this shard owns, in the
-// global window's order, under one lock and calling no one. Each op records
-// one replication op and bumps counts with Window's flip rules; since every
-// shard sees every operation on its cells in the one global order, each
-// resident's count walks through exactly the values it takes in a
-// single-process Window, and so do the flip totals. Verdicts and errors are
-// index-aligned with ops (a Verdict only for OpAdmit); a failed op leaves
-// its error, changes nothing, and the run continues — as an OpEvict does
-// whose resident is gone (lost when a lagging standby was promoted).
+// global window's order, under one lock and calling no one. Each op that
+// succeeds is recorded for replication as itself and bumps counts with
+// Window's flip rules; since every shard sees every operation on its cells
+// in the one global order, each resident's count walks through exactly the
+// values it takes in a single-process Window, and so do the flip totals.
+// Verdicts and errors are index-aligned with ops (a Verdict only for
+// OpAdmit); a failed op leaves its error, changes nothing, is not recorded,
+// and the run continues — as an OpEvict does whose resident is gone (lost
+// when a lagging standby was promoted).
 func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]Verdict, []error) {
 	verdicts := make([]Verdict, len(ops))
 	errsOut := make([]error, len(ops))
@@ -266,9 +266,12 @@ func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]
 		case OpEvict:
 			errsOut[i] = sw.evictLocked(op.ID, owns)
 		case OpSupport:
-			errsOut[i] = sw.supportLocked(op.Point, op.Cells, op.Delta)
+			_, errsOut[i] = sw.applyLocalDelta(op.Point, op.Cells, op.Delta)
 		default:
 			errsOut[i] = fmt.Errorf("unknown shard op kind %d", op.Kind)
+		}
+		if errsOut[i] == nil && sw.rec != nil {
+			sw.rec.RecordOp(op, now)
 		}
 	}
 	return verdicts, errsOut
@@ -295,21 +298,7 @@ func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc) error {
 	if sw.met != nil {
 		sw.met.evicted.Inc()
 	}
-	if sw.rec != nil {
-		sw.rec.RecordEvict(id)
-	}
 	return nil
-}
-
-// supportLocked applies and records one ±1 support delta: p was admitted
-// to or evicted from another shard, and this shard's residents that
-// neighbor it in cells gain or lose one. Callers hold sw.mu.
-func (sw *ShardWindow) supportLocked(p geom.Point, cells [][]int64, delta int) error {
-	_, err := sw.applyLocalDelta(p, cells, delta)
-	if err == nil && sw.rec != nil {
-		sw.rec.RecordSupport(p, cells, delta)
-	}
-	return err
 }
 
 // ApplySupport answers one read-only boundary-support probe (Lemma 3.1):
