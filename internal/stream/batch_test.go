@@ -2,10 +2,10 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"dod/internal/errs"
@@ -13,26 +13,42 @@ import (
 )
 
 // batchScene builds a randomized ingest sequence with deliberate bad items
-// (duplicate IDs, wrong dimensions) so the per-slot error contract is
-// exercised alongside the happy path.
+// (duplicate IDs, wrong dimensions, coincident points) so the per-slot error
+// contract is exercised alongside the happy path. Across seeds the window is
+// capacity-bound, TTL-bound or both, in 1, 2 and 3 dimensions.
 func batchScene(seed int64) (Config, []geom.Point) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{
-		R:        0.5 + rng.Float64()*4,
-		K:        1 + rng.Intn(5),
-		Dim:      2,
-		Capacity: 8 + rng.Intn(40),
+		R:   0.5 + rng.Float64()*4,
+		K:   1 + rng.Intn(5),
+		Dim: sceneDim(seed),
+	}
+	if (seed/3)%3 != 1 {
+		cfg.Capacity = 8 + rng.Intn(40)
+	}
+	if (seed/3)%3 != 0 {
+		cfg.TTL = 3 * time.Second // batches are a second apart
 	}
 	n := 20 + rng.Intn(180)
+	if cfg.Dim == 3 {
+		n = 20 + rng.Intn(60) // a 3-D walk visits 729 cells
+	}
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		id := uint64(i)
 		if rng.Intn(12) == 0 && i > 0 {
-			id = uint64(rng.Intn(i)) // sometimes a duplicate of an earlier ID
+			id = uint64(rng.Intn(i)) // sometimes an earlier ID: a duplicate, or a re-use after eviction
 		}
-		coords := []float64{rng.Float64() * 20, rng.Float64() * 20}
-		if rng.Intn(25) == 0 {
-			coords = coords[:1] // sometimes the wrong dimensionality
+		coords := make([]float64, cfg.Dim)
+		for j := range coords {
+			coords[j] = rng.Float64() * 20
+		}
+		switch {
+		case rng.Intn(25) == 0:
+			coords = coords[:cfg.Dim-1] // sometimes the wrong dimensionality
+		case rng.Intn(15) == 0 && i > 0:
+			coords = append([]float64(nil), pts[rng.Intn(i)].Coords...) // sometimes on top of an earlier point
+			coords = append(coords, make([]float64, cfg.Dim)...)[:cfg.Dim]
 		}
 		pts[i] = geom.Point{ID: id, Coords: coords}
 	}
@@ -60,74 +76,27 @@ func splitInto(pts []geom.Point, size int) [][]geom.Point {
 // logical stream into batches of any size yields byte-identical verdicts,
 // error slots, flip counters, eviction totals and final window contents to
 // point-at-a-time ingestion, provided each point observes its batch's
-// timestamp. Batch sizes 1, 7, 64 and whole-stream are compared against the
-// sequential reference.
+// timestamp. Batch sizes 1, 7, 64 and whole-stream go through ProcessBatch
+// and are held to the naive window fed one point at a time.
 func TestProcessBatchSplitInvariance(t *testing.T) {
 	base := time.Unix(1700000000, 0)
-	f := func(seed int64) bool {
+	for seed := int64(1); seed <= 27; seed++ {
 		cfg, pts := batchScene(seed)
 		for _, size := range []int{1, 7, 64, 0} {
-			batches := splitInto(pts, size)
-
-			ref, err := NewWindow(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantV []Verdict
-			var wantE []error
-			for bi, batch := range batches {
+			nw := newNaiveWindow(cfg)
+			win := newSingle(t, cfg)
+			for bi, batch := range splitInto(pts, size) {
 				now := base.Add(time.Duration(bi) * time.Second)
-				for _, p := range batch {
-					v, err := ref.Process(p, now)
-					wantV = append(wantV, v)
-					wantE = append(wantE, err)
+				wantV := make([]Verdict, len(batch))
+				wantE := make([]error, len(batch))
+				for i, p := range batch {
+					wantV[i], wantE[i] = nw.process(p, now)
 				}
+				gotV, gotE := win.ingest(batch, now)
+				assertLines(t, fmt.Sprintf("seed %d size %d batch %d", seed, size, bi), batch, gotV, gotE, wantV, wantE)
 			}
-
-			win, err := NewWindow(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gotV []Verdict
-			var gotE []error
-			for bi, batch := range batches {
-				now := base.Add(time.Duration(bi) * time.Second)
-				vs, es := win.ProcessBatch(batch, now)
-				gotV = append(gotV, vs...)
-				gotE = append(gotE, es...)
-			}
-
-			if !reflect.DeepEqual(gotV, wantV) {
-				t.Logf("seed %d size %d: verdicts diverge", seed, size)
-				return false
-			}
-			for i := range wantE {
-				if (gotE[i] == nil) != (wantE[i] == nil) {
-					t.Logf("seed %d size %d item %d: err %v vs %v", seed, size, i, gotE[i], wantE[i])
-					return false
-				}
-				if wantE[i] != nil && gotE[i].Error() != wantE[i].Error() {
-					t.Logf("seed %d size %d item %d: err %q vs %q", seed, size, i, gotE[i], wantE[i])
-					return false
-				}
-			}
-			// Occupancy depends on each index's random maphash seed, so two
-			// windows never shard identically; every other counter must match.
-			gotSt, wantSt := win.Stats(), ref.Stats()
-			gotSt.Occupancy, wantSt.Occupancy = nil, nil
-			if !reflect.DeepEqual(gotSt, wantSt) {
-				t.Logf("seed %d size %d: stats diverge: %+v vs %+v", seed, size, gotSt, wantSt)
-				return false
-			}
-			if !reflect.DeepEqual(win.Snapshot(), ref.Snapshot()) {
-				t.Logf("seed %d size %d: snapshots diverge", seed, size)
-				return false
-			}
+			assertState(t, win, nw)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -2,21 +2,22 @@ package stream
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"dod/internal/errs"
 	"dod/internal/geom"
 )
 
 // shardHarness wires N ShardWindows together in-process: ownership is a
 // deterministic hash of the cell block, and the harness plays the router —
-// it keeps the global FIFO and turns each segment into one ordered op list
-// per shard. The protocol the HTTP tier implements over the wire, minus the
-// wire.
+// it keeps the global FIFO and the window discipline (dimension, duplicate,
+// capacity, TTL) and turns each segment into one ordered op list per shard.
+// The protocol the HTTP tier implements over the wire, minus the wire.
 type shardHarness struct {
 	t      *testing.T
+	cfg    Config // the global window's discipline
 	shards map[string]*ShardWindow
 	names  []string
 	block  int64
@@ -25,16 +26,17 @@ type shardHarness struct {
 	head    int
 	cells   map[uint64][]int64
 	coords  map[uint64]geom.Point
+	arrived map[uint64]time.Time
 	seq     uint64
-	evicted uint64
+	retired Stats // monotone counters of shards drained out of the harness
 }
 
-func newShardHarness(t *testing.T, n int, cfg ShardConfig, block int64) *shardHarness {
-	h := &shardHarness{t: t, shards: map[string]*ShardWindow{}, block: block,
-		cells: map[uint64][]int64{}, coords: map[uint64]geom.Point{}}
+func newShardHarness(t *testing.T, n int, cfg Config, block int64) *shardHarness {
+	h := &shardHarness{t: t, cfg: cfg, shards: map[string]*ShardWindow{}, block: block,
+		cells: map[uint64][]int64{}, coords: map[uint64]geom.Point{}, arrived: map[uint64]time.Time{}}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
-		sw, err := NewShardWindow(cfg)
+		sw, err := NewShardWindow(ShardConfig{R: cfg.R, K: cfg.K, Dim: cfg.Dim})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,6 +45,8 @@ func newShardHarness(t *testing.T, n int, cfg ShardConfig, block int64) *shardHa
 	}
 	return h
 }
+
+func (h *shardHarness) name() string { return fmt.Sprintf("%d-shard harness", len(h.names)) }
 
 // owner deterministically assigns a cell's block to a shard by rendezvous
 // hashing, which shares the consistent-hash ring's key property: removing
@@ -97,13 +101,14 @@ func (h *shardHarness) score(q geom.Point, limit int) int {
 	return total
 }
 
-// processSegment mimics the router's ingest: the capacity evictions due
-// before each point and the point's admission become one ordered op list
-// per shard — own admit (its foreign count settled here by
-// brute force over the live set), own evict, and the ±1 either owes the
-// residents of every other shard — and each list is applied with one
-// ApplyOps call, in no particular shard order.
-func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.Time) []Verdict {
+// ingest mimics the router's ingest of one request at one instant. Each
+// line is decided in the window's order — dimension, duplicate ID, then the
+// capacity and TTL evictions due before it, then its admission — and what
+// survives becomes one ordered op list per shard: own admit (its foreign
+// count settled here by brute force over the live set), own evict, and the
+// ±1 either owes the residents of every other shard. Each list is applied
+// with one ApplyOps call, in no particular shard order.
+func (h *shardHarness) ingest(pts []geom.Point, now time.Time) ([]Verdict, []error) {
 	probe := h.shards[h.names[0]]
 	lists := map[string][]ShardOp{}
 	// touch files delta with every other shard owning a cell near p.
@@ -118,14 +123,32 @@ func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.T
 			lists[o] = append(lists[o], ShardOp{Kind: OpSupport, Point: p, Cells: cells, Delta: delta})
 		}
 	}
+	evictionDue := func() bool {
+		if h.head == len(h.fifo) {
+			return false
+		}
+		if h.cfg.Capacity > 0 && len(h.fifo)-h.head >= h.cfg.Capacity {
+			return true
+		}
+		return h.cfg.TTL > 0 && h.arrived[h.fifo[h.head]].Before(now.Add(-h.cfg.TTL))
+	}
 	type slot struct {
 		shard string
 		op    int
 	}
 	slots := make([]slot, len(pts))
-	evictions := make([]int, len(pts))
+	out := make([]Verdict, len(pts))
+	errsOut := make([]error, len(pts))
 	for i, p := range pts {
-		for capacity > 0 && len(h.fifo)-h.head >= capacity {
+		if p.Dim() != h.cfg.Dim {
+			errsOut[i] = &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: h.cfg.Dim}
+			continue
+		}
+		if _, resident := h.coords[p.ID]; resident {
+			errsOut[i] = &errs.DuplicateIDError{ID: p.ID}
+			continue
+		}
+		for evictionDue() {
 			id := h.fifo[h.head]
 			h.head++
 			owner := h.owner(h.cells[id])
@@ -133,14 +156,14 @@ func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.T
 			touch(h.coords[id], owner, -1)
 			delete(h.cells, id)
 			delete(h.coords, id)
-			h.evicted++
-			evictions[i]++
+			delete(h.arrived, id)
+			out[i].Evicted++
 		}
 		cell := probe.ix.CellCoords(p)
 		owner := h.owner(cell)
 		foreign := 0
 		for id, q := range h.coords {
-			if h.owner(h.cells[id]) != owner && geom.WithinDist(p, q, probe.cfg.R) {
+			if h.owner(h.cells[id]) != owner && geom.WithinDist(p, q, h.cfg.R) {
 				foreign++
 			}
 		}
@@ -151,6 +174,7 @@ func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.T
 		h.fifo = append(h.fifo, p.ID)
 		h.cells[p.ID] = append([]int64(nil), cell...)
 		h.coords[p.ID] = p
+		h.arrived[p.ID] = now
 	}
 	results := map[string][]Verdict{}
 	for name, ops := range lists {
@@ -162,172 +186,147 @@ func (h *shardHarness) processSegment(pts []geom.Point, capacity int, now time.T
 		}
 		results[name] = verdicts
 	}
-	out := make([]Verdict, len(pts))
 	for i, s := range slots {
-		out[i] = results[s.shard][s.op]
-		out[i].Evicted = evictions[i]
+		if errsOut[i] == nil {
+			evicted := out[i].Evicted
+			out[i] = results[s.shard][s.op]
+			out[i].Evicted = evicted
+		}
 	}
+	return out, errsOut
+}
+
+// residents aggregates every shard's entries into global arrival order.
+func (h *shardHarness) residents() []ExportedEntry {
+	var out []ExportedEntry
+	for _, sw := range h.shards {
+		out = append(out, sw.Export()...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// outlierIDs aggregates the current outlier set across shards.
-func (h *shardHarness) outlierIDs() []uint64 {
-	var ids []uint64
+// stats sums the shards' counters, drained shards included; the sequence
+// number is the router's.
+func (h *shardHarness) stats() Stats {
+	st := h.retired
+	st.Seq = h.seq
 	for _, sw := range h.shards {
-		for _, e := range sw.Export() {
-			if e.Outlier {
-				ids = append(ids, e.Point.ID)
-			}
-		}
+		s := sw.Stats()
+		st.Len += s.Len
+		st.Ingested += s.Ingested
+		st.Evicted += s.Evicted
+		st.Outliers += s.Outliers
+		st.FlipIn += s.FlipIn
+		st.FlipOut += s.FlipOut
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return st
 }
 
-// TestShardWindowMatchesWindow streams random points through 1-, 2- and
-// 4-shard harnesses and a single-process Window with the same capacity,
-// asserting every verdict, every score, the final outlier set, and the
-// summed flip counters are identical.
+func (h *shardHarness) snapshot() Snapshot { return snapshotOf(h.residents(), h.seq) }
+
+// drain removes the named shard from the topology and hands its entries to
+// the survivors under the new ownership map.
+func (h *shardHarness) drain(victim string) {
+	exported := h.shards[victim].Export()
+	st := h.shards[victim].Stats()
+	h.retired.Ingested += st.Ingested
+	h.retired.Evicted += st.Evicted
+	h.retired.FlipIn += st.FlipIn
+	h.retired.FlipOut += st.FlipOut
+	var names []string
+	for _, n := range h.names {
+		if n != victim {
+			names = append(names, n)
+		}
+	}
+	h.names = names // new topology: owner() no longer maps to the victim
+	byOwner := map[string][]ExportedEntry{}
+	for _, e := range exported {
+		o := h.owner(h.cells[e.Point.ID])
+		byOwner[o] = append(byOwner[o], e)
+	}
+	for o, entries := range byOwner {
+		if err := h.shards[o].Import(entries); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	delete(h.shards, victim)
+}
+
+// TestShardWindowMatchesWindow streams a scene one line at a time through a
+// single-process Window and a 1-, 2- or 4-shard harness, holding both to the
+// naive window: every verdict, every interleaved read-only score, and after
+// every few lines the complete state.
 func TestShardWindowMatchesWindow(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		for _, seed := range []int64{1, 2} {
+		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				const (
-					r        = 1.2
-					k        = 3
-					capacity = 120
-					n        = 500
-				)
-				rng := rand.New(rand.NewSource(seed))
-				ref, err := NewWindow(Config{R: r, K: k, Dim: 2, Capacity: capacity})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := newShardHarness(t, shards, ShardConfig{R: r, K: k, Dim: 2}, 4)
-				base := time.Unix(1700000000, 0)
-				for i := 0; i < n; i++ {
-					p := geom.Point{ID: uint64(i + 1), Coords: []float64{
-						rng.Float64() * 12, rng.Float64() * 12,
-					}}
-					now := base.Add(time.Duration(i) * time.Millisecond)
-					want, err := ref.Process(p, now)
-					if err != nil {
-						t.Fatal(err)
+				sc := newScene(seed, sceneDim(seed))
+				nw := newNaiveWindow(sc.cfg)
+				single := newSingle(t, sc.cfg)
+				h := newShardHarness(t, shards, sc.cfg, 4)
+				for i := 0; i < sc.lines; i++ {
+					now := sc.now // most lines share their predecessor's instant
+					if i%4 == 0 {
+						now = sc.tick()
 					}
-					got := h.processSegment([]geom.Point{p}, capacity, now)[0]
-					if got != want {
-						t.Fatalf("point %d: sharded verdict %+v != reference %+v", p.ID, got, want)
+					pts, wantV, wantE := sc.batch(nw, 1, now)
+					for _, w := range []windowUnderTest{single, h} {
+						gotV, gotE := w.ingest(pts, now)
+						assertLines(t, w.name(), pts, gotV, gotE, wantV, wantE)
 					}
-					// Interleave read-only scores of random probe points.
-					if i%7 == 0 {
-						q := geom.Point{ID: 1_000_000 + uint64(i), Coords: []float64{
-							rng.Float64() * 12, rng.Float64() * 12,
-						}}
-						wantSc, err := ref.ScorePoint(q)
-						if err != nil {
-							t.Fatal(err)
+					// Interleave read-only scores of random probe points and
+					// of residents (which must not count themselves).
+					if i%5 == 0 {
+						q := geom.Point{ID: 1_000_000 + uint64(i), Coords: sc.coords(sc.cfg.Dim)}
+						if len(nw.res) > 0 && i%10 == 0 {
+							q = nw.res[sc.rng.Intn(len(nw.res))].pt
 						}
-						gotN := h.score(q, k)
-						if gotN != wantSc.Neighbors || (gotN < k) != wantSc.Outlier {
-							t.Fatalf("score %d: sharded %d != reference %+v", q.ID, gotN, wantSc)
+						want := nw.score(q)
+						got, err := single.w.ScorePoint(q)
+						if err != nil || got != want {
+							t.Fatalf("score %d: Window %+v (%v), naive window says %+v", q.ID, got, err, want)
+						}
+						if gotN := h.score(q, sc.cfg.K); gotN != want.Neighbors {
+							t.Fatalf("score %d: harness %d, naive window says %+v", q.ID, gotN, want)
 						}
 					}
-				}
-				// Final window state: identical outlier sets and flip totals.
-				snap := ref.Snapshot()
-				gotIDs := h.outlierIDs()
-				if len(gotIDs) != len(snap.OutlierIDs) {
-					t.Fatalf("outlier sets differ: sharded %d vs reference %d", len(gotIDs), len(snap.OutlierIDs))
-				}
-				for i := range gotIDs {
-					if gotIDs[i] != snap.OutlierIDs[i] {
-						t.Fatalf("outlier ID %d: %d != %d", i, gotIDs[i], snap.OutlierIDs[i])
+					if i%20 == 0 {
+						assertState(t, single, nw)
+						assertState(t, h, nw)
 					}
 				}
-				refStats := ref.Stats()
-				var flipIn, flipOut, lenSum uint64
-				for _, sw := range h.shards {
-					st := sw.Stats()
-					flipIn += st.FlipIn
-					flipOut += st.FlipOut
-					lenSum += uint64(st.Len)
-				}
-				if flipIn != refStats.FlipIn || flipOut != refStats.FlipOut {
-					t.Fatalf("flips: sharded (%d,%d) != reference (%d,%d)",
-						flipIn, flipOut, refStats.FlipIn, refStats.FlipOut)
-				}
-				if int(lenSum) != refStats.Len {
-					t.Fatalf("resident count: sharded %d != reference %d", lenSum, refStats.Len)
-				}
+				assertState(t, single, nw)
+				assertState(t, h, nw)
 			})
 		}
 	}
 }
 
-// TestApplyOpsMatchesWindow is the ordered-segment property: a random
-// stream at capacity, cut into segments of random length (from one line to
-// more than the whole window, so admissions, evictions and both kinds of
-// foreign delta interleave every way the router can produce), applied as
-// per-shard ordered lists across 1, 2 and 4 shards, equals a single-process
-// Window in every verdict, every resident's final count, and the flip totals.
+// TestApplyOpsMatchesWindow is the ordered-segment property: a scene cut
+// into segments of random length (from one line to more than the whole
+// window, so admissions, capacity and TTL evictions, refused lines and both
+// kinds of foreign delta interleave every way the router can produce),
+// applied by Window.ProcessBatch and as per-shard ordered lists across 1, 2
+// and 4 shards, equals the naive window in every verdict and error, every
+// resident's count and verdict, the counters and the snapshot.
 func TestApplyOpsMatchesWindow(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		for _, seed := range []int64{1, 2, 3} {
+		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				const (
-					r        = 1.2
-					k        = 3
-					capacity = 90
-					n        = 700
-				)
-				rng := rand.New(rand.NewSource(seed))
-				ref, err := NewWindow(Config{R: r, K: k, Dim: 2, Capacity: capacity})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := newShardHarness(t, shards, ShardConfig{R: r, K: k, Dim: 2}, 2)
-				now := time.Unix(1700000000, 0)
-				for id := uint64(1); id <= n; {
-					size := 1 + rng.Intn(40)
-					if rng.Intn(8) == 0 {
-						size = capacity + rng.Intn(30)
+				sc := newScene(seed, sceneDim(seed))
+				nw := newNaiveWindow(sc.cfg)
+				windows := []windowUnderTest{newSingle(t, sc.cfg), newShardHarness(t, shards, sc.cfg, 2)}
+				for lines := 0; lines < sc.lines; {
+					now := sc.tick()
+					pts, wantV, wantE := sc.batch(nw, sc.batchSize(), now)
+					lines += len(pts)
+					for _, w := range windows {
+						gotV, gotE := w.ingest(pts, now)
+						assertLines(t, w.name(), pts, gotV, gotE, wantV, wantE)
+						assertState(t, w, nw)
 					}
-					var seg []geom.Point
-					for ; len(seg) < size && id <= n; id++ {
-						seg = append(seg, geom.Point{ID: id, Coords: []float64{rng.Float64() * 10, rng.Float64() * 10}})
-					}
-					want, errsOut := ref.ProcessBatch(seg, now)
-					got := h.processSegment(seg, capacity, now)
-					for i := range seg {
-						if errsOut[i] != nil {
-							t.Fatal(errsOut[i])
-						}
-						if got[i] != want[i] {
-							t.Fatalf("point %d: sharded verdict %+v != reference %+v", seg[i].ID, got[i], want[i])
-						}
-					}
-					now = now.Add(time.Millisecond)
-				}
-				refStats := ref.Stats()
-				var flipIn, flipOut uint64
-				residents := 0
-				for _, sw := range h.shards {
-					st := sw.Stats()
-					flipIn += st.FlipIn
-					flipOut += st.FlipOut
-					for _, e := range sw.Export() {
-						residents++
-						re := ref.entries[e.Point.ID]
-						if re == nil || re.count != e.Count || re.outlier != e.Outlier {
-							t.Fatalf("resident %d: sharded count %d outlier %v, reference %+v", e.Point.ID, e.Count, e.Outlier, re)
-						}
-					}
-				}
-				if residents != refStats.Len {
-					t.Fatalf("resident count: sharded %d != reference %d", residents, refStats.Len)
-				}
-				if flipIn != refStats.FlipIn || flipOut != refStats.FlipOut {
-					t.Fatalf("flips: sharded (%d,%d) != reference (%d,%d)", flipIn, flipOut, refStats.FlipIn, refStats.FlipOut)
 				}
 			})
 		}
@@ -335,68 +334,27 @@ func TestApplyOpsMatchesWindow(t *testing.T) {
 }
 
 // TestShardWindowHandoff drains one shard mid-stream, imports its entries
-// into the survivors under a changed ownership map, and checks the stream
-// still matches the reference bit-for-bit afterwards.
+// into the survivors under a changed ownership map, and checks the harness
+// still equals the naive window — state and counters right after the
+// handoff, every verdict after it.
 func TestShardWindowHandoff(t *testing.T) {
-	const (
-		r        = 1.0
-		k        = 3
-		capacity = 80
-		n        = 400
-	)
-	rng := rand.New(rand.NewSource(7))
-	ref, err := NewWindow(Config{R: r, K: k, Dim: 2, Capacity: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newShardHarness(t, 3, ShardConfig{R: r, K: k, Dim: 2}, 4)
-	base := time.Unix(1700000000, 0)
-	feed := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := geom.Point{ID: uint64(i + 1), Coords: []float64{rng.Float64() * 10, rng.Float64() * 10}}
-			now := base.Add(time.Duration(i) * time.Millisecond)
-			want, err := ref.Process(p, now)
-			if err != nil {
-				t.Fatal(err)
+	for seed := int64(1); seed <= 6; seed++ {
+		sc := newScene(seed, sceneDim(seed))
+		nw := newNaiveWindow(sc.cfg)
+		h := newShardHarness(t, 3, sc.cfg, 4)
+		feed := func(lines int) {
+			for n := 0; n < lines; {
+				now := sc.tick()
+				pts, wantV, wantE := sc.batch(nw, 1+sc.rng.Intn(12), now)
+				n += len(pts)
+				gotV, gotE := h.ingest(pts, now)
+				assertLines(t, h.name(), pts, gotV, gotE, wantV, wantE)
 			}
-			got := h.processSegment([]geom.Point{p}, capacity, now)[0]
-			if got != want {
-				t.Fatalf("point %d: %+v != %+v", p.ID, got, want)
-			}
+			assertState(t, h, nw)
 		}
-	}
-	feed(0, n/2)
-
-	// Drain shard s2: move its entries to the shard owning them after s2
-	// leaves the ownership map.
-	victim := "s2"
-	exported := h.shards[victim].Export()
-	h.names = []string{"s0", "s1"} // new topology: owner() no longer maps to s2
-	byOwner := map[string][]ExportedEntry{}
-	for _, e := range exported {
-		cell := h.cells[e.Point.ID]
-		byOwner[h.owner(cell)] = append(byOwner[h.owner(cell)], e)
-	}
-	for o, entries := range byOwner {
-		if o == victim {
-			t.Fatalf("cell still owned by drained shard")
-		}
-		if err := h.shards[o].Import(entries); err != nil {
-			t.Fatal(err)
-		}
-	}
-	delete(h.shards, victim)
-
-	feed(n/2, n)
-
-	snap := ref.Snapshot()
-	gotIDs := h.outlierIDs()
-	if len(gotIDs) != len(snap.OutlierIDs) {
-		t.Fatalf("outlier sets differ after handoff: %d vs %d", len(gotIDs), len(snap.OutlierIDs))
-	}
-	for i := range gotIDs {
-		if gotIDs[i] != snap.OutlierIDs[i] {
-			t.Fatalf("outlier ID %d after handoff: %d != %d", i, gotIDs[i], snap.OutlierIDs[i])
-		}
+		feed(sc.lines / 2)
+		h.drain("s2")
+		assertState(t, h, nw)
+		feed(sc.lines / 2)
 	}
 }
