@@ -15,7 +15,6 @@
 package httpapi
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,39 +46,7 @@ type BatchItem struct {
 	Err error
 }
 
-// ReadBatch parses up to maxBatch non-empty NDJSON point lines from the
-// request body. A parse failure on a line is recorded as that item's Err;
-// request-level failures — an over-limit batch (errs.ErrBatchTooLarge), an
-// oversize body (*http.MaxBytesError via the wrapped scanner error), a
-// stalled read — abort the whole request and classify in WriteBatchError.
-func ReadBatch(r *http.Request, maxBatch int) ([]BatchItem, error) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
-	var items []BatchItem
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if len(items) >= maxBatch {
-			return nil, &errs.BatchTooLargeError{Limit: maxBatch}
-		}
-		var pl PointLine
-		if err := json.Unmarshal(line, &pl); err != nil {
-			items = append(items, BatchItem{Err: fmt.Errorf("malformed point line: %v", err)})
-			continue
-		}
-		items = append(items, BatchItem{Pt: geom.Point{ID: pl.ID, Coords: pl.Coords}})
-	}
-	if err := sc.Err(); err != nil {
-		// %w: WriteBatchError classifies by unwrapping (*http.MaxBytesError
-		// means 413, a context error means 408).
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	return items, nil
-}
-
-// WriteBatchError classifies a ReadBatch failure into the structured HTTP
+// WriteBatchError classifies a ReadBatchPooled failure into the structured HTTP
 // error shape shared by every tier.
 func WriteBatchError(w http.ResponseWriter, r *http.Request, err error) {
 	var tooBig *http.MaxBytesError

@@ -35,12 +35,16 @@ var batchPool = sync.Pool{
 	},
 }
 
-// ReadBatchPooled is ReadBatch on the zero-allocation fast path: pooled
-// scanner buffer, wirejson line parser with per-line fallback to the
-// encoding/json oracle (identical accept/reject behavior and error text),
-// and a pooled coords arena shared by the whole batch. Request-level
-// failures classify exactly as ReadBatch's. Callers must Release the batch
-// after writing the response.
+// ReadBatchPooled parses up to maxBatch non-empty NDJSON point lines from
+// the request body on the zero-allocation fast path: pooled scanner buffer,
+// wirejson line parser with per-line fallback to the encoding/json oracle
+// (identical accept/reject behavior and error text), and a pooled coords
+// arena shared by the whole batch. A parse failure on a line is recorded as
+// that item's Err; request-level failures — an over-limit batch
+// (errs.ErrBatchTooLarge), an oversize body (*http.MaxBytesError via the
+// wrapped scanner error), a stalled read — abort the whole request and
+// classify in WriteBatchError. Callers must Release the batch after writing
+// the response.
 func ReadBatchPooled(r *http.Request, maxBatch int) (*Batch, error) {
 	b := batchPool.Get().(*Batch)
 	b.Items = b.Items[:0]
@@ -73,7 +77,8 @@ func ReadBatchPooled(r *http.Request, maxBatch int) (*Batch, error) {
 	}
 	if err := sc.Err(); err != nil {
 		b.Release()
-		// %w: WriteBatchError classifies by unwrapping, as in ReadBatch.
+		// %w: WriteBatchError classifies by unwrapping (*http.MaxBytesError
+		// means 413, a context error means 408).
 		return nil, fmt.Errorf("reading body: %w", err)
 	}
 	return b, nil

@@ -1,13 +1,18 @@
 package httpapi
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
+
+	"dod/internal/errs"
+	"dod/internal/geom"
 )
 
 // ndjsonBody renders n canonical point lines plus a few non-canonical ones
@@ -30,13 +35,41 @@ func bodyRequest(body []byte) *http.Request {
 	return &http.Request{Body: io.NopCloser(bytes.NewReader(body))}
 }
 
-// TestReadBatchPooledParity pins the fast path to ReadBatch's behavior:
-// identical points, identical per-line error placement and text.
+// readBatch is the plain reading of the NDJSON batch contract — bufio line
+// scan, encoding/json on every line — that ReadBatchPooled must be
+// indistinguishable from.
+func readBatch(r *http.Request, maxBatch int) ([]BatchItem, error) {
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	var items []BatchItem
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		if len(items) >= maxBatch {
+			return nil, &errs.BatchTooLargeError{Limit: maxBatch}
+		}
+		var pl PointLine
+		if err := json.Unmarshal(line, &pl); err != nil {
+			items = append(items, BatchItem{Err: fmt.Errorf("malformed point line: %v", err)})
+			continue
+		}
+		items = append(items, BatchItem{Pt: geom.Point{ID: pl.ID, Coords: pl.Coords}})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	return items, nil
+}
+
+// TestReadBatchPooledParity pins the fast path to the plain reading's
+// behavior: identical points, identical per-line error placement and text.
 func TestReadBatchPooledParity(t *testing.T) {
 	body := ndjsonBody(200, true)
-	want, err := ReadBatch(bodyRequest(body), 1000)
+	want, err := readBatch(bodyRequest(body), 1000)
 	if err != nil {
-		t.Fatalf("ReadBatch: %v", err)
+		t.Fatalf("readBatch: %v", err)
 	}
 	got, err := ReadBatchPooled(bodyRequest(body), 1000)
 	if err != nil {

@@ -56,13 +56,6 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// cellKey is the flattened string form of a cell's integer coordinates.
-// The live cell map is keyed by a 64-bit coordinate hash instead (string
-// keys cost a re-hash plus a memory compare on every one of the ~(2·L2+1)^d
-// probes a neighbor walk issues); the string form survives for tests and
-// diagnostics that want a canonical printable key.
-type cellKey string
-
 // cell holds the points currently hashed to one grid cell, its exact
 // coordinates, and an overflow chain for the astronomically rare case of
 // two coordinate vectors sharing a 64-bit hash. Correctness never leans on
@@ -97,9 +90,9 @@ type Index struct {
 type indexMetrics struct {
 	inserts   *obs.Counter
 	removes   *obs.Counter
-	counts    *obs.Counter   // NeighborCount queries
-	scans     *obs.Counter   // Neighbors enumerations
-	ringDepth *obs.Histogram // terminal expansion radius per NeighborCount
+	counts    *obs.Counter   // NeighborCountScratch queries
+	scans     *obs.Counter   // NeighborsScratch enumerations
+	ringDepth *obs.Histogram // terminal expansion radius per count query
 }
 
 // register creates the index instruments on reg.
@@ -153,12 +146,6 @@ func New(cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// Dim returns the index dimensionality.
-func (ix *Index) Dim() int { return ix.dim }
-
-// R returns the neighbor distance threshold.
-func (ix *Index) R() float64 { return ix.r }
-
 // coords maps a point to its integer cell coordinate vector.
 func (ix *Index) coords(p geom.Point) []int64 {
 	return ix.cellCoordsInto(make([]int64, 0, ix.dim), p)
@@ -171,19 +158,6 @@ func (ix *Index) cellCoordsInto(buf []int64, p geom.Point) []int64 {
 		buf = append(buf, int64(math.Floor(v/ix.side)))
 	}
 	return buf
-}
-
-// key flattens integer cell coordinates into a canonical printable form;
-// tests use it to compare cell identities. The live map is keyed by
-// cellHash instead.
-func key(c []int64) cellKey {
-	buf := make([]byte, 0, len(c)*8)
-	for _, v := range c {
-		u := uint64(v)
-		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return cellKey(buf)
 }
 
 // cellHash folds a cell coordinate vector into the 64-bit key of the cell
@@ -210,11 +184,19 @@ func sameCoords(a, b []int64) bool {
 	return true
 }
 
-// checkDim validates a point's dimensionality against the index. Failures
-// match errs.ErrDimMismatch.
-func (ix *Index) checkDim(p geom.Point) error {
+// checkPoint is the one validation every insert and query passes: p has the
+// index's dimensionality (failures match errs.ErrDimMismatch) and a finite
+// position (errs.ErrBadParams) — int64(Floor(±Inf/side)) and int64(NaN) name
+// an arbitrary cell, whose residents the L1 block would then accept as
+// neighbors without a distance test.
+func (ix *Index) checkPoint(p geom.Point) error {
 	if p.Dim() != ix.dim {
 		return &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: ix.dim}
+	}
+	for i, v := range p.Coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errs.BadParams("point %d: coordinate %d is %g, want a finite value", p.ID, i, v)
+		}
 	}
 	return nil
 }
@@ -224,7 +206,7 @@ func (ix *Index) checkDim(p geom.Point) error {
 // is only materialized when the insert creates a new cell; the common case
 // (a resident cell) probes through a stack buffer.
 func (ix *Index) Insert(p geom.Point) error {
-	if err := ix.checkDim(p); err != nil {
+	if err := ix.checkPoint(p); err != nil {
 		return err
 	}
 	var a [8]int64
@@ -380,71 +362,16 @@ func RingCells(center []int64, radius int, fn func(cell []int64)) {
 // distance-threshold verdict: a return < k means p is an outlier with
 // respect to the current index contents.
 //
-// The L1 block (Chebyshev radius 1) is auto-accepted without distance
-// computations; rings 2..⌈2√d⌉ are expanded outward with exact checks and
-// the scan stops at whichever comes first, limit neighbors or the L2 radius.
+// It is NeighborCountScratch on a scratch of its own, for callers issuing
+// one query; anything that loops keeps a CountScratch and allocates nothing.
 func (ix *Index) NeighborCount(p geom.Point, limit int) (int, error) {
-	if err := ix.checkDim(p); err != nil {
-		return 0, err
-	}
-	if limit < 1 {
-		return 0, errs.BadParams("NeighborCount limit must be >= 1, got %d", limit)
-	}
-	center := ix.coords(p)
-	count := 0
-	depth := 0 // deepest ring entered; feeds the ring-depth histogram
-	// L1 auto-accept: every point in the radius-1 block is within r.
-	for radius := 0; radius <= 1 && count < limit; radius++ {
-		depth = radius
-		RingCells(center, radius, func(c []int64) {
-			ix.readCellCoords(c, func(pts []geom.Point) {
-				for _, q := range pts {
-					if q.ID != p.ID {
-						count++
-					}
-				}
-			})
-		})
-	}
-	if count < limit {
-		// Ring expansion with exact distance checks out to the L2 cutoff.
-		for radius := 2; radius <= ix.l2 && count < limit; radius++ {
-			depth = radius
-			RingCells(center, radius, func(c []int64) {
-				if count >= limit {
-					return
-				}
-				ix.readCellCoords(c, func(pts []geom.Point) {
-					for _, q := range pts {
-						if count >= limit {
-							return
-						}
-						if q.ID != p.ID && geom.WithinDist(p, q, ix.r) {
-							count++
-						}
-					}
-				})
-			})
-		}
-	}
-	if ix.met != nil {
-		ix.met.counts.Inc()
-		ix.met.ringDepth.Observe(float64(depth))
-	}
-	if count > limit {
-		count = limit
-	}
-	return count, nil
+	return ix.NeighborCountScratch(NewCountScratch(), p, limit)
 }
-
-// L2 returns the Chebyshev cell radius beyond which no point can be a
-// neighbor (⌈2√d⌉ — the ring-expansion cutoff of Lemma 3.1).
-func (ix *Index) L2() int { return ix.l2 }
 
 // CellCoords returns p's integer grid cell coordinate vector — the unit of
 // ownership in the sharded serving tier: a cell's points always live
 // together on one shard, and a point's verdict depends only on cells
-// within Chebyshev distance L2() of its own (Lemma 3.1).
+// within Chebyshev distance ⌈2√d⌉ of its own (Lemma 3.1).
 func (ix *Index) CellCoords(p geom.Point) []int64 { return ix.coords(p) }
 
 // NeighborhoodCells calls fn with every cell coordinate whose Chebyshev
@@ -481,19 +408,19 @@ func ChebDist(a, b []int64) uint64 {
 
 // NeighborsInCells visits the indexed neighbors of p that reside in the
 // given cells, returning how many were found. It applies exactly the same
-// acceptance rule as Neighbors/NeighborCount — points in cells within
-// Chebyshev distance 1 of p's own cell are neighbors by construction (the
-// L1 auto-accept of Lemma 4.2) and points in farther cells get an exact
-// distance check — so splitting one neighborhood enumeration across several
-// NeighborsInCells calls over a partition of the cells yields bit-identical
-// counts to a single Neighbors scan.
+// acceptance rule as NeighborsScratch and NeighborCountScratch — points in
+// cells within Chebyshev distance 1 of p's own cell are neighbors by
+// construction (the L1 auto-accept of Lemma 4.2) and points in farther
+// cells get an exact distance check — so splitting one neighborhood
+// enumeration across several NeighborsInCells calls over a partition of the
+// cells yields bit-identical counts to a single NeighborsScratch walk.
 //
 // fn may be nil (pure counting). When limit > 0 and fn is nil the count
-// early-terminates at limit, mirroring NeighborCount; with fn non-nil the
-// scan is always exhaustive so callers maintaining per-point deltas see
-// every neighbor.
+// early-terminates at limit, mirroring NeighborCountScratch; with fn
+// non-nil the scan is always exhaustive so callers maintaining per-point
+// deltas see every neighbor.
 func (ix *Index) NeighborsInCells(p geom.Point, cells [][]int64, limit int, fn func(q geom.Point)) (int, error) {
-	if err := ix.checkDim(p); err != nil {
+	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
 	center := ix.coords(p)
@@ -525,34 +452,4 @@ func (ix *Index) NeighborsInCells(p geom.Point, cells [][]int64, limit int, fn f
 		count = limit
 	}
 	return count, nil
-}
-
-// Neighbors calls fn with every indexed point within distance r of p,
-// excluding any point sharing p's ID. Unlike NeighborCount it never
-// terminates early — the sliding-window layer uses it to maintain exact
-// per-point neighbor counts under eviction.
-func (ix *Index) Neighbors(p geom.Point, fn func(q geom.Point)) error {
-	if err := ix.checkDim(p); err != nil {
-		return err
-	}
-	if ix.met != nil {
-		ix.met.scans.Inc()
-	}
-	center := ix.coords(p)
-	for radius := 0; radius <= ix.l2; radius++ {
-		exact := radius > 1 // L1 block needs no distance checks
-		RingCells(center, radius, func(c []int64) {
-			ix.readCellCoords(c, func(pts []geom.Point) {
-				for _, q := range pts {
-					if q.ID == p.ID {
-						continue
-					}
-					if !exact || geom.WithinDist(p, q, ix.r) {
-						fn(q)
-					}
-				}
-			})
-		})
-	}
-	return nil
 }

@@ -1,10 +1,14 @@
 package index
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"dod/internal/errs"
 	"dod/internal/geom"
 )
 
@@ -19,6 +23,18 @@ func randPoints(n, dim int, scale float64, seed int64) []geom.Point {
 		pts[i] = geom.Point{ID: uint64(i), Coords: coords}
 	}
 	return pts
+}
+
+// cellKey is a canonical map key for a cell's integer coordinates (the live
+// cell map is keyed by a seeded 64-bit hash instead).
+type cellKey string
+
+func key(c []int64) cellKey {
+	buf := make([]byte, 0, len(c)*8)
+	for _, v := range c {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return cellKey(buf)
 }
 
 // bruteCount is the reference neighbor count: points with a different ID
@@ -107,6 +123,9 @@ func TestNeighborCountEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestNeighborsEnumeratesExactly holds the neighbor walk to the definition:
+// it reports exactly the points brute force finds within r, each once, in
+// RingCells order (ring by ring, lexicographic within a ring).
 func TestNeighborsEnumeratesExactly(t *testing.T) {
 	pts := randPoints(400, 2, 8, 11)
 	const r = 1.0
@@ -119,15 +138,30 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sc := NewCountScratch()
 	for _, p := range pts[:50] {
+		// cellRank numbers the cells of p's neighborhood in RingCells order.
+		cellRank := make(map[cellKey]int)
+		ix.NeighborhoodCells(p, func(c []int64) { cellRank[key(c)] = len(cellRank) })
 		seen := make(map[uint64]bool)
-		if err := ix.Neighbors(p, func(q geom.Point) { seen[q.ID] = true }); err != nil {
+		last := -1
+		if err := ix.NeighborsScratch(sc, p, func(q geom.Point) {
+			if seen[q.ID] {
+				t.Fatalf("NeighborsScratch(%v): point %d reported twice", p, q.ID)
+			}
+			seen[q.ID] = true
+			rank, ok := cellRank[key(ix.CellCoords(q))]
+			if !ok || rank < last {
+				t.Fatalf("NeighborsScratch(%v): point %d visited out of RingCells order (cell rank %d after %d)", p, q.ID, rank, last)
+			}
+			last = rank
+		}); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range pts {
 			want := q.ID != p.ID && geom.WithinDist(p, q, r)
 			if seen[q.ID] != want {
-				t.Fatalf("Neighbors(%v): point %d reported %v, want %v", p, q.ID, seen[q.ID], want)
+				t.Fatalf("NeighborsScratch(%v): point %d reported %v, want %v", p, q.ID, seen[q.ID], want)
 			}
 		}
 	}
@@ -178,8 +212,11 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := ix.NeighborCount(bad, 1); err == nil {
 		t.Error("NeighborCount accepted mismatched dimension")
 	}
-	if err := ix.Neighbors(bad, func(geom.Point) {}); err == nil {
-		t.Error("Neighbors accepted mismatched dimension")
+	if err := ix.NeighborsScratch(NewCountScratch(), bad, func(geom.Point) {}); err == nil {
+		t.Error("NeighborsScratch accepted mismatched dimension")
+	}
+	if _, err := ix.NeighborsInCells(bad, nil, 0, nil); err == nil {
+		t.Error("NeighborsInCells accepted mismatched dimension")
 	}
 	if ix.Remove(bad) {
 		t.Error("Remove found a mismatched-dimension point")
@@ -187,6 +224,40 @@ func TestDimensionMismatch(t *testing.T) {
 	good := geom.Point{ID: 1, Coords: []float64{1, 2}}
 	if _, err := ix.NeighborCount(good, 0); err == nil {
 		t.Error("NeighborCount accepted limit 0")
+	}
+}
+
+// TestNonFinitePointRejected: a NaN or ±Inf coordinate names no cell, so
+// every insert and query refuses it as a parameter error and the index
+// stays as it was.
+func TestNonFinitePointRejected(t *testing.T) {
+	ix, err := New(Config{Dim: 2, R: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Insert(geom.Point{ID: 1, Coords: []float64{0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewCountScratch()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bad := range []geom.Point{{ID: 9, Coords: []float64{v, 0}}, {ID: 9, Coords: []float64{0, v}}} {
+			calls := map[string]error{"Insert": ix.Insert(bad)}
+			_, calls["NeighborCount"] = ix.NeighborCount(bad, 3)
+			_, calls["NeighborCountScratch"] = ix.NeighborCountScratch(sc, bad, 3)
+			calls["NeighborsScratch"] = ix.NeighborsScratch(sc, bad, func(geom.Point) {})
+			_, calls["NeighborsInCells"] = ix.NeighborsInCells(bad, [][]int64{{0, 0}}, 0, nil)
+			for name, err := range calls {
+				if !errors.Is(err, errs.ErrBadParams) {
+					t.Errorf("%s(%v): error %v, want ErrBadParams", name, bad.Coords, err)
+				}
+			}
+			if ix.Remove(bad) {
+				t.Errorf("Remove(%v) found a point", bad.Coords)
+			}
+		}
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len = %d after refused inserts, want 1", ix.Len())
 	}
 }
 
@@ -336,8 +407,8 @@ func TestRingCellsInt64Extremes(t *testing.T) {
 
 // TestNeighborsInCellsPartition splits a point's neighborhood cells into
 // arbitrary groups and checks that the per-group counts sum to exactly
-// what one Neighbors scan reports — the invariant the sharded serving
-// tier's boundary-support protocol rests on.
+// what brute force over the whole index reports — the invariant the sharded
+// serving tier's boundary-support protocol rests on.
 func TestNeighborsInCellsPartition(t *testing.T) {
 	for _, dim := range []int{1, 2, 3} {
 		const r = 1.5

@@ -7,13 +7,13 @@ import (
 	"dod/internal/geom"
 )
 
-// CountScratch holds the per-caller buffers of a scratch neighbor query:
-// the query cell coordinates and the ring-walk cursor and offset odometer.
-// NeighborCount allocates these per call; batch scoring issues thousands of
-// queries per request, so each scoring worker owns one CountScratch and the
-// steady-state query path allocates nothing. A CountScratch must not be
-// shared between concurrent queries; the Index itself remains safe for
-// concurrent use.
+// CountScratch holds the per-caller buffers of a neighbor query: the query
+// cell coordinates and the ring-walk cursor and offset odometer. Batch
+// scoring issues thousands of queries per request and the window walks two
+// neighborhoods per ingested point, so each scoring worker and each window
+// owns one CountScratch and the steady-state query path allocates nothing.
+// A CountScratch must not be shared between concurrent queries; the Index
+// itself remains safe for concurrent use.
 type CountScratch struct {
 	center []int64
 	cur    []int64
@@ -33,6 +33,12 @@ func (sc *CountScratch) grow(dim int) {
 	sc.center = sc.center[:dim]
 	sc.cur = sc.cur[:dim]
 	sc.off = sc.off[:dim]
+}
+
+// centerOn sizes the scratch for ix and sets its center to p's cell.
+func (sc *CountScratch) centerOn(ix *Index, p geom.Point) {
+	sc.grow(ix.dim)
+	ix.cellCoordsInto(sc.center[:0], p)
 }
 
 // ringCellsSc enumerates the cells at exactly Chebyshev distance radius from
@@ -105,26 +111,24 @@ func (ix *Index) cellBeyondR(p geom.Point, c []int64) bool {
 	return d2 > ix.r*ix.r
 }
 
-// NeighborsScratch is Neighbors with caller-owned buffers: it visits exactly
-// the same points in the same order (ring by ring, lexicographic within a
-// ring) but allocates nothing — the scratch ring walk carries the whole
-// enumeration — and skips ring-2+ cells that lie wholly outside the r-disk.
-// The sliding-window admission and eviction paths call this once per point,
-// so the per-cell allocations of the plain walk dominated the serving-tier
-// ingest profile before this variant existed. One scratch per goroutine.
+// NeighborsScratch calls fn with every indexed point within distance r of p,
+// excluding any point sharing p's ID, ring by ring and lexicographically
+// within a ring. It never terminates early — the sliding window uses it to
+// maintain exact per-point neighbor counts under admission and eviction,
+// once per point each, which is why it allocates nothing (the scratch ring
+// walk carries the whole enumeration) and skips the hash, lock and probe of
+// ring-2+ cells that lie wholly outside the r-disk. The L1 block needs no
+// distance checks. One scratch per goroutine.
 func (ix *Index) NeighborsScratch(sc *CountScratch, p geom.Point, fn func(q geom.Point)) error {
-	if err := ix.checkDim(p); err != nil {
+	if err := ix.checkPoint(p); err != nil {
 		return err
 	}
 	if ix.met != nil {
 		ix.met.scans.Inc()
 	}
-	sc.grow(ix.dim)
-	for i, v := range p.Coords {
-		sc.center[i] = int64(math.Floor(v / ix.side))
-	}
+	sc.centerOn(ix, p)
 	for radius := 0; radius <= ix.l2; radius++ {
-		exact := radius > 1 // L1 block needs no distance checks
+		exact := radius > 1
 		sc.ringCellsSc(radius, func(c []int64) {
 			if exact && ix.cellBeyondR(p, c) {
 				return
@@ -144,62 +148,45 @@ func (ix *Index) NeighborsScratch(sc *CountScratch, p geom.Point, fn func(q geom
 	return nil
 }
 
-// NeighborCountScratch is NeighborCount with caller-owned buffers: same
-// arguments, same result for every input (the early-termination bound makes
-// the count order-independent, and the scratch ring walk visits the same
-// cells as the allocating one). Use one scratch per goroutine; the index may
-// be queried and mutated concurrently as usual.
+// NeighborCountScratch is the capped count behind NeighborCount, on
+// caller-owned buffers. The L1 block (Chebyshev radius 1) is auto-accepted
+// without distance computations; rings 2..⌈2√d⌉ are expanded outward with
+// exact checks, and the scan stops at whichever comes first, limit
+// neighbors or the L2 radius (the bound makes the count order-independent).
+// Use one scratch per goroutine; the index may be queried and mutated
+// concurrently as usual.
 func (ix *Index) NeighborCountScratch(sc *CountScratch, p geom.Point, limit int) (int, error) {
-	if err := ix.checkDim(p); err != nil {
+	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
 	if limit < 1 {
 		return 0, errs.BadParams("NeighborCount limit must be >= 1, got %d", limit)
 	}
-	sc.grow(ix.dim)
-	for i, v := range p.Coords {
-		sc.center[i] = int64(math.Floor(v / ix.side))
-	}
+	sc.centerOn(ix, p)
 	count := 0
-	depth := 0
-	for radius := 0; radius <= 1 && count < limit; radius++ {
+	depth := 0 // deepest ring entered; feeds the ring-depth histogram
+	for radius := 0; radius <= ix.l2 && count < limit; radius++ {
 		depth = radius
+		exact := radius > 1
 		sc.ringCellsSc(radius, func(c []int64) {
+			if count >= limit || exact && ix.cellBeyondR(p, c) {
+				return
+			}
 			ix.readCellCoords(c, func(pts []geom.Point) {
 				for _, q := range pts {
-					if q.ID != p.ID {
+					if count >= limit {
+						return
+					}
+					if q.ID != p.ID && (!exact || geom.WithinDist(p, q, ix.r)) {
 						count++
 					}
 				}
 			})
 		})
 	}
-	if count < limit {
-		for radius := 2; radius <= ix.l2 && count < limit; radius++ {
-			depth = radius
-			sc.ringCellsSc(radius, func(c []int64) {
-				if count >= limit || ix.cellBeyondR(p, c) {
-					return
-				}
-				ix.readCellCoords(c, func(pts []geom.Point) {
-					for _, q := range pts {
-						if count >= limit {
-							return
-						}
-						if q.ID != p.ID && geom.WithinDist(p, q, ix.r) {
-							count++
-						}
-					}
-				})
-			})
-		}
-	}
 	if ix.met != nil {
 		ix.met.counts.Inc()
 		ix.met.ringDepth.Observe(float64(depth))
-	}
-	if count > limit {
-		count = limit
 	}
 	return count, nil
 }

@@ -7,21 +7,25 @@ import (
 	"dod/internal/geom"
 )
 
-// TestNeighborCountScratchMatches cross-checks the scratch-based query
-// against NeighborCount over random windows, dims and limits.
+// TestNeighborCountScratchMatches cross-checks the capped count — on a
+// reused scratch and through NeighborCount's fresh one — against brute force
+// over random windows, dims and limits.
 func TestNeighborCountScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dim := range []int{1, 2, 3} {
-		ix, err := New(Config{Dim: dim, R: 1.5, Shards: 4})
+		const r = 1.5
+		ix, err := New(Config{Dim: dim, R: r, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var pool []geom.Point
 		for i := 0; i < 400; i++ {
 			coords := make([]float64, dim)
 			for d := range coords {
 				coords[d] = rng.Float64() * 12
 			}
-			if err := ix.Insert(geom.Point{ID: uint64(i), Coords: coords}); err != nil {
+			pool = append(pool, geom.Point{ID: uint64(i), Coords: coords})
+			if err := ix.Insert(pool[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -33,22 +37,23 @@ func TestNeighborCountScratchMatches(t *testing.T) {
 			}
 			p := geom.Point{ID: uint64(rng.Intn(500)), Coords: coords}
 			limit := 1 + rng.Intn(12)
-			want, err := ix.NeighborCount(p, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := min(bruteCount(p, pool, r), limit)
 			got, err := ix.NeighborCountScratch(sc, p, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("dim=%d trial=%d limit=%d: scratch %d, plain %d", dim, trial, limit, got, want)
+			plain, err := ix.NeighborCount(p, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || plain != want {
+				t.Fatalf("dim=%d trial=%d limit=%d: scratch %d, plain %d, brute force %d", dim, trial, limit, got, plain, want)
 			}
 		}
 	}
 }
 
-// TestNeighborCountScratchErrors pins the error contract parity.
+// TestNeighborCountScratchErrors pins the error contract.
 func TestNeighborCountScratchErrors(t *testing.T) {
 	ix, err := New(Config{Dim: 2, R: 1})
 	if err != nil {

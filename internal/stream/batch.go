@@ -29,8 +29,8 @@ func (w *Window) ProcessBatch(pts []geom.Point, now time.Time) ([]Verdict, []err
 		}
 		return verdicts, errors
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.sw.mu.Lock()
+	defer w.sw.mu.Unlock()
 	for i := range pts {
 		verdicts[i], errors[i] = w.processLocked(pts[i], now)
 	}
@@ -59,7 +59,7 @@ func (w *Window) ScoreBatch(pts []geom.Point, workers int) ([]Score, []error) {
 	par.Do(len(pts), par.Workers(workers), func(tile, lo, hi int) {
 		sc := index.NewCountScratch()
 		for i := lo; i < hi; i++ {
-			n, err := w.ix.NeighborCountScratch(sc, pts[i], w.cfg.K)
+			n, err := w.sw.ix.NeighborCountScratch(sc, pts[i], w.cfg.K)
 			if err != nil {
 				errors[i] = err
 				continue

@@ -191,3 +191,54 @@ func TestScoreBatchMatchesScorePoint(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessBatchAllocs pins the ingest hot path in tier-1: on a window at
+// capacity (2-D, the benchmark's R and K, every point evicting one), a
+// 100-point ProcessBatch allocates the entry and the coordinate clone of
+// each point plus a constant per batch — the two result slices, and the
+// amortized growth of the FIFO, the ID map and the index cells. Building a
+// cell list per walk, or letting the per-point op escape, costs 2–10 objects
+// per point and fails here before it fails the benchmark's 5 % bound.
+func TestProcessBatchAllocs(t *testing.T) {
+	const (
+		capacity = 2000
+		lines    = 100
+		runs     = 20
+	)
+	rng := rand.New(rand.NewSource(21))
+	next := uint64(0)
+	draw := func(n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{ID: next, Coords: []float64{rng.Float64() * 40, rng.Float64() * 40}}
+			next++
+		}
+		return pts
+	}
+	win, err := NewWindow(Config{R: 5, K: 4, Dim: 2, Capacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win.ProcessBatch(draw(2*capacity), t0)  // fill, and churn once so every structure has reached its steady size
+	batches := make([][]geom.Point, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range batches {
+		batches[i] = draw(lines)
+	}
+	i := 0
+	perBatch := testing.AllocsPerRun(runs, func() {
+		_, errsOut := win.ProcessBatch(batches[i], t0)
+		i++
+		for _, err := range errsOut {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if st := win.Stats(); st.Len != capacity || st.Evicted == 0 {
+		t.Fatalf("window not at capacity: %+v", st)
+	}
+	if ceiling := float64(2*lines + 40); perBatch > ceiling {
+		t.Errorf("ProcessBatch of %d points allocates %.1f objects, want <= %.0f (2 per point + a constant)", lines, perBatch, ceiling)
+	}
+	t.Logf("%.1f objects per %d-point batch", perBatch, lines)
+}

@@ -14,42 +14,55 @@ import (
 	"dod/internal/obs"
 )
 
-// ShardWindow is one shard's slice of a cell-partitioned sliding window:
-// the resident points whose grid cells this shard owns, with the same
-// always-current exact neighbor counts a single-process Window maintains —
-// except that a point's neighbors may live on other shards.
+// ShardWindow is the resident-state machine of the sliding window: the
+// points of the grid cells it owns, each with its always-current exact
+// neighbor count and verdict, the flip rules that keep them current, and the
+// counters and dod_stream_* metrics that tally them — where a point's
+// neighbors may live in cells some other ShardWindow owns.
 //
 // The paper's Lemma 3.1 makes this decomposition exact: a point's verdict
 // depends only on neighbor COUNTS from the bounded cell neighborhood, so
 // cross-shard effects reduce to count queries and count deltas — no point
 // data needs to be replicated. Every operation that would touch a foreign
 // cell is split: cells this shard owns (per the caller-supplied ownership
-// predicate) are processed against the local index exactly as Window
-// does, and the remaining cells are the router's to settle — an
-// admission's foreign neighbor count arrives with it, and what an
-// admission or eviction elsewhere owes this shard's residents arrives as
-// a ±1 step of the same ordered op list. ApplyOps is the one entry that
-// admits, evicts or applies a delta, on a primary and on a standby
-// replaying its primary's log alike.
+// predicate) are processed against the local index, and the remaining cells
+// are the router's to settle — an admission's foreign neighbor count arrives
+// with it, and what an admission or eviction elsewhere owes this shard's
+// residents arrives as a ±1 step of the same ordered op list. ApplyOps is
+// the one entry that admits, evicts or applies a delta, on a primary and on
+// a standby replaying its primary's log alike.
 //
-// Unlike Window, a ShardWindow has no capacity or TTL of its own:
-// eviction order is a property of the GLOBAL window, so the router tracks
-// the global FIFO and commands evictions by point ID. That keeps the
-// sharded tier's eviction sequence — and therefore every verdict flip —
-// bit-identical to the single-process reference.
+// Window is this type with every cell owned (a nil predicate, every foreign
+// count zero), plus the discipline a ShardWindow does not have: capacity,
+// TTL, arrival order and sequence numbers are properties of the GLOBAL
+// window, so Window keeps them in process and the router keeps them for N
+// shards, each commanding evictions by point ID. One machine under both is
+// what keeps the sharded tier's eviction sequence — and therefore every
+// verdict flip — bit-identical to the single-process window.
 type ShardWindow struct {
 	cfg ShardConfig
 	ix  *index.Index
-	met *windowMetrics // nil when unobserved; shares dod_stream_* names
+	met *windowMetrics // nil when unobserved
 
 	mu       sync.Mutex
-	rec      OpRecorder // nil when unreplicated
+	sc       *index.CountScratch // whole-neighborhood walk buffers, used when every cell is owned
+	rec      OpRecorder          // nil when unreplicated
 	entries  map[uint64]*entry
 	ingested uint64
 	evicted  uint64
 	outliers int
 	flipIn   uint64
 	flipOut  uint64
+}
+
+// windowMetrics are the obs instruments of one ShardWindow. The counters
+// are incremented under mu alongside the Stats fields; the occupancy gauges
+// read the live fields at scrape time.
+type windowMetrics struct {
+	ingested *obs.Counter
+	evicted  *obs.Counter
+	flipIn   *obs.Counter
+	flipOut  *obs.Counter
 }
 
 // OpRecorder observes every successful window mutation for replication:
@@ -81,7 +94,8 @@ type ShardConfig struct {
 }
 
 // OwnsFunc reports whether this shard owns a grid cell under the current
-// topology. The cell slice is only valid during the call.
+// topology. The cell slice is only valid during the call. A nil OwnsFunc
+// owns every cell.
 type OwnsFunc func(cell []int64) bool
 
 // NewShardWindow builds an empty shard window.
@@ -90,7 +104,7 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 		return nil, err
 	}
 	if cfg.Dim < 1 {
-		return nil, errs.BadParams("shard window dimension must be >= 1, got %d", cfg.Dim)
+		return nil, errs.BadParams("window dimension must be >= 1, got %d", cfg.Dim)
 	}
 	ix, err := index.New(index.Config{Dim: cfg.Dim, R: cfg.R, Shards: cfg.Shards, Obs: cfg.Obs})
 	if err != nil {
@@ -99,6 +113,7 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 	sw := &ShardWindow{
 		cfg:     cfg,
 		ix:      ix,
+		sc:      index.NewCountScratch(),
 		entries: make(map[uint64]*entry),
 	}
 	if reg := cfg.Obs; reg != nil {
@@ -110,9 +125,9 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 			flipOut: reg.Counter("dod_stream_verdict_flips_total",
 				"verdict transitions caused by window churn", obs.L("direction", "inlier_to_outlier")),
 		}
-		reg.GaugeFunc("dod_stream_window_points", "points currently resident in this shard's window slice",
+		reg.GaugeFunc("dod_stream_window_points", "points currently resident in the window (on a shard: its slice)",
 			func() float64 { sw.mu.Lock(); defer sw.mu.Unlock(); return float64(len(sw.entries)) })
-		reg.GaugeFunc("dod_stream_outliers", "current outliers in this shard's window slice",
+		reg.GaugeFunc("dod_stream_outliers", "current outliers in the window (on a shard: its slice)",
 			func() float64 { sw.mu.Lock(); defer sw.mu.Unlock(); return float64(sw.outliers) })
 	}
 	return sw, nil
@@ -127,7 +142,7 @@ func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
 func (sw *ShardWindow) ownedCells(p geom.Point, owns OwnsFunc) (local [][]int64) {
 	var flat []int64
 	sw.ix.NeighborhoodCells(p, func(cell []int64) {
-		if owns != nil && !owns(cell) {
+		if !owns(cell) {
 			return
 		}
 		n := len(flat)
@@ -138,9 +153,8 @@ func (sw *ShardWindow) ownedCells(p geom.Point, owns OwnsFunc) (local [][]int64)
 }
 
 // applyLocalDelta visits p's neighbors in the given owned cells, adjusting
-// each resident neighbor's count by delta with the same flip rules
-// Window.Process and Window.evictOldest apply, and returns the neighbor
-// count found. Callers hold sw.mu.
+// each resident neighbor's count by delta, and returns the neighbor count
+// found. Callers hold sw.mu.
 func (sw *ShardWindow) applyLocalDelta(p geom.Point, cells [][]int64, delta int) (int, error) {
 	return sw.ix.NeighborsInCells(p, cells, 0, func(q geom.Point) {
 		e := sw.entries[q.ID]
@@ -151,53 +165,90 @@ func (sw *ShardWindow) applyLocalDelta(p geom.Point, cells [][]int64, delta int)
 	})
 }
 
-// bump adjusts one resident entry's neighbor count by delta with the flip
-// rules Window.Process and Window.evictOldest apply. Callers hold sw.mu.
+// bumpOwned is applyLocalDelta over every cell of p's neighborhood this
+// shard owns. When it owns them all there is no cell list to build: the
+// neighborhood is walked in place, allocating nothing. Callers hold sw.mu.
+func (sw *ShardWindow) bumpOwned(p geom.Point, owns OwnsFunc, delta int) (int, error) {
+	if owns != nil {
+		return sw.applyLocalDelta(p, sw.ownedCells(p, owns), delta)
+	}
+	n := 0
+	err := sw.ix.NeighborsScratch(sw.sc, p, func(q geom.Point) {
+		n++
+		sw.bump(sw.entries[q.ID], delta)
+	})
+	return n, err
+}
+
+// bump adjusts one resident entry's neighbor count by delta and keeps its
+// verdict current — the one place a verdict flips. Since outlier ⇔ count < K
+// held before, an arrival (+1) can only turn an outlier reaching K neighbors
+// into an inlier, a departure (−1) can only turn an inlier dropping below K
+// into an outlier. Callers hold sw.mu.
 func (sw *ShardWindow) bump(e *entry, delta int) {
 	e.count += delta
-	switch {
-	case delta > 0 && e.outlier && e.count >= sw.cfg.K:
-		e.outlier = false
-		sw.outliers--
-		sw.flipIn++
-		if sw.met != nil {
-			sw.met.flipIn.Inc()
-		}
-	case delta < 0 && !e.outlier && e.count < sw.cfg.K:
-		e.outlier = true
+	if e.outlier == (e.count < sw.cfg.K) {
+		return
+	}
+	e.outlier = !e.outlier
+	if e.outlier {
 		sw.outliers++
 		sw.flipOut++
 		if sw.met != nil {
 			sw.met.flipOut.Inc()
 		}
+	} else {
+		sw.outliers--
+		sw.flipIn++
+		if sw.met != nil {
+			sw.met.flipIn.Inc()
+		}
 	}
 }
 
-// admitLocked files p, which this shard owns, as the global window's seq-th
-// point. The router has already evicted whatever the global capacity/TTL
-// required and settled foreign, p's neighbor count on other shards at this
-// instant, so admission only counts the neighbors in owned cells (each
-// gains one) and files the entry. The returned Verdict carries the
-// router-assigned global sequence number. Callers hold sw.mu.
-func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, foreign int) (Verdict, error) {
+// admissibleLocked is the admission check of every window: p has the
+// window's dimension, a finite position (a NaN or ±Inf coordinate has no
+// distance to anything, and the grid would file it in an arbitrary cell and
+// count it by cell adjacency), and an ID that is not resident. A refused
+// point changes nothing. Callers hold sw.mu.
+func (sw *ShardWindow) admissibleLocked(p geom.Point) error {
 	if p.Dim() != sw.cfg.Dim {
-		return Verdict{}, &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: sw.cfg.Dim}
+		return &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: sw.cfg.Dim}
+	}
+	for i, v := range p.Coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errs.BadParams("point %d: coordinate %d is %g, want a finite value", p.ID, i, v)
+		}
 	}
 	if _, dup := sw.entries[p.ID]; dup {
-		return Verdict{}, &errs.DuplicateIDError{ID: p.ID}
+		return &errs.DuplicateIDError{ID: p.ID}
 	}
-	// Past the dimension check neither index call below can fail, so a
-	// refused admission leaves the window untouched.
-	n, err := sw.applyLocalDelta(p, sw.ownedCells(p, owns), +1)
+	return nil
+}
+
+// admitLocked files p, which this shard owns, as the global window's seq-th
+// point. Whoever keeps the discipline has already evicted what the global
+// capacity/TTL required and settled foreign, p's neighbor count on other
+// shards at this instant, so admission only counts the neighbors in owned
+// cells (each gains one) and files the entry, whose count and verdict at
+// this instant are p's admission verdict. Callers hold sw.mu.
+func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns OwnsFunc, foreign int) (*entry, error) {
+	if err := sw.admissibleLocked(p); err != nil {
+		return nil, err
+	}
+	// Past that check neither index call below can fail, so a refused
+	// admission leaves the window untouched.
+	n, err := sw.bumpOwned(p, owns, +1)
 	if err != nil {
-		return Verdict{}, err
+		return nil, err
 	}
 	n += foreign
 	// One clone serves both the index and the entry: neither mutates
-	// coordinates, and Export clones again before anything leaves the lock.
+	// coordinates, and Export and Snapshot clone again before anything
+	// leaves the lock.
 	pc := p.Clone()
 	if err := sw.ix.Insert(pc); err != nil {
-		return Verdict{}, err
+		return nil, err
 	}
 	sw.ingested++
 	if sw.met != nil {
@@ -208,7 +259,12 @@ func (sw *ShardWindow) admitLocked(p geom.Point, seq uint64, now time.Time, owns
 		sw.outliers++
 	}
 	sw.entries[p.ID] = e
-	return Verdict{ID: p.ID, Seq: seq, Neighbors: n, Outlier: e.outlier}, nil
+	return e, nil
+}
+
+// verdict is e's admission verdict when read at the instant e was filed.
+func (e *entry) verdict() Verdict {
+	return Verdict{ID: e.pt.ID, Seq: e.seq, Neighbors: e.count, Outlier: e.outlier}
 }
 
 // ShardOpKind tags one step of an ordered segment; see ApplyOps.
@@ -244,37 +300,47 @@ type ShardOp struct {
 
 // ApplyOps applies this shard's share of a router segment: every admission
 // and eviction of the segment that touches a cell this shard owns, in the
-// global window's order, under one lock and calling no one. Each op that
-// succeeds is recorded for replication as itself and bumps counts with
-// Window's flip rules; since every shard sees every operation on its cells
-// in the one global order, each resident's count walks through exactly the
-// values it takes in a single-process Window, and so do the flip totals.
-// Verdicts and errors are index-aligned with ops (a Verdict only for
-// OpAdmit); a failed op leaves its error, changes nothing, is not recorded,
-// and the run continues — as an OpEvict does whose resident is gone (lost
-// when a lagging standby was promoted).
+// global window's order, under one lock and calling no one. Since every
+// shard sees every operation on its cells in the one global order, each
+// resident's count walks through exactly the values it takes when one
+// window owns every cell, and so do the flip totals. Verdicts and errors
+// are index-aligned with ops (a Verdict only for OpAdmit); a failed op
+// leaves its error, changes nothing, is not recorded, and the run continues
+// — as an OpEvict does whose resident is gone (lost when a lagging standby
+// was promoted).
 func (sw *ShardWindow) ApplyOps(ops []ShardOp, now time.Time, owns OwnsFunc) ([]Verdict, []error) {
 	verdicts := make([]Verdict, len(ops))
 	errsOut := make([]error, len(ops))
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case OpAdmit:
-			verdicts[i], errsOut[i] = sw.admitLocked(op.Point, op.Seq, now, owns, op.Foreign)
-		case OpEvict:
-			errsOut[i] = sw.evictLocked(op.ID, owns)
-		case OpSupport:
-			_, errsOut[i] = sw.applyLocalDelta(op.Point, op.Cells, op.Delta)
-		default:
-			errsOut[i] = fmt.Errorf("unknown shard op kind %d", op.Kind)
-		}
-		if errsOut[i] == nil && sw.rec != nil {
-			sw.rec.RecordOp(op, now)
+		var e *entry
+		if e, errsOut[i] = sw.stepLocked(&ops[i], now, owns); e != nil {
+			verdicts[i] = e.verdict()
 		}
 	}
 	return verdicts, errsOut
+}
+
+// stepLocked applies one op — the unit ApplyOps loops over and Window spends
+// its evictions and admissions as — and, if it succeeded, records it for
+// replication as itself, so record order is mutation order. An OpAdmit hands
+// back the entry it filed. Callers hold sw.mu.
+func (sw *ShardWindow) stepLocked(op *ShardOp, now time.Time, owns OwnsFunc) (e *entry, err error) {
+	switch op.Kind {
+	case OpAdmit:
+		e, err = sw.admitLocked(op.Point, op.Seq, now, owns, op.Foreign)
+	case OpEvict:
+		err = sw.evictLocked(op.ID, owns)
+	case OpSupport:
+		_, err = sw.applyLocalDelta(op.Point, op.Cells, op.Delta)
+	default:
+		err = fmt.Errorf("unknown shard op kind %d", op.Kind)
+	}
+	if err == nil && sw.rec != nil {
+		sw.rec.RecordOp(op, now)
+	}
+	return e, err
 }
 
 // evictLocked expires the resident with the given ID: its neighbors in
@@ -286,7 +352,7 @@ func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc) error {
 	if victim == nil {
 		return fmt.Errorf("evict %d: not resident on this shard", id)
 	}
-	if _, err := sw.applyLocalDelta(victim.pt, sw.ownedCells(victim.pt, owns), -1); err != nil {
+	if _, err := sw.bumpOwned(victim.pt, owns, -1); err != nil {
 		return err
 	}
 	sw.ix.Remove(victim.pt)
@@ -349,23 +415,22 @@ func (sw *ShardWindow) Export() []ExportedEntry {
 
 // Import adopts entries exported from another shard during drain/handoff,
 // inserting each point into the local index with its live bookkeeping
-// intact. Duplicate IDs fail the whole import.
+// intact. One inadmissible entry (a resident ID, say) fails the whole import.
 func (sw *ShardWindow) Import(entries []ExportedEntry) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	for _, in := range entries {
-		if in.Point.Dim() != sw.cfg.Dim {
-			return &errs.DimMismatchError{ID: in.Point.ID, Got: in.Point.Dim(), Want: sw.cfg.Dim}
-		}
-		if _, dup := sw.entries[in.Point.ID]; dup {
-			return &errs.DuplicateIDError{ID: in.Point.ID}
+		if err := sw.admissibleLocked(in.Point); err != nil {
+			return err
 		}
 	}
 	for _, in := range entries {
-		if err := sw.ix.Insert(in.Point.Clone()); err != nil {
+		// One clone serves both the index and the entry, as in admitLocked.
+		pc := in.Point.Clone()
+		if err := sw.ix.Insert(pc); err != nil {
 			return err
 		}
-		e := &entry{pt: in.Point.Clone(), seq: in.Seq, arrived: in.Arrived, count: in.Count, outlier: in.Outlier}
+		e := &entry{pt: pc, seq: in.Seq, arrived: in.Arrived, count: in.Count, outlier: in.Outlier}
 		sw.entries[in.Point.ID] = e
 		if e.outlier {
 			sw.outliers++
@@ -451,6 +516,12 @@ func (sw *ShardWindow) Reset() {
 func (sw *ShardWindow) Stats() Stats {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	return sw.statsLocked()
+}
+
+// statsLocked is Stats without the sequence number, which belongs to
+// whoever keeps the global window's discipline. Callers hold sw.mu.
+func (sw *ShardWindow) statsLocked() Stats {
 	return Stats{
 		Len:       len(sw.entries),
 		Ingested:  sw.ingested,

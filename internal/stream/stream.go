@@ -1,7 +1,7 @@
 // Package stream implements sliding-window distance-threshold outlier
 // detection on top of the incremental grid index (internal/index).
 //
-// A Window holds the most recent points of an unbounded stream — bounded by
+// A window holds the most recent points of an unbounded stream — bounded by
 // a count capacity, a time horizon, or both — and maintains every resident
 // point's exact neighbor count incrementally:
 //
@@ -14,24 +14,32 @@
 // The window's verdict set is therefore always exactly what the batch
 // detectors would produce on the same contents: Snapshot() == the outliers
 // of dod.DetectCentralized over Points(). The property tests assert this
-// equivalence on randomized streams.
+// equivalence on randomized streams, and hold every window to a naive one
+// that recomputes all counts from the definition after every mutation.
 //
-// Process (mutation) is serialized by the window mutex; Score (read-only
-// scoring of a query point against the window, without ingesting it) runs
-// lock-free above the index's own striped locks, so scoring scales with
-// index shards.
+// There is one such state machine, ShardWindow (shardwin.go): residents,
+// counts, verdicts, flip rules, counters and metrics for the grid cells it
+// owns, mutated one ShardOp at a time. Lemma 3.1 reduces every cross-cell
+// effect to neighbor counts, so a window whose cells are split over N owners
+// and a window whose cells all have one owner differ only in the ownership
+// predicate. Window (this file, batch.go) is the one-owner case plus the
+// global-window discipline: capacity and TTL policy, the arrival FIFO and
+// sequence numbers. The sharded tier's router keeps the same discipline for
+// N ShardWindows behind RPC.
+//
+// Process (mutation) is serialized by the one window mutex; Score
+// (read-only scoring of a query point against the window, without ingesting
+// it) runs lock-free above the index's own striped locks, so scoring scales
+// with index shards.
 package stream
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"dod/internal/detect"
 	"dod/internal/errs"
 	"dod/internal/geom"
-	"dod/internal/index"
 	"dod/internal/obs"
 )
 
@@ -58,15 +66,9 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// validate rejects unusable configurations; failures match
-// errs.ErrBadParams.
+// validate rejects unusable window bounds (R, K and Dim are the shard
+// window's to check); failures match errs.ErrBadParams.
 func (cfg Config) validate() error {
-	if err := (detect.Params{R: cfg.R, K: cfg.K}).Validate(); err != nil {
-		return err
-	}
-	if cfg.Dim < 1 {
-		return errs.BadParams("window dimension must be >= 1, got %d", cfg.Dim)
-	}
 	if cfg.Capacity < 0 {
 		return errs.BadParams("window capacity must be >= 0, got %d", cfg.Capacity)
 	}
@@ -117,35 +119,19 @@ type Stats struct {
 }
 
 // Window is a sliding window of stream points with always-current outlier
-// verdicts. All methods are safe for concurrent use.
+// verdicts: the global-window discipline — capacity and TTL policy, arrival
+// order, sequence numbers — over one ShardWindow that owns every cell. All
+// methods are safe for concurrent use.
 type Window struct {
 	cfg Config
-	ix  *index.Index
-	met *windowMetrics // nil when unobserved
+	sw  *ShardWindow // the resident state, and the one lock: sw.mu guards the fields below too
 
 	closed atomic.Bool // set by Close; checked lock-free by Process/Score
 
-	mu       sync.Mutex          // serializes mutation and snapshotting
-	sc       *index.CountScratch // neighbor-walk buffers; guarded by mu
-	entries  map[uint64]*entry
-	fifo     []*entry // arrival order; fifo[head:] are resident
-	head     int
-	seq      uint64
-	ingested uint64
-	evicted  uint64
-	outliers int
-	flipIn   uint64
-	flipOut  uint64
-}
-
-// windowMetrics are the obs instruments of one Window. Eviction and flip
-// counters are incremented under w.mu alongside the Stats fields; the
-// occupancy gauges read the live fields at scrape time.
-type windowMetrics struct {
-	ingested *obs.Counter
-	evicted  *obs.Counter
-	flipIn   *obs.Counter
-	flipOut  *obs.Counter
+	fifo []*entry // arrival order; fifo[head:] are resident
+	head int
+	seq  uint64
+	op   ShardOp // the step in flight; a field because a local would escape to the heap per point
 }
 
 // NewWindow builds an empty sliding window.
@@ -153,31 +139,11 @@ func NewWindow(cfg Config) (*Window, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ix, err := index.New(index.Config{Dim: cfg.Dim, R: cfg.R, Shards: cfg.Shards, Obs: cfg.Obs})
+	sw, err := NewShardWindow(ShardConfig{R: cfg.R, K: cfg.K, Dim: cfg.Dim, Shards: cfg.Shards, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
-	w := &Window{
-		cfg:     cfg,
-		ix:      ix,
-		sc:      index.NewCountScratch(),
-		entries: make(map[uint64]*entry),
-	}
-	if reg := cfg.Obs; reg != nil {
-		w.met = &windowMetrics{
-			ingested: reg.Counter("dod_stream_ingested_total", "points admitted to the sliding window"),
-			evicted:  reg.Counter("dod_stream_evicted_total", "points expired from the sliding window"),
-			flipIn: reg.Counter("dod_stream_verdict_flips_total",
-				"verdict transitions caused by window churn", obs.L("direction", "outlier_to_inlier")),
-			flipOut: reg.Counter("dod_stream_verdict_flips_total",
-				"verdict transitions caused by window churn", obs.L("direction", "inlier_to_outlier")),
-		}
-		reg.GaugeFunc("dod_stream_window_points", "points currently resident in the window",
-			func() float64 { w.mu.Lock(); defer w.mu.Unlock(); return float64(w.len()) })
-		reg.GaugeFunc("dod_stream_outliers", "current outliers in the window",
-			func() float64 { w.mu.Lock(); defer w.mu.Unlock(); return float64(w.outliers) })
-	}
-	return w, nil
+	return &Window{cfg: cfg, sw: sw}, nil
 }
 
 // Config returns the window configuration.
@@ -191,76 +157,49 @@ func (w *Window) Process(p geom.Point, now time.Time) (Verdict, error) {
 	if w.closed.Load() {
 		return Verdict{}, errs.ErrClosed
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.sw.mu.Lock()
+	defer w.sw.mu.Unlock()
 	return w.processLocked(p, now)
 }
 
-// processLocked is one point's admission under w.mu — the unit both Process
-// and ProcessBatch are built from, so a batch is exactly a sequence of
-// single-point ingests sharing one lock acquisition.
+// processLocked is one point's admission under the lock — the unit both
+// Process and ProcessBatch are built from, so a batch is exactly a sequence
+// of single-point ingests sharing one lock acquisition. It decides the line
+// (a refused point changes nothing and consumes no sequence number), then
+// spends it as shard-window steps: one OpEvict per point the capacity or the
+// TTL expires, one OpAdmit with no foreign neighbors.
 func (w *Window) processLocked(p geom.Point, now time.Time) (Verdict, error) {
-	if p.Dim() != w.cfg.Dim {
-		return Verdict{}, &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: w.cfg.Dim}
+	if err := w.sw.admissibleLocked(p); err != nil {
+		return Verdict{}, err
 	}
-	if _, dup := w.entries[p.ID]; dup {
-		return Verdict{}, &errs.DuplicateIDError{ID: p.ID}
-	}
-
 	evictions := 0
 	if w.cfg.Capacity > 0 {
 		for w.len() >= w.cfg.Capacity {
-			w.evictOldest()
+			w.evictOldest(now)
 			evictions++
 		}
 	}
 	evictions += w.evictExpired(now)
 
-	// Enumerate p's neighbors once: p's exact admission count, and a
-	// +1 for each of them (arrivals can only flip outliers to inliers).
-	n := 0
-	err := w.ix.NeighborsScratch(w.sc, p, func(q geom.Point) {
-		n++
-		e := w.entries[q.ID]
-		e.count++
-		if e.outlier && e.count >= w.cfg.K {
-			e.outlier = false
-			w.outliers--
-			w.flipIn++
-			if w.met != nil {
-				w.met.flipIn.Inc()
-			}
-		}
-	})
+	w.op = ShardOp{Kind: OpAdmit, Point: p, Seq: w.seq + 1}
+	e, err := w.sw.stepLocked(&w.op, now, nil)
+	w.op.Point = geom.Point{} // p's coordinates are the caller's to reuse
 	if err != nil {
 		return Verdict{}, err
 	}
-	// One clone serves both the index and the entry: neither mutates
-	// coordinates, and snapshots clone again before leaving the lock.
-	pc := p.Clone()
-	if err := w.ix.Insert(pc); err != nil {
-		return Verdict{}, err
-	}
 	w.seq++
-	w.ingested++
-	if w.met != nil {
-		w.met.ingested.Inc()
-	}
-	e := &entry{pt: pc, seq: w.seq, arrived: now, count: n, outlier: n < w.cfg.K}
-	if e.outlier {
-		w.outliers++
-	}
-	w.entries[p.ID] = e
 	w.fifo = append(w.fifo, e)
-	return Verdict{ID: p.ID, Seq: e.seq, Neighbors: n, Outlier: e.outlier, Evicted: evictions}, nil
+	v := e.verdict()
+	v.Evicted = evictions
+	return v, nil
 }
 
 // EvictExpired expires every point older than the TTL horizon relative to
 // now and returns how many were evicted. Process calls this implicitly;
 // servers may also call it on a timer so idle windows drain.
 func (w *Window) EvictExpired(now time.Time) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.sw.mu.Lock()
+	defer w.sw.mu.Unlock()
 	return w.evictExpired(now)
 }
 
@@ -271,44 +210,22 @@ func (w *Window) evictExpired(now time.Time) int {
 	horizon := now.Add(-w.cfg.TTL)
 	n := 0
 	for w.len() > 0 && w.fifo[w.head].arrived.Before(horizon) {
-		w.evictOldest()
+		w.evictOldest(now)
 		n++
 	}
 	return n
 }
 
-// len is the resident point count; callers hold w.mu.
+// len is the resident point count; callers hold the lock.
 func (w *Window) len() int { return len(w.fifo) - w.head }
 
-// evictOldest removes the head of the FIFO, decrementing its neighbors'
-// counts (expiry can only flip inliers to outliers). Callers hold w.mu.
-func (w *Window) evictOldest() {
+// evictOldest expires the head of the FIFO. Callers hold the lock.
+func (w *Window) evictOldest(now time.Time) {
 	victim := w.fifo[w.head]
 	w.fifo[w.head] = nil
 	w.head++
-	// The victim is older than every remaining point, so its departure
-	// never affects its own bookkeeping — it is leaving anyway.
-	w.ix.NeighborsScratch(w.sc, victim.pt, func(q geom.Point) {
-		e := w.entries[q.ID]
-		e.count--
-		if !e.outlier && e.count < w.cfg.K {
-			e.outlier = true
-			w.outliers++
-			w.flipOut++
-			if w.met != nil {
-				w.met.flipOut.Inc()
-			}
-		}
-	})
-	w.ix.Remove(victim.pt)
-	delete(w.entries, victim.pt.ID)
-	if victim.outlier {
-		w.outliers--
-	}
-	w.evicted++
-	if w.met != nil {
-		w.met.evicted.Inc()
-	}
+	w.op = ShardOp{Kind: OpEvict, ID: victim.pt.ID}
+	_, _ = w.sw.stepLocked(&w.op, now, nil) // evicting a resident cannot fail, and the FIFO holds nothing else
 	// Reclaim the drained prefix once it dominates the backing array.
 	if w.head > 64 && w.head*2 > len(w.fifo) {
 		w.fifo = append([]*entry(nil), w.fifo[w.head:]...)
@@ -326,7 +243,7 @@ func (w *Window) ScorePoint(p geom.Point) (Score, error) {
 	if w.closed.Load() {
 		return Score{}, errs.ErrClosed
 	}
-	n, err := w.ix.NeighborCount(p, w.cfg.K)
+	n, err := w.sw.ix.NeighborCount(p, w.cfg.K)
 	if err != nil {
 		return Score{}, err
 	}
@@ -355,8 +272,8 @@ type Snapshot struct {
 
 // Snapshot atomically captures the window contents and verdicts.
 func (w *Window) Snapshot() Snapshot {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.sw.mu.Lock()
+	defer w.sw.mu.Unlock()
 	snap := Snapshot{
 		Points: make([]geom.Point, 0, w.len()),
 		Seq:    w.seq,
@@ -374,16 +291,9 @@ func (w *Window) Snapshot() Snapshot {
 // Stats returns a consistent snapshot of the window counters plus the
 // per-shard index occupancy.
 func (w *Window) Stats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return Stats{
-		Len:       w.len(),
-		Seq:       w.seq,
-		Ingested:  w.ingested,
-		Evicted:   w.evicted,
-		Outliers:  w.outliers,
-		FlipIn:    w.flipIn,
-		FlipOut:   w.flipOut,
-		Occupancy: w.ix.ShardOccupancy(),
-	}
+	w.sw.mu.Lock()
+	defer w.sw.mu.Unlock()
+	st := w.sw.statsLocked()
+	st.Seq = w.seq
+	return st
 }

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"dod/internal/core"
 	"dod/internal/detect"
 	"dod/internal/geom"
+	"dod/internal/obs"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -304,6 +307,104 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if st.Len != capacity {
 		t.Fatalf("window len %d, want %d", st.Len, capacity)
+	}
+	assertMatchesBatch(t, w, r, k, -1)
+}
+
+// TestConcurrentHammerScrapes is TestConcurrentHammer through the batch
+// entries with the metrics registry scraped all the while: the gauge funcs
+// read the FIFO-backed occupancy and the outlier tally under the one window
+// mutex that ProcessBatch mutates them under, which is what the race
+// detector checks here. Afterwards the gauges equal Stats.
+func TestConcurrentHammerScrapes(t *testing.T) {
+	const (
+		r        = 1.0
+		k        = 3
+		capacity = 300
+		writers  = 3
+		batches  = 25
+		lines    = 10
+	)
+	reg := obs.NewRegistry()
+	w, err := NewWindow(Config{R: r, K: k, Dim: 2, Capacity: capacity, TTL: time.Hour, Shards: 8, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writing, reading sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
+		go func(g int) {
+			defer writing.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for b := 0; b < batches; b++ {
+				pts := make([]geom.Point, lines)
+				for i := range pts {
+					pts[i] = randPoint(uint64((g*batches+b)*lines+i), 2, 8, rng)
+				}
+				if _, errsOut := w.ProcessBatch(pts, t0.Add(time.Duration(b)*time.Millisecond)); errsOut[0] != nil {
+					t.Error(errsOut[0])
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		reading.Add(2)
+		go func(g int) { // scorers
+			defer reading.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + g)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				qs := []geom.Point{randPoint(uint64(1_000_000+i), 2, 8, rng), randPoint(uint64(2_000_000+i), 2, 8, rng)}
+				if _, errsOut := w.ScoreBatch(qs, 2); errsOut[0] != nil {
+					t.Error(errsOut[0])
+					return
+				}
+			}
+		}(g)
+		go func() { // scrapers
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+				w.EvictExpired(t0)
+				w.Stats()
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	st := w.Stats()
+	if st.Ingested != writers*batches*lines || st.Len != capacity {
+		t.Fatalf("stats after hammer: %+v", st)
+	}
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf("dod_stream_window_points %d\n", st.Len),
+		fmt.Sprintf("dod_stream_outliers %d\n", st.Outliers),
+		fmt.Sprintf("dod_stream_ingested_total %d\n", st.Ingested),
+		fmt.Sprintf("dod_stream_evicted_total %d\n", st.Evicted),
+	} {
+		if !strings.Contains(page.String(), line) {
+			t.Errorf("metrics page lacks %q", line)
+		}
 	}
 	assertMatchesBatch(t, w, r, k, -1)
 }
