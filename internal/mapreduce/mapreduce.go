@@ -486,22 +486,7 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	}
 	grouped := make([][]Group, cfg.NumReducers)
 	if err := runTasks(jobCtx, cfg.Parallelism, cfg.NumReducers, func(r int) error {
-		pairs := perReducer[r]
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-		var gs []Group
-		for i := 0; i < len(pairs); {
-			j := i
-			for j < len(pairs) && pairs[j].Key == pairs[i].Key {
-				j++
-			}
-			values := make([][]byte, 0, j-i)
-			for _, p := range pairs[i:j] {
-				values = append(values, p.Value)
-			}
-			gs = append(gs, Group{Key: pairs[i].Key, Values: values})
-			i = j
-		}
-		grouped[r] = gs
+		grouped[r] = groupByKey(perReducer[r])
 		return nil
 	}); err != nil {
 		return nil, err
@@ -578,6 +563,26 @@ func addSpans(tr *obs.Trace, spans []obs.Span) {
 	for _, s := range spans {
 		tr.Add(s.Name, s.Start, s.Duration, s.Attrs...)
 	}
+}
+
+// groupByKey groups pairs by key: groups in ascending key order, each
+// group's values in the order the pairs arrived. It sorts pairs in place.
+func groupByKey(pairs []Pair) []Group {
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	var gs []Group
+	for i := 0; i < len(pairs); {
+		j := i
+		for j < len(pairs) && pairs[j].Key == pairs[i].Key {
+			j++
+		}
+		values := make([][]byte, 0, j-i)
+		for _, p := range pairs[i:j] {
+			values = append(values, p.Value)
+		}
+		gs = append(gs, Group{Key: pairs[i].Key, Values: values})
+		i = j
+	}
+	return gs
 }
 
 // combine applies the map-side combiner to each per-reducer bucket,
