@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"dod/internal/synth"
 )
 
 // testDataset builds a clustered dataset with known isolated outliers.
@@ -43,24 +45,48 @@ func TestDetectFindsPlantedOutliers(t *testing.T) {
 	}
 }
 
+// TestDetectMatchesCentralizedForAllStrategies pins the seam between the
+// planner and the detectors: whatever plan a strategy cuts — on a toy
+// input, on the benchmark's batch-small input under each sampling seed of
+// its cycle, on a skewed multi-segment input — the distributed job returns
+// exactly the brute-force outlier set.
 func TestDetectMatchesCentralizedForAllStrategies(t *testing.T) {
-	pts := testDataset(800, 3)
-	want, err := DetectCentralized(pts, BruteForce, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strategy := range []Strategy{StrategyDomain, StrategyUniSpace, StrategyDDriven, StrategyCDriven, StrategyDMT} {
-		res, err := Detect(pts, Config{
-			R: 5, K: 4,
-			Strategy:   strategy,
-			SampleRate: 1,
-			Seed:       4,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
+	jittered := synth.Segment(synth.Massachusetts, 20000, 1)
+	rng := rand.New(rand.NewSource(1))
+	for i := range jittered {
+		for j := range jittered[i].Coords {
+			jittered[i].Coords[j] += 0.5 * rng.NormFloat64()
 		}
-		if !reflect.DeepEqual(res.OutlierIDs, want) {
-			t.Errorf("%s: outliers %v, want %v", strategy, res.OutlierIDs, want)
+	}
+	for _, in := range []struct {
+		name       string
+		points     []Point
+		sampleRate float64
+		seeds      []int64
+	}{
+		{"toy", testDataset(800, 3), 1, []int64{4}},
+		{"batch-small", jittered, 0.05, []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+		{"hierarchical", synth.Hierarchical(synth.LevelUS, 250, 1), 0.5, []int64{1}},
+	} {
+		want, err := DetectCentralized(in.points, BruteForce, 5, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strategy := range []Strategy{StrategyDomain, StrategyUniSpace, StrategyDDriven, StrategyCDriven, StrategyDMT} {
+			for _, seed := range in.seeds {
+				res, err := Detect(in.points, Config{
+					R: 5, K: 4,
+					Strategy:   strategy,
+					SampleRate: in.sampleRate,
+					Seed:       seed,
+				})
+				if err != nil {
+					t.Fatalf("%s/%s/seed %d: %v", in.name, strategy, seed, err)
+				}
+				if !reflect.DeepEqual(res.OutlierIDs, want) {
+					t.Errorf("%s/%s/seed %d: %d outliers, brute force finds %d", in.name, strategy, seed, len(res.OutlierIDs), len(want))
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -49,19 +50,33 @@ func detectionMapper(pl *plan.Plan) mapreduce.MapperFunc {
 		if err := codec.DecodePointsInto(split.Data, &sc.core); err != nil {
 			return fmt.Errorf("core: split %s: %w", split.Name, err)
 		}
-		var work int64
-		for i, n := 0, sc.core.Len(); i < n; i++ {
+		// rec is the one encode buffer; each emitted record is an exact-size
+		// copy of it. Counters are tallied here and posted once per split
+		// (Inc takes the task's mutex and hashes the counter name); a
+		// counter with nothing to count stays absent from the task's metric.
+		var rec []byte
+		var supportRecords int64
+		n := sc.core.Len()
+		for i := 0; i < n; i++ {
 			p := sc.core.At(i) // aliased view; Locate and the codec copy, never retain
 			core, supports := pl.Locate(p)
-			emit(uint64(core), codec.AppendTaggedPoint(nil, codec.TagCore, p))
-			work += 1 + int64(len(supports))
-			ctx.Inc(counterCoreRecords, 1)
-			for _, s := range supports {
-				emit(uint64(s), codec.AppendTaggedPoint(nil, codec.TagSupport, p))
-				ctx.Inc(counterSupportRecords, 1)
+			rec = codec.AppendTaggedPoint(rec[:0], codec.TagCore, p)
+			emit(uint64(core), bytes.Clone(rec))
+			if len(supports) > 0 {
+				rec = codec.AppendTaggedPoint(rec[:0], codec.TagSupport, p)
+				for _, s := range supports {
+					emit(uint64(s), bytes.Clone(rec))
+				}
+				supportRecords += int64(len(supports))
 			}
 		}
-		ctx.Inc(counterMapWork, work)
+		if n > 0 {
+			ctx.Inc(counterCoreRecords, int64(n))
+		}
+		if supportRecords > 0 {
+			ctx.Inc(counterSupportRecords, supportRecords)
+		}
+		ctx.Inc(counterMapWork, int64(n)+supportRecords)
 		return nil
 	}
 }

@@ -471,7 +471,7 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	}
 	mapWall := time.Since(mapStart)
 
-	// ---- Shuffle: regroup per-reducer, sort by key, group values ----
+	// ---- Shuffle: regroup per-reducer, group values by key ----
 	shuffleStart := time.Now()
 	perReducer := make([][]Pair, cfg.NumReducers)
 	var shuffleBytes, shuffleRecords int64
@@ -566,23 +566,38 @@ func addSpans(tr *obs.Trace, spans []obs.Span) {
 }
 
 // groupByKey groups pairs by key: groups in ascending key order, each
-// group's values in the order the pairs arrived. It sorts pairs in place.
+// group's values in the order the pairs arrived — what a stable sort by key
+// followed by a scan of the runs produces, without moving a pair. One pass
+// gives each distinct key a slot and counts it, a second files the values,
+// and only the groups are sorted.
 func groupByKey(pairs []Pair) []Group {
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	var gs []Group
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].Key == pairs[i].Key {
-			j++
+	slot := make(map[uint64]int) // key → index into groups, in first-arrival order
+	var groups []Group
+	var counts []int
+	for _, p := range pairs {
+		s, ok := slot[p.Key]
+		if !ok {
+			s = len(groups)
+			slot[p.Key] = s
+			groups = append(groups, Group{Key: p.Key})
+			counts = append(counts, 0)
 		}
-		values := make([][]byte, 0, j-i)
-		for _, p := range pairs[i:j] {
-			values = append(values, p.Value)
-		}
-		gs = append(gs, Group{Key: pairs[i].Key, Values: values})
-		i = j
+		counts[s]++
 	}
-	return gs
+	// One backing array holds every group's values; each group gets its
+	// exact share, capacity-clipped so an append by user code cannot reach
+	// its neighbor's.
+	values := make([][]byte, len(pairs))
+	for s, n := range counts {
+		groups[s].Values = values[:0:n]
+		values = values[n:]
+	}
+	for _, p := range pairs {
+		g := &groups[slot[p.Key]]
+		g.Values = append(g.Values, p.Value)
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
+	return groups
 }
 
 // combine applies the map-side combiner to each per-reducer bucket,
@@ -590,26 +605,16 @@ func groupByKey(pairs []Pair) []Group {
 func combine(combiner Reducer, ctx *TaskContext, buckets [][]Pair) (out [][]Pair, records, bytes int64, err error) {
 	out = make([][]Pair, len(buckets))
 	for r, bucket := range buckets {
-		sort.SliceStable(bucket, func(i, j int) bool { return bucket[i].Key < bucket[j].Key })
 		var combined []Pair
 		emit := func(key uint64, value []byte) {
 			combined = append(combined, Pair{Key: key, Value: value})
 			records++
 			bytes += int64(8 + len(value))
 		}
-		for i := 0; i < len(bucket); {
-			j := i
-			for j < len(bucket) && bucket[j].Key == bucket[i].Key {
-				j++
-			}
-			values := make([][]byte, 0, j-i)
-			for _, p := range bucket[i:j] {
-				values = append(values, p.Value)
-			}
-			if err := combiner.Reduce(ctx, bucket[i].Key, values, emit); err != nil {
+		for _, g := range groupByKey(bucket) {
+			if err := combiner.Reduce(ctx, g.Key, g.Values, emit); err != nil {
 				return nil, 0, 0, fmt.Errorf("combiner: %w", err)
 			}
-			i = j
 		}
 		out[r] = combined
 	}

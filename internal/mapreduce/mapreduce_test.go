@@ -291,3 +291,21 @@ func TestManySplitsManyReducers(t *testing.T) {
 		t.Errorf("counts = %v", got)
 	}
 }
+
+// TestGroupByKeyAllocs: grouping allocates the slot map, the group list and
+// one backing array for every group's values (29 objects for 100 groups) —
+// not a slice per group, nothing per pair, and no sort of the pairs. The
+// sort + run scan it replaced made 111 here.
+func TestGroupByKeyAllocs(t *testing.T) {
+	const groups, ceiling = 100, 50
+	pairs := make([]Pair, 5000)
+	for i := range pairs {
+		pairs[i] = Pair{Key: uint64(i*7919) % groups, Value: []byte{byte(i)}}
+	}
+	if got := len(groupByKey(pairs)); got != groups {
+		t.Fatalf("%d groups, want %d", got, groups)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { groupByKey(pairs) }); allocs > ceiling {
+		t.Errorf("groupByKey made %.0f allocations for %d pairs in %d groups, ceiling %d", allocs, len(pairs), groups, ceiling)
+	}
+}

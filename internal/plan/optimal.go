@@ -39,18 +39,10 @@ func Exhaustive(hist *sample.Histogram, opts Options) (*Plan, error) {
 	covered := make([]bool, nx*ny)
 	var current []rect
 
-	price := func(r rect) (geom.Rect, float64, float64) {
+	price := func(r rect) Partition {
 		min := []float64{grid.Boundary(0, r.x), grid.Boundary(1, r.y)}
 		max := []float64{grid.Boundary(0, r.x+r.w), grid.Boundary(1, r.y+r.h)}
-		gr := geom.Rect{Min: min, Max: max}
-		count := countInRect(hist, gr)
-		best := math.Inf(1)
-		for _, kind := range opts.Candidates {
-			if c := mixedCost(hist, gr, kind, opts.Params); c < best {
-				best = c
-			}
-		}
-		return gr, count, best
+		return priceRegion(hist, geom.Rect{Min: min, Max: max}, opts.Candidates, opts.Params)
 	}
 
 	bestCost := math.Inf(1)
@@ -59,8 +51,7 @@ func Exhaustive(hist *sample.Histogram, opts Options) (*Plan, error) {
 	evaluate := func(tiling []rect) {
 		items := make([]binpack.Item, len(tiling))
 		for i, r := range tiling {
-			_, _, c := price(r)
-			items[i] = binpack.Item{ID: i, Weight: c}
+			items[i] = binpack.Item{ID: i, Weight: price(r).EstCost}
 		}
 		if load := binpack.LPT(items, opts.NumReducers).MaxLoad(); load < bestCost {
 			bestCost = load
@@ -135,19 +126,10 @@ func Exhaustive(hist *sample.Histogram, opts Options) (*Plan, error) {
 	}
 	items := make([]binpack.Item, len(bestTiling))
 	for i, r := range bestTiling {
-		gr, count, _ := price(r)
-		// Re-derive the winning algorithm for the stored plan.
-		algo := opts.Candidates[0]
-		algoCost := mixedCost(hist, gr, algo, opts.Params)
-		for _, kind := range opts.Candidates[1:] {
-			if c := mixedCost(hist, gr, kind, opts.Params); c < algoCost {
-				algo, algoCost = kind, c
-			}
-		}
-		pl.Partitions = append(pl.Partitions, Partition{
-			ID: i, Rect: gr, EstCount: count, EstCost: algoCost, Algo: algo,
-		})
-		items[i] = binpack.Item{ID: i, Weight: algoCost}
+		part := price(r)
+		part.ID = i
+		pl.Partitions = append(pl.Partitions, part)
+		items[i] = binpack.Item{ID: i, Weight: part.EstCost}
 	}
 	applyAllocation(pl, binpack.LPT(items, opts.NumReducers))
 	return pl, pl.Validate()

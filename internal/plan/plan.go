@@ -157,7 +157,7 @@ func (pl *Plan) Locate(p geom.Point) (core int, supports []int) {
 			if id == core {
 				continue
 			}
-			if pl.isSupport(pl.Partitions[id].Rect, p) {
+			if pl.isSupport(ix, id, p) {
 				supports = append(supports, id)
 			}
 		}
@@ -165,12 +165,13 @@ func (pl *Plan) Locate(p geom.Point) (core int, supports []int) {
 	return core, supports
 }
 
-// isSupport applies the configured supporting-area criterion.
-func (pl *Plan) isSupport(rect geom.Rect, p geom.Point) bool {
+// isSupport applies the configured supporting-area criterion to partition
+// id.
+func (pl *Plan) isSupport(ix *overlayIndex, id int, p geom.Point) bool {
 	if pl.ExactSupport {
-		return rectDist2(rect, p) <= pl.SupportR*pl.SupportR
+		return rectDist2(pl.Partitions[id].Rect, p) <= pl.SupportR*pl.SupportR
 	}
-	return rect.Expand(pl.SupportR).Contains(p)
+	return ix.expanded[id].Contains(p)
 }
 
 // containsHalfOpen treats partition boundaries as half-open [min, max) so a
@@ -213,11 +214,14 @@ func (pl *Plan) MaxEstCost() float64 {
 
 // overlayIndex accelerates Locate with a uniform grid over the domain;
 // each cell lists the partitions that may contain (core) or support-cover
-// points falling in the cell.
+// points falling in the cell. expanded holds each partition's Def. 3.3
+// supporting area, Rect.Expand(SupportR), derived once (nil when supporting
+// areas are off).
 type overlayIndex struct {
-	grid    *geom.Grid
-	core    [][]int
-	support [][]int
+	grid     *geom.Grid
+	core     [][]int
+	support  [][]int
+	expanded []geom.Rect
 }
 
 type candidateSet struct {
@@ -243,13 +247,19 @@ func (pl *Plan) buildIndex() *overlayIndex {
 		core:    make([][]int, grid.NumCells()),
 		support: make([][]int, grid.NumCells()),
 	}
+	if pl.SupportR > 0 {
+		idx.expanded = make([]geom.Rect, len(pl.Partitions))
+		for i, part := range pl.Partitions {
+			idx.expanded[i] = part.Rect.Expand(pl.SupportR)
+		}
+	}
 	for ord := 0; ord < grid.NumCells(); ord++ {
 		cellRect := grid.CellRect(grid.Unflatten(ord))
-		for _, part := range pl.Partitions {
+		for i, part := range pl.Partitions {
 			if part.Rect.Overlaps(cellRect) {
 				idx.core[ord] = append(idx.core[ord], part.ID)
 			}
-			if pl.SupportR > 0 && part.Rect.Expand(pl.SupportR).Overlaps(cellRect) {
+			if pl.SupportR > 0 && idx.expanded[i].Overlaps(cellRect) {
 				idx.support[ord] = append(idx.support[ord], part.ID)
 			}
 		}

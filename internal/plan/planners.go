@@ -312,27 +312,9 @@ func smoothHistogram(hist *sample.Histogram) *sample.Histogram {
 // are axis-aligned at mini-bucket boundaries; counts are recomputed exactly
 // from the histogram.
 func refineByCost(hist *sample.Histogram, opts Options, clusters []dshc.Cluster) []Partition {
-	// Select and price each candidate by the mixed-density model; on the
-	// density-homogeneous partitions DSHC emits this coincides with
-	// Corollary 4.3 / Lemma 4.1-4.2 on the aggregate profile.
-	price := func(rect geom.Rect, count float64) (detect.Kind, float64) {
-		best := opts.Candidates[0]
-		bestCost := mixedCost(hist, rect, best, opts.Params)
-		for _, kind := range opts.Candidates[1:] {
-			if c := mixedCost(hist, rect, kind, opts.Params); c < bestCost {
-				best, bestCost = kind, c
-			}
-		}
-		return best, bestCost
-	}
-
 	work := make([]Partition, 0, len(clusters))
 	for _, c := range clusters {
-		// Recount from the exact histogram: clustering may have run on a
-		// smoothed copy.
-		count := countInRect(hist, c.Rect)
-		algo, estCost := price(c.Rect, count)
-		work = append(work, Partition{Rect: c.Rect, EstCount: count, Algo: algo, EstCost: estCost})
+		work = append(work, priceRegion(hist, c.Rect, opts.Candidates, opts.Params))
 	}
 
 	for pass := 0; pass < 10; pass++ {
@@ -360,15 +342,11 @@ func refineByCost(hist *sample.Histogram, opts Options, clusters []dshc.Cluster)
 				next = append(next, p) // single mini bucket: indivisible
 				continue
 			}
-			lCount := countInRect(hist, left)
-			rCount := countInRect(hist, right)
-			lAlgo, lCost := price(left, lCount)
-			rAlgo, rCost := price(right, rCount)
-			if p.EstCost > balanceBudget || lCost+rCost < 0.95*p.EstCost {
+			l := priceRegion(hist, left, opts.Candidates, opts.Params)
+			r := priceRegion(hist, right, opts.Candidates, opts.Params)
+			if p.EstCost > balanceBudget || l.EstCost+r.EstCost < 0.95*p.EstCost {
 				split = true
-				next = append(next,
-					Partition{Rect: left, EstCount: lCount, Algo: lAlgo, EstCost: lCost},
-					Partition{Rect: right, EstCount: rCount, Algo: rAlgo, EstCost: rCost})
+				next = append(next, l, r)
 			} else {
 				next = append(next, p)
 			}
@@ -407,98 +385,152 @@ func bisectAtBucket(hist *sample.Histogram, rect geom.Rect) (left, right geom.Re
 	return left, right, true
 }
 
+// bucketsIn returns the box of mini buckets whose centers fall inside rect.
+// Rect.Contains is a conjunction over dimensions and bucket centers ascend
+// with the bucket index, so the member set is the product of one index
+// range per dimension. The ranges come from the center test itself, never
+// from rounding rect's edges to indices, so unaligned rectangles get the
+// member set a scan of every bucket would give them.
+func bucketsIn(grid *geom.Grid, rect geom.Rect) region {
+	d := len(grid.Dims)
+	bounds := make([]int, 2*d)
+	box := region{lo: bounds[:d], hi: bounds[d:]}
+	for i, n := range grid.Dims {
+		first, last := 0, -1
+		for c := 0; c < n; c++ {
+			center := (grid.Boundary(i, c) + grid.Boundary(i, c+1)) / 2
+			if center < rect.Min[i] || center > rect.Max[i] {
+				continue
+			}
+			if last < 0 {
+				first = c
+			}
+			last = c
+		}
+		box.lo[i], box.hi[i] = first, last+1
+	}
+	return box
+}
+
 // countInRect sums the histogram buckets whose centers fall inside rect
 // (exact for bucket-aligned rectangles).
 func countInRect(hist *sample.Histogram, rect geom.Rect) float64 {
-	grid := hist.Grid
-	var total float64
-	for ord := 0; ord < grid.NumCells(); ord++ {
-		c := hist.BucketCount(ord)
-		if c == 0 {
-			continue
-		}
-		if rect.Contains(grid.CellRect(grid.Unflatten(ord)).Center()) {
-			total += c
-		}
-	}
-	return total
+	return bucketsIn(hist.Grid, rect).count(hist)
 }
 
-// mixedCost prices a detector on a (possibly mixed-density) region by
-// integrating the per-point cost models over the mini buckets inside rect,
-// instead of treating the region as one uniform blob. The distinction
-// matters for skewed partitions: Lemma 4.2 prices a region by its *average*
-// density, but a dense partition with a sparse fringe pays the full
-// Nested-Loop fallback for every fringe point — a cost the whole-region
-// model misses entirely.
+// mixedCost prices one detector on a region: priceRegion with a single
+// candidate, as the single-tactic planners use it.
 func mixedCost(hist *sample.Histogram, rect geom.Rect, kind detect.Kind, params detect.Params) float64 {
+	return priceRegion(hist, rect, []detect.Kind{kind}, params).EstCost
+}
+
+// priceRegion makes rect a partition: its cardinality estimated from the
+// mini buckets inside it, and the cheapest of the candidate detectors on
+// them with its modeled cost (ties keep the earlier candidate). A detector
+// is priced on a (possibly mixed-density) region by integrating the
+// per-point cost models over the region's buckets, instead of treating the
+// region as one uniform blob. The distinction matters for skewed
+// partitions: Lemma 4.2 prices a region by its *average* density, but a
+// dense partition with a sparse fringe pays the full Nested-Loop fallback
+// for every fringe point — a cost the whole-region model misses entirely.
+// On the density-homogeneous partitions DSHC emits this coincides with
+// Corollary 4.3 / Lemma 4.1-4.2 on the aggregate profile.
+//
+// One walk of the region's own buckets sums the count and a second prices
+// every candidate, each into its own accumulator in ascending bucket
+// order: the additions a full-grid scan per candidate would make, in the
+// order it would make them, so every cost is the same float.
+func priceRegion(hist *sample.Histogram, rect geom.Rect, kinds []detect.Kind, params detect.Params) Partition {
 	grid := hist.Grid
 	dim := grid.Domain.Dim()
-	poolCount := countInRect(hist, rect)
+	box := bucketsIn(grid, rect)
+	poolCount := box.count(hist)
 	if poolCount == 0 {
-		return 0
+		return Partition{Rect: rect, Algo: kinds[0]}
 	}
 	regime := cost.RegimeClass(dim, params)
+	// Prox-Graph rescales the histogram's empirical pair statistic from the
+	// global average density; both are properties of the whole histogram.
+	var empNeighbors, global float64
+	for _, kind := range kinds {
+		if kind == detect.PGraph {
+			if emp, ok := hist.AvgNeighbors(params.R); ok {
+				empNeighbors, global = emp, globalDensity(hist)
+			}
+		}
+	}
 
-	var total float64
-	for ord := 0; ord < grid.NumCells(); ord++ {
+	totals := make([]float64, len(kinds))
+	box.each(grid, func(ord int, idx []int) {
 		c := hist.BucketCount(ord)
 		if c == 0 {
-			continue
+			return // an empty bucket's per-point cost may be +Inf, and 0·Inf is NaN
 		}
-		if !rect.Contains(grid.CellRect(grid.Unflatten(ord)).Center()) {
-			continue
-		}
-		density := hist.BucketDensity(ord)
-		var perPoint float64
-		switch kind {
-		case detect.NestedLoop:
-			perPoint = cost.PerPointTrials(density, poolCount, dim, params)
-		case detect.CellBased:
-			// Indexing plus, for intermediate-regime buckets, the
-			// full-pool Nested-Loop fallback of Lemma 4.2 Eq. (3); plus the
-			// high-dimensional neighborhood-enumeration overhead (zero in
-			// low dimension, where Lemma 4.2 is exact).
-			perPoint = 1 + cost.GridEnumExcess(dim, poolCount)
-			if regime(density) == 2 {
-				perPoint += cost.PerPointTrials(density, poolCount, dim, params)
+		vol := 1.0 // the bucket's Rect.AreaEps(1e-12)
+		for i, b := range idx {
+			e := grid.Boundary(i, b+1) - grid.Boundary(i, b)
+			if e < 1e-12 {
+				e = 1e-12
 			}
-		case detect.CellBasedL2:
-			perPoint = 1 + cost.GridEnumExcess(dim, poolCount)
-			if regime(density) == 2 {
-				ring := ringPopulation(dim, params, density)
-				trials := cost.PerPointTrials(density, poolCount, dim, params)
-				if ring < trials {
-					trials = ring
+			vol *= e
+		}
+		density := c / vol
+		for k, kind := range kinds {
+			var perPoint float64
+			switch kind {
+			case detect.NestedLoop:
+				perPoint = cost.PerPointTrials(density, poolCount, dim, params)
+			case detect.CellBased:
+				// Indexing plus, for intermediate-regime buckets, the
+				// full-pool Nested-Loop fallback of Lemma 4.2 Eq. (3); plus the
+				// high-dimensional neighborhood-enumeration overhead (zero in
+				// low dimension, where Lemma 4.2 is exact).
+				perPoint = 1 + cost.GridEnumExcess(dim, poolCount)
+				if regime(density) == 2 {
+					perPoint += cost.PerPointTrials(density, poolCount, dim, params)
 				}
-				perPoint += trials
-			}
-		case detect.BruteForce:
-			perPoint = poolCount
-		case detect.KDTree:
-			perPoint = cost.KDPerQuery(poolCount, dim, params)
-		case detect.PGraph:
-			// The geometric lambda underflows in high dimension; the
-			// histogram's empirical pair statistic, rescaled from the
-			// global average to this bucket's density, recovers the true
-			// clumping at radius r. Take whichever is larger.
-			lambda := cost.ExpectedNeighbors(density, dim, params.R)
-			if emp, ok := hist.AvgNeighbors(params.R); ok {
-				if g := globalDensity(hist); g > 0 {
-					if scaled := emp * (density / g); scaled > lambda {
+			case detect.CellBasedL2:
+				perPoint = 1 + cost.GridEnumExcess(dim, poolCount)
+				if regime(density) == 2 {
+					ring := ringPopulation(dim, params, density)
+					trials := cost.PerPointTrials(density, poolCount, dim, params)
+					if ring < trials {
+						trials = ring
+					}
+					perPoint += trials
+				}
+			case detect.BruteForce:
+				perPoint = poolCount
+			case detect.KDTree:
+				perPoint = cost.KDPerQuery(poolCount, dim, params)
+			case detect.PGraph:
+				// The geometric lambda underflows in high dimension; the
+				// histogram's empirical pair statistic, rescaled from the
+				// global average to this bucket's density, recovers the true
+				// clumping at radius r. Take whichever is larger.
+				lambda := cost.ExpectedNeighbors(density, dim, params.R)
+				if global > 0 {
+					if scaled := empNeighbors * (density / global); scaled > lambda {
 						lambda = scaled
 					}
 				}
+				perPoint = cost.ProxGraphPerPoint(lambda, poolCount, params)
+			default:
+				perPoint = cost.Estimate(kind, cost.PartitionProfile{
+					Cardinality: poolCount, Area: rect.AreaEps(1e-12), Dim: dim,
+				}, params) / poolCount
 			}
-			perPoint = cost.ProxGraphPerPoint(lambda, poolCount, params)
-		default:
-			perPoint = cost.Estimate(kind, cost.PartitionProfile{
-				Cardinality: poolCount, Area: rect.AreaEps(1e-12), Dim: dim,
-			}, params) / poolCount
+			totals[k] += c * perPoint
 		}
-		total += c * perPoint
+	})
+
+	cheapest := 0
+	for k := range totals {
+		if totals[k] < totals[cheapest] {
+			cheapest = k
+		}
 	}
-	return total
+	return Partition{Rect: rect, EstCount: poolCount, Algo: kinds[cheapest], EstCost: totals[cheapest]}
 }
 
 // globalDensity is the histogram's whole-domain average density, the
@@ -538,6 +570,39 @@ func (r region) splittableDim() int {
 	return best
 }
 
+// each calls fn with the row-major ordinal and the per-dimension indices of
+// every bucket of r, in ascending ordinal order. fn must not keep idx.
+func (r region) each(grid *geom.Grid, fn func(ord int, idx []int)) {
+	for i := range r.lo {
+		if r.hi[i] <= r.lo[i] {
+			return
+		}
+	}
+	idx := append([]int(nil), r.lo...)
+	for {
+		fn(grid.Flatten(idx), idx)
+		// Increment the odometer.
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			if idx[i] < r.hi[i] {
+				break
+			}
+			idx[i] = r.lo[i]
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// count sums the estimated cardinality of r's buckets.
+func (r region) count(hist *sample.Histogram) float64 {
+	var total float64
+	r.each(hist.Grid, func(ord int, _ []int) { total += hist.BucketCount(ord) })
+	return total
+}
+
 // splitByWeight greedily bisects the heaviest region at its weighted median
 // until the target partition count is reached, returning the region
 // rectangles in domain coordinates.
@@ -557,26 +622,7 @@ func splitByWeight(hist *sample.Histogram, target int, weight func(count float64
 		}
 		return geom.Rect{Min: min, Max: max}
 	}
-	regionCount := func(r region) float64 {
-		var total float64
-		idx := append([]int(nil), r.lo...)
-		for {
-			total += hist.BucketCount(grid.Flatten(idx))
-			// Increment the odometer.
-			i := d - 1
-			for ; i >= 0; i-- {
-				idx[i]++
-				if idx[i] < r.hi[i] {
-					break
-				}
-				idx[i] = r.lo[i]
-			}
-			if i < 0 {
-				return total
-			}
-		}
-	}
-	regionWeight := func(r region) float64 { return weight(regionCount(r), regionRect(r)) }
+	regionWeight := func(r region) float64 { return weight(r.count(hist), regionRect(r)) }
 
 	for len(regions) < target {
 		// Pick the heaviest splittable region.
@@ -597,13 +643,13 @@ func splitByWeight(hist *sample.Histogram, target int, weight func(count float64
 
 		// Weighted median along dim: the split index that best halves the
 		// region's count.
-		half := regionCount(r) / 2
+		half := r.count(hist) / 2
 		cut := r.lo[dim] + 1
 		var acc float64
 		for s := r.lo[dim]; s < r.hi[dim]-1; s++ {
 			slice := region{lo: append([]int(nil), r.lo...), hi: append([]int(nil), r.hi...)}
 			slice.lo[dim], slice.hi[dim] = s, s+1
-			acc += regionCount(slice)
+			acc += slice.count(hist)
 			cut = s + 1
 			if acc >= half {
 				break
