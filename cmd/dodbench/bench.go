@@ -34,7 +34,7 @@ type benchFile struct {
 	MaxProcs  int            `json:"gomaxprocs"`
 	Params    benchParams    `json:"params"`
 	Kernels   []kernelRecord `json:"kernels"`
-	// Parallel re-measures the tiled kernels at GOMAXPROCS workers via
+	// Parallel re-measures every kernel at GOMAXPROCS workers via
 	// detect.DetectSetParallel; speedup_vs_seq compares against the
 	// sequential record of the same case in Kernels. On a single-core
 	// machine the section still appears (speedup ≈ 1), so the schema is
@@ -220,19 +220,6 @@ func measureKernel(c benchCase) kernelRecord {
 		rec.PointsPerSec = float64(c.n) * 1e9 / float64(nsPerOp)
 	}
 	return rec
-}
-
-// parallelBenchCases is the subset of jsonBenchCases with tiled kernels —
-// the ones DetectSetParallel actually spreads across workers.
-func parallelBenchCases() []benchCase {
-	var out []benchCase
-	for _, c := range jsonBenchCases() {
-		switch c.kind {
-		case detect.BruteForce, detect.NestedLoop, detect.CellBased, detect.CellBasedL2, detect.PGraph:
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // measureKernelParallel benchmarks one tiled kernel at the given worker
@@ -638,7 +625,7 @@ func runJSONBench(cfg benchRunConfig, path string) error {
 		doc.Kernels = append(doc.Kernels, rec)
 	}
 	workers := runtime.GOMAXPROCS(0)
-	for _, c := range parallelBenchCases() {
+	for _, c := range jsonBenchCases() {
 		fmt.Fprintf(os.Stderr, "dodbench: measuring %s (parallel, %d workers)\n", c.name, workers)
 		doc.Parallel = append(doc.Parallel, measureKernelParallel(c, workers, seqNs[c.name]))
 	}

@@ -59,7 +59,7 @@ func TestMeasureDist(t *testing.T) {
 // the speedup field must be derived from the supplied sequential ns/op.
 func TestMeasureKernelParallel(t *testing.T) {
 	var c benchCase
-	for _, cand := range parallelBenchCases() {
+	for _, cand := range jsonBenchCases() {
 		if cand.n == 2000 {
 			c = cand
 			break

@@ -82,8 +82,8 @@ func StripSumFrame(body []byte) ([]byte, error) {
 	return nil, corrupt("codec: message lacks integrity frame")
 }
 
-// FrameHeader is the kind of the JSON control-header frame of a sealed
-// shard-tier body (router wire protocol, replication hop).
+// FrameHeader is the kind of the JSON control-header frame of a sealed body
+// (dist task and result messages, router wire protocol, replication hop).
 const FrameHeader byte = 1
 
 // AppendHeaderFrame appends a FrameHeader frame carrying v as JSON.
@@ -97,31 +97,35 @@ func AppendHeaderFrame(dst []byte, v any) []byte {
 }
 
 // DecodeSealed checks and strips body's integrity frame, unmarshals its
-// FrameHeader frame into hdr — a body without one is malformed — and hands
-// every other frame to fn in body order. Payloads alias body.
+// first frame — which must be the one FrameHeader frame — into hdr, and
+// hands every later frame to fn in body order, so fn already sees the
+// header. Payloads alias body.
 func DecodeSealed(body []byte, hdr any, fn func(kind byte, payload []byte) error) error {
 	data, err := StripSumFrame(body)
 	if err != nil {
 		return err
 	}
-	sawHeader := false
-	for off := 0; off < len(data); {
-		kind, payload, n, err := DecodeFrame(data[off:])
+	kind, payload, n, err := DecodeFrame(data)
+	if err != nil {
+		return err
+	}
+	if kind != FrameHeader {
+		return corrupt("codec: body starts with frame kind %d, want header", kind)
+	}
+	if err := json.Unmarshal(payload, hdr); err != nil {
+		return corrupt("codec: bad header frame: %v", err)
+	}
+	for off := n; off < len(data); off += n {
+		kind, payload, n, err = DecodeFrame(data[off:])
 		if err != nil {
 			return err
 		}
-		off += n
 		if kind == FrameHeader {
-			if err := json.Unmarshal(payload, hdr); err != nil {
-				return corrupt("codec: bad header frame: %v", err)
-			}
-			sawHeader = true
-		} else if err := fn(kind, payload); err != nil {
+			return corrupt("codec: second header frame")
+		}
+		if err := fn(kind, payload); err != nil {
 			return err
 		}
-	}
-	if !sawHeader {
-		return corrupt("codec: body lacks header frame")
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ func L2Radius(d int) int {
 // The layout is CSR-style rather than map-based: one counting sort groups
 // the point indices of the backing PointSet contiguously by cell ordinal,
 // so a cell's membership is a subslice (ptIdx[start[ord]:start[ord+1]])
-// and blockCount is a handful of dense array reads instead of map probes.
+// and blockCountSc is a handful of dense array reads instead of map probes.
 // Because points are scattered in input order, a cell's members are in
 // ascending point-index order; with the core points forming the set's
 // prefix, a cell's core members are exactly its leading run of indices
@@ -57,18 +57,12 @@ type cellIndex struct {
 	// ascending order; cells[i] occupies ptIdx[cellStart[i]:cellStart[i+1]].
 	cells     []int
 	cellStart []int32
-
-	// nb is the sequential path's neighborhood odometer, so block scans
-	// allocate nothing. Parallel workers bring their own (newNbScratch):
-	// the odometer is the only mutable state a block scan touches, so one
-	// scratch per worker makes the whole index safely shareable read-only.
-	nb nbScratch
 }
 
 // nbScratch is one neighborhood-iteration odometer: the per-dimension
 // decomposition of a cell ordinal and the iteration bounds/cursor of a
-// Chebyshev block walk. forNeighborhood mutates nothing else, so each
-// concurrent walker needs exactly one of these.
+// Chebyshev block walk. It is the only mutable state a block walk touches,
+// so each scan carries one and the index itself is only read.
 type nbScratch struct {
 	idx, lo, hi, cur []int
 }
@@ -112,7 +106,6 @@ func buildCellIndex(all *geom.PointSet, r float64, stats *Stats) *cellIndex {
 		grid: cellGrid(all, r),
 		l2:   L2Radius(d),
 	}
-	ix.nb = newNbScratch(d)
 
 	n := all.Len()
 	nc := ix.grid.NumCells()
@@ -128,7 +121,9 @@ func buildCellIndex(all *geom.PointSet, r float64, stats *Stats) *cellIndex {
 	// the sparse layout, which — like the map index it replaced — only
 	// ever touches the wrapped ordinals points actually hash to.
 	if nc > 0 && nc <= maxDenseCells(n) {
-		// Dense: counting sort by ordinal.
+		// Dense: counting sort by ordinal. start doubles as the fill
+		// cursor — each cell's slot advances to the next cell's start — and
+		// shifts back one place afterwards.
 		ix.counts = make([]int32, nc)
 		for _, ord := range ords {
 			ix.counts[ord]++
@@ -137,12 +132,12 @@ func buildCellIndex(all *geom.PointSet, r float64, stats *Stats) *cellIndex {
 		for ord, c := range ix.counts {
 			ix.start[ord+1] = ix.start[ord] + c
 		}
-		next := make([]int32, nc)
-		copy(next, ix.start[:nc])
 		for i, ord := range ords {
-			ix.ptIdx[next[ord]] = int32(i)
-			next[ord]++
+			ix.ptIdx[ix.start[ord]] = int32(i)
+			ix.start[ord]++
 		}
+		copy(ix.start[1:], ix.start[:nc])
+		ix.start[0] = 0
 		return ix
 	}
 
@@ -196,46 +191,58 @@ func (ix *cellIndex) members(ord int) []int32 {
 	return ix.ptIdx[ix.cellStart[c]:ix.cellStart[c+1]]
 }
 
-// forEachCoreCell visits every cell containing at least one core point, in
-// ascending ordinal order, passing the cell's core members (the leading
-// run of indices < nCore). This reproduces the iteration order of the old
-// sorted-map grouping exactly.
-func (ix *cellIndex) forEachCoreCell(nCore int, fn func(ord int, coreMembers []int32)) {
-	emit := func(ord int, members []int32) {
-		if len(members) == 0 || int(members[0]) >= nCore {
-			return
+// coreCell is one cell holding at least one core point: its ordinal and the
+// span of ptIdx holding its core members (the cell's leading run of
+// indices < nCore). Offsets rather than a subslice keep the list free of
+// pointers, so the garbage collector never scans it.
+type coreCell struct {
+	ord    int
+	lo, hi int32
+}
+
+// coreCells lists every cell holding a core point, in ascending ordinal
+// order — the Cell-Based variants' work items. It counts first and fills
+// second, so the list is one exact-size allocation.
+func (ix *cellIndex) coreCells(nCore int) []coreCell {
+	// Both layouts keep cell boundaries as prefix offsets into ptIdx: slot
+	// s spans bounds[s]:bounds[s+1] and is ordinal s (dense) or cells[s]
+	// (sparse).
+	bounds := ix.start
+	if ix.counts == nil {
+		bounds = ix.cellStart
+	}
+	isCore := func(s int) bool {
+		return bounds[s] < bounds[s+1] && int(ix.ptIdx[bounds[s]]) < nCore
+	}
+	n := 0
+	for s := 0; s+1 < len(bounds); s++ {
+		if isCore(s) {
+			n++
 		}
-		hi := len(members)
-		for hi > 0 && int(members[hi-1]) >= nCore {
+	}
+	cells := make([]coreCell, 0, n)
+	for s := 0; s+1 < len(bounds); s++ {
+		if !isCore(s) {
+			continue
+		}
+		hi := bounds[s+1]
+		for int(ix.ptIdx[hi-1]) >= nCore {
 			hi--
 		}
-		fn(ord, members[:hi])
-	}
-	if ix.counts != nil {
-		for ord := range ix.counts {
-			if ix.counts[ord] != 0 {
-				emit(ord, ix.ptIdx[ix.start[ord]:ix.start[ord+1]])
-			}
+		ord := s
+		if ix.counts == nil {
+			ord = ix.cells[s]
 		}
-		return
+		cells = append(cells, coreCell{ord: ord, lo: bounds[s], hi: hi})
 	}
-	for c, ord := range ix.cells {
-		emit(ord, ix.ptIdx[ix.cellStart[c]:ix.cellStart[c+1]])
-	}
+	return cells
 }
 
-// forNeighborhood calls fn with the ordinal of every cell within Chebyshev
-// distance radius of the cell with ordinal ord (including itself), clipped
-// to the grid — the same row-major order as geom.Grid.Neighborhood, but
-// iterative over the index's scratch odometer so block scans allocate
-// nothing. Sequential path only; concurrent walkers use forNeighborhoodSc
-// with a private odometer.
-func (ix *cellIndex) forNeighborhood(ord, radius int, fn func(o int)) {
-	ix.forNeighborhoodSc(&ix.nb, ord, radius, fn)
-}
-
-// forNeighborhoodSc is forNeighborhood over a caller-supplied odometer —
-// the reentrant form the parallel tiles use (the index itself is only read).
+// forNeighborhoodSc calls fn with the ordinal of every cell within
+// Chebyshev distance radius of the cell with ordinal ord (including
+// itself), clipped to the grid — the same row-major order as
+// geom.Grid.Neighborhood, but iterative over the caller's odometer so
+// block walks allocate nothing and the index is only read.
 func (ix *cellIndex) forNeighborhoodSc(sc *nbScratch, ord, radius int, fn func(o int)) {
 	dims := ix.grid.Dims
 	d := len(dims)
@@ -274,19 +281,35 @@ func (ix *cellIndex) forNeighborhoodSc(sc *nbScratch, ord, radius int, fn func(o
 	}
 }
 
-// blockCount sums the point counts of all cells within Chebyshev radius of
-// the cell with ordinal ord.
-func (ix *cellIndex) blockCount(ord, radius int) int {
-	return ix.blockCountSc(&ix.nb, ord, radius)
-}
-
-// blockCountSc is blockCount over a caller-supplied odometer.
+// blockCountSc sums the point counts of all cells within Chebyshev radius
+// of the cell with ordinal ord, walking the caller's odometer.
 func (ix *cellIndex) blockCountSc(sc *nbScratch, ord, radius int) int {
 	total := 0
 	ix.forNeighborhoodSc(sc, ord, radius, func(o int) {
 		total += ix.count(o)
 	})
 	return total
+}
+
+// prune applies both variants' whole-cell rules to core cell c: an inlier
+// cell (L1 block holds more than k points) is done, an outlier cell (L2
+// block holds at most k) reports every core member. It returns the L1
+// block count and whether c is undecided ("white") and needs per-point
+// work.
+func (ix *cellIndex) prune(sc *nbScratch, all *geom.PointSet, c coreCell, k int, t *Result) (cnt1 int, white bool) {
+	cnt1 = ix.blockCountSc(sc, c.ord, 1)
+	if cnt1-1 >= k {
+		t.Stats.CellsPruned++ // inlier cell
+		return cnt1, false
+	}
+	if ix.blockCountSc(sc, c.ord, ix.l2)-1 < k {
+		t.Stats.CellsPruned++ // outlier cell
+		for _, pi := range ix.ptIdx[c.lo:c.hi] {
+			t.OutlierIDs = append(t.OutlierIDs, all.IDs[pi])
+		}
+		return cnt1, false
+	}
+	return cnt1, true
 }
 
 // cellBasedDetector implements the Cell-Based algorithm exactly as the
@@ -316,36 +339,27 @@ func (d cellBasedDetector) Detect(core, support []geom.Point, params Params) Res
 	return rowDetect(d, core, support, params)
 }
 
-func (d cellBasedDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
-	ix := buildCellIndex(all, params.R, &res.Stats)
-
-	rng := rand.New(rand.NewSource(d.seed))
-	order := rng.Perm(all.Len())
+func (d cellBasedDetector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
+	ix := buildCellIndex(all, params.R, st)
+	cells := ix.coreCells(nCore)
+	order := rand.New(rand.NewSource(d.seed)).Perm(all.Len())
 	r2 := params.R * params.R
-
-	ix.forEachCoreCell(nCore, func(ord int, corePts []int32) {
-		if ix.blockCount(ord, 1)-1 >= params.K {
-			res.Stats.CellsPruned++ // inlier cell
-			return
-		}
-		if ix.blockCount(ord, ix.l2)-1 < params.K {
-			res.Stats.CellsPruned++ // outlier cell
-			for _, pi := range corePts {
-				res.OutlierIDs = append(res.OutlierIDs, all.IDs[pi])
+	return len(cells), func(lo, hi int, t *Result) {
+		sc := newNbScratch(all.Dim)
+		for _, c := range cells[lo:hi] {
+			if _, white := ix.prune(&sc, all, c, params.K, t); !white {
+				continue
 			}
-			return
-		}
-		// Undecided ("white") cell: Nested-Loop-style random scan over the
-		// full pool, early-terminating at k neighbors — exactly the
-		// |D|·A(D)·k/(πr²) fallback of Lemma 4.2's Equation (3).
-		for _, pi := range corePts {
-			if randomScan(all, int(pi), order, r2, params.K, &res.Stats) < params.K {
-				res.OutlierIDs = append(res.OutlierIDs, all.IDs[pi])
+			// Nested-Loop-style random scan over the full pool,
+			// early-terminating at k neighbors — exactly the
+			// |D|·A(D)·k/(πr²) fallback of Lemma 4.2's Equation (3).
+			for _, pi := range ix.ptIdx[c.lo:c.hi] {
+				if randomScan(all, int(pi), order, r2, params.K, &t.Stats) < params.K {
+					t.OutlierIDs = append(t.OutlierIDs, all.IDs[pi])
+				}
 			}
 		}
-	})
-	return res
+	}
 }
 
 // cellBasedL2Detector is an optimized Cell-Based variant beyond the paper:
@@ -361,57 +375,49 @@ func (d cellBasedL2Detector) Detect(core, support []geom.Point, params Params) R
 	return rowDetect(d, core, support, params)
 }
 
-func (cellBasedL2Detector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
-	ix := buildCellIndex(all, params.R, &res.Stats)
+func (cellBasedL2Detector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
+	ix := buildCellIndex(all, params.R, st)
+	cells := ix.coreCells(nCore)
 	r2 := params.R * params.R
-
-	// Per-cell scratch, reused across undecided cells: the L1 block's
-	// ordinals and the ring membership (point indices).
-	var l1Ords []int
-	var ring []int32
-
-	ix.forEachCoreCell(nCore, func(ord int, corePts []int32) {
-		cnt1 := ix.blockCount(ord, 1)
-		if cnt1-1 >= params.K {
-			res.Stats.CellsPruned++
-			return
-		}
-		if ix.blockCount(ord, ix.l2)-1 < params.K {
-			res.Stats.CellsPruned++
-			for _, pi := range corePts {
-				res.OutlierIDs = append(res.OutlierIDs, all.IDs[pi])
+	return len(cells), func(lo, hi int, t *Result) {
+		sc := newNbScratch(all.Dim)
+		// Per-cell scratch, reused across undecided cells: the L1 block's
+		// ordinals and the ring membership (point indices).
+		var l1Ords []int
+		var ring []int32
+		for _, c := range cells[lo:hi] {
+			cnt1, white := ix.prune(&sc, all, c, params.K, t)
+			if !white {
+				continue
 			}
-			return
-		}
-		// Points in the L1 block are guaranteed neighbors; only the ring
-		// between L1 and L2 needs distance checks.
-		l1Ords = l1Ords[:0]
-		ix.forNeighborhood(ord, 1, func(o int) { l1Ords = append(l1Ords, o) })
-		ring = ring[:0]
-		ix.forNeighborhood(ord, ix.l2, func(o int) {
-			for _, l1 := range l1Ords {
-				if o == l1 {
-					return
+			// Points in the L1 block are guaranteed neighbors; only the ring
+			// between L1 and L2 needs distance checks.
+			l1Ords = l1Ords[:0]
+			ix.forNeighborhoodSc(&sc, c.ord, 1, func(o int) { l1Ords = append(l1Ords, o) })
+			ring = ring[:0]
+			ix.forNeighborhoodSc(&sc, c.ord, ix.l2, func(o int) {
+				for _, l1 := range l1Ords {
+					if o == l1 {
+						return
+					}
+				}
+				ring = append(ring, ix.members(o)...)
+			})
+			for _, pi := range ix.ptIdx[c.lo:c.hi] {
+				neighbors := cnt1 - 1 // every L1-block point is within r
+				for _, qi := range ring {
+					if neighbors >= params.K {
+						break
+					}
+					t.Stats.DistComps++
+					if all.Within2(int(pi), int(qi), r2) {
+						neighbors++
+					}
+				}
+				if neighbors < params.K {
+					t.OutlierIDs = append(t.OutlierIDs, all.IDs[pi])
 				}
 			}
-			ring = append(ring, ix.members(o)...)
-		})
-		for _, pi := range corePts {
-			neighbors := cnt1 - 1 // every L1-block point is within r
-			for _, qi := range ring {
-				if neighbors >= params.K {
-					break
-				}
-				res.Stats.DistComps++
-				if all.Within2(int(pi), int(qi), r2) {
-					neighbors++
-				}
-			}
-			if neighbors < params.K {
-				res.OutlierIDs = append(res.OutlierIDs, all.IDs[pi])
-			}
 		}
-	})
-	return res
+	}
 }

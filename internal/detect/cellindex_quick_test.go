@@ -125,39 +125,36 @@ func TestCellIndexMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
-		// blockCount at the two radii the detector uses.
+		// blockCountSc at the two radii the detector uses.
+		sc := newNbScratch(set.Dim)
 		for ord := range ref.cells {
 			for _, radius := range []int{1, csr.l2} {
-				if got, want := csr.blockCount(ord, radius), ref.blockCount(ord, radius); got != want {
-					t.Logf("seed %d: blockCount(%d, %d) = %d, want %d", seed, ord, radius, got, want)
+				if got, want := csr.blockCountSc(&sc, ord, radius), ref.blockCount(ord, radius); got != want {
+					t.Logf("seed %d: blockCountSc(%d, %d) = %d, want %d", seed, ord, radius, got, want)
 					return false
 				}
 			}
 		}
-		// Core-cell iteration: same ordinals, same leading core runs.
+		// Core-cell list: same ordinals, same leading core runs, exact size.
 		nCore := 1 + rng.Intn(set.Len())
 		wantOrds, wantMembers := ref.coreCells(nCore)
-		i := 0
-		ok := true
-		csr.forEachCoreCell(nCore, func(ord int, members []int32) {
-			if !ok {
-				return
-			}
-			if i >= len(wantOrds) || ord != wantOrds[i] || len(members) != len(wantMembers[i]) {
-				ok = false
-				return
+		cells := csr.coreCells(nCore)
+		if len(cells) != len(wantOrds) || cap(cells) != len(wantOrds) {
+			t.Logf("seed %d: %d core cells (cap %d), want %d (nCore=%d)", seed, len(cells), cap(cells), len(wantOrds), nCore)
+			return false
+		}
+		for i, c := range cells {
+			members := csr.ptIdx[c.lo:c.hi]
+			if c.ord != wantOrds[i] || len(members) != len(wantMembers[i]) {
+				t.Logf("seed %d: core cell %d diverges from sorted-map walk (nCore=%d)", seed, i, nCore)
+				return false
 			}
 			for j := range members {
 				if members[j] != wantMembers[i][j] {
-					ok = false
-					return
+					t.Logf("seed %d: core cell %d members diverge (nCore=%d)", seed, i, nCore)
+					return false
 				}
 			}
-			i++
-		})
-		if !ok || i != len(wantOrds) {
-			t.Logf("seed %d: forEachCoreCell diverges from sorted-map walk (nCore=%d)", seed, nCore)
-			return false
 		}
 		return true
 	}
@@ -169,7 +166,7 @@ func TestCellIndexMatchesMapReference(t *testing.T) {
 // TestScanLoopsAllocFree pins the acceptance criterion that the per-point
 // scan loops allocate nothing once their structures are built: the
 // Nested-Loop random scan and the Cell-Based block primitives must stay at
-// 0 allocs/op.
+// 0 allocs/op, and the core-cell list is one allocation.
 func TestScanLoopsAllocFree(t *testing.T) {
 	set := geom.PointSetOf(synth.Segment(synth.Massachusetts, 2000, 3))
 	order := rand.New(rand.NewSource(1)).Perm(set.Len())
@@ -185,14 +182,16 @@ func TestScanLoopsAllocFree(t *testing.T) {
 	}
 
 	ix := buildCellIndex(set, benchParams.R, &stats)
-	visit := func(ord int, members []int32) {}
+	sc := newNbScratch(set.Dim)
 	ord := 0
 	if allocs := testing.AllocsPerRun(50, func() {
-		ix.blockCount(ord, 1)
-		ix.blockCount(ord, ix.l2)
-		ix.forEachCoreCell(set.Len(), visit)
+		ix.blockCountSc(&sc, ord, 1)
+		ix.blockCountSc(&sc, ord, ix.l2)
 		ord = (ord + 1) % ix.grid.NumCells()
 	}); allocs != 0 {
 		t.Errorf("cellIndex block scans allocate %v per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { ix.coreCells(set.Len()) }); allocs != 1 {
+		t.Errorf("coreCells allocates %v per run, want 1", allocs)
 	}
 }

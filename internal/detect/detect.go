@@ -1,12 +1,19 @@
 // Package detect implements the centralized distance-threshold outlier
 // detectors that DOD dispatches to partitions: the paper's candidate set
 // A = {Nested-Loop, Cell-Based} (Sec. IV), a brute-force reference used by
-// tests, and a kd-tree detector as an extension beyond the paper.
+// tests, and extension tactics beyond the paper (Cell-Based-L2, KD-Tree,
+// Pivot, Prox-Graph, and the approximate Sens-Sample).
 //
 // All detectors answer the same question (Def. 2.2): among the *core*
 // points, which have fewer than k neighbors within distance r, where
 // neighbors are drawn from core ∪ support and a point is never its own
 // neighbor.
+//
+// Every tactic is one kernel of one shape: prepare builds the read-only
+// state once (permutation, cell index, tree, pivot table, graph or
+// sample) and returns a scan over a range of work items — core points, or
+// core cells for the Cell-Based variants. DetectSetParallel is the one
+// driver; sequential detection is its one-tile case.
 package detect
 
 import (
@@ -15,6 +22,7 @@ import (
 
 	"dod/internal/errs"
 	"dod/internal/geom"
+	"dod/internal/par"
 )
 
 // Kind names a detector class.
@@ -145,40 +153,68 @@ type Detector interface {
 	// Detect classifies the core points using core ∪ support as the
 	// neighbor pool and returns the outliers among core.
 	Detect(core, support []geom.Point, params Params) Result
-}
 
-// setDetector is the columnar fast path every built-in detector
-// implements: all holds the core points first (indices [0, nCore)) followed
-// by the support points, and the detector classifies the core prefix.
-type setDetector interface {
-	detectSet(all *geom.PointSet, nCore int, params Params) Result
+	// prepare is the tactic's one kernel, and seals the interface. all
+	// holds the core points as its first nCore entries and the support
+	// points after them. prepare builds the read-only state once, charging
+	// that work to st, and returns the number of work items with a scan
+	// that classifies items [lo, hi) into t in sequential order. Each scan
+	// call allocates its own scratch, so scans of disjoint ranges may run
+	// concurrently.
+	prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (items int, scan func(lo, hi int, t *Result))
 }
 
 // DetectSet runs d on a columnar point set without converting back to row
 // points: all must hold the core points as its first nCore entries and the
-// support points after them. For the built-in detectors this is the
-// zero-conversion entry the reduce path uses; third-party Detectors fall
-// back to a materialized Detect call. Results are identical to Detect on
-// the equivalent slices.
+// support points after them. It is DetectSetParallel's one-tile case, and
+// its Results are identical to Detect on the equivalent slices.
 func DetectSet(d Detector, all *geom.PointSet, nCore int, params Params) Result {
+	return DetectSetParallel(d, all, nCore, params, 1)
+}
+
+// DetectSetParallel is the one detection driver: d prepares its read-only
+// state, then its scan covers the work items in up to workers contiguous
+// tiles (workers < 1 means GOMAXPROCS). One tile scans straight into the
+// Result; more run concurrently and concatenate in tile order. Tiles are
+// contiguous ranges of the sequential order, and an item's verdict and
+// distance count depend only on the shared read-only state, so every
+// worker count returns the same Result bit for bit — callers may switch
+// freely, including under a deterministic-replay contract.
+func DetectSetParallel(d Detector, all *geom.PointSet, nCore int, params Params, workers int) Result {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
 	if nCore == 0 {
 		return Result{}
 	}
-	if sd, ok := d.(setDetector); ok {
-		return sd.detectSet(all, nCore, params)
+	var res Result
+	items, scan := d.prepare(all, nCore, params, &res.Stats)
+	tiles := par.Tiles(items, workers)
+	if tiles == 1 {
+		scan(0, items, &res)
+		return res
 	}
-	pts := all.Points()
-	return d.Detect(pts[:nCore], pts[nCore:], params)
+	parts := make([]Result, tiles)
+	par.Do(items, workers, func(tile, lo, hi int) { scan(lo, hi, &parts[tile]) })
+	total := 0
+	for i := range parts {
+		total += len(parts[i].OutlierIDs)
+	}
+	if total > 0 {
+		res.OutlierIDs = make([]uint64, 0, total)
+	}
+	for i := range parts {
+		res.OutlierIDs = append(res.OutlierIDs, parts[i].OutlierIDs...)
+		res.Stats.Add(parts[i].Stats)
+	}
+	return res
 }
 
-// rowDetect adapts the public row-oriented Detect contract onto a
-// detector's columnar kernel: validate, convert core+support into one
-// contiguous PointSet (core first), and dispatch. Every built-in Detect
-// method is this thin conversion layer.
-func rowDetect(d setDetector, core, support []geom.Point, params Params) Result {
+// rowDetect adapts the public row-oriented Detect contract onto the
+// columnar driver: validate, convert core+support into one contiguous
+// PointSet (core first), and detect. Every built-in Detect method is this
+// thin conversion layer.
+func rowDetect(d Detector, core, support []geom.Point, params Params) Result {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
@@ -192,7 +228,7 @@ func rowDetect(d setDetector, core, support []geom.Point, params Params) Result 
 	for _, p := range support {
 		all.Append(p)
 	}
-	return d.detectSet(all, len(core), params)
+	return DetectSet(d, all, len(core), params)
 }
 
 // New constructs a detector of the given kind. Seed drives any internal
@@ -231,19 +267,18 @@ func (d bruteForceDetector) Detect(core, support []geom.Point, params Params) Re
 	return rowDetect(d, core, support, params)
 }
 
-func (bruteForceDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
-	n := all.Len()
-	r2 := params.R * params.R
+func (bruteForceDetector) prepare(all *geom.PointSet, nCore int, params Params, _ *Stats) (int, func(lo, hi int, t *Result)) {
+	n, r2 := all.Len(), params.R*params.R
 	// The full scan has no early exit, so the wide counting kernel applies:
 	// verdicts and DistComps are identical to the scalar pairwise loop.
-	for i := 0; i < nCore; i++ {
-		id := all.IDs[i]
-		neighbors, compared := all.CountWithin2Coords(all.CoordsAt(i), id, 0, n, r2)
-		res.Stats.DistComps += int64(compared)
-		if neighbors < params.K {
-			res.OutlierIDs = append(res.OutlierIDs, id)
+	return nCore, func(lo, hi int, t *Result) {
+		for i := lo; i < hi; i++ {
+			id := all.IDs[i]
+			neighbors, compared := all.CountWithin2Coords(all.CoordsAt(i), id, 0, n, r2)
+			t.Stats.DistComps += int64(compared)
+			if neighbors < params.K {
+				t.OutlierIDs = append(t.OutlierIDs, id)
+			}
 		}
 	}
-	return res
 }

@@ -201,6 +201,28 @@ func TestNeighborBeyondShrunkRing(t *testing.T) {
 	}
 }
 
+// TestNeighborAtRoundedR pins the Pivot exactness bug FuzzExactTacticsAgree
+// found: a and b are R apart, but their rounded distances to c differ by R
+// plus an ulp, and a triangle filter cut at exactly R pruned the neighbor.
+// With three points every point is a pivot.
+func TestNeighborAtRoundedR(t *testing.T) {
+	core := []geom.Point{
+		{ID: 1, Coords: []float64{0.27}},         // a
+		{ID: 2, Coords: []float64{0.27 + 0.625}}, // b
+		{ID: 3, Coords: []float64{4.59}},         // c
+	}
+	params := Params{R: 0.625, K: 1}
+	want := sortedIDs(New(BruteForce, 7).Detect(core, nil, params).OutlierIDs)
+	if !equalIDs(want, []uint64{3}) {
+		t.Fatalf("brute force outliers = %v, want [3]", want)
+	}
+	for _, kind := range allKinds {
+		if got := sortedIDs(New(kind, 7).Detect(core, nil, params).OutlierIDs); !equalIDs(got, want) {
+			t.Errorf("%v: outliers %v, want %v", kind, got, want)
+		}
+	}
+}
+
 func TestEmptyCore(t *testing.T) {
 	support := cluster(rand.New(rand.NewSource(4)), 0, 5, 0, 0, 1)
 	for _, kind := range allKinds {

@@ -110,22 +110,23 @@ func (d kdTreeDetector) Detect(core, support []geom.Point, params Params) Result
 	return rowDetect(d, core, support, params)
 }
 
-func (kdTreeDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
+func (kdTreeDetector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
 	n := all.Len()
-	t := &kdTree{set: all, nodes: make([]kdNode, 0, n)}
+	tree := &kdTree{set: all, nodes: make([]kdNode, 0, n)}
 	idxs := make([]int32, n)
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	t.root = t.build(idxs, 0, &res.Stats)
+	tree.root = tree.build(idxs, 0, st)
 	r2 := params.R * params.R
-	for i := 0; i < nCore; i++ {
-		count := 0
-		t.countWithin(t.root, 0, i, r2, params.K, &count, &res.Stats)
-		if count < params.K {
-			res.OutlierIDs = append(res.OutlierIDs, all.IDs[i])
+	// Queries only read the arena, so concurrent scans share one tree.
+	return nCore, func(lo, hi int, t *Result) {
+		for i := lo; i < hi; i++ {
+			count := 0
+			tree.countWithin(tree.root, 0, i, r2, params.K, &count, &t.Stats)
+			if count < params.K {
+				t.OutlierIDs = append(t.OutlierIDs, all.IDs[i])
+			}
 		}
 	}
-	return res
 }

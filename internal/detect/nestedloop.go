@@ -110,16 +110,14 @@ func (d nestedLoopDetector) Detect(core, support []geom.Point, params Params) Re
 	return rowDetect(d, core, support, params)
 }
 
-func (d nestedLoopDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	rng := rand.New(rand.NewSource(d.seed))
-	order := rng.Perm(all.Len())
+func (d nestedLoopDetector) prepare(all *geom.PointSet, nCore int, params Params, _ *Stats) (int, func(lo, hi int, t *Result)) {
+	order := rand.New(rand.NewSource(d.seed)).Perm(all.Len())
 	r2 := params.R * params.R
-
-	var res Result
-	for i := 0; i < nCore; i++ {
-		if randomScan(all, i, order, r2, params.K, &res.Stats) < params.K {
-			res.OutlierIDs = append(res.OutlierIDs, all.IDs[i])
+	return nCore, func(lo, hi int, t *Result) {
+		for i := lo; i < hi; i++ {
+			if randomScan(all, i, order, r2, params.K, &t.Stats) < params.K {
+				t.OutlierIDs = append(t.OutlierIDs, all.IDs[i])
+			}
 		}
 	}
-	return res
 }

@@ -23,12 +23,13 @@ func buildSet(core, support []geom.Point) (*geom.PointSet, int) {
 	return all, len(core)
 }
 
-// TestDetectSetParallelBitIdentical is the tentpole contract: for every
-// detector with a tiled kernel, DetectSetParallel at any worker count
-// returns the exact sequential Result — same OutlierIDs in the same order,
-// same DistComps/PointsIndexed/CellsPruned.
+// TestDetectSetParallelBitIdentical is the tiling contract: for every kind,
+// DetectSetParallel at any worker count returns the one-tile Result — same
+// OutlierIDs in the same order, same DistComps/PointsIndexed/CellsPruned.
+// DetectSet is the one-tile case of the same driver, not an independent
+// reference; kernels.golden and BruteForce are the references.
 func TestDetectSetParallelBitIdentical(t *testing.T) {
-	kinds := []Kind{BruteForce, NestedLoop, CellBased, CellBasedL2, KDTree, Pivot}
+	kinds := []Kind{BruteForce, NestedLoop, CellBased, CellBasedL2, KDTree, Pivot, PGraph, SSample}
 	f := func(seed int64) bool {
 		core, support, params := randomScene(seed)
 		all, nCore := buildSet(core, support)
@@ -57,18 +58,19 @@ func TestDetectSetParallelBitIdentical(t *testing.T) {
 }
 
 // TestDetectSetParallelLarge exercises inputs big enough to actually split
-// into multiple tiles (randomScene tops out below minTile cells).
+// into multiple tiles (randomScene tops out below minTile cells), holding
+// N tiles to one.
 func TestDetectSetParallelLarge(t *testing.T) {
 	pts := synth.Segment(synth.Massachusetts, 6000, 3)
 	all, nCore := buildSet(pts, nil)
 	params := Params{R: 5, K: 4}
-	for _, kind := range []Kind{BruteForce, NestedLoop, CellBased, CellBasedL2} {
+	for _, kind := range []Kind{BruteForce, NestedLoop, CellBased, CellBasedL2, KDTree, Pivot, PGraph, SSample} {
 		d := New(kind, 7)
 		want := DetectSet(d, all, nCore, params)
 		for _, workers := range []int{2, 5, 16} {
 			got := DetectSetParallel(d, all, nCore, params, workers)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v workers=%d: parallel result diverges from sequential (outliers %d vs %d, stats %+v vs %+v)",
+				t.Errorf("%v workers=%d: tiled result diverges from one tile (outliers %d vs %d, stats %+v vs %+v)",
 					kind, workers, len(got.OutlierIDs), len(want.OutlierIDs), got.Stats, want.Stats)
 			}
 		}

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"dod/internal/geom"
-	"dod/internal/par"
 	"dod/internal/pgraph"
 )
 
@@ -23,61 +22,40 @@ func (d pgraphDetector) Detect(core, support []geom.Point, params Params) Result
 	return rowDetect(d, core, support, params)
 }
 
-// classifyRange classifies core points [lo, hi) against the built graph,
-// appending outliers to t. Each point's walk starts from a reset Scratch,
-// so its verdict and distance-computation count are independent of which
-// goroutine (or tile) runs it.
-func classifyRange(g *pgraph.Graph, all *geom.PointSet, lo, hi int, params Params, sc *pgraph.Scratch, t *Result) {
+// prepare builds the graph once, sequentially and seeded; scans only walk
+// it. Each point's walk starts from a reset Scratch, so its verdict and
+// distance-computation count are independent of which scan runs it.
+func (d pgraphDetector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
+	g, buildComps := pgraph.Build(all, d.seed)
+	st.DistComps += buildComps
+	st.PointsIndexed += int64(all.Len())
 	n := all.Len()
 	r2 := params.R * params.R
-	for i := lo; i < hi; i++ {
-		_, certified, comps := g.CountWithin(i, r2, params.K, sc)
-		t.Stats.DistComps += comps
-		if certified {
-			continue // >= K verified neighbors: inlier, exactly
-		}
-		// Uncertified: the walk's count is only a lower bound. Settle the
-		// verdict with a verified scan that stops as soon as K neighbors
-		// confirm an inlier; only true outliers pay the full pass.
-		skip := all.IDs[i]
-		neighbors := 0
-		for j := 0; j < n && neighbors < params.K; j++ {
-			if all.IDs[j] == skip {
-				continue
+	return nCore, func(lo, hi int, t *Result) {
+		sc := pgraph.NewScratch(n)
+		for i := lo; i < hi; i++ {
+			_, certified, comps := g.CountWithin(i, r2, params.K, sc)
+			t.Stats.DistComps += comps
+			if certified {
+				continue // >= K verified neighbors: inlier, exactly
 			}
-			t.Stats.DistComps++
-			if all.Dist2At(i, j) <= r2 {
-				neighbors++
+			// Uncertified: the walk's count is only a lower bound. Settle the
+			// verdict with a verified scan that stops as soon as K neighbors
+			// confirm an inlier; only true outliers pay the full pass.
+			skip := all.IDs[i]
+			neighbors := 0
+			for j := 0; j < n && neighbors < params.K; j++ {
+				if all.IDs[j] == skip {
+					continue
+				}
+				t.Stats.DistComps++
+				if all.Dist2At(i, j) <= r2 {
+					neighbors++
+				}
 			}
-		}
-		if neighbors < params.K {
-			t.OutlierIDs = append(t.OutlierIDs, all.IDs[i])
+			if neighbors < params.K {
+				t.OutlierIDs = append(t.OutlierIDs, all.IDs[i])
+			}
 		}
 	}
-}
-
-func (d pgraphDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
-	g, buildComps := pgraph.Build(all, d.seed)
-	res.Stats.DistComps += buildComps
-	res.Stats.PointsIndexed += int64(all.Len())
-	sc := pgraph.NewScratch(all.Len())
-	classifyRange(g, all, 0, nCore, params, sc, &res)
-	return res
-}
-
-func (d pgraphDetector) detectSetPar(all *geom.PointSet, nCore int, params Params, workers int) Result {
-	var res Result
-	// Construction is sequential and seeded; only the per-point walks tile.
-	g, buildComps := pgraph.Build(all, d.seed)
-	res.Stats.DistComps += buildComps
-	res.Stats.PointsIndexed += int64(all.Len())
-
-	tiles := make([]Result, par.Tiles(nCore, workers))
-	par.Do(nCore, workers, func(tile, lo, hi int) {
-		sc := pgraph.NewScratch(all.Len())
-		classifyRange(g, all, lo, hi, params, sc, &tiles[tile])
-	})
-	mergeTiles(&res, tiles)
-	return res
 }

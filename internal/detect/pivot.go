@@ -29,10 +29,8 @@ func (d pivotDetector) Detect(core, support []geom.Point, params Params) Result 
 	return rowDetect(d, core, support, params)
 }
 
-func (d pivotDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
+func (d pivotDetector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
 	n := all.Len()
-
 	m := numPivots
 	if m > n {
 		m = n
@@ -44,59 +42,67 @@ func (d pivotDetector) detectSet(all *geom.PointSet, nCore int, params Params) R
 	rng := rand.New(rand.NewSource(d.seed))
 	pivotIdx := rng.Perm(n)[:m]
 	pivDist := make([]float64, n*m)
+	maxPiv := 0.0
 	for i, pi := range pivotIdx {
 		for j := 0; j < n; j++ {
-			res.Stats.DistComps++
+			st.DistComps++
 			pivDist[j*m+i] = math.Sqrt(all.Dist2At(pi, j))
+			maxPiv = math.Max(maxPiv, pivDist[j*m+i])
 		}
-		res.Stats.PointsIndexed += int64(n)
+		st.PointsIndexed += int64(n)
 	}
-
 	order := rng.Perm(n)
 	r2 := params.R * params.R
-	var pruned, comps int64
-	for p := 0; p < nCore; p++ {
-		// A core point's own pivot distances sit at its set index — the
-		// set replaces the old ID-to-position map.
-		id := all.IDs[p]
-		pRow := pivDist[p*m : p*m+m]
-		neighbors := 0
-		offset := scanOffset(id, n)
-		// Two linear passes realize the rotated permutation without a
-		// modulo per candidate (same visit sequence as order[(j+offset)%n]).
-		for _, seg := range [2][]int{order[offset:], order[:offset]} {
-			for _, qi := range seg {
-				if neighbors >= params.K {
-					break
-				}
-				if all.IDs[qi] == id {
-					continue
-				}
-				// Triangle-inequality filter: if any pivot separates p and
-				// q by more than r, q cannot be a neighbor.
-				qRow := pivDist[qi*m : qi*m+m]
-				filtered := false
-				for i := 0; i < m; i++ {
-					if math.Abs(pRow[i]-qRow[i]) > params.R {
-						filtered = true
+	// The pivot distances and the neighbor test both round, so a pair the
+	// test accepts at ≈ r can show |d(p,v) − d(q,v)| a few ulps above r.
+	// Filtering only beyond r plus a bound on those rounding errors keeps
+	// every verdict identical to BruteForce's.
+	limit := params.R + float64(all.Dim+4)*0x1p-50*(params.R+2*maxPiv)
+
+	return nCore, func(lo, hi int, t *Result) {
+		var pruned, comps int64
+		for p := lo; p < hi; p++ {
+			// A core point's own pivot distances sit at its set index — the
+			// set replaces the old ID-to-position map.
+			id := all.IDs[p]
+			pRow := pivDist[p*m : p*m+m]
+			neighbors := 0
+			offset := scanOffset(id, n)
+			// Two linear passes realize the rotated permutation without a
+			// modulo per candidate (same visit sequence as order[(j+offset)%n]).
+			for _, seg := range [2][]int{order[offset:], order[:offset]} {
+				for _, qi := range seg {
+					if neighbors >= params.K {
 						break
 					}
-				}
-				if filtered {
-					pruned++ // counts filtered candidates
-					continue
-				}
-				comps++
-				if all.Within2(p, qi, r2) {
-					neighbors++
+					if all.IDs[qi] == id {
+						continue
+					}
+					// Triangle-inequality filter: if any pivot separates p and
+					// q by more than limit, q cannot be a neighbor.
+					qRow := pivDist[qi*m : qi*m+m]
+					filtered := false
+					for i := 0; i < m; i++ {
+						if math.Abs(pRow[i]-qRow[i]) > limit {
+							filtered = true
+							break
+						}
+					}
+					if filtered {
+						pruned++ // counts filtered candidates
+						continue
+					}
+					comps++
+					if all.Within2(p, qi, r2) {
+						neighbors++
+					}
 				}
 			}
+			if neighbors < params.K {
+				t.OutlierIDs = append(t.OutlierIDs, id)
+			}
 		}
-		if neighbors < params.K {
-			res.OutlierIDs = append(res.OutlierIDs, id)
-		}
+		t.Stats.CellsPruned += pruned
+		t.Stats.DistComps += comps
 	}
-	res.Stats.CellsPruned += pruned
-	res.Stats.DistComps += comps
-	return res
 }

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"dod/internal/geom"
-	"dod/internal/par"
 	"dod/internal/ssample"
 )
 
@@ -21,35 +20,12 @@ func (d ssampleDetector) Detect(core, support []geom.Point, params Params) Resul
 	return rowDetect(d, core, support, params)
 }
 
-func ssParams(params Params) ssample.Params {
-	return ssample.Params{R: params.R, K: params.K}
-}
-
-func (d ssampleDetector) detectSet(all *geom.PointSet, nCore int, params Params) Result {
-	var res Result
-	pl := ssample.BuildPlan(all, ssParams(params), d.seed)
-	res.Stats.DistComps += pl.BuildComp
-	scores, comps := pl.ScoreRange(nil, 0, nCore)
-	res.Stats.DistComps += comps
-	for _, s := range scores {
-		if s.Outlier {
-			res.OutlierIDs = append(res.OutlierIDs, s.ID)
-		}
-	}
-	return res
-}
-
-func (d ssampleDetector) detectSetPar(all *geom.PointSet, nCore int, params Params, workers int) Result {
-	var res Result
-	// The plan (pilot + weighted draws) is built once, sequentially; tiles
-	// score disjoint core ranges against the same frozen sample, so the
-	// merged output is identical to the sequential pass.
-	pl := ssample.BuildPlan(all, ssParams(params), d.seed)
-	res.Stats.DistComps += pl.BuildComp
-
-	tiles := make([]Result, par.Tiles(nCore, workers))
-	par.Do(nCore, workers, func(tile, lo, hi int) {
-		t := &tiles[tile]
+// prepare builds the plan (pilot + weighted draws) once, sequentially;
+// scans score disjoint core ranges against the same frozen sample.
+func (d ssampleDetector) prepare(all *geom.PointSet, nCore int, params Params, st *Stats) (int, func(lo, hi int, t *Result)) {
+	pl := ssample.BuildPlan(all, ssample.Params{R: params.R, K: params.K}, d.seed)
+	st.DistComps += pl.BuildComp
+	return nCore, func(lo, hi int, t *Result) {
 		scores, comps := pl.ScoreRange(nil, lo, hi)
 		t.Stats.DistComps += comps
 		for _, s := range scores {
@@ -57,7 +33,5 @@ func (d ssampleDetector) detectSetPar(all *geom.PointSet, nCore int, params Para
 				t.OutlierIDs = append(t.OutlierIDs, s.ID)
 			}
 		}
-	})
-	mergeTiles(&res, tiles)
-	return res
+	}
 }

@@ -26,7 +26,7 @@ import (
 //
 // Both end with the integrity frame.
 const (
-	frameHeader byte = 1
+	frameHeader      = codec.FrameHeader // read by codec.DecodeSealed
 	frameSplit  byte = 2
 	frameGroup  byte = 3 // uvarint key + codec bytes-list of values
 	frameBucket byte = 4
@@ -146,29 +146,15 @@ func spansFromWire(spans []wireSpan) []obs.Span {
 	return out
 }
 
-// appendHeader marshals h as the leading header frame.
+// appendHeader marshals h as the leading header frame. Unlike
+// codec.AppendHeaderFrame it returns a marshal failure rather than
+// panicking: a task header carries the caller-supplied JobSpec.Config.
 func appendHeader(dst []byte, h any) ([]byte, error) {
 	raw, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("dist: marshal header: %w", err)
 	}
 	return codec.AppendFrame(dst, frameHeader, raw), nil
-}
-
-// decodeHeader reads the leading header frame into h and returns the rest
-// of the body.
-func decodeHeader(body []byte, h any) (rest []byte, err error) {
-	kind, payload, n, err := codec.DecodeFrame(body)
-	if err != nil {
-		return nil, err
-	}
-	if kind != frameHeader {
-		return nil, codec.WireErrorf("dist: message starts with frame kind %d, want header", kind)
-	}
-	if err := json.Unmarshal(payload, h); err != nil {
-		return nil, codec.WireErrorf("dist: header: %v", err)
-	}
-	return body[n:], nil
 }
 
 // encodeMapTaskBody builds the wire body of a map task dispatch.
@@ -199,52 +185,42 @@ func encodeReduceTaskBody(h taskHeader, groups []mapreduce.Group) ([]byte, error
 // decodeTaskBody parses a dispatched task. Exactly one of mt/rt is non-nil,
 // chosen by the header phase. Payload slices alias body.
 func decodeTaskBody(body []byte) (h taskHeader, mt *mapreduce.MapTask, rt *mapreduce.ReduceTask, err error) {
-	body, err = codec.StripSumFrame(body)
-	if err != nil {
-		return taskHeader{}, nil, nil, err
-	}
-	rest, err := decodeHeader(body, &h)
+	var split []byte
+	splits := 0
+	var groups []mapreduce.Group
+	err = codec.DecodeSealed(body, &h, func(kind byte, payload []byte) error {
+		switch {
+		case kind == frameSplit && h.Phase == "map":
+			split = payload
+			splits++
+		case kind == frameGroup && h.Phase == "reduce":
+			key, m := binary.Uvarint(payload)
+			if m <= 0 {
+				return codec.ErrTruncated
+			}
+			values, _, err := codec.DecodeBytesList(payload[m:])
+			if err != nil {
+				return err
+			}
+			groups = append(groups, mapreduce.Group{Key: key, Values: values})
+		default:
+			return codec.WireErrorf("dist: unexpected frame kind %d in %q task", kind, h.Phase)
+		}
+		return nil
+	})
 	if err != nil {
 		return taskHeader{}, nil, nil, err
 	}
 	switch h.Phase {
 	case "map":
-		kind, payload, n, err := codec.DecodeFrame(rest)
-		if err != nil {
-			return taskHeader{}, nil, nil, err
-		}
-		if kind != frameSplit {
-			return taskHeader{}, nil, nil, codec.WireErrorf("dist: map task carries frame kind %d, want split", kind)
-		}
-		rest = rest[n:]
-		if len(rest) != 0 {
-			return taskHeader{}, nil, nil, codec.WireErrorf("dist: %d trailing bytes after map split", len(rest))
+		if splits != 1 {
+			return taskHeader{}, nil, nil, codec.WireErrorf("dist: map task carries %d split frames, want 1", splits)
 		}
 		return h, &mapreduce.MapTask{
 			TaskID: h.Task, Attempt: h.Attempt, NumReducers: h.NumReducers,
-			Split: mapreduce.Split{Name: h.SplitName, Data: payload, Replicas: h.Replicas},
+			Split: mapreduce.Split{Name: h.SplitName, Data: split, Replicas: h.Replicas},
 		}, nil, nil
 	case "reduce":
-		var groups []mapreduce.Group
-		for len(rest) > 0 {
-			kind, payload, n, err := codec.DecodeFrame(rest)
-			if err != nil {
-				return taskHeader{}, nil, nil, err
-			}
-			if kind != frameGroup {
-				return taskHeader{}, nil, nil, codec.WireErrorf("dist: reduce task carries frame kind %d, want group", kind)
-			}
-			key, m := binary.Uvarint(payload)
-			if m <= 0 {
-				return taskHeader{}, nil, nil, codec.ErrTruncated
-			}
-			values, _, err := codec.DecodeBytesList(payload[m:])
-			if err != nil {
-				return taskHeader{}, nil, nil, err
-			}
-			groups = append(groups, mapreduce.Group{Key: key, Values: values})
-			rest = rest[n:]
-		}
 		return h, nil, &mapreduce.ReduceTask{TaskID: h.Task, Attempt: h.Attempt, Groups: groups}, nil
 	default:
 		return taskHeader{}, nil, nil, codec.WireErrorf("dist: unknown task phase %q", h.Phase)
@@ -306,28 +282,13 @@ func encodeErrorResultBody(h resultHeader) ([]byte, error) {
 // buckets has one entry per reducer; for reduce, output holds the task's
 // emissions. Both are nil when h.Err is set.
 func decodeResultBody(body []byte) (h resultHeader, buckets [][]mapreduce.Pair, output []mapreduce.Pair, err error) {
-	body, err = codec.StripSumFrame(body)
-	if err != nil {
-		return resultHeader{}, nil, nil, err
-	}
-	rest, err := decodeHeader(body, &h)
-	if err != nil {
-		return resultHeader{}, nil, nil, err
-	}
-	if h.Err != "" {
-		if len(rest) != 0 {
-			return resultHeader{}, nil, nil, codec.WireErrorf("dist: error result carries %d payload bytes", len(rest))
-		}
-		return h, nil, nil, nil
-	}
-	for len(rest) > 0 {
-		kind, payload, n, err := codec.DecodeFrame(rest)
-		if err != nil {
-			return resultHeader{}, nil, nil, err
+	err = codec.DecodeSealed(body, &h, func(kind byte, payload []byte) error {
+		if h.Err != "" {
+			return codec.WireErrorf("dist: error result carries frame kind %d", kind)
 		}
 		kvs, _, err := codec.DecodeKVs(payload)
 		if err != nil {
-			return resultHeader{}, nil, nil, err
+			return err
 		}
 		switch {
 		case kind == frameBucket && h.Phase == "map":
@@ -338,9 +299,15 @@ func decodeResultBody(body []byte) (h resultHeader, buckets [][]mapreduce.Pair, 
 				output = []mapreduce.Pair{} // distinguish "empty output" from "missing frame"
 			}
 		default:
-			return resultHeader{}, nil, nil, codec.WireErrorf("dist: unexpected frame kind %d in %s result", kind, h.Phase)
+			return codec.WireErrorf("dist: unexpected frame kind %d in %s result", kind, h.Phase)
 		}
-		rest = rest[n:]
+		return nil
+	})
+	if err != nil {
+		return resultHeader{}, nil, nil, err
+	}
+	if h.Err != "" {
+		return h, nil, nil, nil
 	}
 	if h.Phase == "map" && buckets == nil {
 		return resultHeader{}, nil, nil, codec.WireErrorf("dist: map result missing bucket frames")

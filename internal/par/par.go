@@ -7,7 +7,7 @@
 // parallel kernels bit-identical to their sequential counterparts — each
 // tile preserves the sequential visit order within itself, and callers
 // concatenate per-tile results in tile order, which reproduces the
-// sequential output exactly (see internal/detect's parallel paths).
+// sequential output exactly (see internal/detect's DetectSetParallel).
 //
 // Tiles are sized up front rather than work-stolen: the detection kernels
 // do uniform per-element work dominated by memory bandwidth, where static

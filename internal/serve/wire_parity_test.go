@@ -116,3 +116,74 @@ func TestWireValidationParity(t *testing.T) {
 		t.Fatalf("valid shipment: %+v, %v", got, err)
 	}
 }
+
+// reseal rebuilds a sealed body from its frames in the given order (indices
+// into the unsealed frame list, repeats allowed) and seals it again.
+func reseal(t *testing.T, body []byte, order ...int) []byte {
+	t.Helper()
+	data, err := codec.StripSumFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for len(data) > 0 {
+		_, _, n, err := codec.DecodeFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, data = append(frames, data[:n]), data[n:]
+	}
+	var out []byte
+	for _, i := range order {
+		out = append(out, frames[i]...)
+	}
+	return codec.AppendSumFrame(out)
+}
+
+// TestSealedHeaderFirstAndOnce: every sealed shard-tier body carries its
+// header as the first frame, exactly once. A correctly sealed body with the
+// header after a data frame, or with a second header, is a wire-format
+// error from every decoder — not a header re-read over the first.
+func TestSealedHeaderFirstAndOnce(t *testing.T) {
+	pt := geom.Point{ID: 7, Coords: []float64{1.5, -2.25}}
+	entry := stream.ExportedEntry{Point: pt, Seq: 9, Arrived: time.Unix(0, 77), Count: 4}
+	op := stream.ShardOp{Kind: stream.OpEvict, ID: 300}
+	logged := append([]byte{byte(replica.KindWindow), 1, 2}, stream.AppendShardOp(nil, &op)...)
+	decoders := []struct {
+		name   string
+		body   []byte // header, then one or two data frames
+		decode func([]byte) error
+	}{
+		{"DecodeIngestBatch", router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: 1, Count: 1}, []stream.ShardOp{op}),
+			func(b []byte) error { _, _, err := router.DecodeIngestBatch(b); return err }},
+		{"DecodeSupportBatch", router.EncodeSupportBatch(router.SupportHeader{}, []router.SupportProbe{{Point: pt, Cells: [][]int64{{1, 2}}}}),
+			func(b []byte) error { _, _, err := router.DecodeSupportBatch(b); return err }},
+		{"DecodeEntries", router.EncodeEntries([]stream.ExportedEntry{entry}),
+			func(b []byte) error { _, err := router.DecodeEntries(b); return err }},
+		{"DecodeApply", replica.EncodeApply(replica.ApplyHeader{From: "s0", Count: 1, Head: 1}, [][]byte{logged}),
+			func(b []byte) error { _, _, err := replica.DecodeApply(b); return err }},
+		{"DecodeSnapshot", replica.EncodeSnapshot(&replica.Snapshot{From: "s0", Seq: 3, Entries: []stream.ExportedEntry{entry}}),
+			func(b []byte) error { _, err := replica.DecodeSnapshot(b); return err }},
+	}
+	for _, dec := range decoders {
+		frames := 1
+		if dec.name == "DecodeSupportBatch" {
+			frames = 2 // a point frame and its cells frame
+		}
+		data := make([]int, frames)
+		for i := range data {
+			data[i] = i + 1
+		}
+		if err := dec.decode(reseal(t, dec.body, append([]int{0}, data...)...)); err != nil {
+			t.Fatalf("%s: untampered body: %v", dec.name, err)
+		}
+		for name, order := range map[string][]int{
+			"header last":  append(data, 0),
+			"header twice": append(append([]int{0}, data...), 0),
+		} {
+			if err := dec.decode(reseal(t, dec.body, order...)); !errors.Is(err, errs.ErrWireFormat) {
+				t.Errorf("%s(%s): err = %v, want a wire-format error", dec.name, name, err)
+			}
+		}
+	}
+}
