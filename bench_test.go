@@ -30,8 +30,8 @@ import (
 )
 
 // benchConfig keeps figure regeneration fast enough for -bench=. while
-// preserving the density/skew structure. EXPERIMENTS.md uses cmd/dodbench
-// at larger scale.
+// preserving the density/skew structure. EXPERIMENTS.md quotes cmd/dodfig,
+// which runs the default, larger experiments.Config.
 func benchConfig() experiments.Config {
 	return experiments.Config{
 		SegmentN: 8000,

@@ -11,6 +11,7 @@ import (
 	"dod/internal/dfs"
 	"dod/internal/geom"
 	"dod/internal/plan"
+	"dod/internal/synth"
 )
 
 var testParams = detect.Params{R: 5, K: 4}
@@ -319,6 +320,54 @@ func TestDetectCentralized(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v centralized mismatch", kind)
 		}
+	}
+}
+
+// TestDMTRoutesHighDimToProxGraph: on 32-d sphere data no axis-aligned box
+// prunes a query ball, so DMT with Prox-Graph among its candidates must
+// route at least one partition to it, stay exact, and spend fewer distance
+// computations than the same pipeline restricted to Nested-Loop or to
+// KD-Tree. At 4 000 points and below KD-Tree alone still wins.
+func TestDMTRoutesHighDimToProxGraph(t *testing.T) {
+	params := detect.Params{R: 4, K: 4}
+	pts, _ := synth.HighDimUniform(8000, 32, params.R, 0.005, 3)
+	input, err := InputFromPoints(pts, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// r spans the sphere in every coordinate, so each supporting area holds
+	// nearly every point whatever the split: two partitions keep the index
+	// builds few.
+	run := func(cands ...detect.Kind) *Report {
+		rep, err := Run(context.Background(), input, Config{
+			Params:     params,
+			Planner:    plan.DMT,
+			PlanOpts:   plan.Options{NumReducers: 2, NumPartitions: 2, Candidates: cands},
+			SampleRate: 1,
+			Seed:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	dmt := run(detect.NestedLoop, detect.KDTree, detect.PGraph)
+	want := DetectCentralized(pts, detect.BruteForce, params, 0).OutlierIDs
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if !reflect.DeepEqual(dmt.Outliers, want) {
+		t.Fatalf("DMT found %d outliers, BruteForce %d", len(dmt.Outliers), len(want))
+	}
+	routed := false
+	for _, p := range dmt.Plan.Partitions {
+		routed = routed || p.Algo == detect.PGraph
+	}
+	if !routed {
+		t.Error("no partition routed to Prox-Graph")
+	}
+	nl, kd := run(detect.NestedLoop), run(detect.KDTree)
+	if dmt.DistComps >= nl.DistComps || dmt.DistComps >= kd.DistComps {
+		t.Errorf("routed plan not cheapest: DMT %d, Nested-Loop %d, KD-Tree %d distance computations",
+			dmt.DistComps, nl.DistComps, kd.DistComps)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 
 // Kernel benchmarks: raw detector throughput on fixed workloads, measured
 // at the detect layer so allocation behavior of the hot path is visible
-// (`-benchmem`). These are the numbers `cmd/dodbench -json` records into
-// the BENCH_*.json trajectory.
+// (`-benchmem`). Run `go test -bench . ./internal/detect` before and after
+// a kernel change on the same machine; the end-to-end records are the
+// bench/ module's.
 
 // benchPoints2D is the shared 2D workload: a Massachusetts-density segment
 // (intermediate regime for r=5, k=4 — exercises pruning, ring scans and the

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"dod/internal/geom"
+	"dod/internal/par"
 	"dod/internal/synth"
 )
 
@@ -111,6 +112,38 @@ func TestDetectSetParallelRandomWorkers(t *testing.T) {
 	}
 }
 
+// TestCellBasedTilesShareWork is the work bound behind tiling Cell-Based:
+// on an 8 000-point Massachusetts segment, four tiles of one prepare split
+// the scan's distance computations so that the largest tile holds at most
+// half of them, and together they are exactly DetectSet's. A deterministic
+// count, unlike a wall-clock speedup, holds on any machine.
+func TestCellBasedTilesShareWork(t *testing.T) {
+	all, nCore := buildSet(benchPoints2D(8000), nil)
+	d := New(CellBased, 7)
+	want := DetectSet(d, all, nCore, benchParams)
+
+	const workers = 4
+	var prep Stats
+	items, scan := d.prepare(all, nCore, benchParams, &prep)
+	if tiles := par.Tiles(items, workers); tiles != workers {
+		t.Fatalf("%d work items split into %d tiles, want %d", items, tiles, workers)
+	}
+	parts := make([]Result, workers)
+	par.Do(items, workers, func(tile, lo, hi int) { scan(lo, hi, &parts[tile]) })
+	var total, largest int64
+	for _, p := range parts {
+		total += p.Stats.DistComps
+		largest = max(largest, p.Stats.DistComps)
+	}
+	if prep.DistComps+total != want.Stats.DistComps {
+		t.Fatalf("prepare %d + tiles %d distance computations, DetectSet %d",
+			prep.DistComps, total, want.Stats.DistComps)
+	}
+	if ratio := float64(total) / float64(largest); ratio < 2 {
+		t.Errorf("total/largest tile = %d/%d = %.2f, want >= 2", total, largest, ratio)
+	}
+}
+
 func benchDetectorParallel(b *testing.B, kind Kind, pts []geom.Point, workers int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -127,8 +160,8 @@ func benchDetectorParallel(b *testing.B, kind Kind, pts []geom.Point, workers in
 }
 
 // BenchmarkParallelCellBased2D measures the tiled Cell-Based kernel across
-// worker counts; workers=0 means GOMAXPROCS. The CI parcheck leg compares
-// these against the sequential baselines under a GOMAXPROCS matrix.
+// worker counts; workers=0 means GOMAXPROCS. TestCellBasedTilesShareWork
+// is the machine-independent bound on how far these can scale.
 func BenchmarkParallelCellBased2D(b *testing.B) {
 	pts := benchPoints2D(8000)
 	for _, workers := range []int{1, 2, 4, 0} {

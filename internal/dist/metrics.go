@@ -91,7 +91,7 @@ func phaseCounter(m map[string]*obs.Counter, phase string) *obs.Counter {
 }
 
 // Stats is a point-in-time snapshot of the coordinator's counters, exposed
-// for tests and for dodbench's dist record.
+// for tests and for the bench/ module's cluster-loopback workload.
 type Stats struct {
 	Workers        int
 	Heartbeats     int64

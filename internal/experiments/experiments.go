@@ -14,8 +14,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"dod/internal/detect"
 )
 
 // Point is one (x, y) sample of a series.
@@ -107,8 +105,9 @@ func (f *Figure) String() string {
 	return b.String()
 }
 
-// Config scales the experiment workloads. The defaults run every figure in
-// seconds on a laptop; raise the sizes to stress the system.
+// Config scales the experiment workloads. The defaults with Seed 1 are the
+// configuration testdata/figures.golden pins and EXPERIMENTS.md quotes;
+// they run every figure in seconds on a laptop.
 type Config struct {
 	// SegmentN is the cardinality of one dataset segment (the paper's
 	// state extracts are ~30M points; default 20000 preserves the density
@@ -127,15 +126,6 @@ type Config struct {
 	Partitions int
 	// Seed drives all generators and algorithms.
 	Seed int64
-	// Parallelism bounds in-process goroutines (0 = GOMAXPROCS).
-	Parallelism int
-	// Candidates overrides the DMT planner's detector candidate set
-	// (default NestedLoop + CellBased); single-tactic planners ignore it.
-	Candidates []detect.Kind
-	// AllowApprox opts in to approximate detectors among the Candidates
-	// (e.g. Sens-Sample); without it they are filtered out of the
-	// planner's choice set.
-	AllowApprox bool
 }
 
 func (c Config) withDefaults() Config {
@@ -160,29 +150,33 @@ func (c Config) withDefaults() Config {
 // seconds converts a simulated duration to float seconds for plotting.
 func seconds(d time.Duration) float64 { return d.Seconds() }
 
-// All runs every figure reproduction in paper order.
+// Runners lists every reproduction in paper order, each under its short
+// name ("4", "7a", ...). The last, "g", is the generality table: it reports
+// wall-clock seconds, so All leaves it out.
+var Runners = []struct {
+	Name string
+	Run  func(Config) (*Figure, error)
+}{
+	{"4", Fig4},
+	{"5", Fig5},
+	{"7a", Fig7a},
+	{"7b", Fig7b},
+	{"8a", Fig8a},
+	{"8b", Fig8b},
+	{"9a", Fig9a},
+	{"9b", Fig9b},
+	{"10a", Fig10a},
+	{"10b", Fig10b},
+	{"g", Generality},
+}
+
+// All runs every figure reproduction, Figs. 4–10, in paper order.
 func All(cfg Config) ([]*Figure, error) {
-	type runner struct {
-		name string
-		run  func(Config) (*Figure, error)
-	}
-	runners := []runner{
-		{"Fig4", Fig4},
-		{"Fig5", Fig5},
-		{"Fig7a", Fig7a},
-		{"Fig7b", Fig7b},
-		{"Fig8a", Fig8a},
-		{"Fig8b", Fig8b},
-		{"Fig9a", Fig9a},
-		{"Fig9b", Fig9b},
-		{"Fig10a", Fig10a},
-		{"Fig10b", Fig10b},
-	}
 	var figs []*Figure
-	for _, r := range runners {
-		f, err := r.run(cfg)
+	for _, r := range Runners[:len(Runners)-1] {
+		f, err := r.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.name, err)
+			return nil, fmt.Errorf("experiments: figure %s: %w", r.Name, err)
 		}
 		figs = append(figs, f)
 	}

@@ -58,13 +58,10 @@ func runCase(cfg Config, pts []geom.Point, planner plan.Planner, det detect.Kind
 			NumReducers:   cfg.Reducers,
 			NumPartitions: cfg.Partitions,
 			Detector:      det,
-			Candidates:    cfg.Candidates,
-			AllowApprox:   cfg.AllowApprox,
 		},
 		SampleRate:    sampleRate(len(pts)),
 		BucketsPerDim: bucketsPerDim(len(pts)),
 		Seed:          cfg.Seed,
-		Parallelism:   cfg.Parallelism,
 	})
 }
 

@@ -100,32 +100,6 @@ func TestFig10aShape(t *testing.T) {
 	}
 }
 
-func TestAllRunsEveryFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full figure suite")
-	}
-	cfg := Config{SegmentN: 1200, BaseN: 500, SweepN: 1500, Reducers: 4, Seed: 2}
-	figs, err := All(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 10 {
-		t.Fatalf("got %d figures, want 10", len(figs))
-	}
-	wantIDs := []string{"Fig. 4", "Fig. 5", "Fig. 7a", "Fig. 7b", "Fig. 8a", "Fig. 8b", "Fig. 9a", "Fig. 9b", "Fig. 10a", "Fig. 10b"}
-	for i, fig := range figs {
-		if fig.ID != wantIDs[i] {
-			t.Errorf("figure %d is %q, want %q", i, fig.ID, wantIDs[i])
-		}
-		if len(fig.Series) == 0 {
-			t.Errorf("%s has no series", fig.ID)
-		}
-		if fig.String() == "" {
-			t.Errorf("%s renders empty", fig.ID)
-		}
-	}
-}
-
 func TestSampleRateBounds(t *testing.T) {
 	if got := sampleRate(100); got != 1 {
 		t.Errorf("tiny dataset rate = %g, want 1", got)
