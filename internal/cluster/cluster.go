@@ -10,8 +10,6 @@
 package cluster
 
 import (
-	"container/heap"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -39,24 +37,6 @@ func (c Config) Slots() int {
 type Task struct {
 	Name     string
 	Duration time.Duration
-
-	// Preferred lists the nodes holding the task's input locally (the DFS
-	// block replicas). Empty means no preference. RemotePenalty is the
-	// extra time the task pays when scheduled on any other node (the
-	// network read of its input). Both are ignored by RunPhase; see
-	// RunPhasePlaced.
-	Preferred     []int
-	RemotePenalty time.Duration
-}
-
-// prefers reports whether node is one of the task's preferred nodes.
-func (t Task) prefers(node int) bool {
-	for _, n := range t.Preferred {
-		if n == node {
-			return true
-		}
-	}
-	return false
 }
 
 // Assignment records where a task ran in the simulation.
@@ -73,30 +53,11 @@ type Schedule struct {
 	Makespan    time.Duration
 }
 
-// slotHeap is a min-heap of (finish time, slot index).
-type slotState struct {
-	free time.Duration
-	id   int
-}
-
-type slotHeap []slotState
-
-func (h slotHeap) Len() int { return len(h) }
-func (h slotHeap) Less(i, j int) bool {
-	if h[i].free != h[j].free {
-		return h[i].free < h[j].free
-	}
-	return h[i].id < h[j].id
-}
-func (h slotHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *slotHeap) Push(x any)     { *h = append(*h, x.(slotState)) }
-func (h *slotHeap) Pop() any       { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h slotHeap) Peek() slotState { return h[0] }
-
 // RunPhase simulates executing tasks on the cluster using longest-
 // processing-time-first list scheduling (the classic 4/3-approximation for
-// makespan, and how Hadoop's slowest-task-dominates behaviour shakes out).
-// It is deterministic: ties are broken by task name and slot index.
+// makespan, and how Hadoop's slowest-task-dominates behaviour shakes out):
+// each task, longest first, goes to the slot that frees earliest. It is
+// deterministic: ties are broken by task name and slot index.
 func RunPhase(cfg Config, tasks []Task) Schedule {
 	sorted := append([]Task(nil), tasks...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -106,179 +67,18 @@ func RunPhase(cfg Config, tasks []Task) Schedule {
 		return sorted[i].Name < sorted[j].Name
 	})
 
-	h := make(slotHeap, cfg.Slots())
-	for i := range h {
-		h[i] = slotState{free: 0, id: i}
-	}
-	heap.Init(&h)
-
-	sched := Schedule{Assignments: make([]Assignment, 0, len(sorted))}
-	for _, task := range sorted {
-		s := heap.Pop(&h).(slotState)
-		a := Assignment{Task: task, Slot: s.id, Start: s.free, End: s.free + task.Duration}
-		sched.Assignments = append(sched.Assignments, a)
-		if a.End > sched.Makespan {
-			sched.Makespan = a.End
-		}
-		s.free = a.End
-		heap.Push(&h, s)
-	}
-	return sched
-}
-
-// RunPhasePlaced simulates a phase with data-locality-aware placement, the
-// way Hadoop's scheduler prefers map slots on the datanodes holding the
-// input block. Tasks are taken longest-first; each is placed on the slot
-// minimizing its completion time, where running on a node outside the
-// task's Preferred set adds RemotePenalty (the network read of the input).
-// Deterministic: ties break by slot index.
-func RunPhasePlaced(cfg Config, tasks []Task) Schedule {
-	sorted := append([]Task(nil), tasks...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Duration != sorted[j].Duration {
-			return sorted[i].Duration > sorted[j].Duration
-		}
-		return sorted[i].Name < sorted[j].Name
-	})
-
-	slots := cfg.Slots()
-	spn := cfg.SlotsPerNode
-	if spn < 1 {
-		spn = 1
-	}
-	free := make([]time.Duration, slots)
-	sched := Schedule{Assignments: make([]Assignment, 0, len(sorted))}
-	for _, task := range sorted {
-		best := -1
-		var bestEnd time.Duration
-		for s := 0; s < slots; s++ {
-			d := task.Duration
-			if len(task.Preferred) > 0 && !task.prefers(s/spn) {
-				d += task.RemotePenalty
-			}
-			end := free[s] + d
-			if best == -1 || end < bestEnd {
-				best, bestEnd = s, end
-			}
-		}
-		sched.Assignments = append(sched.Assignments, Assignment{
-			Task: task, Slot: best, Start: free[best], End: bestEnd,
-		})
-		free[best] = bestEnd
-		if bestEnd > sched.Makespan {
-			sched.Makespan = bestEnd
-		}
-	}
-	return sched
-}
-
-// StragglerModel injects Hadoop-style stragglers into a phase simulation:
-// each task independently runs Factor× slower with probability Prob
-// (machine contention, bad disks — the unpredictable slowdowns speculative
-// execution exists for).
-type StragglerModel struct {
-	Prob   float64
-	Factor float64
-	Seed   int64
-}
-
-// RunPhaseSpeculative simulates a phase under the straggler model, with or
-// without speculative execution. With speculation on, a backup copy of a
-// straggling task is launched (at the task's originally expected finish
-// time, on the then-earliest-free slot) and the task completes when either
-// copy does — Hadoop's speculative-execution policy in miniature.
-func RunPhaseSpeculative(cfg Config, tasks []Task, model StragglerModel, speculative bool) Schedule {
-	rng := rand.New(rand.NewSource(model.Seed))
-	type timedTask struct {
-		task     Task
-		actual   time.Duration // with straggler slowdown
-		expected time.Duration // without
-	}
-	timed := make([]timedTask, len(tasks))
-	for i, task := range tasks {
-		actual := task.Duration
-		if model.Prob > 0 && rng.Float64() < model.Prob {
-			actual = time.Duration(float64(task.Duration) * model.Factor)
-		}
-		timed[i] = timedTask{task: task, actual: actual, expected: task.Duration}
-	}
-	// Longest-expected-first list scheduling on the actual durations.
-	sort.SliceStable(timed, func(i, j int) bool {
-		if timed[i].expected != timed[j].expected {
-			return timed[i].expected > timed[j].expected
-		}
-		return timed[i].task.Name < timed[j].task.Name
-	})
-
 	free := make([]time.Duration, cfg.Slots())
-	earliest := func() int {
+	sched := Schedule{Assignments: make([]Assignment, 0, len(sorted))}
+	for _, task := range sorted {
 		best := 0
 		for s := range free {
 			if free[s] < free[best] {
 				best = s
 			}
 		}
-		return best
-	}
-	// Pass 1: schedule every primary copy. Backups never preempt or delay
-	// primaries (Hadoop speculates only on otherwise-idle capacity), so
-	// speculation can never make the phase slower.
-	sched := Schedule{}
-	type placed struct {
-		idx  int
-		slot int
-	}
-	var stragglers []placed
-	for i, tt := range timed {
-		slot := earliest()
-		start := free[slot]
-		end := start + tt.actual
-		free[slot] = end
-		sched.Assignments = append(sched.Assignments, Assignment{
-			Task: tt.task, Slot: slot, Start: start, End: end,
-		})
-		if tt.actual > tt.expected {
-			stragglers = append(stragglers, placed{idx: i, slot: slot})
-		}
-	}
-
-	// Pass 2: launch backups for stragglers on idle capacity, earliest
-	// noticed first. The scheduler notices a straggler when it misses its
-	// expected finish; the backup runs at normal speed and the task
-	// completes when either copy does.
-	if speculative {
-		noticedAt := func(p placed) time.Duration {
-			return sched.Assignments[p.idx].Start + timed[p.idx].expected
-		}
-		sort.SliceStable(stragglers, func(a, b int) bool {
-			return noticedAt(stragglers[a]) < noticedAt(stragglers[b])
-		})
-		for _, st := range stragglers {
-			a := &sched.Assignments[st.idx]
-			noticed := noticedAt(st)
-			backupSlot := -1
-			var backupStart time.Duration
-			for s := range free {
-				if s == st.slot {
-					continue
-				}
-				start := free[s]
-				if start < noticed {
-					start = noticed
-				}
-				if backupSlot == -1 || start < backupStart {
-					backupSlot, backupStart = s, start
-				}
-			}
-			if backupSlot >= 0 {
-				if backupEnd := backupStart + timed[st.idx].expected; backupEnd < a.End {
-					a.End = backupEnd
-					free[backupSlot] = backupEnd
-				}
-			}
-		}
-	}
-	for _, a := range sched.Assignments {
+		a := Assignment{Task: task, Slot: best, Start: free[best], End: free[best] + task.Duration}
+		sched.Assignments = append(sched.Assignments, a)
+		free[best] = a.End
 		if a.End > sched.Makespan {
 			sched.Makespan = a.End
 		}
@@ -298,17 +98,6 @@ type PhaseBreakdown struct {
 // Total returns the end-to-end simulated time.
 func (b PhaseBreakdown) Total() time.Duration {
 	return b.Preprocess + b.Map + b.Shuffle + b.Reduce
-}
-
-// Add returns the stage-wise sum of two breakdowns (used to accumulate the
-// two jobs of the Domain baseline, or preprocessing + detection of DMT).
-func (b PhaseBreakdown) Add(o PhaseBreakdown) PhaseBreakdown {
-	return PhaseBreakdown{
-		Preprocess: b.Preprocess + o.Preprocess,
-		Map:        b.Map + o.Map,
-		Shuffle:    b.Shuffle + o.Shuffle,
-		Reduce:     b.Reduce + o.Reduce,
-	}
 }
 
 // Imbalance returns max/mean load across the busy slots of a schedule — a

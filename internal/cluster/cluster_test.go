@@ -159,11 +159,6 @@ func TestImbalance(t *testing.T) {
 
 func TestPhaseBreakdown(t *testing.T) {
 	a := PhaseBreakdown{Preprocess: 1, Map: 2, Shuffle: 3, Reduce: 4}
-	b := PhaseBreakdown{Preprocess: 10, Map: 20, Shuffle: 30, Reduce: 40}
-	sum := a.Add(b)
-	if sum != (PhaseBreakdown{11, 22, 33, 44}) {
-		t.Errorf("Add = %+v", sum)
-	}
 	if a.Total() != 10 {
 		t.Errorf("Total = %v", a.Total())
 	}

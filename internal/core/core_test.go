@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dod/internal/detect"
-	"dod/internal/dfs"
 	"dod/internal/geom"
 	"dod/internal/plan"
 	"dod/internal/synth"
@@ -267,46 +266,6 @@ func TestInputFromPoints(t *testing.T) {
 	}
 	if _, err := InputFromPoints(nil, 10); err == nil {
 		t.Error("empty dataset accepted")
-	}
-}
-
-func TestDFSRoundTrip(t *testing.T) {
-	points := makeSkewed(2000, 29)
-	store := dfs.NewStore(dfs.Config{BlockSize: 8 * 1024, NumNodes: 5, Seed: 1})
-	if err := WritePoints(store, "/data/test", points); err != nil {
-		t.Fatal(err)
-	}
-	input, err := InputFromDFS(store, "/data/test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if input.Count != len(points) {
-		t.Fatalf("Count = %d, want %d", input.Count, len(points))
-	}
-	if len(input.Splits) < 2 {
-		t.Errorf("expected multiple block splits, got %d", len(input.Splits))
-	}
-	// End-to-end through DFS input must match the in-memory path.
-	want := bruteForceIDs(points, testParams)
-	rep, err := Run(context.Background(), input, Config{
-		Params:     testParams,
-		Planner:    plan.DMT,
-		PlanOpts:   plan.Options{NumReducers: 3},
-		SampleRate: 1.0,
-		Seed:       31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Outliers, want) {
-		t.Error("DFS-sourced run produced wrong outliers")
-	}
-}
-
-func TestInputFromDFSMissing(t *testing.T) {
-	store := dfs.NewStore(dfs.Config{NumNodes: 3})
-	if _, err := InputFromDFS(store, "/nope"); err == nil {
-		t.Error("missing dir accepted")
 	}
 }
 

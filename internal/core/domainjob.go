@@ -196,11 +196,9 @@ func decodeCandidates(buf []byte) ([]candidate, error) {
 	return out, nil
 }
 
-// Job-2 record tags.
-const (
-	job2BorderPoint byte = 10 // a partition's own border core point
-	job2Candidate   byte = 11 // a candidate routed from another partition
-)
+// job2BorderPoint tags a partition's own border core point in job 2; a
+// candidate routed from another partition keeps its domainCandidate tag.
+const job2BorderPoint byte = 10
 
 // domainJob2Mapper routes (a) each partition's border core points to their
 // own partition and (b) each candidate to every neighboring partition whose

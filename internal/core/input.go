@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"dod/internal/codec"
-	"dod/internal/dfs"
 	"dod/internal/geom"
 	"dod/internal/mapreduce"
 )
@@ -47,79 +46,4 @@ func InputFromPoints(points []geom.Point, pointsPerSplit int) (*Input, error) {
 		})
 	}
 	return in, nil
-}
-
-// WritePoints stores points into the DFS as record-aligned part files under
-// dir, sized so each part fits in one DFS block (the HDFS layout DOD reads
-// in Sec. III-B).
-func WritePoints(store *dfs.Store, dir string, points []geom.Point) error {
-	if len(points) == 0 {
-		return fmt.Errorf("core: empty dataset")
-	}
-	// Estimate encoded size per point from a small prefix to pick a chunk
-	// size that fits one block.
-	sampleEnd := 64
-	if sampleEnd > len(points) {
-		sampleEnd = len(points)
-	}
-	probe := codec.EncodePoints(points[:sampleEnd])
-	perPoint := len(probe)/sampleEnd + 1
-	perChunk := store.BlockSize() / perPoint
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	part := 0
-	for i := 0; i < len(points); i += perChunk {
-		j := i + perChunk
-		if j > len(points) {
-			j = len(points)
-		}
-		path := fmt.Sprintf("%s/part-%05d", dir, part)
-		if err := store.Write(path, codec.EncodePoints(points[i:j])); err != nil {
-			return err
-		}
-		part++
-	}
-	return nil
-}
-
-// InputFromDFS builds an Input from the part files under dir, one split per
-// DFS block. Parts written by WritePoints are block-aligned, so every split
-// decodes independently.
-func InputFromDFS(store *dfs.Store, dir string) (*Input, error) {
-	var in Input
-	found := false
-	for _, path := range store.List() {
-		if len(path) < len(dir)+1 || path[:len(dir)+1] != dir+"/" {
-			continue
-		}
-		found = true
-		blocks, err := store.Blocks(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(blocks) != 1 {
-			return nil, fmt.Errorf("core: part file %s spans %d blocks; use WritePoints for record-aligned parts", path, len(blocks))
-		}
-		points, err := codec.DecodePoints(blocks[0].Data)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", path, err)
-		}
-		if len(points) == 0 {
-			continue
-		}
-		b := geom.Bounds(points)
-		if in.Count == 0 {
-			in.Domain = b
-			in.Dim = points[0].Dim()
-		} else {
-			in.Domain = in.Domain.Union(b)
-		}
-		in.Count += len(points)
-		in.Splits = append(in.Splits, mapreduce.Split{Name: path, Data: blocks[0].Data, Replicas: blocks[0].Replicas})
-	}
-	if !found || in.Count == 0 {
-		return nil, fmt.Errorf("core: no data under %s", dir)
-	}
-	return &in, nil
 }

@@ -25,7 +25,7 @@ const (
 	WorkRate = 25e6
 	// ShuffleRate is simulated aggregate shuffle bandwidth in bytes/sec.
 	ShuffleRate = 500e6
-	// IORate is simulated per-slot DFS read bandwidth in bytes/sec. Every
+	// IORate is simulated per-slot input read bandwidth in bytes/sec. Every
 	// job charges each task for (re)reading its input, so multi-job plans
 	// (the Domain baseline) pay the "prohibitive costs involved in reading,
 	// writing, and re-distribution of the data over a series of separate
@@ -166,7 +166,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("core: preprocessing: %w", err)
 		}
 		sp.SetAttr(obs.Int("sampled", res.Metrics.Counter("sample.sampled"))).End()
-		pre := simulateJob(cfg.Cluster, res, input.Splits)
+		pre := simulateJob(cfg.Cluster, res)
 		rep.Simulated.Preprocess = pre.Map + pre.Shuffle + pre.Reduce
 		rep.NumJobs++
 	} else {
@@ -224,7 +224,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res, input.Splits, tr)
+		accumulateJob(rep, cfg.Cluster, res, tr)
 	} else {
 		// ---- Domain baseline: two jobs ----
 		res1, err := mapreduce.RunContext(ctx, mrCfg, input.Splits, detectionMapper(pl), domainJob1Reducer(pl, cfg.Params, cfg.Seed))
@@ -236,7 +236,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res1, input.Splits, tr)
+		accumulateJob(rep, cfg.Cluster, res1, tr)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -255,7 +255,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 		}
 		rep.Outliers = append(finals, confirmed...)
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res2, splits2, tr)
+		accumulateJob(rep, cfg.Cluster, res2, tr)
 	}
 
 	// The Wall breakdown is a view over the trace: stage spans are
@@ -288,11 +288,8 @@ type jobBreakdown struct {
 }
 
 // simulateJob replays a job's per-task work counters through the cluster
-// simulator. Map tasks carry the DFS replica placement of their input
-// split, so the map phase is scheduled locality-aware (remote reads pay
-// the input transfer again); reducers read the shuffled stream and have no
-// locality.
-func simulateJob(cfg cluster.Config, res *mapreduce.Result, splits []mapreduce.Split) jobBreakdown {
+// simulator: one makespan for the map tasks, one for the reduce tasks.
+func simulateJob(cfg cluster.Config, res *mapreduce.Result) jobBreakdown {
 	taskFor := func(m mapreduce.TaskMetric, phase, counter string) cluster.Task {
 		units := m.Counters[counter]
 		if units < m.RecordsIn {
@@ -307,19 +304,14 @@ func simulateJob(cfg cluster.Config, res *mapreduce.Result, splits []mapreduce.S
 	}
 	var mapTasks, reduceTasks []cluster.Task
 	for _, m := range res.Metrics.MapTasks {
-		task := taskFor(m, "map", counterMapWork)
-		if m.TaskID < len(splits) && len(splits[m.TaskID].Replicas) > 0 {
-			task.Preferred = splits[m.TaskID].Replicas
-			task.RemotePenalty = time.Duration(float64(m.BytesIn) / IORate * float64(time.Second))
-		}
-		mapTasks = append(mapTasks, task)
+		mapTasks = append(mapTasks, taskFor(m, "map", counterMapWork))
 	}
 	for _, m := range res.Metrics.ReduceTasks {
 		reduceTasks = append(reduceTasks, taskFor(m, "reduce", counterReduceWork))
 	}
 	reduceSched := cluster.RunPhase(cfg, reduceTasks)
 	return jobBreakdown{
-		Map:             cluster.RunPhasePlaced(cfg, mapTasks).Makespan,
+		Map:             cluster.RunPhase(cfg, mapTasks).Makespan,
 		Shuffle:         time.Duration(float64(res.Metrics.ShuffleBytes) / ShuffleRate * float64(time.Second)),
 		Reduce:          reduceSched.Makespan,
 		reduceImbalance: reduceSched.Imbalance(),
@@ -334,8 +326,8 @@ func simulateJob(cfg cluster.Config, res *mapreduce.Result, splits []mapreduce.S
 // the job's map/shuffle/reduce stages as trace spans (start times are
 // reconstructed backwards from the job's completion instant, so spans
 // order correctly in the trace).
-func accumulateJob(rep *Report, cfg cluster.Config, res *mapreduce.Result, splits []mapreduce.Split, tr *obs.Trace) {
-	jb := simulateJob(cfg, res, splits)
+func accumulateJob(rep *Report, cfg cluster.Config, res *mapreduce.Result, tr *obs.Trace) {
+	jb := simulateJob(cfg, res)
 	job := int64(rep.NumJobs - 1)
 	reduceStart := time.Now().Add(-jb.reduceWall)
 	shuffleStart := reduceStart.Add(-jb.shuffleWall)

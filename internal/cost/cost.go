@@ -62,20 +62,13 @@ func (p PartitionProfile) Validate() error {
 //
 // where A(p) is the volume of the r-ball. The expected trials per point,
 // k/μ with μ = A(p)/A(D), is capped at |D| because a scan cannot examine
-// more candidates than exist; the uncapped formula is available via
-// NestedLoopUncapped.
+// more candidates than exist.
 func NestedLoop(p PartitionProfile, params detect.Params) float64 {
 	perPoint := expectedTrials(p, params)
 	if perPoint > p.Cardinality {
 		perPoint = p.Cardinality
 	}
 	return p.Cardinality * perPoint
-}
-
-// NestedLoopUncapped is Lemma 4.1 verbatim, with no |D| cap on the
-// per-point trial count.
-func NestedLoopUncapped(p PartitionProfile, params detect.Params) float64 {
-	return p.Cardinality * expectedTrials(p, params)
 }
 
 // expectedTrials returns E(N) = k/μ, the Binomial-expectation argument in
@@ -383,21 +376,4 @@ func Select(p PartitionProfile, params detect.Params) detect.Kind {
 		return detect.NestedLoop
 	}
 	return detect.CellBased
-}
-
-// SelectFrom generalizes Corollary 4.3 to an arbitrary candidate set: it
-// returns the kind with the minimal modeled cost (Def. 3.4's optimal
-// algorithm plan, applied per partition). Ties go to the earlier candidate.
-func SelectFrom(candidates []detect.Kind, p PartitionProfile, params detect.Params) detect.Kind {
-	if len(candidates) == 0 {
-		panic("cost: empty candidate set")
-	}
-	best := candidates[0]
-	bestCost := Estimate(best, p, params)
-	for _, kind := range candidates[1:] {
-		if c := Estimate(kind, p, params); c < bestCost {
-			best, bestCost = kind, c
-		}
-	}
-	return best
 }

@@ -248,3 +248,26 @@ func uniformPoints(n int, side float64) []geom.Point {
 	}
 	return pts
 }
+
+// NestedLoopUncapped is Lemma 4.1 verbatim, with no |D| cap on the
+// per-point trial count.
+func NestedLoopUncapped(p PartitionProfile, params detect.Params) float64 {
+	return p.Cardinality * expectedTrials(p, params)
+}
+
+// SelectFrom generalizes Corollary 4.3 to an arbitrary candidate set: it
+// returns the kind with the minimal modeled cost (Def. 3.4's optimal
+// algorithm plan, applied per partition). Ties go to the earlier candidate.
+func SelectFrom(candidates []detect.Kind, p PartitionProfile, params detect.Params) detect.Kind {
+	if len(candidates) == 0 {
+		panic("cost: empty candidate set")
+	}
+	best := candidates[0]
+	bestCost := Estimate(best, p, params)
+	for _, kind := range candidates[1:] {
+		if c := Estimate(kind, p, params); c < bestCost {
+			best, bestCost = kind, c
+		}
+	}
+	return best
+}

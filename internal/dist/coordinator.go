@@ -610,7 +610,6 @@ func (c *Coordinator) tryDispatchLocked(ws *workerState) (*task, taskHeader) {
 		if tk.mapTask != nil {
 			h.NumReducers = tk.mapTask.NumReducers
 			h.SplitName = tk.mapTask.Split.Name
-			h.Replicas = tk.mapTask.Split.Replicas
 		}
 		return tk, h
 	}

@@ -177,16 +177,6 @@ func (j *journal) append(key journalKey, body []byte) error {
 	return nil
 }
 
-// size reports how many results the journal holds.
-func (j *journal) size() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.results)
-}
-
 func (j *journal) Close() error {
 	if j == nil {
 		return nil

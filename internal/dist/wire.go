@@ -58,7 +58,6 @@ type taskHeader struct {
 	Attempt     int     `json:"attempt"`
 	NumReducers int     `json:"numReducers,omitempty"`
 	SplitName   string  `json:"splitName,omitempty"`
-	Replicas    []int   `json:"replicas,omitempty"`
 	Spec        JobSpec `json:"spec"`
 }
 
@@ -218,7 +217,7 @@ func decodeTaskBody(body []byte) (h taskHeader, mt *mapreduce.MapTask, rt *mapre
 		}
 		return h, &mapreduce.MapTask{
 			TaskID: h.Task, Attempt: h.Attempt, NumReducers: h.NumReducers,
-			Split: mapreduce.Split{Name: h.SplitName, Data: split, Replicas: h.Replicas},
+			Split: mapreduce.Split{Name: h.SplitName, Data: split},
 		}, nil, nil
 	case "reduce":
 		return h, nil, &mapreduce.ReduceTask{TaskID: h.Task, Attempt: h.Attempt, Groups: groups}, nil

@@ -14,14 +14,14 @@ import (
 func sampleTaskHeader(phase string) taskHeader {
 	return taskHeader{
 		Job: 7, Phase: phase, Task: 3, Dispatch: 42, Attempt: 2,
-		NumReducers: 4, SplitName: "blk-3", Replicas: []int{1, 5},
+		NumReducers: 4, SplitName: "blk-3",
 		Spec: JobSpec{Kind: "dod.test/v1", Config: []byte(`{"r":5}`)},
 	}
 }
 
 func TestMapTaskRoundTrip(t *testing.T) {
 	h := sampleTaskHeader("map")
-	split := mapreduce.Split{Name: "blk-3", Data: []byte{9, 8, 7, 6}, Replicas: []int{1, 5}}
+	split := mapreduce.Split{Name: "blk-3", Data: []byte{9, 8, 7, 6}}
 	body, err := encodeMapTaskBody(h, split)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -152,7 +151,7 @@ func seconds(d time.Duration) float64 { return d.Seconds() }
 
 // Runners lists every reproduction in paper order, each under its short
 // name ("4", "7a", ...). The last, "g", is the generality table: it reports
-// wall-clock seconds, so All leaves it out.
+// wall-clock seconds, so the figure golden leaves it out.
 var Runners = []struct {
 	Name string
 	Run  func(Config) (*Figure, error)
@@ -168,27 +167,4 @@ var Runners = []struct {
 	{"10a", Fig10a},
 	{"10b", Fig10b},
 	{"g", Generality},
-}
-
-// All runs every figure reproduction, Figs. 4–10, in paper order.
-func All(cfg Config) ([]*Figure, error) {
-	var figs []*Figure
-	for _, r := range Runners[:len(Runners)-1] {
-		f, err := r.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure %s: %w", r.Name, err)
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}
-
-// sortedKeys returns map keys in sorted order (deterministic iteration).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

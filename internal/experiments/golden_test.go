@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,4 +51,17 @@ func TestFiguresGolden(t *testing.T) {
 			t.Errorf("line %d differs from golden:\n got %s\nwant %s", i+1, got[i], want[i])
 		}
 	}
+}
+
+// All runs every figure reproduction, Figs. 4–10, in paper order.
+func All(cfg Config) ([]*Figure, error) {
+	var figs []*Figure
+	for _, r := range Runners[:len(Runners)-1] {
+		f, err := r.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: figure %s: %w", r.Name, err)
+		}
+		figs = append(figs, f)
+	}
+	return figs, nil
 }

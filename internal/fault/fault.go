@@ -1,11 +1,12 @@
-// Package fault is the deterministic fault-injection layer behind the
-// seeded chaos matrix.
+// Package fault is test infrastructure: the deterministic fault injector
+// behind the seeded chaos matrix. No production package imports it; the
+// dist and router chaos tests reach it through an http.RoundTripper.
 //
-// An Injector is built from a seed and a set of Rules. Code under test
-// (the dist transport, the codec frame boundary, the serve ingest path)
-// asks the injector for a named Site and rolls a Decision per operation:
-// do nothing, add latency, fail, drop the response, corrupt the payload,
-// or open a partition window that fails the next N operations too.
+// An Injector is built from a seed and a set of Rules. Transport wraps an
+// http.RoundTripper so every request asks the injector for a named Site and
+// rolls a Decision: do nothing, add latency, fail, drop the response,
+// corrupt the payload, or open a partition window that fails the next N
+// operations too.
 //
 // Determinism is the whole point: each site owns a private PRNG seeded
 // from (seed, site name), so site S's k-th decision is a pure function of
@@ -14,10 +15,12 @@
 // with the same seed (`go test -run Chaos -fault.seed=N`); the recorded
 // Schedule says exactly which fault fired at which call of which site.
 //
-// The injector never touches production code paths: it slots in through
-// seams that already exist (http.Client on dist workers, Config hooks on
-// serve), and a nil *Injector rolls only None decisions, so call sites
-// need no guards.
+// The injector never touches production code paths: tests install it
+// through transport seams that already exist (a dist worker's http.Client,
+// the router's and shard servers' Transport), and a nil *Injector rolls
+// only None decisions, so call sites need no guards. A seeded in-process
+// network that delays, drops, duplicates and partitions every hop of the
+// cluster and serving tiers is meant to be built on this package.
 package fault
 
 import (

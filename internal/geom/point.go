@@ -83,16 +83,6 @@ func WithinDist(p, q Point, r float64) bool {
 	return Dist2(p, q) <= r*r
 }
 
-// BallVolume returns the volume of a d-dimensional Euclidean ball of radius
-// r. This is A(p) in Lemma 4.1 of the paper (π·r² in two dimensions).
-func BallVolume(d int, r float64) float64 {
-	if d <= 0 {
-		panic("geom: BallVolume requires d >= 1")
-	}
-	// V_d(r) = π^(d/2) / Γ(d/2 + 1) · r^d
-	return math.Pow(math.Pi, float64(d)/2) / math.Gamma(float64(d)/2+1) * math.Pow(r, float64(d))
-}
-
 // Bounds returns the minimal bounding rectangle of the given points.
 // It panics on an empty slice.
 func Bounds(points []Point) Rect {

@@ -46,13 +46,10 @@ type Pair struct {
 	Value []byte
 }
 
-// Split is one unit of map input (typically one DFS block). Replicas
-// optionally lists the simulated nodes holding the block locally, feeding
-// data-locality-aware scheduling in the cluster simulator.
+// Split is one unit of map input.
 type Split struct {
-	Name     string
-	Data     []byte
-	Replicas []int
+	Name string
+	Data []byte
 }
 
 // Group is one reduce key group: a key and every value shuffled to it.
@@ -140,9 +137,11 @@ type ReduceResult struct {
 // concurrent use: the driver invokes it from its worker pool.
 //
 // An executor owns the infrastructure of one attempt — where it runs and
-// how its output gets back. Retry policy stays with the driver: a failed
-// attempt is surfaced as an error, and the driver re-invokes the executor
-// (with backoff) when the error is retryable.
+// how its output gets back, including re-running it elsewhere when that
+// infrastructure fails (internal/dist re-dispatches on its own; DESIGN.md §6,
+// "two failure domains"). Any error an executor returns fails the job. The
+// driver retries, with backoff, only the task failures it injects itself
+// (Config.FailureRate).
 type Executor interface {
 	ExecMap(ctx context.Context, task MapTask) (*MapResult, error)
 	ExecReduce(ctx context.Context, task ReduceTask) (*ReduceResult, error)
@@ -263,39 +262,11 @@ type Result struct {
 // ErrTooManyFailures reports a task that exhausted its attempts.
 var ErrTooManyFailures = errors.New("mapreduce: task exceeded max attempts")
 
-// retryable is the marker interface of errors that are safe to re-run on a
-// fresh attempt (injected failures, transient infrastructure errors).
-type retryable interface{ Retryable() bool }
-
-// Retryable marks err as safe to retry on another attempt. Executors wrap
-// transient infrastructure failures with it so the driver's retry loop can
-// distinguish them from deterministic user errors, which fail the job.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return retryableError{err}
-}
-
-type retryableError struct{ err error }
-
-func (e retryableError) Error() string   { return e.err.Error() }
-func (e retryableError) Unwrap() error   { return e.err }
-func (e retryableError) Retryable() bool { return true }
-
-// IsRetryable reports whether err (or anything it wraps) is marked
-// retryable.
-func IsRetryable(err error) bool {
-	var r retryable
-	return errors.As(err, &r) && r.Retryable()
-}
-
-// injectedFailure distinguishes injected failures (retryable) from user
-// errors (fatal).
+// injectedFailure is the one failure the driver retries: its own injected
+// task failure. An error from the executor fails the job.
 type injectedFailure struct{ phase string }
 
-func (e injectedFailure) Error() string   { return "mapreduce: injected " + e.phase + " task failure" }
-func (e injectedFailure) Retryable() bool { return true }
+func (e injectedFailure) Error() string { return "mapreduce: injected " + e.phase + " task failure" }
 
 // localExecutor runs task attempts in-process on the calling goroutine —
 // the engine's historical behavior, now behind the Executor seam.
@@ -440,24 +411,19 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	mapStart := time.Now()
 	mapOuts := make([]*MapResult, len(splits))
 	if err := runTasks(jobCtx, cfg.Parallelism, len(splits), func(i int) error {
-		var lastErr error
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 			res, err := exec.ExecMap(jobCtx, MapTask{
 				TaskID: i, Attempt: attempt, Split: splits[i], NumReducers: cfg.NumReducers,
 			})
-			if err == nil && failRoll("map", i, attempt) {
-				err = injectedFailure{phase: "map"}
+			if err != nil {
+				return fmt.Errorf("map task %d: %w", i, err)
 			}
-			if err == nil {
+			if !failRoll("map", i, attempt) {
 				res.Metric.TaskID = i
 				res.Metric.Attempts = attempt
 				mapOuts[i] = res
 				addSpans(cfg.Trace, res.Spans)
 				return nil
-			}
-			lastErr = err
-			if !IsRetryable(err) {
-				return fmt.Errorf("map task %d: %w", i, err)
 			}
 			if attempt < cfg.MaxAttempts {
 				if err := backoff(attempt); err != nil {
@@ -465,7 +431,7 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 				}
 			}
 		}
-		return fmt.Errorf("map task %d: %w: %v", i, ErrTooManyFailures, lastErr)
+		return fmt.Errorf("map task %d: %w: %v", i, ErrTooManyFailures, injectedFailure{phase: "map"})
 	}); err != nil {
 		return nil, err
 	}
@@ -497,24 +463,19 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	reduceStart := time.Now()
 	reduceOuts := make([]*ReduceResult, cfg.NumReducers)
 	if err := runTasks(jobCtx, cfg.Parallelism, cfg.NumReducers, func(r int) error {
-		var lastErr error
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 			res, err := exec.ExecReduce(jobCtx, ReduceTask{
 				TaskID: r, Attempt: attempt, Groups: grouped[r],
 			})
-			if err == nil && failRoll("reduce", r, attempt) {
-				err = injectedFailure{phase: "reduce"}
+			if err != nil {
+				return fmt.Errorf("reduce task %d: %w", r, err)
 			}
-			if err == nil {
+			if !failRoll("reduce", r, attempt) {
 				res.Metric.TaskID = r
 				res.Metric.Attempts = attempt
 				reduceOuts[r] = res
 				addSpans(cfg.Trace, res.Spans)
 				return nil
-			}
-			lastErr = err
-			if !IsRetryable(err) {
-				return fmt.Errorf("reduce task %d: %w", r, err)
 			}
 			if attempt < cfg.MaxAttempts {
 				if err := backoff(attempt); err != nil {
@@ -522,7 +483,7 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 				}
 			}
 		}
-		return fmt.Errorf("reduce task %d: %w: %v", r, ErrTooManyFailures, lastErr)
+		return fmt.Errorf("reduce task %d: %w: %v", r, ErrTooManyFailures, injectedFailure{phase: "reduce"})
 	}); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -72,28 +71,6 @@ func (c *Counter) Add(delta int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution with atomic observation.
 // Bucket i counts observations <= bounds[i]; a final implicit +Inf bucket
@@ -183,7 +160,6 @@ type metric struct {
 	labels    []Label
 	signature string
 	counter   *Counter
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -258,8 +234,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 		switch kind {
 		case kindCounter:
 			m.counter = &Counter{}
-		case kindGauge:
-			m.gauge = &Gauge{}
 		case kindHistogram:
 			h := &Histogram{bounds: append([]float64(nil), f.bounds...)}
 			h.counts = make([]atomic.Int64, len(h.bounds)+1)
@@ -276,11 +250,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 // first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.lookup(name, help, kindCounter, nil, labels).counter
-}
-
-// Gauge returns the gauge registered under name+labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, kindGauge, nil, labels).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
 	c.Inc()
@@ -18,13 +18,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if again := r.Counter("c_total", "a counter"); again != c {
 		t.Error("re-registration returned a different counter")
-	}
-
-	g := r.Gauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", got)
 	}
 }
 
@@ -93,7 +86,7 @@ func TestConcurrentInstruments(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dod_ingest_total", "points ingested").Add(42)
-	r.Gauge("dod_window_points", "resident points").Set(7)
+	r.GaugeFunc("dod_window_points", "resident points", func() float64 { return 7 })
 	r.GaugeFunc("dod_up", "always one", func() float64 { return 1 })
 	h := r.Histogram("dod_latency_seconds", "op latency", []float64{0.001, 0.01})
 	h.Observe(0.0005)

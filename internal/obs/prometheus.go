@@ -48,9 +48,6 @@ func writeMetric(w io.Writer, f *family, m *metric) error {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(m.labels, nil), m.counter.Value())
 		return err
-	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(m.labels, nil), formatValue(m.gauge.Value()))
-		return err
 	case kindGaugeFunc:
 		v := 0.0
 		if m.gaugeFn != nil {

@@ -412,12 +412,6 @@ func bucketsIn(grid *geom.Grid, rect geom.Rect) region {
 	return box
 }
 
-// countInRect sums the histogram buckets whose centers fall inside rect
-// (exact for bucket-aligned rectangles).
-func countInRect(hist *sample.Histogram, rect geom.Rect) float64 {
-	return bucketsIn(hist.Grid, rect).count(hist)
-}
-
 // mixedCost prices one detector on a region: priceRegion with a single
 // candidate, as the single-tactic planners use it.
 func mixedCost(hist *sample.Histogram, rect geom.Rect, kind detect.Kind, params detect.Params) float64 {

@@ -20,11 +20,10 @@ import (
 	"dod/internal/synth"
 )
 
-// countInRectRef and mixedCostRef are the full-grid bodies countInRect and
-// mixedCost had before the planner priced a region over its own buckets:
-// every histogram cell visited, its rectangle and centre materialised, one
-// candidate per call. They are the reference the production functions must
-// equal bit for bit.
+// mixedCostRef is the full-grid body mixedCost had before the planner
+// priced a region over its own buckets, and countInRectRef the pool count
+// it took: every histogram cell visited, its rectangle and centre
+// materialised, one candidate per call. mixedCost must equal it bit for bit.
 func countInRectRef(hist *sample.Histogram, rect geom.Rect) float64 {
 	grid := hist.Grid
 	var total float64
@@ -190,8 +189,8 @@ func pricingRects(rng *rand.Rand, h *sample.Histogram) []geom.Rect {
 	return rects
 }
 
-// TestPricingBitIdenticalToFullGridReference: countInRect and mixedCost
-// must return exactly the floats the full-grid reference bodies return —
+// TestPricingBitIdenticalToFullGridReference: mixedCost must return
+// exactly the floats the full-grid reference body returns —
 // same operations, same order — for every priced kind, on aligned and
 // unaligned rectangles, empty regions and zero-extent dimensions, in 1, 2,
 // 3 and 5 dimensions. Bit equality is what makes plans byte-identical.
@@ -207,10 +206,6 @@ func TestPricingBitIdenticalToFullGridReference(t *testing.T) {
 			h := pricingHistogram(rng, d, flat, seed%2 == 0)
 			params := paramSets[seed%int64(len(paramSets))]
 			for ri, rect := range pricingRects(rng, h) {
-				want, got := countInRectRef(h, rect), countInRect(h, rect)
-				if math.Float64bits(want) != math.Float64bits(got) {
-					t.Fatalf("d=%d seed=%d rect %d %v: countInRect %v, reference %v", d, seed, ri, rect, got, want)
-				}
 				for _, kind := range pricedKinds {
 					want, got := mixedCostRef(h, rect, kind, params), mixedCost(h, rect, kind, params)
 					if math.Float64bits(want) != math.Float64bits(got) {

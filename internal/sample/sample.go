@@ -147,8 +147,8 @@ func (h *Histogram) NonEmptyBuckets() []int {
 }
 
 // FromPoints builds a histogram directly from in-memory points. It is the
-// centralized equivalent of RunJob, used by tests and by callers that
-// already hold the data locally.
+// centralized equivalent of RunJobContext, used by tests and by callers
+// that already hold the data locally.
 func FromPoints(cfg Config, points []geom.Point) (*Histogram, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -200,17 +200,12 @@ func dims(cfg Config) []int {
 	return DimsFor(cfg.Domain.Dim(), cfg.BucketsPerDim)
 }
 
-// RunJob executes the distributed sampling job over the given input splits
-// (each split's Data is a codec.EncodePoints block). It mirrors the paper's
-// stage-one MapReduce: mappers sample and pre-aggregate per mini bucket; a
-// single reducer merges the bucket statistics.
-func RunJob(cfg Config, mrCfg mapreduce.Config, splits []mapreduce.Split) (*Histogram, *mapreduce.Result, error) {
-	return RunJobContext(context.Background(), cfg, mrCfg, splits)
-}
-
-// RunJobContext is RunJob with cooperative cancellation: once jobCtx is
-// done the underlying MapReduce job stops dispatching tasks and returns
-// jobCtx's error.
+// RunJobContext executes the distributed sampling job over the given input
+// splits (each split's Data is a codec.EncodePoints block). It mirrors the
+// paper's stage-one MapReduce: mappers sample and pre-aggregate per mini
+// bucket; a single reducer merges the bucket statistics. Cancellation is
+// cooperative: once jobCtx is done the underlying MapReduce job stops
+// dispatching tasks and returns jobCtx's error.
 func RunJobContext(jobCtx context.Context, cfg Config, mrCfg mapreduce.Config, splits []mapreduce.Split) (*Histogram, *mapreduce.Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -205,4 +206,9 @@ func TestRunJobRejectsCorruptSplit(t *testing.T) {
 	if _, _, err := RunJob(cfg, mapreduce.Config{}, splits); err == nil {
 		t.Error("corrupt split accepted")
 	}
+}
+
+// RunJob is RunJobContext without cancellation.
+func RunJob(cfg Config, mrCfg mapreduce.Config, splits []mapreduce.Split) (*Histogram, *mapreduce.Result, error) {
+	return RunJobContext(context.Background(), cfg, mrCfg, splits)
 }

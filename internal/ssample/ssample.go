@@ -88,13 +88,6 @@ type Score struct {
 	Confidence   float64 // P(verdict correct) under the normal approximation, in (0.5, 1]
 }
 
-// Result is the output of one ScoreSet pass.
-type Result struct {
-	Scores     []Score
-	DistComps  int64
-	SampleSize int // weighted draws actually used
-}
-
 // Plan is the frozen sampling state of one pass: the weighted draws and
 // their importance weights. Building it costs the pilot scan; scoring any
 // range of core points against it is read-only, so tiled callers build one
@@ -224,22 +217,6 @@ func (pl *Plan) ScoreRange(dst []Score, lo, hi int) ([]Score, int64) {
 		})
 	}
 	return dst, comps
-}
-
-// ScoreSet estimates the neighbor count of each of the first nCore points
-// of all against the full set (core ∪ support), and classifies them as
-// outliers (< K neighbors within R). Deterministic for a fixed seed.
-func ScoreSet(all *geom.PointSet, nCore int, params Params, seed int64) Result {
-	var res Result
-	if nCore == 0 || all.Len() == 0 {
-		return res
-	}
-	pl := BuildPlan(all, params, seed)
-	res.SampleSize = pl.SampleSizeUsed()
-	scores, comps := pl.ScoreRange(make([]Score, 0, nCore), 0, nCore)
-	res.Scores = scores
-	res.DistComps = pl.BuildComp + comps
-	return res
 }
 
 func dist2(a, b []float64) float64 {

@@ -141,3 +141,26 @@ func TestEstimatorUnbiasedOnUniform(t *testing.T) {
 		t.Fatalf("estimator biased: avg %.1f vs truth %d (rel %.2f)", avg, truth, rel)
 	}
 }
+
+// Result is the output of one ScoreSet pass.
+type Result struct {
+	Scores     []Score
+	DistComps  int64
+	SampleSize int // weighted draws actually used
+}
+
+// ScoreSet estimates the neighbor count of each of the first nCore points
+// of all against the full set (core ∪ support), and classifies them as
+// outliers (< K neighbors within R). Deterministic for a fixed seed.
+func ScoreSet(all *geom.PointSet, nCore int, params Params, seed int64) Result {
+	var res Result
+	if nCore == 0 || all.Len() == 0 {
+		return res
+	}
+	pl := BuildPlan(all, params, seed)
+	res.SampleSize = pl.SampleSizeUsed()
+	scores, comps := pl.ScoreRange(make([]Score, 0, nCore), 0, nCore)
+	res.Scores = scores
+	res.DistComps = pl.BuildComp + comps
+	return res
+}
