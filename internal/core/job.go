@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -50,22 +49,35 @@ func detectionMapper(pl *plan.Plan) mapreduce.MapperFunc {
 		if err := codec.DecodePointsInto(split.Data, &sc.core); err != nil {
 			return fmt.Errorf("core: split %s: %w", split.Name, err)
 		}
-		// rec is the one encode buffer; each emitted record is an exact-size
-		// copy of it. Counters are tallied here and posted once per split
-		// (Inc takes the task's mutex and hashes the counter name); a
-		// counter with nothing to count stays absent from the task's metric.
-		var rec []byte
-		var supportRecords int64
+		// rec is the one encode buffer; each emitted record is a
+		// capacity-clipped copy of it in a per-split slab. Emit may retain
+		// the record, so a full slab is left to its records and a fresh one
+		// started, never grown in place; one slab fits every core record (a
+		// tag byte per encoded point). Counters are tallied here and posted
+		// once per split (Inc takes the task's mutex and hashes the counter
+		// name); a counter with nothing to count stays absent from the
+		// task's metric.
 		n := sc.core.Len()
+		slabSize := len(split.Data) + n
+		var rec, slab []byte
+		put := func(key uint64) {
+			if len(slab)+len(rec) > cap(slab) {
+				slab = make([]byte, 0, max(slabSize, len(rec)))
+			}
+			off := len(slab)
+			slab = append(slab, rec...)
+			emit(key, slab[off:len(slab):len(slab)])
+		}
+		var supportRecords int64
 		for i := 0; i < n; i++ {
 			p := sc.core.At(i) // aliased view; Locate and the codec copy, never retain
 			core, supports := pl.Locate(p)
 			rec = codec.AppendTaggedPoint(rec[:0], codec.TagCore, p)
-			emit(uint64(core), bytes.Clone(rec))
+			put(uint64(core))
 			if len(supports) > 0 {
 				rec = codec.AppendTaggedPoint(rec[:0], codec.TagSupport, p)
 				for _, s := range supports {
-					emit(uint64(s), bytes.Clone(rec))
+					put(uint64(s))
 				}
 				supportRecords += int64(len(supports))
 			}

@@ -127,8 +127,9 @@ func TestKernelsGolden(t *testing.T) {
 }
 
 // TestDetectSetAllocs caps DetectSet's allocations per call on a 3 000-point
-// segment at the pre-rewrite counts plus two: the kernels' scans allocate
-// nothing per point, and one-tile dispatch adds at most a constant.
+// segment at the measured counts plus two: neither the kernels' scans nor
+// PGraph's build allocate per point, and one-tile dispatch adds at most a
+// constant.
 func TestDetectSetAllocs(t *testing.T) {
 	all := geom.PointSetOf(synth.Segment(synth.Massachusetts, 3000, 3))
 	ceiling := map[Kind]float64{
@@ -138,7 +139,7 @@ func TestDetectSetAllocs(t *testing.T) {
 		CellBasedL2: 34 + 2,
 		KDTree:      12 + 2,
 		Pivot:       13 + 2,
-		PGraph:      56899 + 2,
+		PGraph:      66 + 2,
 		SSample:     36 + 2,
 	}
 	for kind, max := range ceiling {

@@ -154,7 +154,12 @@ func (r Rect) Center() Point {
 
 // Clamp returns p with every coordinate clamped into r. Partition lookup
 // clamps out-of-domain points so each point maps to exactly one partition.
+// A p already inside r is returned as is, so the result may alias p's
+// coordinates; only a p outside r is copied.
 func (r Rect) Clamp(p Point) Point {
+	if r.Contains(p) {
+		return p
+	}
 	c := make([]float64, len(p.Coords))
 	for i := range p.Coords {
 		v := p.Coords[i]

@@ -125,6 +125,17 @@ func TestRectClamp(t *testing.T) {
 	if inside.Coords[0] != 3 || inside.Coords[1] != 4 {
 		t.Errorf("Clamp changed interior point: %v", inside)
 	}
+	// An interior point comes back as is; an outside one is a copy.
+	interior := pt(3, 4)
+	if allocs := testing.AllocsPerRun(10, func() { r.Clamp(interior) }); allocs != 0 {
+		t.Errorf("Clamp of an interior point: %v allocs, want 0", allocs)
+	}
+	out := Point{Coords: []float64{3, 12}}
+	clamped := r.Clamp(out)
+	clamped.Coords[0] = -1
+	if out.Coords[0] != 3 || out.Coords[1] != 12 {
+		t.Errorf("Clamp's out-of-range result aliases its input: %v", out)
+	}
 }
 
 func TestRectCenter(t *testing.T) {

@@ -59,6 +59,9 @@ type Group struct {
 }
 
 // Emit is the record-output callback handed to map and reduce functions.
+// Emit may retain value without copying it — the local executor holds it
+// through the shuffle and the reduce — so the caller must not write to it
+// afterwards.
 type Emit func(key uint64, value []byte)
 
 // Mapper processes one input split.

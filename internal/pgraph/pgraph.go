@@ -82,13 +82,19 @@ func candLess(a, b cand) bool {
 }
 
 // Scratch holds the reusable per-goroutine search state: an epoch-marked
-// visited array and the two walk heaps. One Scratch serves any number of
+// visited array and the two walk heaps, plus the buffers Build's link
+// selection reuses from node to node. One Scratch serves any number of
 // sequential queries against graphs over sets of at most n points.
 type Scratch struct {
 	mark  []uint32
 	epoch uint32
 	heap  []cand // min-heap of frontier candidates
 	res   []cand // max-heap of the best ef results
+
+	links    []cand // an inserted node's selected links
+	kept     []cand // link's re-selection; distinct from links, which link runs under
+	rejected []cand // selectDiverse's non-diverse candidates
+	cands    []cand // link's current neighbors plus the new one
 }
 
 // NewScratch returns search scratch for point sets of up to n points.
@@ -173,10 +179,10 @@ func Build(set *geom.PointSet, seed int64) (*Graph, int64) {
 		// Diverse selection rather than plain nearest: clustered data would
 		// otherwise fill every adjacency list with same-cluster nodes and
 		// leave the graph non-navigable across clusters.
-		links := g.selectDiverse(nearest, &comps)
-		for _, c := range links {
+		sc.links = g.selectDiverse(sc.links[:0], nearest, sc, &comps)
+		for _, c := range sc.links {
 			g.setAdj(node, c)
-			g.link(c.idx, node, c.d2, &comps)
+			g.link(c.idx, node, c.d2, sc, &comps)
 		}
 	}
 	return g, comps
@@ -187,10 +193,10 @@ func Build(set *geom.PointSet, seed int64) (*Graph, int64) {
 // kept only if it is closer to the subject than to every already-kept
 // neighbor, so each kept link covers a distinct direction — near links
 // into the local cluster, far links across clusters. Leftover capacity is
-// filled with the nearest rejected candidates.
-func (g *Graph) selectDiverse(cands []cand, comps *int64) []cand {
-	kept := make([]cand, 0, Degree)
-	rejected := make([]cand, 0, len(cands))
+// filled with the nearest rejected candidates. The selection is appended to
+// kept, which must be empty; sc only lends the rejected list.
+func (g *Graph) selectDiverse(kept, cands []cand, sc *Scratch, comps *int64) []cand {
+	rejected := sc.rejected[:0]
 	for _, c := range cands {
 		if len(kept) == Degree {
 			break
@@ -215,6 +221,7 @@ func (g *Graph) selectDiverse(cands []cand, comps *int64) []cand {
 		}
 		kept = append(kept, c)
 	}
+	sc.rejected = rejected
 	return kept
 }
 
@@ -233,7 +240,7 @@ func (g *Graph) setAdj(u int32, v cand) {
 // current neighbors plus v with the same diversity heuristic used at
 // insertion, which keeps the graph degree-bounded without evicting the
 // long-range links navigation depends on.
-func (g *Graph) link(u, v int32, d2 float64, comps *int64) {
+func (g *Graph) link(u, v int32, d2 float64, sc *Scratch, comps *int64) {
 	base := int(u) * Degree
 	d := g.deg[u]
 	for i := int32(0); i < d; i++ {
@@ -246,7 +253,7 @@ func (g *Graph) link(u, v int32, d2 float64, comps *int64) {
 		g.deg[u] = d + 1
 		return
 	}
-	cands := make([]cand, 0, Degree+1)
+	cands := sc.cands[:0]
 	for i := 0; i < Degree; i++ {
 		w := g.adj[base+i]
 		*comps += 1
@@ -258,7 +265,9 @@ func (g *Graph) link(u, v int32, d2 float64, comps *int64) {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	sel := g.selectDiverse(cands, comps)
+	sc.cands = cands
+	sel := g.selectDiverse(sc.kept[:0], cands, sc, comps)
+	sc.kept = sel
 	for i, c := range sel {
 		g.adj[base+i] = c.idx
 	}
@@ -267,7 +276,8 @@ func (g *Graph) link(u, v int32, d2 float64, comps *int64) {
 
 // searchNearest runs the beam search toward q and returns up to ef visited
 // nodes sorted ascending by (distance, index). Every returned node carries a
-// real computed distance.
+// real computed distance. The result is sc's own result buffer, valid until
+// sc's next search.
 func (g *Graph) searchNearest(q []float64, ef int, sc *Scratch, comps *int64) []cand {
 	sc.reset()
 	set := g.set
@@ -300,7 +310,7 @@ func (g *Graph) searchNearest(q []float64, ef int, sc *Scratch, comps *int64) []
 			}
 		}
 	}
-	out := append([]cand(nil), sc.res...)
+	out := sc.res
 	// Heap order is partial; sort the small result list deterministically.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && candLess(out[j], out[j-1]); j-- {

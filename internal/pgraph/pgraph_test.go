@@ -126,3 +126,19 @@ func TestWalkBudgetBounds(t *testing.T) {
 		t.Fatalf("WalkBudget(1) = %d", WalkBudget(1))
 	}
 }
+
+// TestBuildAllocsConstant: Build reuses its Scratch buffers from node to
+// node, so its allocations are the graph's arrays plus a few buffer
+// growths, not a function of n.
+func TestBuildAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		pts, _ := synth.HighDimUniform(n, 32, 4, 0.02, 3)
+		s := setOf(pts)
+		return testing.AllocsPerRun(2, func() { Build(s, 3) })
+	}
+	small, large := allocs(500), allocs(4000)
+	t.Logf("Build allocations: %v at n=500, %v at n=4000", small, large)
+	if large-small > 4 {
+		t.Fatalf("Build allocations grow with n: %v at n=500, %v at n=4000", small, large)
+	}
+}

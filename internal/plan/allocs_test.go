@@ -31,8 +31,9 @@ func TestDMTBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestLocateAllocs: locating an in-domain point allocates the clamped copy
-// and the returned supports slice, nothing per candidate partition.
+// TestLocateAllocs: locating an in-domain point allocates only the returned
+// supports slice (Clamp returns an in-domain point as is), nothing per
+// candidate partition.
 func TestLocateAllocs(t *testing.T) {
 	pl, err := UniSpace.Build(uniformHistogram(t, 10), Options{NumReducers: 2, NumPartitions: 16, Params: testParams, Detector: detect.CellBased})
 	if err != nil {
@@ -47,8 +48,8 @@ func TestLocateAllocs(t *testing.T) {
 		supports int
 		ceiling  float64
 	}{
-		{"interior", interior, 0, 1},
-		{"edge", edge, 1, 2},
+		{"interior", interior, 0, 0},
+		{"edge", edge, 1, 1},
 	} {
 		if _, supports := pl.Locate(tc.p); len(supports) != tc.supports {
 			t.Fatalf("%s: %d supports, want %d", tc.name, len(supports), tc.supports)

@@ -213,24 +213,35 @@ func RunJobContext(jobCtx context.Context, cfg Config, mrCfg mapreduce.Config, s
 	grid := geom.NewGrid(cfg.Domain, dims(cfg))
 
 	mapper := mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-		points, err := codec.DecodePoints(split.Data)
-		if err != nil {
+		var set geom.PointSet
+		if err := codec.DecodePointsInto(split.Data, &set); err != nil {
 			return fmt.Errorf("sample: split %s: %w", split.Name, err)
 		}
 		// Per-task seed: deterministic regardless of scheduling.
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(ctx.TaskID)))
 		local := make(map[int]uint64)
+		// retained aliases set, which outlives its encode below. Counters
+		// are tallied here and posted once per split; a counter with
+		// nothing to count stays absent from the task's metric.
 		var retained []geom.Point
-		for _, p := range points {
-			ctx.Inc("sample.scanned", 1)
+		var sampled int64
+		n := set.Len()
+		for i := 0; i < n; i++ {
 			if rng.Float64() >= cfg.Rate {
 				continue
 			}
-			ctx.Inc("sample.sampled", 1)
+			sampled++
+			p := set.At(i)
 			local[grid.CellOrdinal(cfg.Domain.Clamp(p))]++
 			if len(retained) < MaxRetainedPerTask {
 				retained = append(retained, p)
 			}
+		}
+		if n > 0 {
+			ctx.Inc("sample.scanned", int64(n))
+		}
+		if sampled > 0 {
+			ctx.Inc("sample.sampled", sampled)
 		}
 		for ord, count := range local {
 			emit(uint64(ord), binary.AppendUvarint(nil, count))
