@@ -11,6 +11,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,21 +71,76 @@ func TestTestOnlyCensus(t *testing.T) {
 	}
 }
 
+// TestOneFrontEnd keeps the NDJSON front end in one place: no package but
+// internal/httpapi registers /v1/ingest or /v1/score on a mux, or declares
+// its own DefaultMaxBatch or DefaultMaxBodyBytes.
+func TestOneFrontEnd(t *testing.T) {
+	const front = "dod/internal/httpapi"
+	fset, files, _, err := parseModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := 0
+	for _, pf := range files {
+		for _, d := range pf.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || pf.importPath == front {
+				continue
+			}
+			for _, s := range gd.Specs {
+				if vs, ok := s.(*ast.ValueSpec); ok {
+					for _, n := range vs.Names {
+						if n.Name == "DefaultMaxBatch" || n.Name == "DefaultMaxBodyBytes" {
+							t.Errorf("%s declares %s; the front end's caps are internal/httpapi's", fset.Position(n.Pos()), n.Name)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "HandleFunc" && sel.Sel.Name != "Handle") {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			if path, _ := strconv.Unquote(lit.Value); path == "/v1/ingest" || path == "/v1/score" {
+				if pf.importPath == front {
+					registered++
+				} else {
+					t.Errorf("%s registers %s; the NDJSON front end is internal/httpapi's", fset.Position(lit.Pos()), path)
+				}
+			}
+			return true
+		})
+	}
+	if registered != 2 {
+		t.Errorf("internal/httpapi registers %d of /v1/ingest and /v1/score, want both", registered)
+	}
+}
+
 // censusDecl is the source span of one exported declaration.
 type censusDecl struct{ start, end token.Pos }
 
-// censusScan parses every non-test Go file under root (skipping testdata
-// and dot directories) and returns the exported top-level declarations
-// under internal/, keyed "pkg.Name" with pkg the path below internal/, and
-// every position at which a non-test file uses each such key.
-func censusScan(root string) (map[string]censusDecl, map[string][]token.Pos, error) {
+// parsedFile is one non-test Go file and the import path of its package.
+type parsedFile struct {
+	file       *ast.File
+	importPath string
+}
+
+// parseModule parses every non-test Go file under root (skipping testdata
+// and dot directories), naming packages by import path in module dod
+// (bench/ is module dod/bench, so one rule names every package). It also
+// returns each package's name by import path.
+func parseModule(root string) (*token.FileSet, []parsedFile, map[string]string, error) {
 	const module = "dod"
-	const internalPrefix = module + "/internal/"
 	fset := token.NewFileSet()
-	type parsedFile struct {
-		file       *ast.File
-		importPath string
-	}
 	var files []parsedFile
 	pkgNames := map[string]string{} // import path → package name
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -108,12 +164,21 @@ func censusScan(root string) (map[string]censusDecl, map[string][]token.Pos, err
 		if err != nil {
 			return err
 		}
-		// bench/ is module dod/bench, so one rule names every package.
 		ip := path.Join(module, filepath.ToSlash(rel))
 		pkgNames[ip] = f.Name.Name
 		files = append(files, parsedFile{f, ip})
 		return nil
 	})
+	return fset, files, pkgNames, err
+}
+
+// censusScan returns the exported top-level declarations under internal/
+// of the non-test files under root, keyed "pkg.Name" with pkg the path
+// below internal/, and every position at which a non-test file uses each
+// such key.
+func censusScan(root string) (map[string]censusDecl, map[string][]token.Pos, error) {
+	const internalPrefix = "dod/internal/"
+	_, files, pkgNames, err := parseModule(root)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,17 +45,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"dod/internal/httpapi"
 	"dod/internal/retry"
 	"dod/internal/router"
 )
@@ -73,7 +69,7 @@ func main() {
 		vnodes        = flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 		maxBatch      = flag.Int("max-batch", 0, "max NDJSON lines per request; beyond it the whole request is rejected with 400 batch_too_large (0 = default)")
 		maxBody       = flag.Int64("max-body-bytes", 0, "max request body bytes before 413 (0 = default 64 MiB)")
-		tenantRPS     = flag.Float64("tenant-rps", 0, "per-tenant request rate limit (0 = unlimited)")
+		tenantRPS     = flag.Float64("tenant-rps", 0, "per-tenant request rate limit, tenants named by the "+router.HeaderTenant+" request header (0 = unlimited)")
 		tenantBurst   = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = 1)")
 		tenantQuota   = flag.Int64("tenant-quota", 0, "per-tenant lifetime ingested-line quota (0 = unlimited)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "shard health-probe period")
@@ -97,13 +93,15 @@ func main() {
 		R: *r, K: *k, Dim: *dim,
 		Capacity: *window, TTL: *ttl,
 		Shards: infos, Block: *block, Vnodes: *vnodes,
-		MaxBatch: *maxBatch, MaxBodyBytes: *maxBody,
-		TenantRPS: *tenantRPS, TenantBurst: *tenantBurst, TenantQuota: *tenantQuota,
+		FrontConfig: httpapi.FrontConfig{
+			MaxBatch: *maxBatch, MaxBodyBytes: *maxBody,
+			TenantRPS: *tenantRPS, TenantBurst: *tenantBurst, TenantQuota: *tenantQuota,
+			EnablePprof: *pprofOn,
+		},
 		ProbeInterval:   *probeInterval,
 		RetryAttempts:   *retries,
 		PromoteLagBound: *promoteLag,
 		Retry:           retry.Policy{Base: 50 * time.Millisecond},
-		EnablePprof:     *pprofOn,
 	}
 	if err := run(*addr, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "dodroute:", err)
@@ -167,60 +165,27 @@ func run(addr string, cfg router.Config) error {
 		return err
 	}
 	defer rt.Close()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	// The harness contract: the actual bound address on stdout, so callers
-	// using :0 can discover the port.
-	fmt.Printf("dodroute: listening on %s\n", ln.Addr())
-	os.Stdout.Sync() //nolint:errcheck
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	// Push the initial topology until every shard has it (shards may still
 	// be starting), then open for traffic.
-	for {
-		if err := rt.Start(ctx); err == nil {
-			break
-		} else if ctx.Err() != nil {
-			return err
-		} else {
+	start := func(ctx context.Context) error {
+		for {
+			err := rt.Start(ctx)
+			if err == nil {
+				break
+			}
+			if ctx.Err() != nil {
+				return err
+			}
 			fmt.Fprintln(os.Stderr, "dodroute: topology push failed, retrying:", err)
+			select {
+			case <-time.After(500 * time.Millisecond):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
-		select {
-		case <-time.After(500 * time.Millisecond):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		fmt.Fprintf(os.Stderr, "dodroute: serving %d shards (r=%g k=%d dim=%d window=%d ttl=%s)\n",
+			len(cfg.Shards), cfg.R, cfg.K, cfg.Dim, cfg.Capacity, cfg.TTL)
+		return nil
 	}
-	fmt.Fprintf(os.Stderr, "dodroute: serving %d shards (r=%g k=%d dim=%d window=%d ttl=%s)\n",
-		len(cfg.Shards), cfg.R, cfg.K, cfg.Dim, cfg.Capacity, cfg.TTL)
-
-	hs := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "dodroute: draining (readyz now 503)")
-	rt.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return httpapi.ListenAndServe("dodroute", addr, rt.Handler(), rt.SetDraining, start)
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dodserve -r 5 -k 4 -dim 2 [-window 100000] [-ttl 10m] \
-//	    [-addr :8334] [-shards 16] [-workers 0] [-max-batch 100000]
+//	    [-addr :8334] [-shards 16] [-max-batch 100000]
 //
 // At least one of -window (count capacity) and -ttl (age horizon) must be
 // set. Endpoints:
@@ -49,17 +49,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"dod/internal/httpapi"
 	"dod/internal/serve"
 	"dod/internal/stream"
 )
@@ -75,9 +69,8 @@ func main() {
 		window   = flag.Int("window", 0, "window capacity in points (0 = unbounded; then -ttl is required)")
 		ttl      = flag.Duration("ttl", 0, "window age horizon (0 = none; then -window is required)")
 		shards   = flag.Int("shards", 0, "index shard count (0 = default)")
-		workers  = flag.Int("workers", 0, "request worker pool size (0 = GOMAXPROCS)")
 		maxBatch = flag.Int("max-batch", 0, "max NDJSON lines per request; beyond it the whole request is rejected with 400 batch_too_large (0 = default)")
-		inflight = flag.Int("max-inflight", 0, "max concurrently admitted batch requests before 429 shedding (0 = 2x workers)")
+		inflight = flag.Int("max-inflight", 0, "max concurrently admitted batch requests before 429 shedding (0 = 2x GOMAXPROCS)")
 		maxBody  = flag.Int64("max-body-bytes", 0, "max request body bytes before 413 (0 = default 64 MiB)")
 		dedupe   = flag.Int("dedupe", 0, "idempotency replay cache capacity in entries (0 = default 4096; shard mode only)")
 		repl     = flag.String("replica", "", "warm standby base URL to replicate this shard's window to (shard mode only)")
@@ -114,59 +107,17 @@ func main() {
 			TTL:      *ttl,
 			Shards:   *shards,
 		},
-		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		MaxInflight:  *inflight,
-		MaxBodyBytes: *maxBody,
-		EnablePprof:  *pprofOn,
+		FrontConfig: httpapi.FrontConfig{
+			MaxBatch:     *maxBatch,
+			MaxInflight:  *inflight,
+			MaxBodyBytes: *maxBody,
+			EnablePprof:  *pprofOn,
+		},
 	}
 	if err := run(*addr, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "dodserve:", err)
 		os.Exit(1)
 	}
-}
-
-// serveListener binds addr, announces the actual bound address on stdout
-// (the harness contract for -addr :0), and serves handler until SIGINT or
-// SIGTERM, then drains gracefully. setDraining flips /readyz first so load
-// balancers stop routing here before the listener closes.
-func serveListener(addr string, handler http.Handler, setDraining func(bool)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("dodserve: listening on %s\n", ln.Addr())
-	os.Stdout.Sync() //nolint:errcheck
-
-	hs := &http.Server{
-		Handler: handler,
-		// Bound slow-loris headers and dead keepalives; no global write
-		// timeout (large score batches stream for a while).
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "dodserve: draining (readyz now 503)")
-	setDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }
 
 func run(addr string, cfg serve.Config) error {
@@ -177,7 +128,7 @@ func run(addr string, cfg serve.Config) error {
 	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "dodserve: starting (r=%g k=%d dim=%d window=%d ttl=%s)\n",
 		cfg.Stream.R, cfg.Stream.K, cfg.Stream.Dim, cfg.Stream.Capacity, cfg.Stream.TTL)
-	return serveListener(addr, srv.Handler(), srv.SetDraining)
+	return httpapi.ListenAndServe("dodserve", addr, srv.Handler(), srv.SetDraining, nil)
 }
 
 func runShard(addr string, cfg serve.ShardServerConfig) error {
@@ -195,5 +146,5 @@ func runShard(addr string, cfg serve.ShardServerConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "dodserve: starting %s %q (r=%g k=%d dim=%d)\n",
 		role, cfg.Name, cfg.R, cfg.K, cfg.Dim)
-	return serveListener(addr, srv.Handler(), srv.SetDraining)
+	return httpapi.ListenAndServe("dodserve", addr, srv.Handler(), srv.SetDraining, nil)
 }

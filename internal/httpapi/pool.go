@@ -19,18 +19,16 @@ import (
 type Batch struct {
 	Items []BatchItem
 
-	arena  []float64 // backing store for fast-path coords
-	buf    []byte    // scanner's initial buffer
-	pooled bool      // false for hand-built batches (legacy wire mode)
+	arena []float64 // backing store for fast-path coords
+	buf   []byte    // scanner's initial buffer
 }
 
 var batchPool = sync.Pool{
 	New: func() any {
 		return &Batch{
-			Items:  make([]BatchItem, 0, 1024),
-			arena:  make([]float64, 0, 8*1024),
-			buf:    make([]byte, 64*1024),
-			pooled: true,
+			Items: make([]BatchItem, 0, 1024),
+			arena: make([]float64, 0, 8*1024),
+			buf:   make([]byte, 64*1024),
 		}
 	},
 }
@@ -85,11 +83,8 @@ func ReadBatchPooled(r *http.Request, maxBatch int) (*Batch, error) {
 }
 
 // Release returns the batch's buffers to the pool. Items and their coords
-// are invalid afterwards. A no-op for hand-built batches.
+// are invalid afterwards.
 func (b *Batch) Release() {
-	if !b.pooled {
-		return
-	}
 	clear(b.Items) // drop error references before pooling
 	batchPool.Put(b)
 }

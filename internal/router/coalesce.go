@@ -110,7 +110,7 @@ func eachShard(waves []*shardWave, fn func(w *shardWave)) {
 
 // ingestLocked runs one ingest batch through the two-wave segment protocol.
 // Callers hold rt.mu.
-func (rt *Router) ingestLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
+func (rt *Router) ingestLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []httpapi.VerdictLine) {
 	// The segment is staged against a private view of the window: head and
 	// live are where the FIFO cursor and the resident count will stand once
 	// the staged ops apply, gone and pending the IDs they remove and add.
@@ -147,16 +147,12 @@ func (rt *Router) ingestLocked(ctx context.Context, topo *Topology, now time.Tim
 	}
 	for i, it := range items {
 		if it.Err != nil {
-			out[i] = verdictLine{ID: it.Pt.ID, Error: it.Err.Error()}
-			rt.met.lineErrors.Inc()
-			continue
+			continue // answered by the front
 		}
-		rt.met.ingestLines.Inc()
 		pt := it.Pt
 		if pt.Dim() != rt.cfg.Dim {
 			err := &errs.DimMismatchError{ID: pt.ID, Got: pt.Dim(), Want: rt.cfg.Dim}
-			out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-			rt.met.lineErrors.Inc()
+			out[i] = httpapi.VerdictLine{ID: pt.ID, Error: err.Error()}
 			continue
 		}
 		_, resident := rt.residents[pt.ID]
@@ -164,8 +160,7 @@ func (rt *Router) ingestLocked(ctx context.Context, topo *Topology, now time.Tim
 		_, staged := pending[pt.ID]
 		if (resident && !evicted) || staged {
 			err := &errs.DuplicateIDError{ID: pt.ID}
-			out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-			rt.met.lineErrors.Inc()
+			out[i] = httpapi.VerdictLine{ID: pt.ID, Error: err.Error()}
 			continue
 		}
 		evictions := 0
@@ -212,7 +207,7 @@ func cellKey(scratch []byte, c []int64) []byte {
 // pass, wave two — and commits it to the router's window bookkeeping, head
 // being the FIFO cursor past the segment's victims. It reports false if the
 // segment was abandoned with the window untouched. Callers hold rt.mu.
-func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, segIdx int, ops []segOp, head int, out []verdictLine) bool {
+func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, segIdx int, ops []segOp, head int, out []httpapi.VerdictLine) bool {
 	if len(ops) == 0 {
 		rt.head = head // ghost slots skipped on the way
 		return true
@@ -260,8 +255,7 @@ func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now ti
 	failSegment := func(msg string) bool {
 		for j := range ops {
 			if ops[j].admit {
-				out[ops[j].line] = verdictLine{ID: ops[j].pt.ID, Error: msg}
-				rt.met.lineErrors.Inc()
+				out[ops[j].line] = httpapi.VerdictLine{ID: ops[j].pt.ID, Error: msg}
 			}
 		}
 		return false
@@ -375,19 +369,18 @@ func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now ti
 			op := &ops[j]
 			switch {
 			case msg != "":
-				out[op.line] = verdictLine{ID: op.pt.ID, Error: msg}
+				out[op.line] = httpapi.VerdictLine{ID: op.pt.ID, Error: msg}
 			case w.ingest.Results[idx].Error != "":
-				out[op.line] = verdictLine{ID: op.pt.ID, Error: w.ingest.Results[idx].Error}
+				out[op.line] = httpapi.VerdictLine{ID: op.pt.ID, Error: w.ingest.Results[idx].Error}
 			default:
 				res := w.ingest.Results[idx]
-				out[op.line] = verdictLine{
+				out[op.line] = httpapi.VerdictLine{
 					ID: res.ID, Seq: res.Seq, Neighbors: res.Neighbors,
 					Outlier: res.Outlier, Evicted: op.evictions,
 				}
 				continue
 			}
 			op.failed = true
-			rt.met.lineErrors.Inc()
 		}
 	}
 
@@ -413,13 +406,13 @@ func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now ti
 	return true
 }
 
-// scoreChunk scores lines [lo, hi) with one read-only support RPC per
-// owning shard for the whole chunk: each probe's neighborhood cells are
+// Score scores lines [lo, hi) with one read-only support RPC per owning
+// shard for the whole range: each probe's neighborhood cells are
 // grouped by owner, every owner reports its count capped at K, and the
 // capped sum equals the single-process count (min distributes over the
 // partition). Shards whose breaker is open are skipped — scoring degrades
 // to the reachable window rather than blocking.
-func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo, hi int, out []scoreLine) {
+func (rt *Router) Score(ctx context.Context, items []httpapi.BatchItem, lo, hi int, out []httpapi.ScoreLine) {
 	topo := rt.topology()
 	type probeSet struct {
 		probes []SupportProbe
@@ -430,15 +423,11 @@ func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo,
 	for i := lo; i < hi; i++ {
 		it := items[i]
 		if it.Err != nil {
-			out[i] = scoreLine{ID: it.Pt.ID, Error: it.Err.Error()}
-			rt.met.lineErrors.Inc()
-			continue
+			continue // answered by the front
 		}
-		rt.met.scoreLines.Inc()
 		if it.Pt.Dim() != rt.cfg.Dim {
 			err := &errs.DimMismatchError{ID: it.Pt.ID, Got: it.Pt.Dim(), Want: rt.cfg.Dim}
-			out[i] = scoreLine{ID: it.Pt.ID, Error: err.Error()}
-			rt.met.lineErrors.Inc()
+			out[i] = httpapi.ScoreLine{ID: it.Pt.ID, Error: err.Error()}
 			continue
 		}
 		center := topo.CellOf(it.Pt.Coords)
@@ -531,13 +520,12 @@ func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo,
 			}
 		}
 		if errMsg != "" {
-			rt.met.lineErrors.Inc()
-			out[i] = scoreLine{ID: items[i].Pt.ID, Error: errMsg}
+			out[i] = httpapi.ScoreLine{ID: items[i].Pt.ID, Error: errMsg}
 			continue
 		}
 		if total > rt.cfg.K {
 			total = rt.cfg.K
 		}
-		out[i] = scoreLine{ID: items[i].Pt.ID, Neighbors: total, Outlier: total < rt.cfg.K}
+		out[i] = httpapi.ScoreLine{ID: items[i].Pt.ID, Neighbors: total, Outlier: total < rt.cfg.K}
 	}
 }

@@ -2,20 +2,13 @@ package router
 
 import "dod/internal/obs"
 
-// routerMetrics are the dod_route_* instruments: the router's own request
-// traffic, its shard call fan-out (with retry visibility — the first sign
-// of a struggling shard), eviction/drain churn, and tenant-level
-// rejections.
+// routerMetrics are the dod_route_* instruments: the router's shard call
+// fan-out (with retry visibility — the first sign of a struggling shard),
+// eviction/drain churn, and failover. Request, line and shed series are the
+// front end's (internal/httpapi).
 type routerMetrics struct {
-	ingestReqs   *obs.Counter
-	scoreReqs    *obs.Counter
-	ingestLines  *obs.Counter
-	scoreLines   *obs.Counter
-	lineErrors   *obs.Counter
 	evictions    *obs.Counter
 	drains       *obs.Counter
-	rateLimited  *obs.Counter
-	quotaDenied  *obs.Counter
 	shardCalls   *obs.Counter
 	shardRetries *obs.Counter
 	shardErrors  *obs.Counter
@@ -29,15 +22,8 @@ type routerMetrics struct {
 
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 	return &routerMetrics{
-		ingestReqs:   reg.Counter("dod_route_requests_total", "router batch requests", obs.L("endpoint", "ingest")),
-		scoreReqs:    reg.Counter("dod_route_requests_total", "router batch requests", obs.L("endpoint", "score")),
-		ingestLines:  reg.Counter("dod_route_lines_total", "NDJSON lines routed", obs.L("endpoint", "ingest")),
-		scoreLines:   reg.Counter("dod_route_lines_total", "NDJSON lines routed", obs.L("endpoint", "score")),
-		lineErrors:   reg.Counter("dod_route_line_errors_total", "lines answered with a per-line error"),
 		evictions:    reg.Counter("dod_route_evictions_total", "evictions commanded across shards"),
 		drains:       reg.Counter("dod_route_drains_total", "shard drain/handoff operations completed"),
-		rateLimited:  reg.Counter("dod_route_rate_limited_total", "requests shed by the per-tenant token bucket"),
-		quotaDenied:  reg.Counter("dod_route_quota_denied_total", "ingest batches denied by a tenant lifetime quota"),
 		shardCalls:   reg.Counter("dod_route_shard_calls_total", "HTTP calls issued to shards"),
 		shardRetries: reg.Counter("dod_route_shard_retries_total", "shard calls that needed a retry"),
 		shardErrors:  reg.Counter("dod_route_shard_errors_total", "shard calls that exhausted retries"),

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 
+	"dod/internal/httpapi"
 	"dod/internal/obs"
 	"dod/internal/replica"
 	"dod/internal/retry"
@@ -195,18 +196,18 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Query().Get("shard")
 	if name == "" {
-		rt.writeError(w, r, http.StatusBadRequest, "bad_request", "missing ?shard=NAME")
+		httpapi.WriteError(w, r, http.StatusBadRequest, "bad_request", "missing ?shard=NAME")
 		return
 	}
 	resp, err := rt.Promote(r.Context(), name)
 	if err != nil {
 		var pe *promoteError
 		if errors.As(err, &pe) {
-			rt.writeError(w, r, pe.status, pe.code, pe.msg)
+			httpapi.WriteError(w, r, pe.status, pe.code, pe.msg)
 			return
 		}
-		rt.writeError(w, r, http.StatusBadGateway, "promote_failed", err.Error())
+		httpapi.WriteError(w, r, http.StatusBadGateway, "promote_failed", err.Error())
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,7 +1,8 @@
 // Package router implements the sharded serving tier in front of N
 // dodserve shards: cell-based partitioning of the sliding window, a
 // consistent-hash ring over cell blocks, the codec-framed shard wire
-// protocol, and the stateless NDJSON router itself (cmd/dodroute).
+// protocol, and the stateless router (cmd/dodroute) — the backend the
+// NDJSON front end (internal/httpapi) serves the shards through.
 //
 // Partitioning follows the paper's Cell-Based layout (Lemma 3.1): a
 // point's outlier verdict depends only on its grid cell and the bounded

@@ -7,11 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dod/internal/detect"
@@ -22,12 +19,12 @@ import (
 	"dod/internal/stream"
 )
 
-// DefaultMaxBatch bounds the NDJSON lines per router request, mirroring the
-// single-process serving tier.
-const DefaultMaxBatch = 100_000
-
-// DefaultMaxBodyBytes bounds one request body (64 MiB).
-const DefaultMaxBodyBytes = 64 << 20
+// HeaderRequestID and HeaderTenant are the front end's correlation and
+// tenant headers (internal/httpapi).
+const (
+	HeaderRequestID = httpapi.HeaderRequestID
+	HeaderTenant    = httpapi.HeaderTenant
+)
 
 // Config parameterizes a Router.
 type Config struct {
@@ -46,16 +43,9 @@ type Config struct {
 	// Block and Vnodes tune the ownership ring (0 = defaults).
 	Block  int
 	Vnodes int
-	// MaxBatch caps NDJSON lines per request; default DefaultMaxBatch.
-	MaxBatch int
-	// MaxBodyBytes caps one request body; default DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-	// TenantRPS/TenantBurst shape the per-tenant token bucket; TenantRPS 0
-	// disables rate limiting.
-	TenantRPS   float64
-	TenantBurst int
-	// TenantQuota is a per-tenant lifetime ingested-line quota; 0 disables.
-	TenantQuota int64
+	// FrontConfig sets the front end's request caps, admission (in-flight
+	// bound, per-tenant bucket and quota) and pprof.
+	httpapi.FrontConfig
 	// ProbeInterval is the shard health-probe period; default 1s.
 	ProbeInterval time.Duration
 	// Obs is the metrics registry; default a fresh one.
@@ -77,10 +67,6 @@ type Config struct {
 	// A promotion refused for lag leaves the shard degraded and counts the
 	// gap in dod_replica_lost_total.
 	PromoteLagBound uint64
-	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
-	// Off by default: the profiling endpoints can stall the serving path
-	// and expose internals, so they are opt-in like dodserve's.
-	EnablePprof bool
 	// now overrides the clock in tests.
 	now func() time.Time
 }
@@ -95,23 +81,22 @@ type resident struct {
 	arrivedNs int64
 }
 
-// Router fronts N dodserve shards as one logical detection service with
-// the same NDJSON API and byte-identical verdict streams as a
-// single-process server on the same input. It owns the global window
-// discipline — sequence numbers, capacity/TTL eviction order, duplicate
-// IDs — and delegates all point storage and neighbor counting to the
-// shards through the wire protocol.
+// Router is the NDJSON front end (internal/httpapi) over N dodserve shards:
+// one logical detection service with the same API and byte-identical
+// verdict streams as a single-process server on the same input. As the
+// front's backend it owns the global window discipline — sequence numbers,
+// capacity/TTL eviction order, duplicate IDs — and delegates all point
+// storage and neighbor counting to the shards through the wire protocol.
+// It mounts /v1/drain, /v1/promote, /v1/topology and /v1/snapshot next to
+// the front's endpoints.
 type Router struct {
-	cfg     Config
-	mux     *http.ServeMux
-	reg     *obs.Registry
-	met     *routerMetrics
-	trace   *obs.Trace
-	client  *http.Client
-	limiter *tenantLimiter
-	now     func() time.Time
-	started time.Time
-	l2      int
+	*httpapi.Front
+	cfg    Config
+	met    *routerMetrics
+	trace  *obs.Trace
+	client *http.Client
+	now    func() time.Time
+	l2     int
 
 	topoMu sync.RWMutex
 	topo   *Topology
@@ -137,8 +122,6 @@ type Router struct {
 	head      int
 	seq       uint64
 
-	ready     atomic.Bool
-	draining  atomic.Bool
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
 	probeOnce sync.Once
@@ -163,12 +146,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if cfg.RetryAttempts <= 0 {
 		cfg.RetryAttempts = 8
 	}
@@ -184,14 +161,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:          cfg,
-		mux:          http.NewServeMux(),
-		reg:          cfg.Obs,
 		met:          newRouterMetrics(cfg.Obs),
 		trace:        obs.NewTrace("dodroute"),
 		client:       &http.Client{Transport: transport},
-		limiter:      newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.TenantQuota, cfg.now),
 		now:          cfg.now,
-		started:      cfg.now(),
 		l2:           detect.L2Radius(cfg.Dim),
 		topo:         topo,
 		breakers:     make(map[string]*retry.Breaker),
@@ -203,57 +176,26 @@ func New(cfg Config) (*Router, error) {
 	for _, s := range cfg.Shards {
 		rt.breakers[s.Name] = retry.NewBreaker(cfg.Breaker)
 	}
-	rt.reg.GaugeFunc("dod_route_window_points", "points resident in the global window",
+	rt.Front = httpapi.NewFront(cfg.FrontConfig, cfg.Obs, cfg.now, rt)
+	rt.SetReady(false) // until Start has pushed the topology
+	cfg.Obs.GaugeFunc("dod_route_window_points", "points resident in the global window",
 		func() float64 { rt.mu.Lock(); defer rt.mu.Unlock(); return float64(len(rt.residents)) })
-	rt.reg.GaugeFunc("dod_route_topology_epoch", "current ownership epoch",
+	cfg.Obs.GaugeFunc("dod_route_topology_epoch", "current ownership epoch",
 		func() float64 { return float64(rt.topology().Epoch) })
-	rt.reg.GaugeFunc("dod_route_shards", "shards in the current topology",
+	cfg.Obs.GaugeFunc("dod_route_shards", "shards in the current topology",
 		func() float64 { return float64(len(rt.topology().Shards)) })
-	retry.Instrument(rt.reg)
-	rt.mux.HandleFunc("/v1/ingest", rt.handleIngest)
-	rt.mux.HandleFunc("/v1/score", rt.handleScore)
-	rt.mux.HandleFunc("/v1/drain", rt.handleDrain)
-	rt.mux.HandleFunc("/v1/promote", rt.handlePromote)
-	rt.mux.HandleFunc("/v1/topology", rt.handleTopology)
-	rt.mux.HandleFunc("/v1/snapshot", rt.handleSnapshot)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
-	rt.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		rt.reg.WritePrometheus(w)
-	})
-	if cfg.EnablePprof {
-		rt.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		rt.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		rt.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		rt.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		rt.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	rt.HandleFunc("/v1/drain", rt.handleDrain)
+	rt.HandleFunc("/v1/promote", rt.handlePromote)
+	rt.HandleFunc("/v1/topology", rt.handleTopology)
+	rt.HandleFunc("/v1/snapshot", rt.handleSnapshot)
 	return rt, nil
 }
-
-// Handler returns the router's HTTP handler; every response echoes the
-// caller's X-Dod-Request-Id (or the one the router generated for it).
-func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		EnsureRequestID(r)
-		EchoRequestID(w, r)
-		rt.mux.ServeHTTP(w, r)
-	})
-}
-
-// Registry exposes the metrics registry.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // Trace exposes the router's span trace (drain/handoff timings).
 func (rt *Router) Trace() *obs.Trace { return rt.trace }
 
 // Topology returns the current ownership view (a deep copy).
 func (rt *Router) Topology() *Topology { return rt.topology().Clone() }
-
-// SetDraining flips readiness for load-balancer rotation.
-func (rt *Router) SetDraining(d bool) { rt.draining.Store(d) }
 
 func (rt *Router) topology() *Topology {
 	rt.topoMu.RLock()
@@ -283,7 +225,7 @@ func (rt *Router) Start(ctx context.Context) error {
 		return err
 	}
 	span.End()
-	rt.ready.Store(true)
+	rt.SetReady(true)
 	rt.probeOnce.Do(func() {
 		rt.probeWG.Add(1)
 		go rt.probeLoop()
@@ -366,7 +308,7 @@ func (rt *Router) probeShard(s ShardInfo) {
 // refused or raced promotion leaves the shard degraded; the next failed
 // probe tries again).
 func (rt *Router) autoPromote(name string) {
-	if !rt.ready.Load() {
+	if !rt.Ready() {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -473,82 +415,19 @@ func (rt *Router) pushTopology(ctx context.Context, topo *Topology, shards []Sha
 	return nil
 }
 
-// ---- NDJSON data plane --------------------------------------------------
+// ---- the front end's backend ------------------------------------------
 
-// verdictLine answers one ingest line — the same JSON shape, field for
-// field, as the single-process serving tier, because the E2E contract is a
-// byte-identical response stream. The shared httpapi type keeps that shape
-// in one place for both tiers and the wirejson fast encoder.
-type verdictLine = httpapi.VerdictLine
-
-// scoreLine answers one score line.
-type scoreLine = httpapi.ScoreLine
-
-func (rt *Router) writeBatchError(w http.ResponseWriter, r *http.Request, err error) {
-	httpapi.WriteBatchError(w, r, err)
-}
-
-// writeError emits the serving tier's structured error shape, carrying the
-// request correlation ID.
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	httpapi.WriteError(w, r, status, code, msg)
-}
-
-// admitTenant applies the per-tenant token bucket; a rejection writes the
-// 429 and reports false.
-func (rt *Router) admitTenant(w http.ResponseWriter, r *http.Request) bool {
-	tenant := r.Header.Get(HeaderTenant)
-	ok, wait := rt.limiter.allowRequest(tenant)
-	if ok {
-		return true
-	}
-	rt.met.rateLimited.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((wait+time.Second-1)/time.Second)))
-	rt.writeError(w, r, http.StatusTooManyRequests, "rate_limited",
-		fmt.Sprintf("tenant %q over %g req/s", tenant, rt.cfg.TenantRPS))
-	return false
-}
-
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	rt.met.ingestReqs.Inc()
-	if !rt.admitTenant(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	batch, err := httpapi.ReadBatchPooled(r, rt.cfg.MaxBatch)
-	if err != nil {
-		rt.writeBatchError(w, r, err)
-		return
-	}
-	defer batch.Release()
-	items := batch.Items
-	tenant := r.Header.Get(HeaderTenant)
-	if ok, remaining := rt.limiter.chargeQuota(tenant, len(items)); !ok {
-		rt.met.quotaDenied.Inc()
-		rt.writeError(w, r, http.StatusTooManyRequests, "quota_exceeded",
-			fmt.Sprintf("tenant %q has %d of its lifetime point quota left, batch needs %d",
-				tenant, remaining, len(items)))
-		return
-	}
-	reqID := r.Header.Get(HeaderRequestID)
-	out := httpapi.GetVerdicts(len(items))
-	defer httpapi.PutVerdicts(out)
-	// One global mutation order: the whole batch runs under the router
-	// mutex, exactly as the single-process window serializes Process calls.
-	// The topology and arrival timestamp are resolved once per batch —
-	// drain also holds rt.mu, so the topology cannot change mid-batch, and
-	// the shared timestamp matches the single-process tier's
-	// one-ProcessBatch-one-instant semantics.
+// Ingest runs one ingest batch through the two-wave segment protocol on
+// the handler goroutine. One global mutation order: the whole batch runs
+// under the router mutex, exactly as the single-process window serializes
+// ProcessBatch calls. The topology and arrival timestamp are resolved once
+// per batch — drain also holds rt.mu, so the topology cannot change
+// mid-batch, and the shared timestamp matches the single-process tier's
+// one-ProcessBatch-one-instant semantics.
+func (rt *Router) Ingest(ctx context.Context, reqID string, items []httpapi.BatchItem, out []httpapi.VerdictLine) {
 	rt.mu.Lock()
-	topo := rt.topology()
-	now := rt.now()
-	rt.ingestLocked(r.Context(), topo, now, reqID, items, out)
-	rt.mu.Unlock()
-	httpapi.WriteVerdicts(w, out)
+	defer rt.mu.Unlock()
+	rt.ingestLocked(ctx, rt.topology(), rt.now(), reqID, items, out)
 }
 
 // reclaimFifoLocked drops the drained FIFO prefix once it dominates the
@@ -558,44 +437,6 @@ func (rt *Router) reclaimFifoLocked() {
 		rt.fifo = append([]uint64(nil), rt.fifo[rt.head:]...)
 		rt.head = 0
 	}
-}
-
-func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	rt.met.scoreReqs.Inc()
-	if !rt.admitTenant(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	batch, err := httpapi.ReadBatchPooled(r, rt.cfg.MaxBatch)
-	if err != nil {
-		rt.writeBatchError(w, r, err)
-		return
-	}
-	defer batch.Release()
-	items := batch.Items
-	out := httpapi.GetScores(len(items))
-	defer httpapi.PutScores(out)
-	// Scoring is read-only: fan the batch out in contiguous chunks, each
-	// coalescing its probes into one support RPC per owning shard.
-	const chunk = 64
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			rt.scoreChunk(r.Context(), items, lo, hi, out)
-		}(lo, hi)
-	}
-	wg.Wait()
-	httpapi.WriteScores(w, out)
 }
 
 // ---- drain / handoff ----------------------------------------------------
@@ -634,12 +475,12 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	defer rt.mu.Unlock()
 	topo := rt.topology()
 	if topo.ShardURL(name) == "" {
-		rt.writeError(w, r, http.StatusNotFound, "unknown_shard",
+		httpapi.WriteError(w, r, http.StatusNotFound, "unknown_shard",
 			fmt.Sprintf("shard %q is not in epoch %d", name, topo.Epoch))
 		return
 	}
 	if len(topo.Shards) == 1 {
-		rt.writeError(w, r, http.StatusBadRequest, "last_shard",
+		httpapi.WriteError(w, r, http.StatusBadRequest, "last_shard",
 			"cannot drain the only shard in the topology")
 		return
 	}
@@ -656,7 +497,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if !force {
-			rt.writeError(w, r, http.StatusBadGateway, "export_failed",
+			httpapi.WriteError(w, r, http.StatusBadGateway, "export_failed",
 				fmt.Sprintf("exporting shard %s: %v", name, err))
 			return
 		}
@@ -683,7 +524,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	// so imported entries are never routed under the old view.
 	next := topo.Without(name)
 	if err := rt.pushTopology(r.Context(), next, next.Shards); err != nil {
-		rt.writeError(w, r, http.StatusBadGateway, "topology_push_failed", err.Error())
+		httpapi.WriteError(w, r, http.StatusBadGateway, "topology_push_failed", err.Error())
 		return
 	}
 
@@ -704,12 +545,12 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		body := EncodeEntries(byOwner[o])
 		var resp ImportResponse
 		if err := rt.callShard(r.Context(), next, o, PathShardImport, reqID+"|import|"+o, body, &resp); err != nil {
-			rt.writeError(w, r, http.StatusBadGateway, "import_failed",
+			httpapi.WriteError(w, r, http.StatusBadGateway, "import_failed",
 				fmt.Sprintf("importing %d entries to %s: %v", len(byOwner[o]), o, err))
 			return
 		}
 		if resp.Error != "" {
-			rt.writeError(w, r, http.StatusBadGateway, "import_failed",
+			httpapi.WriteError(w, r, http.StatusBadGateway, "import_failed",
 				fmt.Sprintf("importing to %s: %s", o, resp.Error))
 			return
 		}
@@ -723,7 +564,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	rt.met.drains.Inc()
 	span.SetAttr(obs.Int("moved", int64(moved)), obs.Int("epoch", next.Epoch),
 		obs.Int("lost_entries", int64(lostEntries)), obs.Int("lost_cells", int64(lostCells)))
-	rt.writeJSON(w, http.StatusOK, DrainResponse{
+	httpapi.WriteJSON(w, http.StatusOK, DrainResponse{
 		Drained: name, Moved: moved, Epoch: next.Epoch,
 		LostEntries: lostEntries, LostCells: lostCells,
 	})
@@ -766,7 +607,7 @@ func (rt *Router) getBody(ctx context.Context, url string) ([]byte, error) {
 // ---- introspection ------------------------------------------------------
 
 func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, rt.topology())
+	httpapi.WriteJSON(w, http.StatusOK, rt.topology())
 }
 
 // handleSnapshot aggregates every shard's export into one seq-ordered view
@@ -777,13 +618,13 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	for _, s := range topo.Shards {
 		raw, err := rt.getBody(r.Context(), s.URL+PathShardExport)
 		if err != nil {
-			rt.writeError(w, r, http.StatusBadGateway, "export_failed",
+			httpapi.WriteError(w, r, http.StatusBadGateway, "export_failed",
 				fmt.Sprintf("exporting shard %s: %v", s.Name, err))
 			return
 		}
 		entries, err := DecodeEntries(raw)
 		if err != nil {
-			rt.writeError(w, r, http.StatusBadGateway, "export_failed",
+			httpapi.WriteError(w, r, http.StatusBadGateway, "export_failed",
 				fmt.Sprintf("decoding export from %s: %v", s.Name, err))
 			return
 		}
@@ -804,36 +645,15 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	for i, e := range all {
 		out.Points[i] = snapPoint{ID: e.Point.ID, Seq: e.Seq, Neighbors: e.Count, Outlier: e.Outlier}
 	}
-	rt.writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Stats adds the router's /statsz fields: the global window, the
+// topology and each shard's health, and the drain and failover counters.
+func (rt *Router) Stats(m map[string]any) {
 	rt.mu.Lock()
-	window := len(rt.residents)
-	rt.mu.Unlock()
-	rt.writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"window": window,
-		"epoch":  rt.topology().Epoch,
-	})
-}
-
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready := rt.ready.Load() && !rt.draining.Load()
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-	}
-	rt.writeJSON(w, status, map[string]any{
-		"ready":    ready,
-		"draining": rt.draining.Load(),
-	})
-}
-
-func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	window := len(rt.residents)
-	seq := rt.seq
+	m["window_len"] = len(rt.residents)
+	m["window_seq"] = rt.seq
 	rt.mu.Unlock()
 	topo := rt.topology()
 	type shardHealth struct {
@@ -851,30 +671,11 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			ReplicaHead: rt.lastReplicaHead(s.Name),
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds":  rt.now().Sub(rt.started).Seconds(),
-		"window_len":      window,
-		"window_seq":      seq,
-		"epoch":           topo.Epoch,
-		"ingest_requests": rt.met.ingestReqs.Value(),
-		"score_requests":  rt.met.scoreReqs.Value(),
-		"lines_ingested":  rt.met.ingestLines.Value(),
-		"lines_scored":    rt.met.scoreLines.Value(),
-		"line_errors":     rt.met.lineErrors.Value(),
-		"evictions":       rt.met.evictions.Value(),
-		"drains":          rt.met.drains.Value(),
-		"promotes":        rt.met.promotes.Value(),
-		"replica_lost":    rt.met.replicaLost.Value(),
-		"forced_loss":     rt.met.forcedLoss.Value(),
-		"rate_limited":    rt.met.rateLimited.Value(),
-		"shards":          shards,
-	})
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck
+	m["epoch"] = topo.Epoch
+	m["evictions"] = rt.met.evictions.Value()
+	m["drains"] = rt.met.drains.Value()
+	m["promotes"] = rt.met.promotes.Value()
+	m["replica_lost"] = rt.met.replicaLost.Value()
+	m["forced_loss"] = rt.met.forcedLoss.Value()
+	m["shards"] = shards
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dod/internal/httpapi"
 	"dod/internal/obs"
 	"dod/internal/stream"
 )
@@ -98,7 +99,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, err := New(Config{Stream: stream.Config{R: 5, K: 3, Dim: 2, Capacity: 10}, Workers: 1, Obs: reg})
+	s, err := New(Config{Stream: stream.Config{R: 5, K: 3, Dim: 2, Capacity: 10}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPprofOptIn(t *testing.T) {
 		t.Error("/debug/pprof/ served without EnablePprof")
 	}
 
-	s, err := New(Config{Stream: stream.Config{R: 5, K: 3, Dim: 2, Capacity: 10}, Workers: 1, EnablePprof: true})
+	s, err := New(Config{Stream: stream.Config{R: 5, K: 3, Dim: 2, Capacity: 10}, FrontConfig: httpapi.FrontConfig{EnablePprof: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"dod/internal/httpapi"
 	"dod/internal/replica"
 	"dod/internal/router"
 	"dod/internal/stream"
@@ -27,31 +28,31 @@ func (s *ShardServer) handleReplicaApply(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if s.stby == nil {
-		writeErrorBody(w, r, http.StatusConflict, "not_standby",
+		httpapi.WriteError(w, r, http.StatusConflict, "not_standby",
 			fmt.Sprintf("shard %s does not run as a standby", s.cfg.Name))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxReplicaBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	hdr, ops, err := replica.DecodeApply(body)
 	if err != nil {
 		s.met.wireErrors.Inc()
-		writeErrorBody(w, r, http.StatusBadRequest, "bad_wire", err.Error())
+		httpapi.WriteError(w, r, http.StatusBadRequest, "bad_wire", err.Error())
 		return
 	}
 	if hdr.From != s.cfg.Name {
-		writeErrorBody(w, r, http.StatusConflict, "wrong_primary",
+		httpapi.WriteError(w, r, http.StatusConflict, "wrong_primary",
 			fmt.Sprintf("shipment from %q but this standby replicates %q", hdr.From, s.cfg.Name))
 		return
 	}
 	s.stby.mu.Lock()
 	defer s.stby.mu.Unlock()
 	if s.stby.promoted {
-		writeErrorBody(w, r, http.StatusConflict, "promoted",
+		httpapi.WriteError(w, r, http.StatusConflict, "promoted",
 			fmt.Sprintf("shard %s has been promoted to primary", s.cfg.Name))
 		return
 	}
@@ -72,7 +73,7 @@ func (s *ShardServer) handleReplicaApply(w http.ResponseWriter, r *http.Request)
 		s.met.replicaOps.Inc()
 	}
 	s.stby.synced = !need && s.stby.applied >= hdr.Head
-	s.writeShardJSON(w, http.StatusOK, replica.ApplyResponse{
+	httpapi.WriteJSON(w, http.StatusOK, replica.ApplyResponse{
 		Applied: s.stby.applied, Synced: s.stby.synced, NeedSnapshot: need,
 	})
 }
@@ -86,48 +87,48 @@ func (s *ShardServer) handleReplicaSnapshot(w http.ResponseWriter, r *http.Reque
 		return
 	}
 	if s.stby == nil {
-		writeErrorBody(w, r, http.StatusConflict, "not_standby",
+		httpapi.WriteError(w, r, http.StatusConflict, "not_standby",
 			fmt.Sprintf("shard %s does not run as a standby", s.cfg.Name))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxReplicaBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	snap, err := replica.DecodeSnapshot(body)
 	if err != nil {
 		s.met.wireErrors.Inc()
-		writeErrorBody(w, r, http.StatusBadRequest, "bad_wire", err.Error())
+		httpapi.WriteError(w, r, http.StatusBadRequest, "bad_wire", err.Error())
 		return
 	}
 	if snap.From != s.cfg.Name {
-		writeErrorBody(w, r, http.StatusConflict, "wrong_primary",
+		httpapi.WriteError(w, r, http.StatusConflict, "wrong_primary",
 			fmt.Sprintf("snapshot from %q but this standby replicates %q", snap.From, s.cfg.Name))
 		return
 	}
 	s.stby.mu.Lock()
 	defer s.stby.mu.Unlock()
 	if s.stby.promoted {
-		writeErrorBody(w, r, http.StatusConflict, "promoted",
+		httpapi.WriteError(w, r, http.StatusConflict, "promoted",
 			fmt.Sprintf("shard %s has been promoted to primary", s.cfg.Name))
 		return
 	}
 	if len(snap.Topology) > 0 {
 		if err := s.installReplicatedTopology(snap.Topology); err != nil {
-			writeErrorBody(w, r, http.StatusBadRequest, "bad_topology", err.Error())
+			httpapi.WriteError(w, r, http.StatusBadRequest, "bad_topology", err.Error())
 			return
 		}
 	}
 	s.sw.Reset()
 	if err := s.sw.Import(snap.Entries); err != nil {
-		writeErrorBody(w, r, http.StatusInternalServerError, "apply_failed", err.Error())
+		httpapi.WriteError(w, r, http.StatusInternalServerError, "apply_failed", err.Error())
 		return
 	}
 	s.stby.applied = snap.Seq
 	s.stby.synced = true
-	s.writeShardJSON(w, http.StatusOK, replica.SnapshotResponse{Applied: s.stby.applied})
+	httpapi.WriteJSON(w, http.StatusOK, replica.SnapshotResponse{Applied: s.stby.applied})
 }
 
 // handleReplicaStatus reports this server's replication position for either
@@ -151,7 +152,7 @@ func (s *ShardServer) handleReplicaStatus(w http.ResponseWriter, r *http.Request
 	default:
 		out = replica.StatusResponse{Role: "none"}
 	}
-	s.writeShardJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleShardDigest answers the anti-entropy probe: a deterministic hash of
@@ -182,7 +183,7 @@ func (s *ShardServer) handleShardDigest(w http.ResponseWriter, r *http.Request) 
 	default:
 		digest, points = s.sw.Digest()
 	}
-	s.writeShardJSON(w, http.StatusOK, replica.DigestResponse{
+	httpapi.WriteJSON(w, http.StatusOK, replica.DigestResponse{
 		Shard: s.cfg.Name, Digest: fmt.Sprintf("%016x", digest), Seq: seq, Points: points,
 	})
 }

@@ -23,7 +23,8 @@ import (
 
 func newTestServer(t *testing.T, cfg stream.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Stream: cfg, Workers: 4})
+	// Room for every request TestConcurrentRequests keeps in flight.
+	s, err := New(Config{Stream: cfg, FrontConfig: httpapi.FrontConfig{MaxInflight: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestEndToEndMatchesCentralized(t *testing.T) {
 		ids[i] = uint64(i)
 		coords[i] = []float64{rng.Float64() * 12, rng.Float64() * 12}
 	}
-	verdicts := postLines[verdictLine](t, ts.URL+"/v1/ingest", ndjsonBody(ids, coords))
+	verdicts := postLines[httpapi.VerdictLine](t, ts.URL+"/v1/ingest", ndjsonBody(ids, coords))
 	if len(verdicts) != n {
 		t.Fatalf("got %d verdict lines, want %d", len(verdicts), n)
 	}
@@ -112,7 +113,7 @@ func TestEndToEndMatchesCentralized(t *testing.T) {
 
 	// Scoring every resident point over HTTP must reproduce the batch
 	// verdict (self-exclusion matches: the window skips the query's ID).
-	scores := postLines[scoreLine](t, ts.URL+"/v1/score", ndjsonBody(ids, coords))
+	scores := postLines[httpapi.ScoreLine](t, ts.URL+"/v1/score", ndjsonBody(ids, coords))
 	if len(scores) != n {
 		t.Fatalf("got %d score lines, want %d", len(scores), n)
 	}
@@ -227,7 +228,7 @@ not json at all
 {"id":2,"coords":[1,2,3]}
 {"id":3,"coords":[0.2,0]}
 `)
-	verdicts := postLines[verdictLine](t, ts.URL+"/v1/ingest", body)
+	verdicts := postLines[httpapi.VerdictLine](t, ts.URL+"/v1/ingest", body)
 	if len(verdicts) != 5 {
 		t.Fatalf("got %d lines, want 5", len(verdicts))
 	}
@@ -273,22 +274,35 @@ func TestStatsz(t *testing.T) {
 	_, ts := newTestServer(t, stream.Config{R: 2, K: 1, Dim: 2, Capacity: 3, Shards: 4})
 	ids := []uint64{1, 2, 3, 4}
 	coords := [][]float64{{0, 0}, {0.5, 0}, {9, 9}, {0.5, 0.5}}
-	postLines[verdictLine](t, ts.URL+"/v1/ingest", ndjsonBody(ids, coords))
-	postLines[scoreLine](t, ts.URL+"/v1/score", ndjsonBody([]uint64{10}, [][]float64{{0, 0}}))
+	postLines[httpapi.VerdictLine](t, ts.URL+"/v1/ingest", ndjsonBody(ids, coords))
+	postLines[httpapi.ScoreLine](t, ts.URL+"/v1/score", ndjsonBody([]uint64{10}, [][]float64{{0, 0}}))
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
+	type latency struct {
+		Count int64 `json:"count"`
+	}
+	var st struct {
+		IngestRequests int64   `json:"ingest_requests"`
+		ScoreRequests  int64   `json:"score_requests"`
+		PointsIngested uint64  `json:"points_ingested"`
+		PointsEvicted  uint64  `json:"points_evicted"`
+		LinesScored    int64   `json:"lines_scored"`
+		WindowLen      int     `json:"window_len"`
+		ShardOccupancy []int   `json:"shard_occupancy"`
+		IngestLatency  latency `json:"ingest_latency"`
+		ScoreLatency   latency `json:"score_latency"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.PointsIngested != 4 || st.PointsEvicted != 1 || st.WindowLen != 3 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Queries != 1 || st.ScoreRequests != 1 || st.IngestRequests != 1 {
+	if st.LinesScored != 1 || st.ScoreRequests != 1 || st.IngestRequests != 1 {
 		t.Fatalf("request counters %+v", st)
 	}
 	if len(st.ShardOccupancy) != 4 {
@@ -331,7 +345,7 @@ func TestTTLBackgroundEviction(t *testing.T) {
 }
 
 func TestBatchLimit(t *testing.T) {
-	s, err := New(Config{Stream: stream.Config{R: 1, K: 1, Dim: 1, Capacity: 10}, MaxBatch: 2})
+	s, err := New(Config{Stream: stream.Config{R: 1, K: 1, Dim: 1, Capacity: 10}, FrontConfig: httpapi.FrontConfig{MaxBatch: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,15 +369,17 @@ func TestBatchLimit(t *testing.T) {
 
 // TestIngestHandlerAllocs pins the ingest handler's allocation ceiling on a
 // window at capacity, where every admitted line also evicts: parse, window
-// and encode together stay under 10 allocations per line. The count covers
-// the whole process (worker pool included) plus the test's own request and
-// recorder, which the batch size amortizes.
+// and encode together measured 4.67 allocations per line, and the ceiling
+// is that plus 10 %. The count covers the whole process — the front end's
+// request ID, admission and pooled batch, and the ingest running on the
+// handler goroutine — plus the test's own request and recorder, which the
+// batch size amortizes.
 func TestIngestHandlerAllocs(t *testing.T) {
 	const (
 		capacity = 1000
 		lines    = 500
 		runs     = 8
-		ceiling  = 10.0
+		ceiling  = 4.67 * 1.1
 	)
 	s, err := New(Config{Stream: stream.Config{R: 1.2, K: 3, Dim: 2, Capacity: capacity}})
 	if err != nil {
@@ -403,7 +419,7 @@ func TestIngestHandlerAllocs(t *testing.T) {
 		t.Fatalf("window not at capacity throughout: %+v", st)
 	}
 	if perLine := perRun / lines; perLine > ceiling {
-		t.Errorf("ingest handler: %.2f allocations per line, ceiling %.0f", perLine, ceiling)
+		t.Errorf("ingest handler: %.2f allocations per line, ceiling %.2f", perLine, ceiling)
 	} else {
 		t.Logf("ingest handler: %.2f allocations per line", perLine)
 	}

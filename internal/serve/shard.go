@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,7 +93,8 @@ type ShardServerConfig struct {
 	Dim int
 	// IndexShards is the local index's lock-stripe count (0 = default).
 	IndexShards int
-	// MaxBodyBytes caps one request body; default DefaultMaxBodyBytes.
+	// MaxBodyBytes caps one request body; default
+	// httpapi.DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Obs is the metrics registry; default a fresh one.
 	Obs *obs.Registry
@@ -144,7 +144,7 @@ func NewShard(cfg ShardServerConfig) (*ShardServer, error) {
 		cfg.Obs = obs.NewRegistry()
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+		cfg.MaxBodyBytes = httpapi.DefaultMaxBodyBytes
 	}
 	if cfg.DedupeCapacity <= 0 {
 		cfg.DedupeCapacity = DefaultDedupeCapacity
@@ -255,7 +255,7 @@ func (s *ShardServer) recordDedupe(reqID string, status int, resp []byte) {
 // Handler returns the shard's HTTP handler (request-ID echoing included).
 func (s *ShardServer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		router.EchoRequestID(w, r)
+		httpapi.EchoRequestID(w, r)
 		s.mux.ServeHTTP(w, r)
 	})
 }
@@ -287,17 +287,11 @@ func (s *ShardServer) readWireBody(w http.ResponseWriter, r *http.Request) ([]by
 	return io.ReadAll(r.Body)
 }
 
-func (s *ShardServer) writeShardJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
 // requireTopology answers 503 and returns nil if no topology is installed.
 func (s *ShardServer) requireTopology(w http.ResponseWriter, r *http.Request) *router.Topology {
 	topo := s.topology()
 	if topo == nil {
-		writeErrorBody(w, r, http.StatusServiceUnavailable, "no_topology",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, "no_topology",
 			"shard has no installed topology yet")
 	}
 	return topo
@@ -310,20 +304,20 @@ func (s *ShardServer) handleShardTopology(w http.ResponseWriter, r *http.Request
 	}
 	raw, err := s.readWireBody(w, r)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	var topo router.Topology
 	if err := json.Unmarshal(raw, &topo); err != nil {
-		writeErrorBody(w, r, http.StatusBadRequest, "bad_request", "bad topology body: "+err.Error())
+		httpapi.WriteError(w, r, http.StatusBadRequest, "bad_request", "bad topology body: "+err.Error())
 		return
 	}
 	if err := topo.Validate(); err != nil {
-		writeErrorBody(w, r, http.StatusBadRequest, "bad_topology", err.Error())
+		httpapi.WriteError(w, r, http.StatusBadRequest, "bad_topology", err.Error())
 		return
 	}
 	if topo.Dim != s.cfg.Dim || topo.R != s.cfg.R || topo.K != s.cfg.K {
-		writeErrorBody(w, r, http.StatusBadRequest, "param_mismatch",
+		httpapi.WriteError(w, r, http.StatusBadRequest, "param_mismatch",
 			fmt.Sprintf("topology (r=%g k=%d dim=%d) does not match shard (r=%g k=%d dim=%d)",
 				topo.R, topo.K, topo.Dim, s.cfg.R, s.cfg.K, s.cfg.Dim))
 		return
@@ -335,7 +329,7 @@ func (s *ShardServer) handleShardTopology(w http.ResponseWriter, r *http.Request
 	}
 	s.topoMu.Unlock()
 	if stale {
-		writeErrorBody(w, r, http.StatusConflict, "stale_epoch", "pushed epoch is older than installed")
+		httpapi.WriteError(w, r, http.StatusConflict, "stale_epoch", "pushed epoch is older than installed")
 		return
 	}
 	if s.rec != nil {
@@ -350,7 +344,7 @@ func (s *ShardServer) handleShardTopology(w http.ResponseWriter, r *http.Request
 		s.stby.mu.Unlock()
 	}
 	s.met.topoPushes.Inc()
-	s.writeShardJSON(w, http.StatusOK, router.TopologyResponse{
+	httpapi.WriteJSON(w, http.StatusOK, router.TopologyResponse{
 		Epoch: topo.Epoch, Shard: s.cfg.Name, Points: s.sw.Stats().Len,
 	})
 }
@@ -371,7 +365,7 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 	}
 	body, err := s.readWireBody(w, r)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
@@ -402,7 +396,7 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 	if ran {
 		s.recordDedupe(reqID, status, resp)
 	}
-	s.writeRaw(w, status, resp)
+	httpapi.WriteJSON(w, status, json.RawMessage(resp))
 }
 
 // handleSupport answers a read-only multi-probe support body — a segment's
@@ -417,12 +411,12 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := s.readWireBody(w, r)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
 	fail := func(status int, msg string) {
-		s.writeRaw(w, status, marshalJSON(router.SupportResponse{Error: msg, RequestID: reqID}))
+		httpapi.WriteJSON(w, status, router.SupportResponse{Error: msg, RequestID: reqID})
 	}
 	hdr, probes, err := router.DecodeSupportBatch(body)
 	if err != nil {
@@ -449,7 +443,7 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.met.supportServed.Inc()
-	s.writeRaw(w, http.StatusOK, marshalJSON(out))
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *ShardServer) handleShardExport(w http.ResponseWriter, r *http.Request) {
@@ -466,7 +460,7 @@ func (s *ShardServer) handleShardImport(w http.ResponseWriter, r *http.Request) 
 	}
 	body, err := s.readWireBody(w, r)
 	if err != nil {
-		s.writeBatchError(w, r, err)
+		httpapi.WriteBatchError(w, r, err)
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
@@ -485,7 +479,7 @@ func (s *ShardServer) handleShardImport(w http.ResponseWriter, r *http.Request) 
 	if ran {
 		s.recordDedupe(reqID, status, resp)
 	}
-	s.writeRaw(w, status, resp)
+	httpapi.WriteJSON(w, status, json.RawMessage(resp))
 }
 
 func (s *ShardServer) handleShardHealthz(w http.ResponseWriter, r *http.Request) {
@@ -516,7 +510,7 @@ func (s *ShardServer) handleShardHealthz(w http.ResponseWriter, r *http.Request)
 		}
 		s.stby.mu.Unlock()
 	}
-	s.writeShardJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *ShardServer) handleShardReadyz(w http.ResponseWriter, r *http.Request) {
@@ -544,12 +538,12 @@ func (s *ShardServer) handleShardReadyz(w http.ResponseWriter, r *http.Request) 
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	s.writeShardJSON(w, status, out)
+	httpapi.WriteJSON(w, status, out)
 }
 
 func (s *ShardServer) handleShardStatsz(w http.ResponseWriter, r *http.Request) {
 	st := s.sw.Stats()
-	s.writeShardJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"shard":                   s.cfg.Name,
 		"uptime_seconds":          time.Since(s.started).Seconds(),
 		"window_len":              st.Len,
@@ -560,23 +554,6 @@ func (s *ShardServer) handleShardStatsz(w http.ResponseWriter, r *http.Request) 
 		"flips_inlier_to_outlier": st.FlipOut,
 		"shard_occupancy":         st.Occupancy,
 	})
-}
-
-// writeBatchError mirrors Server.writeBatchError for wire bodies.
-func (s *ShardServer) writeBatchError(w http.ResponseWriter, r *http.Request, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeErrorBody(w, r, http.StatusRequestEntityTooLarge, "body_too_large",
-			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-		return
-	}
-	writeErrorBody(w, r, http.StatusBadRequest, "bad_request", err.Error())
-}
-
-func (s *ShardServer) writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck
 }
 
 func marshalJSON(v any) []byte {
