@@ -125,6 +125,47 @@ func TestOneFrontEnd(t *testing.T) {
 	}
 }
 
+// TestOneSupportingAreaJob keeps the supporting-area job in internal/core:
+// no package of this module but the planner, the sampler and core builds a
+// sample.Histogram, which is what planning a job of one's own takes. bench/
+// is its own module and times the planner's stages one by one.
+func TestOneSupportingAreaJob(t *testing.T) {
+	const sample = "dod/internal/sample"
+	fset, files, _, err := parseModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pf := range files {
+		switch {
+		case pf.importPath == "dod/internal/plan", pf.importPath == sample, pf.importPath == "dod/internal/core",
+			strings.HasPrefix(pf.importPath, "dod/bench"):
+			continue
+		}
+		local := ""
+		for _, is := range pf.file.Imports {
+			if strings.Trim(is.Path.Value, `"`) == sample {
+				local = "sample"
+				if is.Name != nil {
+					local = is.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				if sel, ok := lit.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Histogram" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+						t.Errorf("%s builds a sample.Histogram; plan a supporting-area job with core.NewAreaJob", fset.Position(lit.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // censusDecl is the source span of one exported declaration.
 type censusDecl struct{ start, end token.Pos }
 

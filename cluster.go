@@ -1,6 +1,7 @@
 package dod
 
 import (
+	"dod/internal/core"
 	"dod/internal/dbscan"
 	"dod/internal/knn"
 	"dod/internal/loci"
@@ -36,12 +37,8 @@ type DBSCANConfig struct {
 // DBSCAN up to cluster renumbering and the standard border-point
 // ambiguity.
 func DBSCAN(points []Point, cfg DBSCANConfig) (*DBSCANResult, error) {
-	return dbscan.ClusterDistributed(points, dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts}, dbscan.Options{
-		NumPartitions: cfg.NumPartitions,
-		NumReducers:   cfg.NumReducers,
-		Parallelism:   cfg.Parallelism,
-		Seed:          cfg.Seed,
-	})
+	return dbscan.ClusterDistributed(points, dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
+		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // DBSCANCentralized clusters points on a single machine.
@@ -73,14 +70,8 @@ type LOCIConfig struct {
 // sits more than KSigma deviations below its neighborhood's typical local
 // density. Returns sorted outlier IDs, identical to LOCICentralized.
 func LOCI(points []Point, cfg LOCIConfig) ([]uint64, error) {
-	return loci.DetectDistributed(points,
-		loci.Params{R: cfg.R, Alpha: cfg.Alpha, KSigma: cfg.KSigma},
-		loci.Options{
-			NumPartitions: cfg.NumPartitions,
-			NumReducers:   cfg.NumReducers,
-			Parallelism:   cfg.Parallelism,
-			Seed:          cfg.Seed,
-		})
+	return loci.DetectDistributed(points, loci.Params{R: cfg.R, Alpha: cfg.Alpha, KSigma: cfg.KSigma},
+		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // LOCICentralized runs the LOCI test on a single machine.
@@ -116,13 +107,8 @@ type KNNConfig struct {
 // supporting-area MapReduce algorithm. Results are ranked by descending
 // distance, ties by ascending ID, and match KNNOutliersCentralized exactly.
 func KNNOutliers(points []Point, cfg KNNConfig) ([]KNNOutlier, error) {
-	return knn.TopNDistributed(points, knn.Params{K: cfg.K, N: cfg.N}, knn.Options{
-		SupportRadius: cfg.SupportRadius,
-		NumPartitions: cfg.NumPartitions,
-		NumReducers:   cfg.NumReducers,
-		Parallelism:   cfg.Parallelism,
-		Seed:          cfg.Seed,
-	})
+	return knn.TopNDistributed(points, knn.Params{K: cfg.K, N: cfg.N}, cfg.SupportRadius,
+		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // KNNOutliersCentralized ranks the top-n kNN outliers on a single machine.

@@ -2,6 +2,7 @@ package dod
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -189,6 +190,41 @@ func TestDetectWithExactSupportAndFailures(t *testing.T) {
 	for i := range want {
 		if res.OutlierIDs[i] != want[i] {
 			t.Fatalf("outlier %d differs", i)
+		}
+	}
+}
+
+// TestGeneralityHighDimAllocs bounds what one DBSCAN, LOCI and KNNOutliers
+// call allocates at d = 8: their plan reads only the domain, so the
+// domain-only histogram must stay capped the way the sampling job caps its
+// grid instead of growing 8× per dimension (8^8 zero cells are 134 MB).
+func TestGeneralityHighDimAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pts := make([]Point, 300)
+	for i := range pts {
+		c := make([]float64, 8)
+		for j := range c {
+			c[j] = rng.Float64()
+		}
+		pts[i] = Point{ID: uint64(i), Coords: c}
+	}
+	const ceiling = 64 << 20
+	for _, run := range []struct {
+		name string
+		call func() error
+	}{
+		{"DBSCAN", func() error { _, err := DBSCAN(pts, DBSCANConfig{Eps: 1, MinPts: 4}); return err }},
+		{"LOCI", func() error { _, err := LOCI(pts, LOCIConfig{R: 1}); return err }},
+		{"KNNOutliers", func() error { _, err := KNNOutliers(pts, KNNConfig{K: 3, N: 5}); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run.call(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+			t.Errorf("%s at d=8 allocated %d MB, ceiling %d MB", run.name, got>>20, ceiling>>20)
 		}
 	}
 }

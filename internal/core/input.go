@@ -1,7 +1,8 @@
 // Package core is the DOD driver: it wires the preprocessing job (sampling
 // + plan generation, Fig. 6 top) and the outlier-detection job (Fig. 2/3)
-// over the MapReduce engine, and implements the two-job Domain baseline the
-// experiments compare against.
+// over the MapReduce engine, implements the two-job Domain baseline the
+// experiments compare against, and runs the supporting-area job (AreaJob)
+// that DBSCAN, LOCI and kNN plug their reduce functions into.
 package core
 
 import (

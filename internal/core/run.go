@@ -171,8 +171,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 		rep.NumJobs++
 	} else {
 		// Domain/uniSpace only need the domain rectangle.
-		grid := geom.NewGrid(input.Domain, dimsFor(input.Domain.Dim(), cfg.BucketsPerDim))
-		hist = &sample.Histogram{Grid: grid, Counts: make([]float64, grid.NumCells()), Rate: 1}
+		hist = domainHistogram(input.Domain, cfg.BucketsPerDim)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -270,12 +269,6 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 
 	sort.Slice(rep.Outliers, func(i, j int) bool { return rep.Outliers[i] < rep.Outliers[j] })
 	return rep, nil
-}
-
-// dimsFor delegates to sample.DimsFor so the manual-histogram path caps
-// high-dimensional grids exactly like the sampling job does.
-func dimsFor(d, perDim int) []int {
-	return sample.DimsFor(d, perDim)
 }
 
 // jobBreakdown is the simulated stage cost of one MapReduce job.

@@ -1,9 +1,9 @@
 // Package dbscan demonstrates the generality of the DOD framework
 // (Sec. III-B: the supporting-area partitioning "can be easily adapted to
 // support other mining tasks ... such as density-based clustering"). It
-// implements DBSCAN both as a centralized reference and as a single-pass
-// MapReduce job over the same partition plans, supporting areas, and
-// engine as outlier detection.
+// implements DBSCAN both as a centralized reference and as a reduce
+// function on core's supporting-area job: the same map function, plans,
+// supporting areas and engine as outlier detection.
 //
 // Distributed semantics follow the MR-DBSCAN merge rule: each reducer
 // clusters its partition's core ∪ support points locally; a point that is
@@ -80,17 +80,6 @@ func Cluster(points []geom.Point, params Params) (*Result, error) {
 // for home points (their full eps-neighborhood is present by the
 // supporting-area guarantee) and conservative for support points. Returns
 // per-point facts keyed by ID, and the number of local clusters.
-// cellMapHint sizes a cell-index map for the expected number of occupied
-// cells rather than the point count: on dense data many points share a
-// cell, so hinting n entries overallocates buckets by an order of magnitude.
-func cellMapHint(n int) int {
-	h := n / 8
-	if h < 16 {
-		h = 16
-	}
-	return h
-}
-
 func clusterLocal(core, support []geom.Point, params Params) (map[uint64]localLabel, int) {
 	all := make([]geom.Point, 0, len(core)+len(support))
 	all = append(all, core...)
@@ -100,26 +89,12 @@ func clusterLocal(core, support []geom.Point, params Params) (map[uint64]localLa
 		return facts, 0
 	}
 
-	// Grid index with cells exactly eps wide, so neighbors lie in the 3^d
-	// block (a grid that shrinks its cells to tile the bounds would put
-	// points ≈ eps apart two cells apart). The map holds one entry per
-	// *occupied cell*, far fewer than one per point on dense data — hint
-	// len/8 (min 16) instead of overallocating buckets for len(all) entries.
-	grid := geom.NewGridExactWidth(geom.Bounds(all), params.Eps)
-	cells := make(map[int][]int, cellMapHint(len(all)))
-	for i, p := range all {
-		ord := grid.CellOrdinal(p)
-		cells[ord] = append(cells[ord], i)
-	}
+	// Cells exactly eps wide, so neighbors lie in the 3^d block.
+	ix := geom.NewCellIndex(all, params.Eps)
 	neighborsOf := func(i int) []int {
 		var out []int
-		p := all[i]
-		grid.Neighborhood(grid.CellCoords(p), 1, func(ord int) {
-			for _, j := range cells[ord] {
-				if geom.WithinDist(p, all[j], params.Eps) {
-					out = append(out, j) // includes i itself (MinPts counts it)
-				}
-			}
+		ix.Within(all[i], params.Eps, func(j int) {
+			out = append(out, j) // includes i itself (MinPts counts it)
 		})
 		return out
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dod/internal/core"
 	"dod/internal/geom"
 )
 
@@ -276,7 +277,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, partitions := range []int{4, 16, 64} {
-		got, err := ClusterDistributed(points, testParams, Options{
+		got, err := ClusterDistributed(points, testParams, core.AreaOptions{
 			NumPartitions: partitions, NumReducers: 4, Seed: 5,
 		})
 		if err != nil {
@@ -298,7 +299,7 @@ func TestDistributedClusterSpanningPartitions(t *testing.T) {
 			Coords: []float64{x, 50 + rng.NormFloat64()*0.5},
 		})
 	}
-	res, err := ClusterDistributed(pts, testParams, Options{NumPartitions: 36, NumReducers: 6, Seed: 9})
+	res, err := ClusterDistributed(pts, testParams, core.AreaOptions{NumPartitions: 36, NumReducers: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 		if want.NumClusters != blobs {
 			t.Fatalf("trial %d: centralized found %d clusters, want %d", trial, want.NumClusters, blobs)
 		}
-		got, err := ClusterDistributed(pts, testParams, Options{NumPartitions: 25, NumReducers: 5, Seed: int64(trial)})
+		got, err := ClusterDistributed(pts, testParams, core.AreaOptions{NumPartitions: 25, NumReducers: 5, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,11 +352,11 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 }
 
 func TestDistributedValidation(t *testing.T) {
-	if _, err := ClusterDistributed(nil, testParams, Options{}); err == nil {
+	if _, err := ClusterDistributed(nil, testParams, core.AreaOptions{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	pts := []geom.Point{{ID: 1, Coords: []float64{0, 0}}}
-	if _, err := ClusterDistributed(pts, Params{Eps: -1, MinPts: 2}, Options{}); err == nil {
+	if _, err := ClusterDistributed(pts, Params{Eps: -1, MinPts: 2}, core.AreaOptions{}); err == nil {
 		t.Error("bad params accepted")
 	}
 }

@@ -2,33 +2,12 @@ package dbscan
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"dod/internal/codec"
-	"dod/internal/detect"
+	"dod/internal/core"
 	"dod/internal/geom"
 	"dod/internal/mapreduce"
-	"dod/internal/plan"
-	"dod/internal/sample"
 )
-
-// Options control the distributed execution.
-type Options struct {
-	NumPartitions int // uniSpace grid cells; default 16
-	NumReducers   int // reduce tasks; default 4
-	Parallelism   int
-	Seed          int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.NumPartitions < 1 {
-		o.NumPartitions = 16
-	}
-	if o.NumReducers < 1 {
-		o.NumReducers = 4
-	}
-	return o
-}
 
 // fact flag bits.
 const (
@@ -75,97 +54,31 @@ func decodeFact(partition int, buf []byte) (localLabel, error) {
 	}, nil
 }
 
-// ClusterDistributed runs DBSCAN as one MapReduce job over a uniSpace
-// partition plan with eps supporting areas — the adaptation of the DOD
-// framework that Sec. III-B describes. The result is identical to
-// Cluster's up to cluster renumbering and the inherent DBSCAN border-point
-// ambiguity.
-func ClusterDistributed(points []geom.Point, params Params, opts Options) (*Result, error) {
+// ClusterDistributed runs DBSCAN as core's supporting-area job with eps
+// supporting areas — the adaptation of the DOD framework that Sec. III-B
+// describes. The result is identical to Cluster's up to cluster
+// renumbering and the inherent DBSCAN border-point ambiguity.
+func ClusterDistributed(points []geom.Point, params Params, opts core.AreaOptions) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("dbscan: empty dataset")
-	}
-	opts = opts.withDefaults()
-
-	domain := geom.Bounds(points)
-
-	// uniSpace plan with SupportR = eps. The planner only needs the domain
-	// from the histogram.
-	histGrid := geom.NewGrid(domain, dims(domain.Dim(), 8))
-	hist := &sample.Histogram{Grid: histGrid, Counts: make([]float64, histGrid.NumCells()), Rate: 1}
-	pl, err := plan.UniSpace.Build(hist, plan.Options{
-		NumReducers:   opts.NumReducers,
-		NumPartitions: opts.NumPartitions,
-		Params:        detect.Params{R: params.Eps, K: 1},
-		Detector:      detect.CellBased,
-	})
+	job, err := core.NewAreaJob(points, params.Eps, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// Input splits.
-	var splits []mapreduce.Split
-	const perSplit = 8192
-	for i := 0; i < len(points); i += perSplit {
-		j := i + perSplit
-		if j > len(points) {
-			j = len(points)
-		}
-		splits = append(splits, mapreduce.Split{
-			Name: fmt.Sprintf("dbscan-%06d", i/perSplit),
-			Data: codec.EncodePoints(points[i:j]),
-		})
-	}
-
-	mapper := mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-		pts, err := codec.DecodePoints(split.Data)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			core, supports := pl.Locate(p)
-			emit(uint64(core), codec.AppendTaggedPoint(nil, codec.TagCore, p))
-			for _, s := range supports {
-				emit(uint64(s), codec.AppendTaggedPoint(nil, codec.TagSupport, p))
-			}
-		}
-		return nil
-	})
-
-	reducer := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
-		var core, support []geom.Point
-		for _, v := range values {
-			tag, p, _, err := codec.DecodeTaggedPoint(v)
-			if err != nil {
-				return err
-			}
-			if tag == codec.TagCore {
-				core = append(core, p)
-			} else {
-				support = append(support, p)
-			}
-		}
-		facts, _ := clusterLocal(core, support, params)
+	out, err := job.Run(func(key uint64, home, support []geom.Point, emit mapreduce.Emit) error {
+		facts, _ := clusterLocal(home, support, params)
 		for _, f := range facts {
 			emit(key, encodeFact(f))
 		}
 		return nil
 	})
-
-	res, err := mapreduce.Run(mapreduce.Config{
-		NumReducers: pl.NumReducers,
-		Parallelism: opts.Parallelism,
-		Partitioner: func(key uint64, n int) int { return pl.ReducerFor(key) },
-		Seed:        opts.Seed,
-	}, splits, mapper, reducer)
 	if err != nil {
 		return nil, err
 	}
 
 	perPoint := make(map[uint64][]localLabel, len(points))
-	for _, pair := range res.Output {
+	for _, pair := range out {
 		f, err := decodeFact(int(pair.Key), pair.Value)
 		if err != nil {
 			return nil, err
@@ -173,12 +86,4 @@ func ClusterDistributed(points []geom.Point, params Params, opts Options) (*Resu
 		perPoint[f.pointID] = append(perPoint[f.pointID], f)
 	}
 	return reconcile(perPoint), nil
-}
-
-func dims(d, per int) []int {
-	out := make([]int, d)
-	for i := range out {
-		out[i] = per
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dod/internal/core"
 	"dod/internal/dbscan"
 	"dod/internal/knn"
 	"dod/internal/loci"
@@ -20,6 +21,7 @@ import (
 func Generality(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
 	pts := synth.Segment(synth.Massachusetts, cfg.SegmentN, cfg.Seed+500)
+	opts := core.AreaOptions{NumPartitions: cfg.Partitions, NumReducers: cfg.Reducers, Seed: cfg.Seed}
 
 	fig := &Figure{
 		ID:     "Generality",
@@ -45,9 +47,7 @@ func Generality(cfg Config) (*Figure, error) {
 		return nil, fmt.Errorf("dbscan centralized: %w", err)
 	}
 	dSec, err := timed(func() error {
-		res, err := dbscan.ClusterDistributed(pts, dbscan.Params{Eps: 5, MinPts: 4}, dbscan.Options{
-			NumPartitions: cfg.Partitions, NumReducers: cfg.Reducers, Seed: cfg.Seed,
-		})
+		res, err := dbscan.ClusterDistributed(pts, dbscan.Params{Eps: 5, MinPts: 4}, opts)
 		if err == nil {
 			distClusters = res.NumClusters
 		}
@@ -75,9 +75,7 @@ func Generality(cfg Config) (*Figure, error) {
 		return nil, fmt.Errorf("loci centralized: %w", err)
 	}
 	dSec, err = timed(func() error {
-		distLOCI, err = loci.DetectDistributed(pts, lociParams, loci.Options{
-			NumPartitions: cfg.Partitions, NumReducers: cfg.Reducers, Seed: cfg.Seed,
-		})
+		distLOCI, err = loci.DetectDistributed(pts, lociParams, opts)
 		return err
 	})
 	if err != nil {
@@ -101,9 +99,7 @@ func Generality(cfg Config) (*Figure, error) {
 		return nil, fmt.Errorf("knn centralized: %w", err)
 	}
 	dSec, err = timed(func() error {
-		distKNN, err = knn.TopNDistributed(pts, knnParams, knn.Options{
-			NumPartitions: cfg.Partitions, NumReducers: cfg.Reducers, Seed: cfg.Seed,
-		})
+		distKNN, err = knn.TopNDistributed(pts, knnParams, 0, opts)
 		return err
 	})
 	if err != nil {

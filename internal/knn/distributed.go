@@ -7,34 +7,10 @@ import (
 	"sort"
 
 	"dod/internal/codec"
-	"dod/internal/detect"
+	"dod/internal/core"
 	"dod/internal/geom"
 	"dod/internal/mapreduce"
-	"dod/internal/plan"
-	"dod/internal/sample"
 )
-
-// Options control the distributed execution.
-type Options struct {
-	// SupportRadius is the round-1 supporting-area extension s. Zero
-	// auto-tunes to roughly twice the expected uniform kNN distance, which
-	// makes most points' round-1 values exact.
-	SupportRadius float64
-	NumPartitions int // uniSpace grid cells; default 16
-	NumReducers   int // reduce tasks; default 4
-	Parallelism   int
-	Seed          int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.NumPartitions < 1 {
-		o.NumPartitions = 16
-	}
-	if o.NumReducers < 1 {
-		o.NumReducers = 4
-	}
-	return o
-}
 
 // Round-1 output kinds.
 const (
@@ -59,59 +35,36 @@ func decodeRound1(buf []byte) (kind byte, p geom.Point, dist float64, err error)
 }
 
 // TopNDistributed computes the exact top-n kNN outliers with the two-round
-// supporting-area algorithm described in the package comment.
-func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlier, error) {
+// supporting-area algorithm described in the package comment. Round 1 is
+// core's supporting-area job with supporting radius s; zero auto-tunes s
+// to roughly twice the expected uniform kNN distance, which makes most
+// points' round-1 values exact. Round 2 runs on the same plan, splits and
+// engine configuration.
+func TopNDistributed(points []geom.Point, params Params, s float64, opts core.AreaOptions) ([]Outlier, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if len(points) <= params.K {
 		return nil, fmt.Errorf("knn: need more than k=%d points, got %d", params.K, len(points))
 	}
-	opts = opts.withDefaults()
-	domain := geom.Bounds(points)
-	s := opts.SupportRadius
 	if s <= 0 {
 		// ≈ 2× the expected kNN distance under uniformity.
-		area := domain.AreaEps(1e-9)
+		area := geom.Bounds(points).AreaEps(1e-9)
 		s = 2 * math.Sqrt(float64(params.K)*area/(math.Pi*float64(len(points))))
 	}
-
-	dims := make([]int, domain.Dim())
-	for i := range dims {
-		dims[i] = 8
-	}
-	histGrid := geom.NewGrid(domain, dims)
-	hist := &sample.Histogram{Grid: histGrid, Counts: make([]float64, histGrid.NumCells()), Rate: 1}
-	pl, err := plan.UniSpace.Build(hist, plan.Options{
-		NumReducers:   opts.NumReducers,
-		NumPartitions: opts.NumPartitions,
-		Params:        detect.Params{R: s, K: 1},
-		Detector:      detect.CellBased,
-	})
+	job, err := core.NewAreaJob(points, s, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	splits := pointSplits(points, "knn")
-	mrCfg := mapreduce.Config{
-		NumReducers: pl.NumReducers,
-		Parallelism: opts.Parallelism,
-		Partitioner: func(key uint64, n int) int { return pl.ReducerFor(key) },
-		Seed:        opts.Seed,
-	}
+	pl := job.Plan
 
 	// ---- Round 1: local kNN distances over core ∪ support ----
-	mapper1 := locateMapper(pl)
-	reducer1 := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
-		core, support, err := decodeGroup(values)
-		if err != nil {
-			return err
-		}
-		pool := make([]geom.Point, 0, len(core)+len(support))
-		pool = append(pool, core...)
+	out1, err := job.Run(func(key uint64, home, support []geom.Point, emit mapreduce.Emit) error {
+		pool := make([]geom.Point, 0, len(home)+len(support))
+		pool = append(pool, home...)
 		pool = append(pool, support...)
 		tree := buildKD(pool, 0)
-		for _, p := range core {
+		for _, p := range home {
 			d, ok := knnDistance(tree, p, params.K)
 			switch {
 			case ok && d <= s:
@@ -125,7 +78,6 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 		}
 		return nil
 	})
-	res1, err := mapreduce.Run(mrCfg, splits, mapper1, reducer1)
 	if err != nil {
 		return nil, fmt.Errorf("knn: round 1: %w", err)
 	}
@@ -136,7 +88,7 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 		ub    float64
 	}
 	var cands []cand
-	for _, pair := range res1.Output {
+	for _, pair := range out1 {
 		kind, p, dist, err := decodeRound1(pair.Value)
 		if err != nil {
 			return nil, err
@@ -155,7 +107,7 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 			candBuf = binary.LittleEndian.AppendUint64(candBuf, math.Float64bits(c.ub))
 			candBuf = codec.AppendPoint(candBuf, c.point)
 		}
-		splits2 := append(append([]mapreduce.Split(nil), splits...), mapreduce.Split{
+		splits2 := append(append([]mapreduce.Split(nil), job.Splits...), mapreduce.Split{
 			Name: "knn-candidates",
 			Data: candBuf,
 		})
@@ -191,13 +143,13 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 				return err
 			}
 			for _, p := range pts {
-				core, _ := pl.Locate(p)
-				emit(uint64(core), codec.AppendTaggedPoint(nil, codec.TagCore, p))
+				home, _ := pl.Locate(p)
+				emit(uint64(home), codec.AppendTaggedPoint(nil, codec.TagCore, p))
 			}
 			return nil
 		})
 		reducer2 := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
-			var core []geom.Point
+			var home []geom.Point
 			var routed []geom.Point
 			for _, v := range values {
 				if len(v) > 0 && v[0] == recCandidate {
@@ -215,9 +167,9 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 				if tag != codec.TagCore {
 					return fmt.Errorf("knn: unexpected tag %d in round 2", tag)
 				}
-				core = append(core, p)
+				home = append(home, p)
 			}
-			tree := buildKD(core, 0)
+			tree := buildKD(home, 0)
 			for _, c := range routed {
 				best := &distHeap{}
 				tree.kNearest(c, params.K, best)
@@ -231,7 +183,7 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 			}
 			return nil
 		})
-		res2, err := mapreduce.Run(mrCfg, splits2, mapper2, reducer2)
+		res2, err := mapreduce.Run(job.Config, splits2, mapper2, reducer2)
 		if err != nil {
 			return nil, fmt.Errorf("knn: round 2: %w", err)
 		}
@@ -276,56 +228,6 @@ func TopNDistributed(points []geom.Point, params Params, opts Options) ([]Outlie
 		outliers = outliers[:params.N]
 	}
 	return outliers, nil
-}
-
-// locateMapper emits core/support records per the plan — the standard DOD
-// map function.
-func locateMapper(pl *plan.Plan) mapreduce.MapperFunc {
-	return func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-		pts, err := codec.DecodePoints(split.Data)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			core, supports := pl.Locate(p)
-			emit(uint64(core), codec.AppendTaggedPoint(nil, codec.TagCore, p))
-			for _, s := range supports {
-				emit(uint64(s), codec.AppendTaggedPoint(nil, codec.TagSupport, p))
-			}
-		}
-		return nil
-	}
-}
-
-func decodeGroup(values [][]byte) (core, support []geom.Point, err error) {
-	for _, v := range values {
-		tag, p, _, err := codec.DecodeTaggedPoint(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		if tag == codec.TagCore {
-			core = append(core, p)
-		} else {
-			support = append(support, p)
-		}
-	}
-	return core, support, nil
-}
-
-func pointSplits(points []geom.Point, prefix string) []mapreduce.Split {
-	const perSplit = 8192
-	var splits []mapreduce.Split
-	for i := 0; i < len(points); i += perSplit {
-		j := i + perSplit
-		if j > len(points) {
-			j = len(points)
-		}
-		splits = append(splits, mapreduce.Split{
-			Name: fmt.Sprintf("%s-%06d", prefix, i/perSplit),
-			Data: codec.EncodePoints(points[i:j]),
-		})
-	}
-	return splits
 }
 
 // rectDist is the distance from p to the nearest point of rect.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"dod/internal/core"
 	"dod/internal/geom"
 )
 
@@ -137,8 +138,8 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []float64{0, 1, 5, 30} { // 0 = auto
-		got, err := TopNDistributed(pts, params, Options{
-			SupportRadius: s, NumPartitions: 16, NumReducers: 4, Seed: 7,
+		got, err := TopNDistributed(pts, params, s, core.AreaOptions{
+			NumPartitions: 16, NumReducers: 4, Seed: 7,
 		})
 		if err != nil {
 			t.Fatalf("s=%g: %v", s, err)
@@ -156,8 +157,8 @@ func TestDistributedTinySupportForcesRoundTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TopNDistributed(pts, params, Options{
-		SupportRadius: 1e-9, NumPartitions: 9, NumReducers: 3, Seed: 9,
+	got, err := TopNDistributed(pts, params, 1e-9, core.AreaOptions{
+		NumPartitions: 9, NumReducers: 3, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TopNDistributed(pts, params, Options{
+		got, err := TopNDistributed(pts, params, 0, core.AreaOptions{
 			NumPartitions: 4 + rng.Intn(30), NumReducers: 1 + rng.Intn(6), Seed: trial,
 		})
 		if err != nil {
@@ -186,10 +187,10 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 }
 
 func TestDistributedValidation(t *testing.T) {
-	if _, err := TopNDistributed(scene(6, 10), Params{K: 50, N: 1}, Options{}); err == nil {
+	if _, err := TopNDistributed(scene(6, 10), Params{K: 50, N: 1}, 0, core.AreaOptions{}); err == nil {
 		t.Error("k >= n accepted")
 	}
-	if _, err := TopNDistributed(scene(6, 100), Params{K: 0, N: 1}, Options{}); err == nil {
+	if _, err := TopNDistributed(scene(6, 100), Params{K: 0, N: 1}, 0, core.AreaOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

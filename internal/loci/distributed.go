@@ -2,123 +2,39 @@ package loci
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"dod/internal/codec"
-	"dod/internal/detect"
+	"dod/internal/core"
 	"dod/internal/geom"
 	"dod/internal/mapreduce"
-	"dod/internal/plan"
-	"dod/internal/sample"
 )
 
-// Options control the distributed execution.
-type Options struct {
-	NumPartitions int // uniSpace grid cells; default 16
-	NumReducers   int // reduce tasks; default 4
-	Parallelism   int
-	Seed          int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.NumPartitions < 1 {
-		o.NumPartitions = 16
-	}
-	if o.NumReducers < 1 {
-		o.NumReducers = 4
-	}
-	return o
-}
-
-// DetectDistributed runs the LOCI test as one MapReduce job over a
-// uniSpace plan whose supporting areas span (1+α)r — wide enough that
-// every core point's sampling neighborhood, and every sampled neighbor's
-// counting neighborhood, is locally present. Results match Detect exactly.
-func DetectDistributed(points []geom.Point, params Params, opts Options) ([]uint64, error) {
+// DetectDistributed runs the LOCI test as core's supporting-area job with
+// supporting areas of (1+α)r — wide enough that every home point's
+// sampling neighborhood, and every sampled neighbor's counting
+// neighborhood, is locally present. Results match Detect exactly.
+func DetectDistributed(points []geom.Point, params Params, opts core.AreaOptions) ([]uint64, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("loci: empty dataset")
-	}
 	params = params.withDefaults()
-	opts = opts.withDefaults()
-
-	domain := geom.Bounds(points)
-	histGrid := geom.NewGrid(domain, dims(domain.Dim(), 8))
-	hist := &sample.Histogram{Grid: histGrid, Counts: make([]float64, histGrid.NumCells()), Rate: 1}
-	pl, err := plan.UniSpace.Build(hist, plan.Options{
-		NumReducers:   opts.NumReducers,
-		NumPartitions: opts.NumPartitions,
-		// The supporting-area radius is the only coupling to the plan
-		// layer: Def. 3.3's R here is LOCI's (1+α)r.
-		Params:   detect.Params{R: params.SupportRadius(), K: 1},
-		Detector: detect.CellBased,
-	})
+	job, err := core.NewAreaJob(points, params.SupportRadius(), opts)
 	if err != nil {
 		return nil, err
 	}
-
-	var splits []mapreduce.Split
-	const perSplit = 8192
-	for i := 0; i < len(points); i += perSplit {
-		j := i + perSplit
-		if j > len(points) {
-			j = len(points)
-		}
-		splits = append(splits, mapreduce.Split{
-			Name: fmt.Sprintf("loci-%06d", i/perSplit),
-			Data: codec.EncodePoints(points[i:j]),
-		})
-	}
-
-	mapper := mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-		pts, err := codec.DecodePoints(split.Data)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			core, supports := pl.Locate(p)
-			emit(uint64(core), codec.AppendTaggedPoint(nil, codec.TagCore, p))
-			for _, s := range supports {
-				emit(uint64(s), codec.AppendTaggedPoint(nil, codec.TagSupport, p))
-			}
-		}
-		return nil
-	})
-
-	reducer := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
-		var core, support []geom.Point
-		for _, v := range values {
-			tag, p, _, err := codec.DecodeTaggedPoint(v)
-			if err != nil {
-				return err
-			}
-			if tag == codec.TagCore {
-				core = append(core, p)
-			} else {
-				support = append(support, p)
-			}
-		}
-		for _, id := range evaluate(core, support, params) {
+	out, err := job.Run(func(key uint64, home, support []geom.Point, emit mapreduce.Emit) error {
+		for _, id := range evaluate(home, support, params) {
 			emit(key, binary.AppendUvarint(nil, id))
 		}
 		return nil
 	})
-
-	res, err := mapreduce.Run(mapreduce.Config{
-		NumReducers: pl.NumReducers,
-		Parallelism: opts.Parallelism,
-		Partitioner: func(key uint64, n int) int { return pl.ReducerFor(key) },
-		Seed:        opts.Seed,
-	}, splits, mapper, reducer)
 	if err != nil {
 		return nil, err
 	}
 
-	ids := make([]uint64, 0, len(res.Output))
-	for _, pair := range res.Output {
+	ids := make([]uint64, 0, len(out))
+	for _, pair := range out {
 		id, n := binary.Uvarint(pair.Value)
 		if n <= 0 {
 			return nil, codec.ErrTruncated
@@ -127,12 +43,4 @@ func DetectDistributed(points []geom.Point, params Params, opts Options) ([]uint
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, nil
-}
-
-func dims(d, per int) []int {
-	out := make([]int, d)
-	for i := range out {
-		out[i] = per
-	}
-	return out
 }

@@ -70,72 +70,6 @@ func (p Params) SupportRadius() float64 {
 	return p.R * (1 + p.Alpha)
 }
 
-// index is a grid over the point set for fixed-radius counting.
-type index struct {
-	grid   *geom.Grid
-	cells  map[int][]int
-	points []geom.Point
-}
-
-func newIndex(points []geom.Point, cellWidth float64) *index {
-	// Size the map for occupied cells, not points: on dense data many
-	// points share a cell, so a len(points) hint overallocates buckets.
-	hint := len(points)/8 + 1
-	ix := &index{
-		grid:   newGridByWidth(geom.Bounds(points), cellWidth),
-		cells:  make(map[int][]int, hint),
-		points: points,
-	}
-	for i, p := range points {
-		ord := ix.grid.CellOrdinal(p)
-		ix.cells[ord] = append(ix.cells[ord], i)
-	}
-	return ix
-}
-
-// newGridByWidth builds a grid that tiles the domain exactly with equal
-// cells at most `width` wide in every dimension: unless the extent is a
-// multiple of `width`, the cells come out NARROWER than asked. That is safe
-// only because within derives its ring radius from the grid's actual
-// CellWidth, never from the nominal width.
-func newGridByWidth(domain geom.Rect, width float64) *geom.Grid {
-	if width <= 0 {
-		panic("loci: newGridByWidth requires width > 0")
-	}
-	dims := make([]int, domain.Dim())
-	for i := range dims {
-		extent := domain.Max[i] - domain.Min[i]
-		n := int(extent / width)
-		if float64(n)*width < extent {
-			n++
-		}
-		if n < 1 {
-			n = 1
-		}
-		dims[i] = n
-	}
-	return geom.NewGrid(domain, dims)
-}
-
-// within calls fn for every point index within dist of p.
-func (ix *index) within(p geom.Point, dist float64, fn func(j int)) {
-	radius := int(math.Ceil(dist / ix.grid.CellWidth(0)))
-	// Cell widths are equal across dimensions for by-width grids except on
-	// degenerate domains; take the most conservative radius.
-	for d := 1; d < ix.grid.Domain.Dim(); d++ {
-		if r := int(math.Ceil(dist / ix.grid.CellWidth(d))); r > radius {
-			radius = r
-		}
-	}
-	ix.grid.Neighborhood(ix.grid.CellCoords(p), radius, func(ord int) {
-		for _, j := range ix.cells[ord] {
-			if geom.WithinDist(p, ix.points[j], dist) {
-				fn(j)
-			}
-		}
-	})
-}
-
 // Detect runs the centralized LOCI test and returns outlier IDs, sorted.
 func Detect(points []geom.Point, params Params) ([]uint64, error) {
 	if err := params.Validate(); err != nil {
@@ -149,28 +83,29 @@ func Detect(points []geom.Point, params Params) ([]uint64, error) {
 	return ids, nil
 }
 
-// detect evaluates the LOCI test for the core points with core ∪ support
-// as context. Support points must cover the (1+α)r expansion for the
-// verdicts to equal the centralized ones.
+// evaluate runs the LOCI test for the core points with core ∪ support as
+// context. Support points must cover the (1+α)r expansion for the verdicts
+// to equal the centralized ones.
 func evaluate(core, support []geom.Point, params Params) []uint64 {
 	all := make([]geom.Point, 0, len(core)+len(support))
 	all = append(all, core...)
 	all = append(all, support...)
-	ix := newIndex(all, params.Alpha*params.R)
+	ix := geom.NewCellIndex(all, params.Alpha*params.R)
 
 	// Pass 1: n(q, αr) for every pool point.
 	alphaCount := make([]float64, len(all))
 	for i, p := range all {
 		count := 0
-		ix.within(p, params.Alpha*params.R, func(int) { count++ })
+		ix.Within(p, params.Alpha*params.R, func(int) { count++ })
 		alphaCount[i] = float64(count) // includes the point itself
 	}
 
-	// Pass 2: the MDEF test for core points.
+	// Pass 2: the MDEF test for core points. The sums are of integers, so
+	// the order Within visits neighbors in cannot change them.
 	var outliers []uint64
 	for i := range core {
 		var sum, sumSq, n float64
-		ix.within(all[i], params.R, func(j int) {
+		ix.Within(all[i], params.R, func(j int) {
 			c := alphaCount[j]
 			sum += c
 			sumSq += c * c

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dod/internal/core"
 	"dod/internal/geom"
 )
 
@@ -136,7 +137,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal("fixture has no outliers; equivalence test would be vacuous")
 	}
 	for _, partitions := range []int{4, 16, 49} {
-		got, err := DetectDistributed(points, testParams, Options{
+		got, err := DetectDistributed(points, testParams, core.AreaOptions{
 			NumPartitions: partitions, NumReducers: 4, Seed: 7,
 		})
 		if err != nil {
@@ -162,7 +163,7 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DetectDistributed(pts, testParams, Options{NumPartitions: 25, NumReducers: 5, Seed: trial})
+		got, err := DetectDistributed(pts, testParams, core.AreaOptions{NumPartitions: 25, NumReducers: 5, Seed: trial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,37 +174,11 @@ func TestDistributedRandomizedEquivalence(t *testing.T) {
 }
 
 func TestDistributedValidation(t *testing.T) {
-	if _, err := DetectDistributed(nil, testParams, Options{}); err == nil {
+	if _, err := DetectDistributed(nil, testParams, core.AreaOptions{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	pts := []geom.Point{{ID: 1, Coords: []float64{0, 0}}}
-	if _, err := DetectDistributed(pts, Params{R: -1}, Options{}); err == nil {
+	if _, err := DetectDistributed(pts, Params{R: -1}, core.AreaOptions{}); err == nil {
 		t.Error("bad params accepted")
-	}
-}
-
-func r2(x1, y1, x2, y2 float64) geom.Rect {
-	return geom.NewRect([]float64{x1, y1}, []float64{x2, y2})
-}
-
-func TestNewGridByWidth(t *testing.T) {
-	g := newGridByWidth(r2(0, 0, 10, 4), 3)
-	if g.Dims[0] != 4 || g.Dims[1] != 2 {
-		t.Fatalf("dims = %v, want [4 2]", g.Dims)
-	}
-	// exact division should not add an extra cell
-	g2 := newGridByWidth(r2(0, 0, 9, 9), 3)
-	if g2.Dims[0] != 3 || g2.Dims[1] != 3 {
-		t.Fatalf("dims = %v, want [3 3]", g2.Dims)
-	}
-}
-
-func TestNewGridByWidthDegenerateDomain(t *testing.T) {
-	g := newGridByWidth(r2(5, 0, 5, 10), 2) // zero extent in x
-	if g.Dims[0] != 1 {
-		t.Fatalf("zero-extent dimension should get 1 cell, got %d", g.Dims[0])
-	}
-	if got := g.CellCoords(geom.Point{Coords: []float64{5, 3}})[0]; got != 0 {
-		t.Fatalf("point in degenerate dim should map to cell 0, got %d", got)
 	}
 }
