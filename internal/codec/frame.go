@@ -137,6 +137,22 @@ func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// CloseFrame turns the payload appended to dst since start into one frame
+// of the given kind, in place: the result holds exactly the bytes of
+// AppendFrame(dst[:start], kind, payload), without a payload buffer of its
+// own. Encoders that build a frame's payload with an Append function write
+// it straight into the body and close it here.
+func CloseFrame(dst []byte, start int, kind byte) []byte {
+	n := len(dst) - start
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = kind
+	h := 1 + binary.PutUvarint(hdr[1:], uint64(n))
+	dst = append(dst, hdr[:h]...)
+	copy(dst[start+h:], dst[start:start+n])
+	copy(dst[start:], hdr[:h])
+	return dst
+}
+
 // DecodeFrame decodes one frame from the front of buf, returning the kind,
 // the payload (aliasing buf), and the bytes consumed. An empty buf returns
 // ErrTruncated — iterate frames until the buffer is exhausted.

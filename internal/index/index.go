@@ -318,44 +318,6 @@ func (ix *Index) readCellCoords(cc []int64, fn func(pts []geom.Point)) {
 	sh.mu.RUnlock()
 }
 
-// RingCells calls fn with the integer coordinates of every cell whose
-// Chebyshev distance from center is exactly radius (or, for radius 0, the
-// center itself). The coordinate slice is reused between calls; callers
-// that retain it must copy.
-//
-// Cell coordinates near the int64 extremes are handled without overflow:
-// an offset that would land beyond MinInt64/MaxInt64 names a cell that
-// cannot exist in the coordinate space and is skipped rather than wrapped
-// (wrapping would alias a far-away cell and corrupt neighbor counts).
-func RingCells(center []int64, radius int, fn func(cell []int64)) {
-	if radius == 0 {
-		fn(center)
-		return
-	}
-	cur := make([]int64, len(center))
-	var rec func(dim int, onSurface bool)
-	rec = func(dim int, onSurface bool) {
-		if dim == len(center) {
-			if onSurface {
-				fn(cur)
-			}
-			return
-		}
-		v := center[dim]
-		for off := -radius; off <= radius; off++ {
-			if off < 0 && v < math.MinInt64+int64(-off) {
-				continue // below the representable cell space
-			}
-			if off > 0 && v > math.MaxInt64-int64(off) {
-				continue // above the representable cell space
-			}
-			cur[dim] = v + int64(off)
-			rec(dim+1, onSurface || off == -radius || off == radius)
-		}
-	}
-	rec(0, false)
-}
-
 // NeighborCount counts points within distance r of p (excluding any point
 // sharing p's ID), early-terminating once the count reaches limit. It
 // returns min(true count, limit). With limit = k this decides the
@@ -373,18 +335,6 @@ func (ix *Index) NeighborCount(p geom.Point, limit int) (int, error) {
 // together on one shard, and a point's verdict depends only on cells
 // within Chebyshev distance ⌈2√d⌉ of its own (Lemma 3.1).
 func (ix *Index) CellCoords(p geom.Point) []int64 { return ix.coords(p) }
-
-// NeighborhoodCells calls fn with every cell coordinate whose Chebyshev
-// distance from p's cell is at most the L2 cutoff — the complete set of
-// cells that can contain neighbors of p. The slice passed to fn is reused;
-// copy it to retain. Enumeration order is deterministic (ring by ring,
-// lexicographic within a ring).
-func (ix *Index) NeighborhoodCells(p geom.Point, fn func(cell []int64)) {
-	center := ix.coords(p)
-	for radius := 0; radius <= ix.l2; radius++ {
-		RingCells(center, radius, fn)
-	}
-}
 
 // ChebDist returns the Chebyshev (L∞) distance between two cell coordinate
 // vectors, saturating at math.MaxUint64 rather than overflowing for cells
@@ -418,12 +368,14 @@ func ChebDist(a, b []int64) uint64 {
 // fn may be nil (pure counting). When limit > 0 and fn is nil the count
 // early-terminates at limit, mirroring NeighborCountScratch; with fn
 // non-nil the scan is always exhaustive so callers maintaining per-point
-// deltas see every neighbor.
-func (ix *Index) NeighborsInCells(p geom.Point, cells [][]int64, limit int, fn func(q geom.Point)) (int, error) {
+// deltas see every neighbor. p's cell is computed on sc, one scratch per
+// goroutine.
+func (ix *Index) NeighborsInCells(sc *CountScratch, p geom.Point, cells [][]int64, limit int, fn func(q geom.Point)) (int, error) {
 	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
-	center := ix.coords(p)
+	sc.centerOn(ix, p)
+	center := sc.center
 	count := 0
 	for _, c := range cells {
 		if fn == nil && limit > 0 && count >= limit {

@@ -125,7 +125,7 @@ func TestNeighborCountEarlyTermination(t *testing.T) {
 
 // TestNeighborsEnumeratesExactly holds the neighbor walk to the definition:
 // it reports exactly the points brute force finds within r, each once, in
-// RingCells order (ring by ring, lexicographic within a ring).
+// ring order (ring by ring, lexicographic within a ring).
 func TestNeighborsEnumeratesExactly(t *testing.T) {
 	pts := randPoints(400, 2, 8, 11)
 	const r = 1.0
@@ -140,9 +140,9 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 	}
 	sc := NewCountScratch()
 	for _, p := range pts[:50] {
-		// cellRank numbers the cells of p's neighborhood in RingCells order.
+		// cellRank numbers the cells of p's neighborhood in ring order.
 		cellRank := make(map[cellKey]int)
-		ix.NeighborhoodCells(p, func(c []int64) { cellRank[key(c)] = len(cellRank) })
+		NewCountScratch().WalkNeighborhood(ix.CellCoords(p), ix.l2, func(c []int64) { cellRank[key(c)] = len(cellRank) })
 		seen := make(map[uint64]bool)
 		last := -1
 		if err := ix.NeighborsScratch(sc, p, func(q geom.Point) {
@@ -152,7 +152,7 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 			seen[q.ID] = true
 			rank, ok := cellRank[key(ix.CellCoords(q))]
 			if !ok || rank < last {
-				t.Fatalf("NeighborsScratch(%v): point %d visited out of RingCells order (cell rank %d after %d)", p, q.ID, rank, last)
+				t.Fatalf("NeighborsScratch(%v): point %d visited out of ring order (cell rank %d after %d)", p, q.ID, rank, last)
 			}
 			last = rank
 		}); err != nil {
@@ -215,7 +215,7 @@ func TestDimensionMismatch(t *testing.T) {
 	if err := ix.NeighborsScratch(NewCountScratch(), bad, func(geom.Point) {}); err == nil {
 		t.Error("NeighborsScratch accepted mismatched dimension")
 	}
-	if _, err := ix.NeighborsInCells(bad, nil, 0, nil); err == nil {
+	if _, err := ix.NeighborsInCells(NewCountScratch(), bad, nil, 0, nil); err == nil {
 		t.Error("NeighborsInCells accepted mismatched dimension")
 	}
 	if ix.Remove(bad) {
@@ -245,7 +245,7 @@ func TestNonFinitePointRejected(t *testing.T) {
 			_, calls["NeighborCount"] = ix.NeighborCount(bad, 3)
 			_, calls["NeighborCountScratch"] = ix.NeighborCountScratch(sc, bad, 3)
 			calls["NeighborsScratch"] = ix.NeighborsScratch(sc, bad, func(geom.Point) {})
-			_, calls["NeighborsInCells"] = ix.NeighborsInCells(bad, [][]int64{{0, 0}}, 0, nil)
+			_, calls["NeighborsInCells"] = ix.NeighborsInCells(NewCountScratch(), bad, [][]int64{{0, 0}}, 0, nil)
 			for name, err := range calls {
 				if !errors.Is(err, errs.ErrBadParams) {
 					t.Errorf("%s(%v): error %v, want ErrBadParams", name, bad.Coords, err)
@@ -345,7 +345,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestRingCellsInt64Extremes exercises ring enumeration with cell
+// TestRingCellsInt64Extremes exercises the ring odometer with cell
 // coordinates at the edges of the int64 space. Offsets that would leave
 // the representable range must be skipped, not wrapped: a wrapped
 // coordinate aliases a cell at the opposite end of space and would leak
@@ -368,8 +368,11 @@ func TestRingCellsInt64Extremes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			seen := make(map[string]bool)
+			sc := NewCountScratch()
+			sc.grow(len(tc.center))
+			copy(sc.center, tc.center)
 			for radius := 0; radius <= tc.radius; radius++ {
-				RingCells(tc.center, radius, func(cell []int64) {
+				sc.ringCellsSc(radius, func(cell []int64) {
 					for d := range cell {
 						// Every emitted coordinate must be within Chebyshev
 						// distance radius of the center without wrapping.
@@ -427,14 +430,15 @@ func TestNeighborsInCellsPartition(t *testing.T) {
 			q := pts[rng.Intn(len(pts))]
 			// Collect the full neighborhood and deal cells into 3 groups.
 			groups := make([][][]int64, 3)
-			ix.NeighborhoodCells(q, func(cell []int64) {
+			sc := NewCountScratch()
+			sc.WalkNeighborhood(ix.CellCoords(q), ix.l2, func(cell []int64) {
 				g := rng.Intn(3)
 				groups[g] = append(groups[g], append([]int64(nil), cell...))
 			})
 			total := 0
 			var enumerated []uint64
 			for _, cells := range groups {
-				n, err := ix.NeighborsInCells(q, cells, 0, func(nb geom.Point) {
+				n, err := ix.NeighborsInCells(sc, q, cells, 0, func(nb geom.Point) {
 					enumerated = append(enumerated, nb.ID)
 				})
 				if err != nil {
@@ -453,7 +457,7 @@ func TestNeighborsInCellsPartition(t *testing.T) {
 			if want > 1 {
 				capped := 0
 				for _, cells := range groups {
-					n, err := ix.NeighborsInCells(q, cells, want-1, nil)
+					n, err := ix.NeighborsInCells(sc, q, cells, want-1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -41,10 +41,25 @@ func (sc *CountScratch) centerOn(ix *Index, p geom.Point) {
 	ix.cellCoordsInto(sc.center[:0], p)
 }
 
+// WalkNeighborhood calls fn with every cell within Chebyshev distance l2 of
+// center, ring by ring and lexicographically within a ring — the one
+// neighbourhood walk of both serving tiers: the window's and the index's
+// own, and the router's grouping of a point's cells by owning shard.
+// Offsets that would leave the int64 cell space are skipped, never
+// wrapped. It allocates nothing; the slice passed to fn is the scratch's,
+// so copy it to retain.
+func (sc *CountScratch) WalkNeighborhood(center []int64, l2 int, fn func(cell []int64)) {
+	sc.grow(len(center))
+	copy(sc.center, center)
+	for radius := 0; radius <= l2; radius++ {
+		sc.ringCellsSc(radius, fn)
+	}
+}
+
 // ringCellsSc enumerates the cells at exactly Chebyshev distance radius from
-// sc.center into fn, in the same lexicographic order as RingCells, using the
-// scratch's odometer instead of recursion — no closure or cursor allocation.
-// The slice passed to fn aliases sc.cur.
+// sc.center into fn, lexicographically, with the scratch's odometer — no
+// closure or cursor allocation. The slice passed to fn aliases sc.cur (or,
+// at radius 0, sc.center).
 func (sc *CountScratch) ringCellsSc(radius int, fn func(cell []int64)) {
 	if radius == 0 {
 		fn(sc.center)
@@ -187,6 +202,41 @@ func (ix *Index) NeighborCountScratch(sc *CountScratch, p geom.Point, limit int)
 	if ix.met != nil {
 		ix.met.counts.Inc()
 		ix.met.ringDepth.Observe(float64(depth))
+	}
+	return count, nil
+}
+
+// NeighborsOwnedScratch visits p's indexed neighbors in the cells of its
+// neighbourhood that owns accepts, walking the neighbourhood in place on sc
+// instead of over a list of the owned cells, and returns how many it found.
+// The acceptance rule is NeighborsInCells' — cells within Chebyshev
+// distance 1 of p's own auto-accept, farther cells get the exact distance
+// check, a point never neighbors its own ID — and so is the cell order, so
+// the count and the visit sequence are those of NeighborsInCells over the
+// owned cells in ring order. Every owned cell is probed: there is no
+// beyond-r pruning. One scratch per goroutine; it allocates nothing.
+func (ix *Index) NeighborsOwnedScratch(sc *CountScratch, p geom.Point, owns func(cell []int64) bool, fn func(q geom.Point)) (int, error) {
+	if err := ix.checkPoint(p); err != nil {
+		return 0, err
+	}
+	sc.centerOn(ix, p)
+	count := 0
+	for radius := 0; radius <= ix.l2; radius++ {
+		exact := radius > 1
+		sc.ringCellsSc(radius, func(c []int64) {
+			if !owns(c) {
+				return
+			}
+			ix.readCellCoords(c, func(pts []geom.Point) {
+				for _, q := range pts {
+					if q.ID == p.ID || exact && !geom.WithinDist(p, q, ix.r) {
+						continue
+					}
+					count++
+					fn(q)
+				}
+			})
+		})
 	}
 	return count, nil
 }

@@ -113,7 +113,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 			return nil, codec.WireErrorf("replica: truncated window op arrival")
 		}
 		op.ArrivedNs = arrived
-		if err := stream.DecodeShardOp(buf[off+n:], &op.ShardOp); err != nil {
+		if err := new(stream.Arena).DecodeShardOp(buf[off+n:], &op.ShardOp); err != nil {
 			return nil, err
 		}
 	case KindImport:

@@ -64,9 +64,10 @@ type Topology struct {
 	Vnodes int         `json:"vnodes"` // virtual nodes per shard
 	Shards []ShardInfo `json:"shards"`
 
-	once sync.Once
-	ring []ringPoint
-	side float64
+	once   sync.Once
+	ring   []ringPoint
+	side   float64
+	byName []int // indices into Shards in shard-name order
 }
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
@@ -138,6 +139,11 @@ func (t *Topology) init() {
 			// possible) never make ownership order-dependent.
 			return t.ring[i].shard < t.ring[j].shard
 		})
+		t.byName = make([]int, len(t.Shards))
+		for i := range t.byName {
+			t.byName[i] = i
+		}
+		sort.Slice(t.byName, func(i, j int) bool { return t.Shards[t.byName[i]].Name < t.Shards[t.byName[j]].Name })
 	})
 }
 
@@ -158,12 +164,17 @@ func (t *Topology) CellSide() float64 {
 // CellOf maps point coordinates to integer cell coordinates, with the same
 // floor expression the incremental index uses.
 func (t *Topology) CellOf(coords []float64) []int64 {
+	return t.cellInto(make([]int64, 0, len(coords)), coords)
+}
+
+// cellInto is CellOf appending to dst, so a caller that only walks the
+// cell's neighbourhood can keep it on the stack.
+func (t *Topology) cellInto(dst []int64, coords []float64) []int64 {
 	t.init()
-	c := make([]int64, len(coords))
-	for i, v := range coords {
-		c[i] = int64(math.Floor(v / t.side))
+	for _, v := range coords {
+		dst = append(dst, int64(math.Floor(v/t.side)))
 	}
-	return c
+	return dst
 }
 
 // floorDiv is integer division rounding toward negative infinity, so
@@ -207,16 +218,26 @@ func (t *Topology) blockHash(cell []int64) uint64 {
 // Owner returns the name of the shard owning the given cell: the first
 // virtual node at or clockwise of the cell's block hash.
 func (t *Topology) Owner(cell []int64) string {
+	if i := t.OwnerIndex(cell); i >= 0 {
+		return t.Shards[i].Name
+	}
+	return ""
+}
+
+// OwnerIndex is Owner as an index into Shards, -1 for a topology without
+// shards: the router groups a neighbourhood's cells by it, comparing
+// integers rather than names.
+func (t *Topology) OwnerIndex(cell []int64) int {
 	t.init()
 	if len(t.ring) == 0 {
-		return ""
+		return -1
 	}
 	h := t.blockHash(cell)
 	i := sort.Search(len(t.ring), func(i int) bool { return t.ring[i].hash >= h })
 	if i == len(t.ring) {
 		i = 0
 	}
-	return t.Shards[t.ring[i].shard].Name
+	return t.ring[i].shard
 }
 
 // OwnerOf returns the owning shard of the cell containing the given point

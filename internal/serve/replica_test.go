@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"dod/internal/detect"
 	"dod/internal/geom"
 	"dod/internal/index"
 	"dod/internal/replica"
@@ -173,7 +174,8 @@ func cellsAround(t *testing.T, x, y float64) [][]int64 {
 		t.Fatal(err)
 	}
 	var cells [][]int64
-	ix.NeighborhoodCells(geom.Point{Coords: []float64{x, y}}, func(c []int64) {
+	center := ix.CellCoords(geom.Point{Coords: []float64{x, y}})
+	index.NewCountScratch().WalkNeighborhood(center, detect.L2Radius(pairDim), func(c []int64) {
 		cells = append(cells, append([]int64(nil), c...))
 	})
 	return cells

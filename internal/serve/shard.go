@@ -376,7 +376,7 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 			return http.StatusBadRequest, marshalJSON(router.IngestBatchResponse{Error: err.Error(), RequestID: reqID})
 		}
 		verdicts, opErrs := s.sw.ApplyOps(ops, time.Unix(0, hdr.ArrivedNs), s.owns(topo))
-		out := router.IngestBatchResponse{RequestID: reqID}
+		out := router.IngestBatchResponse{RequestID: reqID, Results: make([]router.IngestResponse, 0, len(ops))}
 		for i := range ops {
 			switch {
 			case ops[i].Kind == stream.OpAdmit && opErrs[i] != nil:

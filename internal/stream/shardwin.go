@@ -45,7 +45,7 @@ type ShardWindow struct {
 	met *windowMetrics // nil when unobserved
 
 	mu       sync.Mutex
-	sc       *index.CountScratch // whole-neighborhood walk buffers, used when every cell is owned
+	sc       *index.CountScratch // the neighborhood walk's buffers, for every walk under mu
 	rec      OpRecorder          // nil when unreplicated
 	entries  map[uint64]*entry
 	ingested uint64
@@ -136,41 +136,14 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 // Config returns the shard window configuration.
 func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
 
-// ownedCells lists the cells of p's neighborhood this shard owns, copying
-// coordinates (the enumeration reuses its scratch slice) into one shared
-// backing array.
-func (sw *ShardWindow) ownedCells(p geom.Point, owns OwnsFunc) (local [][]int64) {
-	var flat []int64
-	sw.ix.NeighborhoodCells(p, func(cell []int64) {
-		if !owns(cell) {
-			return
-		}
-		n := len(flat)
-		flat = append(flat, cell...)
-		local = append(local, flat[n:len(flat):len(flat)])
-	})
-	return local
-}
-
-// applyLocalDelta visits p's neighbors in the given owned cells, adjusting
-// each resident neighbor's count by delta, and returns the neighbor count
-// found. Callers hold sw.mu.
-func (sw *ShardWindow) applyLocalDelta(p geom.Point, cells [][]int64, delta int) (int, error) {
-	return sw.ix.NeighborsInCells(p, cells, 0, func(q geom.Point) {
-		e := sw.entries[q.ID]
-		if e == nil {
-			return // the probe point itself is not yet (or no longer) resident
-		}
-		sw.bump(e, delta)
-	})
-}
-
-// bumpOwned is applyLocalDelta over every cell of p's neighborhood this
-// shard owns. When it owns them all there is no cell list to build: the
-// neighborhood is walked in place, allocating nothing. Callers hold sw.mu.
+// bumpOwned visits p's neighbors in every cell of its neighborhood this
+// shard owns, adjusting each resident neighbor's count by delta, and returns
+// the neighbor count found. The neighborhood is walked in place on the
+// window's scratch, allocating nothing: with every cell owned the index's
+// pruned walk, otherwise its owned-cell walk. Callers hold sw.mu.
 func (sw *ShardWindow) bumpOwned(p geom.Point, owns OwnsFunc, delta int) (int, error) {
 	if owns != nil {
-		return sw.applyLocalDelta(p, sw.ownedCells(p, owns), delta)
+		return sw.ix.NeighborsOwnedScratch(sw.sc, p, owns, func(q geom.Point) { sw.bumpResident(q.ID, delta) })
 	}
 	n := 0
 	err := sw.ix.NeighborsScratch(sw.sc, p, func(q geom.Point) {
@@ -178,6 +151,14 @@ func (sw *ShardWindow) bumpOwned(p geom.Point, owns OwnsFunc, delta int) (int, e
 		sw.bump(sw.entries[q.ID], delta)
 	})
 	return n, err
+}
+
+// bumpResident is bump on the resident with the given ID, if there is one.
+// Callers hold sw.mu.
+func (sw *ShardWindow) bumpResident(id uint64, delta int) {
+	if e := sw.entries[id]; e != nil { // the probe point itself is not yet (or no longer) resident
+		sw.bump(e, delta)
+	}
 }
 
 // bump adjusts one resident entry's neighbor count by delta and keeps its
@@ -333,7 +314,7 @@ func (sw *ShardWindow) stepLocked(op *ShardOp, now time.Time, owns OwnsFunc) (e 
 	case OpEvict:
 		err = sw.evictLocked(op.ID, owns)
 	case OpSupport:
-		_, err = sw.applyLocalDelta(op.Point, op.Cells, op.Delta)
+		_, err = sw.ix.NeighborsInCells(sw.sc, op.Point, op.Cells, 0, func(q geom.Point) { sw.bumpResident(q.ID, op.Delta) })
 	default:
 		err = fmt.Errorf("unknown shard op kind %d", op.Kind)
 	}
@@ -375,19 +356,23 @@ func (sw *ShardWindow) evictLocked(id uint64, owns OwnsFunc) error {
 func (sw *ShardWindow) ApplySupport(p geom.Point, cells [][]int64, limit int) (int, error) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.ix.NeighborsInCells(p, cells, limit, nil)
+	return sw.ix.NeighborsInCells(sw.sc, p, cells, limit, nil)
 }
 
 // CoordsOf returns a copy of each listed resident's coordinates, in order —
 // what the router, which stores none, needs to command an eviction's
-// cross-shard half. A nil slot marks an ID that is not resident here.
+// cross-shard half. The copies are views into one array. A nil slot marks
+// an ID that is not resident here.
 func (sw *ShardWindow) CoordsOf(ids []uint64) [][]float64 {
 	out := make([][]float64, len(ids))
+	flat := make([]float64, 0, len(ids)*sw.cfg.Dim)
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	for i, id := range ids {
 		if e := sw.entries[id]; e != nil {
-			out[i] = append([]float64(nil), e.pt.Coords...)
+			lo := len(flat)
+			flat = append(flat, e.pt.Coords...)
+			out[i] = flat[lo:len(flat):len(flat)]
 		}
 	}
 	return out

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"dod/internal/detect"
 	"dod/internal/errs"
 	"dod/internal/geom"
+	"dod/internal/index"
 )
 
 // shardHarness wires N ShardWindows together in-process: ownership is a
@@ -75,6 +77,12 @@ func (h *shardHarness) owner(cell []int64) string {
 	return best
 }
 
+// neighborhood calls fn with every cell of p's neighborhood, in ring order.
+func (h *shardHarness) neighborhood(p geom.Point, fn func(cell []int64)) {
+	ix := h.shards[h.names[0]].ix
+	index.NewCountScratch().WalkNeighborhood(ix.CellCoords(p), detect.L2Radius(h.cfg.Dim), fn)
+}
+
 func (h *shardHarness) ownsFor(name string) OwnsFunc {
 	return func(cell []int64) bool { return h.owner(cell) == name }
 }
@@ -83,7 +91,7 @@ func (h *shardHarness) ownsFor(name string) OwnsFunc {
 // router's read-only support fan-out.
 func (h *shardHarness) score(q geom.Point, limit int) int {
 	byOwner := map[string][][]int64{}
-	h.shards[h.names[0]].ix.NeighborhoodCells(q, func(c []int64) {
+	h.neighborhood(q, func(c []int64) {
 		o := h.owner(c)
 		byOwner[o] = append(byOwner[o], append([]int64(nil), c...))
 	})
@@ -114,7 +122,7 @@ func (h *shardHarness) ingest(pts []geom.Point, now time.Time) ([]Verdict, []err
 	// touch files delta with every other shard owning a cell near p.
 	touch := func(p geom.Point, owner string, delta int) {
 		byOwner := map[string][][]int64{}
-		probe.ix.NeighborhoodCells(p, func(c []int64) {
+		h.neighborhood(p, func(c []int64) {
 			if o := h.owner(c); o != owner {
 				byOwner[o] = append(byOwner[o], append([]int64(nil), c...))
 			}

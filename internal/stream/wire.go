@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"time"
 
 	"dod/internal/codec"
@@ -16,6 +17,20 @@ import (
 // Callers frame and seal these payloads (internal/codec); decoders reject
 // malformed input with an errs.ErrWireFormat-family error and never allocate
 // more than the input's length allows.
+
+// Arena is the backing store of one decoded body: the coordinates of its
+// points, the coordinates of its cells and the cell headers are carved out
+// of three slabs that grow by appending, instead of a slice or two per
+// record. What an Arena hands out never aliases the input and is never
+// written again, so it stays valid for as long as anything refers to it. A
+// body of n records decodes in O(log n) allocations, and never allocates
+// more than a constant times its length. The zero value is ready; use one
+// Arena per body, from one goroutine.
+type Arena struct {
+	coords []float64
+	ints   []int64
+	cells  [][]int64
+}
 
 // AppendShardOp appends op: a kind byte, then for OpAdmit a codec point
 // record, uvarint sequence number and uvarint settled foreign neighbor
@@ -38,14 +53,14 @@ func AppendShardOp(dst []byte, op *ShardOp) []byte {
 	return dst
 }
 
-// DecodeShardOp parses an AppendShardOp payload into op. Nothing in op
-// aliases raw.
-func DecodeShardOp(raw []byte, op *ShardOp) error {
+// DecodeShardOp parses an AppendShardOp payload into op, its point and
+// cells on the arena. Nothing in op aliases raw.
+func (a *Arena) DecodeShardOp(raw []byte, op *ShardOp) error {
 	if len(raw) == 0 {
 		return codec.WireErrorf("stream: empty op")
 	}
 	*op = ShardOp{Kind: ShardOpKind(raw[0])}
-	r := wireReader{buf: raw[1:]}
+	r := wireReader{buf: raw[1:], a: a}
 	switch op.Kind {
 	case OpAdmit:
 		op.Point = r.point()
@@ -82,12 +97,19 @@ func AppendCells(dst []byte, dim int, cells [][]int64) []byte {
 
 // DecodeCells parses an AppendCells payload whose cells must have dimension
 // dim, the dimension of the point they surround (the index walks a cell
-// against the point's own, coordinate by coordinate). The cells share one
-// backing array.
-func DecodeCells(payload []byte, dim int) ([][]int64, error) {
-	r := wireReader{buf: payload}
+// against the point's own, coordinate by coordinate), onto the arena.
+func (a *Arena) DecodeCells(payload []byte, dim int) ([][]int64, error) {
+	r := wireReader{buf: payload, a: a}
 	cells := r.cells(dim)
 	return cells, r.err
+}
+
+// DecodePoint parses one codec point record from the front of buf, its
+// coordinates on the arena, and returns it with the bytes consumed.
+func (a *Arena) DecodePoint(buf []byte) (geom.Point, int, error) {
+	r := wireReader{buf: buf, a: a}
+	p := r.point()
+	return p, r.off, r.err
 }
 
 // AppendEntry appends one window entry: a codec point record, uvarint
@@ -105,9 +127,10 @@ func AppendEntry(dst []byte, e ExportedEntry) []byte {
 }
 
 // DecodeEntry parses one AppendEntry record from the front of buf and
-// returns it with the number of bytes consumed.
+// returns it with the number of bytes consumed. Its point's coordinates are
+// a slice of their own: an entry outlives the body it came in.
 func DecodeEntry(buf []byte) (ExportedEntry, int, error) {
-	r := wireReader{buf: buf}
+	r := wireReader{buf: buf, a: new(Arena)}
 	e := ExportedEntry{
 		Point:   r.point(),
 		Seq:     r.uvarint("entry seq"),
@@ -126,11 +149,13 @@ func DecodeEntry(buf []byte) (ExportedEntry, int, error) {
 
 // wireReader is a decode cursor with a sticky error: after the first
 // malformed field every read is a no-op returning zero, so a decoder reads
-// its fields in layout order and checks err once.
+// its fields in layout order and checks err once. Points and cells land on
+// the arena.
 type wireReader struct {
 	buf []byte
 	off int
 	err error
+	a   *Arena
 }
 
 func (r *wireReader) fail(format string, args ...any) {
@@ -180,7 +205,8 @@ func (r *wireReader) point() geom.Point {
 	if r.err != nil {
 		return geom.Point{}
 	}
-	p, n, err := codec.DecodePoint(r.buf[r.off:])
+	p, slab, n, err := codec.DecodePointAppend(r.a.coords, r.buf[r.off:])
+	r.a.coords = slab
 	if err != nil {
 		r.err = err
 		return geom.Point{}
@@ -199,22 +225,30 @@ func (r *wireReader) cells(want int) [][]int64 {
 		r.fail("stream: bad cell list dimension %d for a %d-d point", dim, want)
 		return nil
 	}
-	// Every coordinate is at least one byte, which bounds both allocations
+	// Every coordinate is at least one byte, which bounds both slab growths
 	// below by the input's length.
 	if count > uint64(len(r.buf)-r.off)/dim {
 		r.fail("stream: cell count %d exceeds buffer", count)
 		return nil
 	}
-	flat := make([]int64, count*dim)
-	for i := range flat {
-		flat[i] = r.varint("cell coordinate")
+	if count == 0 {
+		return [][]int64{}
+	}
+	a := r.a
+	lo := len(a.ints)
+	a.ints = slices.Grow(a.ints, int(count*dim))
+	for i := uint64(0); i < count*dim; i++ {
+		a.ints = append(a.ints, r.varint("cell coordinate"))
 	}
 	if r.err != nil {
+		a.ints = a.ints[:lo]
 		return nil
 	}
-	cells := make([][]int64, count)
-	for i := range cells {
-		cells[i] = flat[uint64(i)*dim : uint64(i+1)*dim : uint64(i+1)*dim]
+	flat := a.ints[lo:]
+	hlo := len(a.cells)
+	a.cells = slices.Grow(a.cells, int(count))
+	for i := uint64(0); i < count; i++ {
+		a.cells = append(a.cells, flat[i*dim:(i+1)*dim:(i+1)*dim])
 	}
-	return cells
+	return a.cells[hlo:len(a.cells):len(a.cells)]
 }

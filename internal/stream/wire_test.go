@@ -56,7 +56,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 	for i, op := range wireOps() {
 		enc := AppendShardOp(nil, &op)
 		var got ShardOp
-		if err := DecodeShardOp(enc, &got); err != nil {
+		if err := new(Arena).DecodeShardOp(enc, &got); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, op) {
@@ -82,14 +82,14 @@ func TestShardWireRoundTrip(t *testing.T) {
 		if len(cells) > 0 {
 			dim = len(cells[0])
 		}
-		got, err := DecodeCells(AppendCells(nil, dim, cells), dim)
+		got, err := new(Arena).DecodeCells(AppendCells(nil, dim, cells), dim)
 		if err != nil || !reflect.DeepEqual(got, cells) {
 			t.Fatalf("cells round trip: got %v err %v, want %v", got, err, cells)
 		}
 	}
 	// Decoded cells share a backing array but not capacity: appending to one
 	// must not overwrite its neighbor.
-	got, _ := DecodeCells(AppendCells(nil, 2, wireCells), 2)
+	got, _ := new(Arena).DecodeCells(AppendCells(nil, 2, wireCells), 2)
 	_ = append(got[0], 99)
 	if !reflect.DeepEqual(got, wireCells) {
 		t.Fatalf("append to a decoded cell clobbered the next: %v", got)
@@ -125,7 +125,7 @@ func TestShardWireRejectsMalformed(t *testing.T) {
 	}
 	for name, raw := range ops {
 		var op ShardOp
-		if err := DecodeShardOp(raw, &op); !errors.Is(err, errs.ErrWireFormat) {
+		if err := new(Arena).DecodeShardOp(raw, &op); !errors.Is(err, errs.ErrWireFormat) {
 			t.Errorf("op %s: err = %v, want a wire-format error", name, err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestShardWireRejectsMalformed(t *testing.T) {
 		enc := AppendShardOp(nil, &op)
 		for cut := range enc {
 			var got ShardOp
-			if err := DecodeShardOp(enc[:cut], &got); !errors.Is(err, errs.ErrWireFormat) {
+			if err := new(Arena).DecodeShardOp(enc[:cut], &got); !errors.Is(err, errs.ErrWireFormat) {
 				t.Fatalf("op %d cut at %d/%d: err = %v", i, cut, len(enc), err)
 			}
 		}
@@ -155,7 +155,7 @@ func TestShardWireRejectsMalformed(t *testing.T) {
 	}
 	enc := AppendCells(nil, 2, wireCells)
 	for cut := range enc {
-		if _, err := DecodeCells(enc[:cut], 2); !errors.Is(err, errs.ErrWireFormat) {
+		if _, err := new(Arena).DecodeCells(enc[:cut], 2); !errors.Is(err, errs.ErrWireFormat) {
 			t.Fatalf("cells cut at %d/%d: err = %v", cut, len(enc), err)
 		}
 	}
@@ -231,8 +231,8 @@ func FuzzShardWire(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var op ShardOp
-		opErr := DecodeShardOp(data, &op)
-		cells, cellsErr := DecodeCells(data, cellDim)
+		opErr := new(Arena).DecodeShardOp(data, &op)
+		cells, cellsErr := new(Arena).DecodeCells(data, cellDim)
 		entry, n, entryErr := DecodeEntry(data)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit {
@@ -248,13 +248,13 @@ func FuzzShardWire(f *testing.F) {
 		if opErr == nil {
 			enc := AppendShardOp(nil, &op)
 			var again ShardOp
-			if err := DecodeShardOp(enc, &again); err != nil {
+			if err := new(Arena).DecodeShardOp(enc, &again); err != nil {
 				t.Fatalf("re-decode of accepted op: %v", err)
 			}
 			sameBits(t, "accepted op", AppendShardOp(nil, &again), enc)
 		}
 		if cellsErr == nil {
-			again, err := DecodeCells(AppendCells(nil, cellDim, cells), cellDim)
+			again, err := new(Arena).DecodeCells(AppendCells(nil, cellDim, cells), cellDim)
 			if err != nil || !reflect.DeepEqual(again, cells) {
 				t.Fatalf("re-decode of accepted cells: %v, %v != %v", err, again, cells)
 			}
@@ -275,7 +275,7 @@ func FuzzShardWire(f *testing.F) {
 		want := g.op()
 		enc := AppendShardOp(nil, &want)
 		var got ShardOp
-		if err := DecodeShardOp(enc, &got); err != nil {
+		if err := new(Arena).DecodeShardOp(enc, &got); err != nil {
 			t.Fatalf("generated op %+v: %v", want, err)
 		}
 		if len(want.Cells) == 0 {
