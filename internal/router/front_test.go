@@ -1,7 +1,8 @@
 // Cross-role conformance of what only one role did before the two fronts
 // merged: request-ID minting (router only), the in-flight bound (single
 // server only) and per-tenant limits (router only) now answer alike in both;
-// and the score fan-out's bound on a router's support RPCs.
+// and the score fan-out's bound on a router's support RPCs, and its answer
+// to a shard's corrupt count.
 package router_test
 
 import (
@@ -305,5 +306,68 @@ func TestFrontScoreTilesBoundSupportRPCs(t *testing.T) {
 	}
 	if maxProbes == 0 || maxProbes >= 128 {
 		t.Fatalf("largest support RPC carried %d probes, want 1..127", maxProbes)
+	}
+}
+
+// TestScoreAnswersNegativeSupportCount has a tier's only shard answer every
+// score probe with a count of -1, as a corrupt body could. Each line must
+// still come back under its own ID, summed as the shard answered: whether a
+// line was probed never depends on what a shard replies.
+func TestScoreAnswersNegativeSupportCount(t *testing.T) {
+	shard, err := serve.NewShard(serve.ShardServerConfig{Name: "s0", R: testR, K: testK, Dim: testDim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(shard.Close)
+	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == router.PathSupport {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			if hdr, probes, err := router.DecodeSupportBatch(body); err == nil && hdr.Limit > 0 {
+				counts := make([]int, len(probes))
+				for i := range counts {
+					counts[i] = -1
+				}
+				json.NewEncoder(w).Encode(router.SupportResponse{Counts: counts})
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		shard.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(shardSrv.Close)
+	rt, err := router.New(router.Config{
+		R: testR, K: testK, Dim: testDim, Capacity: 100,
+		Shards: []router.ShardInfo{{Name: "s0", URL: shardSrv.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rtSrv := httptest.NewServer(rt.Handler())
+	t.Cleanup(rtSrv.Close)
+
+	const first, lines = 500, 5
+	status, raw := post(t, rtSrv.URL+"/v1/score", pointLines(rand.New(rand.NewSource(4)), first, lines))
+	if status != http.StatusOK {
+		t.Fatalf("score: status %d: %s", status, raw)
+	}
+	got := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(got) != lines {
+		t.Fatalf("score answered %d lines, want %d: %s", len(got), lines, raw)
+	}
+	for i, line := range got {
+		var sl httpapi.ScoreLine
+		if err := json.Unmarshal([]byte(line), &sl); err != nil {
+			t.Fatal(err)
+		}
+		if want := (httpapi.ScoreLine{ID: first + uint64(i), Neighbors: -1, Outlier: true}); sl != want {
+			t.Errorf("line %d answered %+v, want %+v", i, sl, want)
+		}
 	}
 }
