@@ -133,8 +133,8 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pts {
-		if err := ix.Insert(p); err != nil {
+	for i, p := range pts {
+		if err := ix.InsertTag(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,8 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 		NewCountScratch().WalkNeighborhood(ix.CellCoords(p), ix.l2, func(c []int64) { cellRank[key(c)] = len(cellRank) })
 		seen := make(map[uint64]bool)
 		last := -1
-		if err := ix.NeighborsScratch(sc, p, func(q geom.Point) {
+		if err := ix.NeighborsScratch(sc, p, func(tag uint32) {
+			q := pts[tag]
 			if seen[q.ID] {
 				t.Fatalf("NeighborsScratch(%v): point %d reported twice", p, q.ID)
 			}
@@ -212,7 +213,7 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := ix.NeighborCount(bad, 1); err == nil {
 		t.Error("NeighborCount accepted mismatched dimension")
 	}
-	if err := ix.NeighborsScratch(NewCountScratch(), bad, func(geom.Point) {}); err == nil {
+	if err := ix.NeighborsScratch(NewCountScratch(), bad, func(uint32) {}); err == nil {
 		t.Error("NeighborsScratch accepted mismatched dimension")
 	}
 	if _, err := ix.NeighborsInCells(NewCountScratch(), bad, nil, 0, nil); err == nil {
@@ -244,7 +245,7 @@ func TestNonFinitePointRejected(t *testing.T) {
 			calls := map[string]error{"Insert": ix.Insert(bad)}
 			_, calls["NeighborCount"] = ix.NeighborCount(bad, 3)
 			_, calls["NeighborCountScratch"] = ix.NeighborCountScratch(sc, bad, 3)
-			calls["NeighborsScratch"] = ix.NeighborsScratch(sc, bad, func(geom.Point) {})
+			calls["NeighborsScratch"] = ix.NeighborsScratch(sc, bad, func(uint32) {})
 			_, calls["NeighborsInCells"] = ix.NeighborsInCells(NewCountScratch(), bad, [][]int64{{0, 0}}, 0, nil)
 			for name, err := range calls {
 				if !errors.Is(err, errs.ErrBadParams) {
@@ -420,8 +421,8 @@ func TestNeighborsInCellsPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pts {
-			if err := ix.Insert(p); err != nil {
+		for i, p := range pts {
+			if err := ix.InsertTag(p, uint32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -438,8 +439,8 @@ func TestNeighborsInCellsPartition(t *testing.T) {
 			total := 0
 			var enumerated []uint64
 			for _, cells := range groups {
-				n, err := ix.NeighborsInCells(sc, q, cells, 0, func(nb geom.Point) {
-					enumerated = append(enumerated, nb.ID)
+				n, err := ix.NeighborsInCells(sc, q, cells, 0, func(tag uint32) {
+					enumerated = append(enumerated, pts[tag].ID)
 				})
 				if err != nil {
 					t.Fatal(err)

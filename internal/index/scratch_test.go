@@ -181,8 +181,8 @@ func TestNeighborsOwnedScratchMatchesCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pts {
-			if err := ix.Insert(p); err != nil {
+		for i, p := range pts {
+			if err := ix.InsertTag(p, uint32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -207,11 +207,11 @@ func TestNeighborsOwnedScratchMatchesCells(t *testing.T) {
 					}
 				})
 				var want, got []uint64
-				nWant, err := ix.NeighborsInCells(sc, p, cells, 0, func(q geom.Point) { want = append(want, q.ID) })
+				nWant, err := ix.NeighborsInCells(sc, p, cells, 0, func(tag uint32) { want = append(want, pts[tag].ID) })
 				if err != nil {
 					t.Fatal(err)
 				}
-				nGot, err := ix.NeighborsOwnedScratch(sc, p, owns, func(q geom.Point) { got = append(got, q.ID) })
+				nGot, err := ix.NeighborsOwnedScratch(sc, p, owns, func(tag uint32) { got = append(got, pts[tag].ID) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,7 +250,7 @@ func TestNeighborhoodWalksAllocateNothing(t *testing.T) {
 	cells := [][]int64{center, {center[0] + 2, center[1]}}
 	owns := func(c []int64) bool { return c[0]&1 == 0 }
 	n := 0
-	count := func(geom.Point) { n++ }
+	count := func(uint32) { n++ }
 	for name, run := range map[string]func(){
 		"WalkNeighborhood":      func() { sc.WalkNeighborhood(center, ix.l2, func([]int64) { n++ }) },
 		"NeighborsOwnedScratch": func() { ix.NeighborsOwnedScratch(sc, p, owns, count) },
