@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dod/internal/detect"
+	"dod/internal/errs"
 	"dod/internal/geom"
 	"dod/internal/index"
 	"dod/internal/replica"
@@ -566,6 +567,30 @@ func TestRetiredEndpointsAnswer404(t *testing.T) {
 	}
 	if got := metricValue(t, p.primSrv.URL, "dod_shard_ingests_total"); got != ingests {
 		t.Errorf("dod_shard_ingests_total = %g, was %g", got, ingests)
+	}
+}
+
+// TestShardImportRejectsRepeatedID posts a handoff payload that names one
+// ID twice: the shard answers a duplicate-ID error and imports nothing, so
+// the window's digest and resident count stay as they were.
+func TestShardImportRejectsRepeatedID(t *testing.T) {
+	p := newReplicaPair(t)
+	for i := uint64(1); i <= 5; i++ {
+		p.ingest(i, float64(i%3), float64(i%2))
+	}
+	digest, points := p.primary.Window().Digest()
+	ghost := stream.ExportedEntry{Point: geom.Point{ID: 70, Coords: []float64{0.5, 0.5}}, Seq: 90, Arrived: time.Unix(0, 9), Count: 1}
+	body := router.EncodeEntries([]stream.ExportedEntry{ghost, ghost})
+	status, raw := postBody(t, p.primSrv.URL+router.PathShardImport, "import-twice", body)
+	var resp router.ImportResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("import: status %d: %s: %v", status, raw, err)
+	}
+	if status != http.StatusOK || resp.Imported != 0 || resp.Error != (&errs.DuplicateIDError{ID: 70}).Error() {
+		t.Fatalf("import of a repeated ID: status %d, %+v; want 200 with the duplicate-ID error", status, resp)
+	}
+	if d, n := p.primary.Window().Digest(); d != digest || n != points {
+		t.Errorf("window changed: digest %x/%d points, was %x/%d", d, n, digest, points)
 	}
 }
 
