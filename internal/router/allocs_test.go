@@ -23,7 +23,7 @@ func TestShardedTierAllocs(t *testing.T) {
 		t.Skip("allocation counts are not the program's under -race")
 	}
 	const (
-		ingestCeiling = 25.4 * 1.1
+		ingestCeiling = 22.2 * 1.1
 		scoreCeiling  = 9.7 * 1.1
 		warmRounds    = 4 // ingest and score rounds past the fill that are not counted
 	)

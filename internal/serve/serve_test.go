@@ -369,8 +369,8 @@ func TestBatchLimit(t *testing.T) {
 
 // TestIngestHandlerAllocs pins the ingest handler's allocation ceiling on a
 // window at capacity, where every admitted line also evicts: parse, window
-// and encode together measured 4.67 allocations per line, and the ceiling
-// is that plus 10 %. The count covers the whole process — the front end's
+// and encode together measured 0.51 allocations per line — the window
+// itself allocates nothing per point — and the ceiling is that plus 10 %. The count covers the whole process — the front end's
 // request ID, admission and pooled batch, and the ingest running on the
 // handler goroutine — plus the test's own request and recorder, which the
 // batch size amortizes.
@@ -379,7 +379,7 @@ func TestIngestHandlerAllocs(t *testing.T) {
 		capacity = 1000
 		lines    = 500
 		runs     = 8
-		ceiling  = 4.67 * 1.1
+		ceiling  = 0.51 * 1.1
 	)
 	s, err := New(Config{Stream: stream.Config{R: 1.2, K: 3, Dim: 2, Capacity: capacity}})
 	if err != nil {

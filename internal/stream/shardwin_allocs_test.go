@@ -11,9 +11,9 @@ import (
 
 // TestApplyOpsAllocs pins a shard's segment apply under an ownership
 // predicate, where every neighbourhood walk runs in place on the window's
-// scratch: a list of ±1 support steps allocates ApplyOps' two result slices
-// and nothing else, and an admission with its eviction adds only the
-// admitted entry, its record and its coordinates.
+// scratch: a list of ±1 support steps, and an admission with its eviction,
+// each allocate ApplyOps' two result slices and nothing else — the
+// admission reuses the slot the last eviction freed.
 func TestApplyOpsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the program's under -race")
@@ -66,7 +66,7 @@ func TestApplyOpsAllocs(t *testing.T) {
 		want float64
 	}{
 		{"support steps", support, 2},
-		{"an admission and its eviction", cycle, 4},
+		{"an admission and its eviction", cycle, 2},
 	} {
 		if got := testing.AllocsPerRun(50, func() { apply(tc.ops) }); got > tc.want {
 			t.Errorf("ApplyOps(%s) allocates %v objects per call, want <= %v", tc.name, got, tc.want)
