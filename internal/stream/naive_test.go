@@ -37,6 +37,10 @@ type naiveWindow struct {
 
 	lastEvicted []uint64 // IDs the most recent process call expired
 	byCapacity  uint64   // evictions the capacity bound caused, of evicted
+
+	// counted, when set, limits the flip tallies to the residents it
+	// accepts — a shard window's, when the rest are other shards' points.
+	counted func(geom.Point) bool
 }
 
 type naiveResident struct {
@@ -73,7 +77,7 @@ func (nw *naiveWindow) mutate(change func()) {
 	nw.cnt = nw.counts()
 	for i, r := range nw.res {
 		was, survivor := before[r.pt.ID]
-		if !survivor {
+		if !survivor || nw.counted != nil && !nw.counted(r.pt) {
 			continue
 		}
 		switch is := nw.cnt[i] < nw.cfg.K; {
