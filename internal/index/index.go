@@ -146,9 +146,9 @@ type Index struct {
 type indexMetrics struct {
 	inserts   *obs.Counter
 	removes   *obs.Counter
-	counts    *obs.Counter   // NeighborCountScratch queries
-	scans     *obs.Counter   // NeighborsScratch enumerations
-	ringDepth *obs.Histogram // terminal expansion radius per count query
+	counts    *obs.Counter   // ring walks capped at a limit (every NeighborCount)
+	scans     *obs.Counter   // ring walks that hand neighbours to a visitor, owned or not
+	ringDepth *obs.Histogram // terminal ring radius per capped walk
 }
 
 // register creates the index instruments on reg.
@@ -371,9 +371,13 @@ func (ix *Index) ShardOccupancy() []int {
 	return occ
 }
 
-// readCellCoords calls fn under the owning stripe's read lock with the cell
-// at coordinates cc, if the cell exists.
-func (ix *Index) readCellCoords(cc []int64, fn func(c *cell)) {
+// visitCell is every walk's step and the one acceptance rule: under the
+// stripe's read lock it skips cc's resident with p's ID, accepts the rest
+// whole when cc is within Chebyshev distance 1 of p's cell sc.center (Lemma
+// 4.2's L1 block), and otherwise each that within accepts. It adds them to
+// count, handing fn their tags, stops at limit > 0, and returns the count.
+func (ix *Index) visitCell(sc *CountScratch, p geom.Point, cc []int64, count, limit int, fn func(tag uint32)) int {
+	exact := ChebDist(sc.center, cc) > 1
 	h := ix.cellHash(cc)
 	sh := &ix.shards[h%uint64(len(ix.shards))]
 	sh.mu.RLock()
@@ -382,9 +386,21 @@ func (ix *Index) readCellCoords(cc []int64, fn func(c *cell)) {
 		c = c.next
 	}
 	if c != nil {
-		fn(c)
+		for i, id := range c.ids {
+			if limit > 0 && count >= limit {
+				break
+			}
+			if id == p.ID || exact && !ix.within(p, c.xs[i*ix.dim:]) {
+				continue
+			}
+			count++
+			if fn != nil {
+				fn(c.tags[i])
+			}
+		}
 	}
 	sh.mu.RUnlock()
+	return count
 }
 
 // within reports whether the resident stored inline as row lies within r of
@@ -420,7 +436,8 @@ func (ix *Index) CellCoords(p geom.Point) []int64 { return ix.coords(p) }
 // ChebDist returns the Chebyshev (L∞) distance between two cell coordinate
 // vectors, saturating at math.MaxUint64 rather than overflowing for cells
 // at opposite int64 extremes. Cells more than 1 apart get the exact distance
-// check in NeighborsInCells; the router's pairwise pass applies the same rule.
+// check in every walk (visitCell); the router's pairwise pass applies the
+// same rule.
 func ChebDist(a, b []int64) uint64 {
 	var max uint64
 	for i := range a {
@@ -437,49 +454,22 @@ func ChebDist(a, b []int64) uint64 {
 	return max
 }
 
-// NeighborsInCells visits the indexed neighbors of p that reside in the
-// given cells, returning how many were found. It applies exactly the same
-// acceptance rule as NeighborsScratch and NeighborCountScratch — points in
-// cells within Chebyshev distance 1 of p's own cell are neighbors by
-// construction (the L1 auto-accept of Lemma 4.2) and points in farther
-// cells get an exact distance check — so splitting one neighborhood
-// enumeration across several NeighborsInCells calls over a partition of the
-// cells yields bit-identical counts to a single NeighborsScratch walk.
-//
-// fn may be nil (pure counting) and is otherwise called with each
-// neighbour's tag. When limit > 0 and fn is nil the count early-terminates
-// at limit, mirroring NeighborCountScratch; with fn non-nil the scan is
-// always exhaustive so callers maintaining per-point deltas see every
-// neighbor. p's cell is computed on sc, one scratch per goroutine.
+// NeighborsInCells is the cell-list walk: Neighbors' visit, fn and limit
+// over the given cells in the order listed, with no prune. Split over a
+// partition of a neighbourhood it counts what one ring walk counts, and
+// over the cells listed in ring order it visits the ring walk's exact
+// sequence. p's cell is computed on sc, one scratch per goroutine.
 func (ix *Index) NeighborsInCells(sc *CountScratch, p geom.Point, cells [][]int64, limit int, fn func(tag uint32)) (int, error) {
 	if err := ix.checkPoint(p); err != nil {
 		return 0, err
 	}
 	sc.centerOn(ix, p)
-	center := sc.center
 	count := 0
 	for _, c := range cells {
-		if fn == nil && limit > 0 && count >= limit {
+		if limit > 0 && count >= limit {
 			break
 		}
-		exact := ChebDist(center, c) > 1
-		ix.readCellCoords(c, func(cl *cell) {
-			for i, id := range cl.ids {
-				if fn == nil && limit > 0 && count >= limit {
-					return
-				}
-				if id == p.ID || exact && !ix.within(p, cl.xs[i*ix.dim:]) {
-					continue
-				}
-				count++
-				if fn != nil {
-					fn(cl.tags[i])
-				}
-			}
-		})
-	}
-	if fn == nil && limit > 0 && count > limit {
-		count = limit
+		count = ix.visitCell(sc, p, c, count, limit, fn)
 	}
 	return count, nil
 }

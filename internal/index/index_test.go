@@ -145,7 +145,7 @@ func TestNeighborsEnumeratesExactly(t *testing.T) {
 		NewCountScratch().WalkNeighborhood(ix.CellCoords(p), ix.l2, func(c []int64) { cellRank[key(c)] = len(cellRank) })
 		seen := make(map[uint64]bool)
 		last := -1
-		if err := ix.NeighborsScratch(sc, p, func(tag uint32) {
+		if _, err := ix.Neighbors(sc, p, nil, 0, func(tag uint32) {
 			q := pts[tag]
 			if seen[q.ID] {
 				t.Fatalf("NeighborsScratch(%v): point %d reported twice", p, q.ID)
@@ -213,7 +213,7 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := ix.NeighborCount(bad, 1); err == nil {
 		t.Error("NeighborCount accepted mismatched dimension")
 	}
-	if err := ix.NeighborsScratch(NewCountScratch(), bad, func(uint32) {}); err == nil {
+	if _, err := ix.Neighbors(NewCountScratch(), bad, nil, 0, func(uint32) {}); err == nil {
 		t.Error("NeighborsScratch accepted mismatched dimension")
 	}
 	if _, err := ix.NeighborsInCells(NewCountScratch(), bad, nil, 0, nil); err == nil {
@@ -245,7 +245,7 @@ func TestNonFinitePointRejected(t *testing.T) {
 			calls := map[string]error{"Insert": ix.Insert(bad)}
 			_, calls["NeighborCount"] = ix.NeighborCount(bad, 3)
 			_, calls["NeighborCountScratch"] = ix.NeighborCountScratch(sc, bad, 3)
-			calls["NeighborsScratch"] = ix.NeighborsScratch(sc, bad, func(uint32) {})
+			_, calls["NeighborsScratch"] = ix.Neighbors(sc, bad, nil, 0, func(uint32) {})
 			_, calls["NeighborsInCells"] = ix.NeighborsInCells(NewCountScratch(), bad, [][]int64{{0, 0}}, 0, nil)
 			for name, err := range calls {
 				if !errors.Is(err, errs.ErrBadParams) {

@@ -91,7 +91,7 @@ func TestRecycledCellsStayExact(t *testing.T) {
 			checkStripes(t, ix)
 			q := pool[rng.Intn(len(pool))]
 			seen := make(map[uint32]bool)
-			if err := ix.NeighborsScratch(sc, q, func(tag uint32) {
+			if _, err := ix.Neighbors(sc, q, nil, 0, func(tag uint32) {
 				if seen[tag] || !in[tag] || pool[tag].ID == q.ID || !geom.WithinDist(q, pool[tag], r) {
 					t.Fatalf("dim %d step %d: walk from %d handed back tag %d (seen %v, resident %v)", dim, step, q.ID, tag, seen[tag], in[tag])
 				}

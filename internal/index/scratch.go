@@ -104,21 +104,24 @@ func (sc *CountScratch) ringCellsSc(radius int, fn func(cell []int64)) {
 	}
 }
 
-// cellBeyondR reports whether every point of cell c is farther than r from
-// p — the closest corner of the cell box [cᵢ·side, (cᵢ+1)·side) is already
-// beyond r. Probing such a cell cannot contribute a neighbor (WithinDist is
-// Dist² ≤ r², and every resident of c has Dist² ≥ the box minimum), so the
-// ring walks skip the hash + lock + map probe entirely. In 2D roughly half
-// of the 49-cell L2 neighborhood lies outside the r-disk, so the prune
-// halves the dominant per-point cost of the serving ingest path.
-func (ix *Index) cellBeyondR(p geom.Point, c []int64) bool {
+// cellBeyondR reports that no resident of cell c passes within for p, so a
+// ring walk skips the cell's hash, lock and probe: in 2-D about half the
+// 49-cell neighbourhood. It is conservative under rounding. Each axis of
+// the rounded box [lo, hi] = [cᵢ·side, lo+side] is widened by slack
+// (boxSlack), at least 2⁻⁵⁰·max(|lo|, |hi|): that covers the few ulps by
+// which the box's rounded edges and the rounded floor(v/side) that filed a
+// resident can disagree, so every point filed in c lies in the widened
+// box. Round-to-nearest is monotone, so on each axis the box's term is at
+// most any resident's term in within; both sums add non-negative terms in
+// coordinate order, so a box sum beyond r² means every resident's is too.
+func (ix *Index) cellBeyondR(p geom.Point, c []int64, slack float64) bool {
 	var d2 float64
 	for i, v := range p.Coords {
 		lo := float64(c[i]) * ix.side
-		if v < lo {
-			d := lo - v
+		if v < lo-slack {
+			d := lo - slack - v
 			d2 += d * d
-		} else if hi := lo + ix.side; v > hi {
+		} else if hi := lo + ix.side + slack; v > hi {
 			d := v - hi
 			d2 += d * d
 		}
@@ -126,47 +129,56 @@ func (ix *Index) cellBeyondR(p geom.Point, c []int64) bool {
 	return d2 > ix.r*ix.r
 }
 
-// NeighborsScratch calls fn with the tag of every indexed point within
-// distance r of p, excluding any point sharing p's ID, ring by ring and
-// lexicographically within a ring. It never terminates early — the sliding
-// window uses it to maintain exact per-point neighbor counts under
-// admission and eviction, once per point each, which is why it allocates
-// nothing (the scratch ring walk carries the whole enumeration) and skips
-// the hash, lock and probe of ring-2+ cells that lie wholly outside the
-// r-disk. The L1 block needs no distance checks. One scratch per goroutine.
-func (ix *Index) NeighborsScratch(sc *CountScratch, p geom.Point, fn func(tag uint32)) error {
-	if err := ix.checkPoint(p); err != nil {
-		return err
+// boxSlack is the widening cellBeyondR gives every box of p's ring walk,
+// computed once per walk: 2⁻⁴⁹·(max|vᵢ| + (l2+2)·side). A cell within l2
+// of p's has |lo| and |hi| at most max|vᵢ| + (l2+2)·side up to a few
+// rounding errors, which the doubled factor covers, so the slack is at
+// least 2⁻⁵⁰·max(|lo|, |hi|) for every cell the walk can prune.
+func (ix *Index) boxSlack(p geom.Point) float64 {
+	m := 0.0
+	for _, v := range p.Coords {
+		m = max(m, math.Abs(v))
 	}
-	if ix.met != nil {
-		ix.met.scans.Inc()
+	return (m + float64(ix.l2+2)*ix.side) * 0x1p-49
+}
+
+// Neighbors is the index's one ring walk: it visits p's neighbours (within
+// r, another ID) ring by ring out to the L2 radius, lexicographically
+// within a ring, and returns how many it found. owns == nil walks every
+// cell, otherwise only those owns accepts; limit > 0 stops at limit,
+// returning min(true count, limit); fn, when non-nil, gets each
+// neighbour's tag. Ring-2+ cells cellBeyondR rules out are skipped. It
+// allocates nothing; one scratch per goroutine.
+func (ix *Index) Neighbors(sc *CountScratch, p geom.Point, owns func(cell []int64) bool, limit int, fn func(tag uint32)) (int, error) {
+	if err := ix.checkPoint(p); err != nil {
+		return 0, err
 	}
 	sc.centerOn(ix, p)
-	for radius := 0; radius <= ix.l2; radius++ {
-		exact := radius > 1
+	count, slack := 0, ix.boxSlack(p)
+	depth := 0 // deepest ring entered; feeds the ring-depth histogram
+	for radius := 0; radius <= ix.l2 && (limit <= 0 || count < limit); radius++ {
+		depth = radius
 		sc.ringCellsSc(radius, func(c []int64) {
-			if exact && ix.cellBeyondR(p, c) {
+			if limit > 0 && count >= limit || radius > 1 && ix.cellBeyondR(p, c, slack) || owns != nil && !owns(c) {
 				return
 			}
-			ix.readCellCoords(c, func(cl *cell) {
-				for i, id := range cl.ids {
-					if id != p.ID && (!exact || ix.within(p, cl.xs[i*ix.dim:])) {
-						fn(cl.tags[i])
-					}
-				}
-			})
+			count = ix.visitCell(sc, p, c, count, limit, fn)
 		})
 	}
-	return nil
+	if ix.met != nil {
+		if fn != nil {
+			ix.met.scans.Inc()
+		}
+		if limit > 0 {
+			ix.met.counts.Inc()
+			ix.met.ringDepth.Observe(float64(depth))
+		}
+	}
+	return count, nil
 }
 
 // NeighborCountScratch is the capped count behind NeighborCount, on
-// caller-owned buffers. The L1 block (Chebyshev radius 1) is auto-accepted
-// without distance computations; rings 2..⌈2√d⌉ are expanded outward with
-// exact checks, and the scan stops at whichever comes first, limit
-// neighbors or the L2 radius (the bound makes the count order-independent).
-// Use one scratch per goroutine; the index may be queried and mutated
-// concurrently as usual.
+// caller-owned buffers: Neighbors over every cell, stopped at limit ≥ 1.
 func (ix *Index) NeighborCountScratch(sc *CountScratch, p geom.Point, limit int) (int, error) {
 	if err := ix.checkPoint(p); err != nil {
 		return 0, err
@@ -174,67 +186,5 @@ func (ix *Index) NeighborCountScratch(sc *CountScratch, p geom.Point, limit int)
 	if limit < 1 {
 		return 0, errs.BadParams("NeighborCount limit must be >= 1, got %d", limit)
 	}
-	sc.centerOn(ix, p)
-	count := 0
-	depth := 0 // deepest ring entered; feeds the ring-depth histogram
-	for radius := 0; radius <= ix.l2 && count < limit; radius++ {
-		depth = radius
-		exact := radius > 1
-		sc.ringCellsSc(radius, func(c []int64) {
-			if count >= limit || exact && ix.cellBeyondR(p, c) {
-				return
-			}
-			ix.readCellCoords(c, func(cl *cell) {
-				for i, id := range cl.ids {
-					if count >= limit {
-						return
-					}
-					if id != p.ID && (!exact || ix.within(p, cl.xs[i*ix.dim:])) {
-						count++
-					}
-				}
-			})
-		})
-	}
-	if ix.met != nil {
-		ix.met.counts.Inc()
-		ix.met.ringDepth.Observe(float64(depth))
-	}
-	return count, nil
-}
-
-// NeighborsOwnedScratch visits p's indexed neighbors — fn gets each one's
-// tag — in the cells of its neighbourhood that owns accepts, walking the
-// neighbourhood in place on sc instead of over a list of the owned cells,
-// and returns how many it found.
-// The acceptance rule is NeighborsInCells' — cells within Chebyshev
-// distance 1 of p's own auto-accept, farther cells get the exact distance
-// check, a point never neighbors its own ID — and so is the cell order, so
-// the count and the visit sequence are those of NeighborsInCells over the
-// owned cells in ring order. Every owned cell is probed: there is no
-// beyond-r pruning. One scratch per goroutine; it allocates nothing.
-func (ix *Index) NeighborsOwnedScratch(sc *CountScratch, p geom.Point, owns func(cell []int64) bool, fn func(tag uint32)) (int, error) {
-	if err := ix.checkPoint(p); err != nil {
-		return 0, err
-	}
-	sc.centerOn(ix, p)
-	count := 0
-	for radius := 0; radius <= ix.l2; radius++ {
-		exact := radius > 1
-		sc.ringCellsSc(radius, func(c []int64) {
-			if !owns(c) {
-				return
-			}
-			ix.readCellCoords(c, func(cl *cell) {
-				for i, id := range cl.ids {
-					if id == p.ID || exact && !ix.within(p, cl.xs[i*ix.dim:]) {
-						continue
-					}
-					count++
-					fn(cl.tags[i])
-				}
-			})
-		})
-	}
-	return count, nil
+	return ix.Neighbors(sc, p, nil, limit, nil)
 }

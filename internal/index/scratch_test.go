@@ -211,7 +211,7 @@ func TestNeighborsOwnedScratchMatchesCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nGot, err := ix.NeighborsOwnedScratch(sc, p, owns, func(tag uint32) { got = append(got, pts[tag].ID) })
+				nGot, err := ix.Neighbors(sc, p, owns, 0, func(tag uint32) { got = append(got, pts[tag].ID) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -253,7 +253,7 @@ func TestNeighborhoodWalksAllocateNothing(t *testing.T) {
 	count := func(uint32) { n++ }
 	for name, run := range map[string]func(){
 		"WalkNeighborhood":      func() { sc.WalkNeighborhood(center, ix.l2, func([]int64) { n++ }) },
-		"NeighborsOwnedScratch": func() { ix.NeighborsOwnedScratch(sc, p, owns, count) },
+		"NeighborsOwnedScratch": func() { ix.Neighbors(sc, p, owns, 0, count) },
 		"NeighborsInCells":      func() { ix.NeighborsInCells(sc, p, cells, 0, count) },
 	} {
 		run() // warm the scratch

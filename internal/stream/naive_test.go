@@ -488,3 +488,27 @@ func TestWindowMatchesNaiveFiveDims(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowKeepsBoundaryNeighbours holds Window to the naive window on two
+// points within R of each other whose first sits a few ulps outside the
+// rounded box of its own cell: each is the other's neighbour, so with K = 1
+// neither is an outlier.
+func TestWindowKeepsBoundaryNeighbours(t *testing.T) {
+	cfg := Config{R: 0.0024449999406660635, K: 1, Dim: 3, Capacity: 10}
+	pts := []geom.Point{
+		{ID: 2, Coords: []float64{0.3190264305041504, -0.06705201526082812, 0.2216245557042108}},
+		{ID: 1, Coords: []float64{0.3190264305041504, -0.06705201526082812, 0.21917955576354475}},
+	}
+	nw := newNaiveWindow(cfg)
+	win := newSingle(t, cfg)
+	now := time.Unix(1700000000, 0)
+	for _, p := range pts {
+		wantV, wantE := nw.process(p, now)
+		gotV, gotE := win.ingest([]geom.Point{p}, now)
+		assertLines(t, win.name(), []geom.Point{p}, gotV, gotE, []Verdict{wantV}, []error{wantE})
+	}
+	assertState(t, win, nw)
+	if out := win.snapshot().OutlierIDs; len(out) != 0 {
+		t.Fatalf("outliers %v, want none", out)
+	}
+}

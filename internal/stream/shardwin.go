@@ -138,23 +138,13 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 // Config returns the shard window configuration.
 func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
 
-// bumpOwned visits p's neighbors in every cell of its neighborhood this
-// shard owns, adjusting each resident neighbor's count by delta, and returns
-// the neighbor count found. The neighborhood is walked in place on the
-// window's scratch, allocating nothing: with every cell owned the index's
-// pruned walk, otherwise its owned-cell walk. Every tag a walk hands back
-// is a resident's — the walk skips p's own ID, and p is not (or no longer)
-// anyone else's — so the slot is found without a lookup. Callers hold sw.mu.
+// bumpOwned adjusts by delta the count of each of p's neighbors in the
+// cells this shard owns (all, when owns is nil) and returns how many it
+// found, on the index's ring walk. Every tag the walk hands back is a
+// resident's — it skips p's own ID, and p is not (or no longer) anyone
+// else's — so the slot is found without a lookup. Callers hold sw.mu.
 func (sw *ShardWindow) bumpOwned(p geom.Point, owns OwnsFunc, delta int) (int, error) {
-	if owns != nil {
-		return sw.ix.NeighborsOwnedScratch(sw.sc, p, owns, func(tag uint32) { sw.bump(sw.slots.at(tag), delta) })
-	}
-	n := 0
-	err := sw.ix.NeighborsScratch(sw.sc, p, func(tag uint32) {
-		n++
-		sw.bump(sw.slots.at(tag), delta)
-	})
-	return n, err
+	return sw.ix.Neighbors(sw.sc, p, owns, 0, func(tag uint32) { sw.bump(sw.slots.at(tag), delta) })
 }
 
 // bump adjusts one resident entry's neighbor count by delta and keeps its

@@ -11,6 +11,7 @@ import (
 	"dod/internal/errs"
 	"dod/internal/geom"
 	"dod/internal/index"
+	"dod/internal/obs"
 )
 
 // shardHarness wires N ShardWindows together in-process: ownership is a
@@ -409,5 +410,34 @@ func TestImportRejectsRepeatedID(t *testing.T) {
 		if n, err := sw.ApplySupport(probe, cells, 0); err != nil || n != 1 {
 			t.Fatalf("Import(%s): support %d (%v), want the one resident", name, n, err)
 		}
+	}
+}
+
+// TestOwnedWalksCountAsEnumerations: a shard's walk over the cells it owns
+// is the index's one ring walk, so one admission and one eviction under an
+// ownership predicate count two enumerations and no capped count.
+func TestOwnedWalksCountAsEnumerations(t *testing.T) {
+	reg := obs.NewRegistry()
+	sw, err := NewShardWindow(ShardConfig{R: 1, K: 2, Dim: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := func(op string) int64 {
+		return reg.Counter("dod_index_queries_total", "index neighbor queries", obs.L("op", op)).Value()
+	}
+	owns := func(c []int64) bool { return c[0] >= 0 }
+	ops := []ShardOp{
+		{Kind: OpAdmit, Point: geom.Point{ID: 1, Coords: []float64{0.5, 0.5}}, Seq: 1},
+		{Kind: OpEvict, ID: 1},
+	}
+	enumerate, count := queries("enumerate"), queries("count")
+	if _, errsOut := sw.ApplyOps(ops, time.Unix(1700000000, 0), owns); errsOut[0] != nil || errsOut[1] != nil {
+		t.Fatal(errsOut)
+	}
+	if got := queries("enumerate") - enumerate; got != 2 {
+		t.Errorf("enumerate rose by %d, want 2", got)
+	}
+	if got := queries("count") - count; got != 0 {
+		t.Errorf("count rose by %d, want 0", got)
 	}
 }
