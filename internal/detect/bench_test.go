@@ -34,6 +34,9 @@ func benchDetector(b *testing.B, kind Kind, pts []geom.Point) {
 		comps = res.Stats.DistComps
 	}
 	b.ReportMetric(float64(comps), "distcomps")
+	if comps > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(comps)*float64(b.N)), "ns/comp")
+	}
 	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 

@@ -269,12 +269,12 @@ func (d bruteForceDetector) Detect(core, support []geom.Point, params Params) Re
 
 func (bruteForceDetector) prepare(all *geom.PointSet, nCore int, params Params, _ *Stats) (int, func(lo, hi int, t *Result)) {
 	n, r2 := all.Len(), params.R*params.R
-	// The full scan has no early exit, so the wide counting kernel applies:
-	// verdicts and DistComps are identical to the scalar pairwise loop.
+	// A limit of n never stops the count: every point is compared with
+	// every other.
 	return nCore, func(lo, hi int, t *Result) {
 		for i := lo; i < hi; i++ {
 			id := all.IDs[i]
-			neighbors, compared := all.CountWithin2Coords(all.CoordsAt(i), id, 0, n, r2)
+			neighbors, compared := all.CountWithin2Coords(all.CoordsAt(i), id, 0, n, r2, n)
 			t.Stats.DistComps += int64(compared)
 			if neighbors < params.K {
 				t.OutlierIDs = append(t.OutlierIDs, id)

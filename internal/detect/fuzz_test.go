@@ -157,3 +157,143 @@ func FuzzExactTacticsAgree(f *testing.F) {
 		}
 	})
 }
+
+// scanScene decodes fuzz bytes into one random scan aimed at the counting
+// kernel's edges: d from 1 to 6; 0 to 3 chunks of candidates besides the
+// query; a rotation anywhere, so the second sweep may carry the stop; the
+// limit-th neighbour steered to within three places of a chunk edge of
+// either sweep; the query's own row on any lane, and rows that repeat its
+// ID; rows exactly on the threshold (copies of the partner that defines
+// r2), one ulp inside or outside it on one axis, coincident with the
+// query, or far; and r2 itself moved one ulp either way.
+//
+// It returns the set, the query row, the seed of the scan order and that
+// order, the squared threshold and the limit. Layout: d, n (two bytes),
+// seed, offset, ID multiple, edge, edge shift, self position, limit mode,
+// r2 shift, then the query, the partner offset and one mode byte per row.
+func scanScene(data []byte) (all *geom.PointSet, pi int, seed int64, order []int, r2 float64, limit int) {
+	h := fnv.New64a()
+	h.Write(data)
+	b := &sceneBytes{data: data, rng: rand.New(rand.NewSource(int64(h.Sum64())))}
+
+	d := 1 + int(b.next())%6
+	n := 1 + (int(b.next())<<8|int(b.next()))%(3*countChunkRows+1)
+	seed = int64(b.next())
+	order = rand.New(rand.NewSource(seed)).Perm(n)
+	offset := int(b.next()) % n
+	id := uint64(0) // the residue whose rotation is offset
+	for scanOffset(id, n) != offset {
+		id++
+	}
+	id += uint64(n) * uint64(b.next())
+
+	// Chunk edges in scan positions: each sweep starts a chunk.
+	edges := []int{0, n - offset}
+	for c := countChunkRows; c < n; c += countChunkRows {
+		edges = append(edges, c, n-offset+c)
+	}
+	target := edges[int(b.next())%len(edges)] + int(b.next())%7 - 3
+	target = max(0, min(n-1, target))
+	self := int(b.next()) % n
+	limitMode := b.next() % 4
+	r2Shift := b.next() % 3
+
+	q := make([]float64, d)
+	partner := make([]float64, d)
+	for a := range q {
+		q[a] = float64(int8(b.next())) + float64(b.next())/256
+		partner[a] = q[a] + (float64(b.next())-127.5)/64
+	}
+	for a := range q {
+		diff := q[a] - partner[a]
+		r2 += diff * diff
+	}
+
+	// rows[s] is the row the scan reaches at position s.
+	rowCoords := make([][]float64, n)
+	rowIDs := make([]uint64, n)
+	for s := range rowCoords {
+		p := append([]float64(nil), partner...)
+		rowIDs[s] = 1<<40 + uint64(s)
+		mode := b.next()
+		if s == target {
+			mode = 0 // the steered stop is a neighbour
+		}
+		switch {
+		case s == self:
+			copy(p, q)
+			rowIDs[s] = id
+		case mode%8 < 2: // exactly on the threshold
+		case mode%8 == 2: // one ulp toward the query on one axis
+			a := int(mode/8) % d
+			p[a] = math.Nextafter(p[a], q[a])
+		case mode%8 == 3: // one ulp away from it
+			a := int(mode/8) % d
+			p[a] = math.Nextafter(p[a], 2*p[a]-q[a])
+		case mode%8 == 4: // a row repeating the query's ID, within r
+			rowIDs[s] = id
+		case mode%8 == 5: // coincident with the query
+			copy(p, q)
+		default: // far
+			for a := range p {
+				p[a] = q[a] + 4*(partner[a]-q[a]) + 1
+			}
+		}
+		rowCoords[s] = p
+	}
+	switch r2Shift {
+	case 1:
+		r2 = math.Nextafter(r2, 0)
+	case 2:
+		r2 = math.Nextafter(r2, math.Inf(1))
+	}
+
+	// Scan position s reads pool row (offset+s) mod n, which is row
+	// order[(offset+s) mod n] of the set.
+	all = &geom.PointSet{Dim: d, IDs: make([]uint64, n), Coords: make([]float64, n*d)}
+	for s := range rowCoords {
+		row := order[(offset+s)%n]
+		all.IDs[row] = rowIDs[s]
+		copy(all.Coords[row*d:(row+1)*d], rowCoords[s])
+	}
+	pi = order[(offset+self)%n]
+
+	switch limitMode {
+	case 0: // small
+		limit = 1 + int(b.next())%4
+	case 1: // never reached
+		limit = n + int(b.next())%3
+	default: // reached at the last neighbour up to the steered position
+		limit = 0
+		for s := 0; s <= target; s++ {
+			if row := order[(offset+s)%n]; all.IDs[row] != id && all.Within2(pi, row, r2) {
+				limit++
+			}
+		}
+		limit = max(limit, 1)
+	}
+	return all, pi, seed, order, r2, limit
+}
+
+// countChunkRows mirrors the counting kernel's chunk, so scanScene can aim
+// at its edges.
+const countChunkRows = 64
+
+// FuzzRandomScan holds randomScan over the gathered pool to
+// scalarRandomScan over the permutation: the same neighbour count and the
+// same DistComps delta.
+func FuzzRandomScan(f *testing.F) {
+	for i := 0; i < 48; i++ {
+		f.Add([]byte{byte(i), byte(i / 8), byte(i * 37), byte(i), byte(i * 53), byte(i), byte(i), byte(i * 5), byte(i * 29), byte(i), byte(i / 3)})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		all, pi, seed, order, r2, limit := scanScene(data)
+		var got, want Stats
+		gotN := randomScan(all, pi, scanPool(all, seed), r2, limit, &got)
+		wantN := scalarRandomScan(all, pi, order, r2, limit, &want)
+		if gotN != wantN || got != want {
+			t.Fatalf("d=%d n=%d point %d limit %d: randomScan (%d neighbours, %d comps), scalar (%d, %d)",
+				all.Dim, all.Len(), pi, limit, gotN, got.DistComps, wantN, want.DistComps)
+		}
+	})
+}

@@ -40,19 +40,11 @@ func (d pgraphDetector) prepare(all *geom.PointSet, nCore int, params Params, st
 				continue // >= K verified neighbors: inlier, exactly
 			}
 			// Uncertified: the walk's count is only a lower bound. Settle the
-			// verdict with a verified scan that stops as soon as K neighbors
-			// confirm an inlier; only true outliers pay the full pass.
-			skip := all.IDs[i]
-			neighbors := 0
-			for j := 0; j < n && neighbors < params.K; j++ {
-				if all.IDs[j] == skip {
-					continue
-				}
-				t.Stats.DistComps++
-				if all.Dist2At(i, j) <= r2 {
-					neighbors++
-				}
-			}
+			// verdict with Nested-Loop's early-exit count, swept from row 0
+			// of the set, which stops as soon as K neighbors confirm an
+			// inlier; only true outliers pay the full pass.
+			neighbors, compared := all.CountWithin2Coords(all.CoordsAt(i), all.IDs[i], 0, n, r2, params.K)
+			t.Stats.DistComps += int64(compared)
 			if neighbors < params.K {
 				t.OutlierIDs = append(t.OutlierIDs, all.IDs[i])
 			}

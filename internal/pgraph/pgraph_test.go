@@ -17,7 +17,7 @@ func setOf(pts []geom.Point) *geom.PointSet {
 
 // trueCount is the reference linear neighbor count.
 func trueCount(s *geom.PointSet, i int, r2 float64) int {
-	n, _ := s.CountWithin2Coords(s.CoordsAt(i), s.IDs[i], 0, s.Len(), r2)
+	n, _ := s.CountWithin2Coords(s.CoordsAt(i), s.IDs[i], 0, s.Len(), r2, s.Len())
 	return n
 }
 

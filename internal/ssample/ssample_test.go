@@ -125,7 +125,7 @@ func TestEstimatorUnbiasedOnUniform(t *testing.T) {
 	pts := synth.GaussianCloud(1200, 2, 4)
 	s := setOf(pts)
 	p := Params{R: 10, K: 4}
-	truth, _ := s.CountWithin2Coords(s.CoordsAt(0), s.IDs[0], 0, s.Len(), 100)
+	truth, _ := s.CountWithin2Coords(s.CoordsAt(0), s.IDs[0], 0, s.Len(), 100, s.Len())
 
 	var sum float64
 	const rounds = 40
