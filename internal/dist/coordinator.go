@@ -775,9 +775,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// The task's user code failed on the worker. Task execution is
 		// deterministic, so re-dispatching elsewhere cannot help; surface
 		// it to the MapReduce driver, whose retry policy decides.
+		// Counted before delivery, so Stats read once the driver has the
+		// outcome includes it.
+		phaseCounter(c.met.tasksErr, h.Phase).Inc()
 		c.finishLocked(tk, taskOutcome{err: fmt.Errorf("dist: %s task %d on worker %s: %s", h.Phase, h.Task, h.Worker, h.Err)}, true)
 		c.mu.Unlock()
-		phaseCounter(c.met.tasksErr, h.Phase).Inc()
 		w.WriteHeader(http.StatusOK)
 		return
 	}
@@ -795,15 +797,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.met.journalRecords.Inc()
 		}
 	}
-	c.finishLocked(tk, out, true)
-	c.mu.Unlock()
-
 	if out.err == nil {
 		phaseCounter(c.met.tasksOK, h.Phase).Inc()
 		c.met.taskSeconds[normPhase(h.Phase)].Observe(metric.Duration.Seconds())
 	} else {
 		phaseCounter(c.met.tasksErr, h.Phase).Inc()
 	}
+	c.finishLocked(tk, out, true)
+	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)
 }
 
