@@ -105,14 +105,14 @@ func TestRandomScanMatchesScalar(t *testing.T) {
 		if !hasKind(in.kinds, CellBased) {
 			continue
 		}
-		ix := buildCellIndex(in.all, in.params.R, &Stats{})
-		sc := newNbScratch(in.all.Dim)
+		cr := newCellRules(in.all, in.params.R, &Stats{})
+		od := geom.NewOdometer(in.all.Dim)
 		var decided Result
-		for _, c := range ix.coreCells(in.nCore) {
-			if _, white := ix.prune(&sc, in.all, c, in.params.K, &decided); !white {
+		for _, c := range cr.coreCells(in.nCore) {
+			if _, white := cr.prune(&od, c, in.params.K, &decided); !white {
 				continue
 			}
-			for _, pi := range ix.ptIdx[c.lo:c.hi] {
+			for _, pi := range cr.ix.Order[c.lo:c.hi] {
 				check("Cell-Based", int(pi))
 				fallbackPoints++
 			}

@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is a uniform d-dimensional grid over a domain rectangle. It is used
 // by the Cell-Based detector (cells of diagonal r/2), by the uniSpace
@@ -76,25 +79,6 @@ func (g *Grid) NumCells() int { return g.total }
 // CellWidth returns the cell width along dimension i.
 func (g *Grid) CellWidth(i int) float64 { return g.width[i] }
 
-// CellCoords returns the per-dimension cell indices containing p. Points on
-// the upper domain boundary are assigned to the last cell; out-of-domain
-// points are clamped. This guarantees every point maps to exactly one cell.
-func (g *Grid) CellCoords(p Point) []int {
-	idx := make([]int, len(g.Dims))
-	for i := range g.Dims {
-		v := (p.Coords[i] - g.Domain.Min[i]) / g.width[i]
-		c := int(v)
-		if c < 0 {
-			c = 0
-		}
-		if c >= g.Dims[i] {
-			c = g.Dims[i] - 1
-		}
-		idx[i] = c
-	}
-	return idx
-}
-
 // Flatten converts per-dimension indices to a row-major ordinal.
 func (g *Grid) Flatten(idx []int) int {
 	ord := 0
@@ -114,30 +98,37 @@ func (g *Grid) Unflatten(ord int) []int {
 	return idx
 }
 
-// CellOrdinal returns the flattened ordinal of the cell containing p. It
-// is equivalent to Flatten(CellCoords(p)) but computes the ordinal inline,
-// with no per-call index-slice allocation — it sits inside every indexing
-// loop of the Cell-Based detectors and the histogram builders.
+// CellOrdinal returns the flattened ordinal of the cell containing p,
+// computed inline with no per-call index-slice allocation — it sits inside
+// every indexing loop of the Cell-Based detectors and the histogram
+// builders.
 func (g *Grid) CellOrdinal(p Point) int {
 	return g.CellOrdinalCoords(p.Coords)
 }
 
 // CellOrdinalCoords is CellOrdinal on a bare coordinate row — the form the
-// columnar PointSet hot paths use (clamping semantics identical to
-// CellCoords).
+// columnar PointSet hot paths use.
 func (g *Grid) CellOrdinalCoords(coords []float64) int {
 	ord := 0
 	for i, n := range g.Dims {
-		c := int((coords[i] - g.Domain.Min[i]) / g.width[i])
-		if c < 0 {
-			c = 0
-		}
-		if c >= n {
-			c = n - 1
-		}
-		ord = ord*n + c
+		ord = ord*n + g.cellOf(i, coords[i])
 	}
 	return ord
+}
+
+// cellOf returns the index along dimension i of the cell holding
+// coordinate v. Points on the upper domain boundary go to the last cell and
+// out-of-domain points are clamped, so every point maps to exactly one
+// cell.
+func (g *Grid) cellOf(i int, v float64) int {
+	c := int((v - g.Domain.Min[i]) / g.width[i])
+	if c < 0 {
+		return 0
+	}
+	if c >= g.Dims[i] {
+		return g.Dims[i] - 1
+	}
+	return c
 }
 
 // CellRect returns the rectangle of the cell at the given indices.
@@ -168,30 +159,87 @@ func (g *Grid) Boundary(i, c int) float64 {
 	return g.Domain.Min[i] + float64(c)*g.width[i]
 }
 
+// Odometer is the scratch of one block walk: the walk's per-dimension
+// bounds and cursor. A walk touches nothing else, so a caller holding one
+// Odometer per goroutine walks blocks without allocating while the grid,
+// and any index over it, is only read.
+type Odometer struct {
+	lo, hi, cur []int
+}
+
+// NewOdometer returns the scratch for block walks over d-dimensional
+// grids.
+func NewOdometer(d int) Odometer {
+	backing := make([]int, 3*d)
+	return Odometer{lo: backing[:d], hi: backing[d : 2*d], cur: backing[2*d:]}
+}
+
 // Neighborhood calls fn with the flattened ordinal of every cell within
 // Chebyshev distance radius of the cell at idx (including idx itself),
-// clipped to the grid. The Cell-Based detector uses radius 1 for the L1
-// block and ⌈2√d⌉ for the L2 block.
+// clipped to the grid, in row-major order. The Cell-Based detector uses
+// radius 1 for the L1 block and ⌈2√d⌉ for the L2 block.
 func (g *Grid) Neighborhood(idx []int, radius int, fn func(ord int)) {
-	cur := make([]int, len(idx))
-	var rec func(dim int)
-	rec = func(dim int) {
-		if dim == len(idx) {
-			fn(g.Flatten(cur))
+	od := NewOdometer(len(idx))
+	for i, n := range g.Dims {
+		od.lo[i], od.hi[i] = max(idx[i]-radius, 0), min(idx[i]+radius, n-1)
+	}
+	g.walk(&od, fn)
+}
+
+// Block is Neighborhood around the cell holding the coordinate row q, over
+// od's scratch, so it allocates nothing.
+func (g *Grid) Block(od *Odometer, q []float64, radius int, fn func(ord int)) {
+	for i, n := range g.Dims {
+		c := g.cellOf(i, q[i])
+		od.lo[i], od.hi[i] = max(c-radius, 0), min(c+radius, n-1)
+	}
+	g.walk(od, fn)
+}
+
+// distSlack bounds how far past dist, relatively, a pair that a
+// squared-distance test accepts at dist can lie along one axis in exact
+// arithmetic. Each difference, square and partial sum rounds by at most
+// 2⁻⁵³ relatively, so the excess is under (d+4)·2⁻⁵⁴: below 2⁻⁴⁰ for any
+// d under 2¹³.
+const distSlack = 0x1p-40
+
+// Box calls fn with the ordinal of every cell that can hold a point within
+// dist of the coordinate row q, in row-major order, over od's scratch.
+// Along each dimension it walks from the cell holding q - dist to the cell
+// holding q + dist, both pushed out past the rounding of the distance test
+// and of the bound itself. Cell lookup is monotone in the coordinate, so
+// every point that WithinDist accepts lies in the box, however the cell
+// arithmetic rounds near an edge; a Chebyshev ring of ⌈dist/width⌉ cells
+// misses a pair at exactly dist whose cell coordinates round apart.
+func (g *Grid) Box(od *Odometer, q []float64, dist float64, fn func(ord int)) {
+	reach := dist * (1 + distSlack)
+	for i := range g.Dims {
+		od.lo[i] = g.cellOf(i, math.Nextafter(q[i]-reach, math.Inf(-1)))
+		od.hi[i] = g.cellOf(i, math.Nextafter(q[i]+reach, math.Inf(1)))
+	}
+	g.walk(od, fn)
+}
+
+// walk runs the odometer over the cells between od.lo and od.hi: the last
+// dimension turns fastest, so ordinals come in row-major order.
+func (g *Grid) walk(od *Odometer, fn func(ord int)) {
+	copy(od.cur, od.lo)
+	for {
+		o := 0
+		for i, n := range g.Dims {
+			o = o*n + od.cur[i]
+		}
+		fn(o)
+		i := len(g.Dims) - 1
+		for ; i >= 0; i-- {
+			od.cur[i]++
+			if od.cur[i] <= od.hi[i] {
+				break
+			}
+			od.cur[i] = od.lo[i]
+		}
+		if i < 0 {
 			return
 		}
-		lo := idx[dim] - radius
-		if lo < 0 {
-			lo = 0
-		}
-		hi := idx[dim] + radius
-		if hi > g.Dims[dim]-1 {
-			hi = g.Dims[dim] - 1
-		}
-		for c := lo; c <= hi; c++ {
-			cur[dim] = c
-			rec(dim + 1)
-		}
 	}
-	rec(0)
 }

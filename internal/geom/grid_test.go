@@ -28,9 +28,9 @@ func TestGridCellCoords(t *testing.T) {
 		{pt(4.999, 5.0), [2]int{4, 5}},
 	}
 	for _, tc := range cases {
-		got := g.CellCoords(tc.p)
+		got := g.Unflatten(g.CellOrdinal(tc.p))
 		if got[0] != tc.want[0] || got[1] != tc.want[1] {
-			t.Errorf("CellCoords(%v) = %v, want %v", tc.p, got, tc.want)
+			t.Errorf("cell of %v = %v, want %v", tc.p, got, tc.want)
 		}
 	}
 }
@@ -50,7 +50,7 @@ func TestGridCellRectContainsItsPoints(t *testing.T) {
 	g := NewGrid(r2(-5, -5, 5, 5), []int{7, 9})
 	for i := 0; i < 1000; i++ {
 		p := pt(rng.Float64()*10-5, rng.Float64()*10-5)
-		idx := g.CellCoords(p)
+		idx := g.Unflatten(g.CellOrdinal(p))
 		rect := g.CellRect(idx)
 		if !rect.Contains(p) {
 			t.Fatalf("cell rect %v does not contain %v (idx %v)", rect, p, idx)

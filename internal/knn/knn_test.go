@@ -200,12 +200,13 @@ func TestKNearestExcludesSelf(t *testing.T) {
 		{ID: 1, Coords: []float64{0, 0}},
 		{ID: 2, Coords: []float64{3, 4}},
 	}
-	tree := buildKD(append([]geom.Point(nil), pts...), 0)
-	d, ok := knnDistance(tree, pts[0], 1)
+	set := geom.PointSetOf(pts)
+	tree := geom.NewKDTree(set)
+	d, ok := kthDistance(tree, set, 0, 1, make([]float64, 0, 1))
 	if !ok || d != 5 {
-		t.Errorf("knnDistance = %g, %v; want 5, true", d, ok)
+		t.Errorf("kthDistance = %g, %v; want 5, true", d, ok)
 	}
-	if _, ok := knnDistance(tree, pts[0], 2); ok {
+	if _, ok := kthDistance(tree, set, 0, 2, make([]float64, 0, 2)); ok {
 		t.Error("k=2 with one neighbor should report not-ok")
 	}
 }
