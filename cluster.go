@@ -37,12 +37,18 @@ type DBSCANConfig struct {
 // DBSCAN up to cluster renumbering and the standard border-point
 // ambiguity.
 func DBSCAN(points []Point, cfg DBSCANConfig) (*DBSCANResult, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return dbscan.ClusterDistributed(points, dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
 		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // DBSCANCentralized clusters points on a single machine.
 func DBSCANCentralized(points []Point, eps float64, minPts int) (*DBSCANResult, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return dbscan.Cluster(points, dbscan.Params{Eps: eps, MinPts: minPts})
 }
 
@@ -70,12 +76,18 @@ type LOCIConfig struct {
 // sits more than KSigma deviations below its neighborhood's typical local
 // density. Returns sorted outlier IDs, identical to LOCICentralized.
 func LOCI(points []Point, cfg LOCIConfig) ([]uint64, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return loci.DetectDistributed(points, loci.Params{R: cfg.R, Alpha: cfg.Alpha, KSigma: cfg.KSigma},
 		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // LOCICentralized runs the LOCI test on a single machine.
 func LOCICentralized(points []Point, r, alpha, kSigma float64) ([]uint64, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return loci.Detect(points, loci.Params{R: r, Alpha: alpha, KSigma: kSigma})
 }
 
@@ -107,11 +119,17 @@ type KNNConfig struct {
 // supporting-area MapReduce algorithm. Results are ranked by descending
 // distance, ties by ascending ID, and match KNNOutliersCentralized exactly.
 func KNNOutliers(points []Point, cfg KNNConfig) ([]KNNOutlier, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return knn.TopNDistributed(points, knn.Params{K: cfg.K, N: cfg.N}, cfg.SupportRadius,
 		core.AreaOptions{NumPartitions: cfg.NumPartitions, NumReducers: cfg.NumReducers, Parallelism: cfg.Parallelism, Seed: cfg.Seed})
 }
 
 // KNNOutliersCentralized ranks the top-n kNN outliers on a single machine.
 func KNNOutliersCentralized(points []Point, k, n int) ([]KNNOutlier, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
 	return knn.TopN(points, knn.Params{K: k, N: n})
 }

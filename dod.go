@@ -384,13 +384,32 @@ func sortIDs(ids []uint64) {
 }
 
 // validatePoints rejects the inputs the detectors cannot give meaningful
-// answers for: empty datasets and duplicate point IDs.
+// answers for: empty datasets, and every set checkPoints rejects.
 func validatePoints(points []Point) error {
 	if len(points) == 0 {
 		return errs.ErrEmptyDataset
 	}
+	return checkPoints(points)
+}
+
+// checkPoints is the one point-set check of every batch entry point. It
+// rejects points whose dimensionality differs from the first point's
+// (*DimMismatchError), zero-dimensional points (ErrBadParams, as
+// DetectBatch rejects a Dim of 0) and repeated IDs (*DuplicateIDError).
+// An empty set passes; each entry point decides what it means.
+func checkPoints(points []Point) error {
+	if len(points) == 0 {
+		return nil
+	}
+	dim := points[0].Dim()
+	if dim < 1 {
+		return errs.BadParams("points must have dimension >= 1, got %d", dim)
+	}
 	seen := make(map[uint64]struct{}, len(points))
 	for _, p := range points {
+		if p.Dim() != dim {
+			return &errs.DimMismatchError{ID: p.ID, Got: p.Dim(), Want: dim}
+		}
 		if _, dup := seen[p.ID]; dup {
 			return &errs.DuplicateIDError{ID: p.ID}
 		}

@@ -135,3 +135,60 @@ func TestStreamDetectorClose(t *testing.T) {
 		t.Errorf("Stats after Close: Ingested = %d, want 1", st.Ingested)
 	}
 }
+
+// TestMalformedPointsRejected runs every batch entry point on point sets
+// of mixed dimensionality, of zero dimensions and with a repeated ID. Each
+// returns the shared check's typed error rather than panicking or ranking
+// one ID twice.
+func TestMalformedPointsRejected(t *testing.T) {
+	entries := map[string]func([]Point) error{
+		"Detect": func(p []Point) error { _, err := Detect(p, Config{R: 1, K: 1}); return err },
+		"DetectCentralized": func(p []Point) error {
+			_, err := DetectCentralized(p, CellBased, 1, 1)
+			return err
+		},
+		"DBSCAN": func(p []Point) error { _, err := DBSCAN(p, DBSCANConfig{Eps: 1, MinPts: 2}); return err },
+		"DBSCANCentralized": func(p []Point) error {
+			_, err := DBSCANCentralized(p, 1, 2)
+			return err
+		},
+		"LOCI": func(p []Point) error { _, err := LOCI(p, LOCIConfig{R: 1}); return err },
+		"LOCICentralized": func(p []Point) error {
+			_, err := LOCICentralized(p, 1, 0.5, 3)
+			return err
+		},
+		"KNNOutliers": func(p []Point) error { _, err := KNNOutliers(p, KNNConfig{K: 1, N: 3}); return err },
+		"KNNOutliersCentralized": func(p []Point) error {
+			_, err := KNNOutliersCentralized(p, 1, 3)
+			return err
+		},
+	}
+	grid := func(n, dim int) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			c := make([]float64, dim)
+			for j := range c {
+				c[j] = float64((i + j) % 3)
+			}
+			pts[i] = Point{ID: uint64(i + 1), Coords: c}
+		}
+		return pts
+	}
+	mixed := append(grid(6, 2), Point{ID: 99, Coords: []float64{0, 1, 2}})
+	duplicate := append(grid(6, 2), Point{ID: 3, Coords: []float64{5, 5}})
+	for name, run := range entries {
+		err := run(mixed)
+		var dm *DimMismatchError
+		if !errors.Is(err, ErrDimMismatch) || !errors.As(err, &dm) || *dm != (DimMismatchError{ID: 99, Got: 3, Want: 2}) {
+			t.Errorf("%s, mixed dimensionality: err = %v, want DimMismatchError{ID: 99, Got: 3, Want: 2}", name, err)
+		}
+		if err := run(grid(6, 0)); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s, zero-dimensional points: err = %v, want ErrBadParams", name, err)
+		}
+		err = run(duplicate)
+		var dup *DuplicateIDError
+		if !errors.Is(err, ErrDuplicateID) || !errors.As(err, &dup) || dup.ID != 3 {
+			t.Errorf("%s, repeated ID: err = %v, want DuplicateIDError{ID: 3}", name, err)
+		}
+	}
+}
