@@ -208,7 +208,9 @@ func TestGeneralityHighDimAllocs(t *testing.T) {
 		}
 		pts[i] = Point{ID: uint64(i), Coords: c}
 	}
-	const ceiling = 64 << 20
+	// 20.9, 19.3 and 19.9 MB measured for DBSCAN, LOCI and KNNOutliers
+	// (GOMAXPROCS 1, 2 and 8 alike), plus 10 %.
+	const ceiling = 23 << 20
 	for _, run := range []struct {
 		name string
 		call func() error
@@ -226,5 +228,26 @@ func TestGeneralityHighDimAllocs(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 			t.Errorf("%s at d=8 allocated %d MB, ceiling %d MB", run.name, got>>20, ceiling>>20)
 		}
+	}
+}
+
+// TestKNNOutliersCentralizedAllocs gates the centralized kNN ranking's
+// mallocs on 20 000 2-D points: the tree, its heap and the point set are
+// a few flat arrays, so the count does not grow with n. 78 measured, plus
+// 10 %.
+func TestKNNOutliersCentralizedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]Point, 20000)
+	for i := range pts {
+		pts[i] = Point{ID: uint64(i), Coords: []float64{rng.Float64() * 100, rng.Float64() * 100}}
+	}
+	const ceiling = 86
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := KNNOutliersCentralized(pts, 5, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("KNNOutliersCentralized on 20 000 points made %v mallocs, ceiling %d", allocs, ceiling)
 	}
 }
