@@ -46,7 +46,7 @@ func (d pivotDetector) prepare(all *geom.PointSet, nCore int, params Params, st 
 	for i, pi := range pivotIdx {
 		for j := 0; j < n; j++ {
 			st.DistComps++
-			pivDist[j*m+i] = math.Sqrt(all.Dist2At(pi, j))
+			pivDist[j*m+i] = math.Sqrt(all.Dist2Coords(j, all.CoordsAt(pi)))
 			maxPiv = math.Max(maxPiv, pivDist[j*m+i])
 		}
 		st.PointsIndexed += int64(n)
