@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -16,20 +18,26 @@ import (
 	"testing"
 )
 
-// TestTestOnlyCensus keeps code that only tests reach out of the build.
-// Every exported top-level func, type, var and const declared under
-// internal/ must be referred to by some non-test Go file of this module or
-// of bench/, outside its own declaration — or be listed, with the role that
-// keeps it, in testdata/testonly.allow. A use is a pkg.Name selector through
-// an import of the declaring package, or a bare identifier inside it; field
-// and method selectors, struct literal keys and method names are not.
-// Methods are out of scope: whether one is used depends on interface
-// satisfaction, which a parser cannot see.
+// TestTestOnlyCensus keeps code that only tests reach out of the build. It
+// type-checks every non-test package of this module and of bench/ with
+// go/types and flags, under internal/:
 //
-// The test fails on a flagged identifier that is not listed, and on a listed
-// one that is no longer flagged or no longer exists, so entries only leave.
+//   - an exported func, type, const or var, or an exported method or struct
+//     field of an exported type, that no non-test file uses outside its own
+//     declaration. A use is any identifier go/types resolves to it, struct
+//     literal keys included. A method that satisfies an interface is
+//     skipped: a call through the interface does not name it.
+//   - an exported field of a struct type named *Config, *Options or *Params
+//     that no non-test code outside the declaring package sets (assigns,
+//     increments, takes the address of, or writes in a composite literal):
+//     a knob only its own package or its tests turn.
+//
+// Each finding is keyed "pkg.Name" or "pkg.Type.Member", with pkg the path
+// below internal/, and must be listed, with the role that keeps it, in
+// testdata/testonly.allow. The test fails on a finding that is not listed,
+// and on a listed one that is no longer a finding, so entries only leave.
 func TestTestOnlyCensus(t *testing.T) {
-	decls, uses, err := censusScan(".")
+	findings, err := censusFindings(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,37 +45,24 @@ func TestTestOnlyCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flagged []string
-	for name, d := range decls {
-		used := false
-		for _, p := range uses[name] {
-			if p < d.start || p >= d.end {
-				used = true
-				break
-			}
-		}
-		if !used {
-			flagged = append(flagged, name)
-		}
+	var keys []string
+	for k := range findings {
+		keys = append(keys, k)
 	}
-	sort.Strings(flagged)
-	for _, name := range flagged {
-		if _, ok := allowed[name]; !ok {
-			t.Errorf("%s: exported, but no non-test file uses it; move it into its consumer's _test.go, delete it, or list it in testdata/testonly.allow with the role that keeps it", name)
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, ok := allowed[k]; !ok {
+			t.Errorf("%s: %s; delete it, move it into its consumer's _test.go, or list it in testdata/testonly.allow with the role that keeps it", k, findings[k])
 		}
-		delete(allowed, name)
+		delete(allowed, k)
 	}
 	var stale []string
-	for name := range allowed {
-		stale = append(stale, name)
+	for k := range allowed {
+		stale = append(stale, k)
 	}
 	sort.Strings(stale)
-	for _, name := range stale {
-		if _, ok := decls[name]; !ok {
-			t.Errorf("%s: listed in testdata/testonly.allow but no longer declared; remove the entry", name)
-		} else {
-			t.Errorf("%s: listed in testdata/testonly.allow but non-test code uses it now; remove the entry", name)
-		}
+	for _, k := range stale {
+		t.Errorf("%s: listed in testdata/testonly.allow but no longer a finding (deleted, or used or set now); remove the entry", k)
 	}
 }
 
@@ -166,9 +161,6 @@ func TestOneSupportingAreaJob(t *testing.T) {
 	}
 }
 
-// censusDecl is the source span of one exported declaration.
-type censusDecl struct{ start, end token.Pos }
-
 // parsedFile is one non-test Go file and the import path of its package.
 type parsedFile struct {
 	file       *ast.File
@@ -213,42 +205,168 @@ func parseModule(root string) (*token.FileSet, []parsedFile, map[string]string, 
 	return fset, files, pkgNames, err
 }
 
-// censusScan returns the exported top-level declarations under internal/
-// of the non-test files under root, keyed "pkg.Name" with pkg the path
-// below internal/, and every position at which a non-test file uses each
-// such key.
-func censusScan(root string) (map[string]censusDecl, map[string][]token.Pos, error) {
-	const internalPrefix = "dod/internal/"
-	_, files, pkgNames, err := parseModule(root)
+// censusPkg is one type-checked non-test package.
+type censusPkg struct {
+	path  string
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// censusCheck type-checks every non-test package under root (module dod and
+// bench/'s dod/bench). Packages of ours are checked from source in import
+// order; the standard library comes from importer.Default's export data.
+func censusCheck(root string) (*token.FileSet, []*censusPkg, error) {
+	fset, files, _, err := parseModule(root)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	key := func(importPath, name string) string {
-		return strings.TrimPrefix(importPath, internalPrefix) + "." + name
-	}
-	decls := map[string]censusDecl{}
+	byPath := map[string][]*ast.File{}
 	for _, pf := range files {
-		if !strings.HasPrefix(pf.importPath, internalPrefix) {
+		byPath[pf.importPath] = append(byPath[pf.importPath], pf.file)
+	}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var pkgs []*censusPkg
+	var check func(path string) (*types.Package, error)
+	check = func(path string) (*types.Package, error) {
+		if tp, ok := checked[path]; ok {
+			if tp == nil {
+				return nil, fmt.Errorf("import cycle through %s", path)
+			}
+			return tp, nil
+		}
+		fs, ok := byPath[path]
+		if !ok {
+			return std.Import(path)
+		}
+		checked[path] = nil
+		p := &censusPkg{path: path, files: fs, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		conf := types.Config{Importer: importerFunc(check)}
+		tp, err := conf.Check(path, fset, fs, p.info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = tp
+		p.pkg = tp
+		pkgs = append(pkgs, p)
+		return tp, nil
+	}
+	paths := make([]string, 0, len(byPath))
+	for path := range byPath {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := check(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	return fset, pkgs, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// censusFindings returns the census's findings under root, keyed as
+// TestTestOnlyCensus describes, each with what is wrong with it.
+func censusFindings(root string) (map[string]string, error) {
+	const internalPrefix = "dod/internal/"
+	_, pkgs, err := censusCheck(root)
+	if err != nil {
+		return nil, err
+	}
+
+	// Every use of every object, and every field set outside its package.
+	uses := map[types.Object][]token.Pos{}
+	setOutside := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			obj = censusOrigin(obj)
+			uses[obj] = append(uses[obj], id.Pos())
+		}
+		for _, f := range p.files {
+			censusSets(p, f, func(field types.Object) {
+				if field.Pkg() != nil && field.Pkg().Path() != p.path {
+					setOutside[censusOrigin(field)] = true
+				}
+			})
+		}
+	}
+	ifaces, err := censusInterfaces(pkgs)
+	if err != nil {
+		return nil, err
+	}
+
+	findings := map[string]string{}
+	unused := func(key string, obj types.Object, start, end token.Pos) {
+		for _, pos := range uses[obj] {
+			if pos < start || pos >= end {
+				return
+			}
+		}
+		findings[key] = "exported, but no non-test file uses it"
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.path, internalPrefix) {
 			continue
 		}
-		for _, d := range pf.file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() {
-					decls[key(pf.importPath, d.Name.Name)] = censusDecl{d.Pos(), d.End()}
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							decls[key(pf.importPath, s.Name.Name)] = censusDecl{s.Pos(), s.End()}
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								decls[key(pf.importPath, n.Name)] = censusDecl{s.Pos(), s.End()}
+		pkg := strings.TrimPrefix(p.path, internalPrefix)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					obj := p.info.Defs[d.Name]
+					if d.Recv == nil {
+						unused(pkg+"."+d.Name.Name, obj, d.Pos(), d.End())
+						continue
+					}
+					recv := censusNamed(obj.(*types.Func).Type().(*types.Signature).Recv().Type())
+					if recv == nil || !recv.Obj().Exported() || censusSatisfies(recv, d.Name.Name, ifaces) {
+						continue
+					}
+					unused(pkg+"."+recv.Obj().Name()+"."+d.Name.Name, obj, d.Pos(), d.End())
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							if !s.Name.IsExported() {
+								continue
+							}
+							unused(pkg+"."+s.Name.Name, p.info.Defs[s.Name], s.Pos(), s.End())
+							st, ok := s.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							knob := strings.HasSuffix(s.Name.Name, "Config") || strings.HasSuffix(s.Name.Name, "Options") ||
+								strings.HasSuffix(s.Name.Name, "Params")
+							for _, fld := range st.Fields.List {
+								for _, n := range fld.Names {
+									if !n.IsExported() {
+										continue
+									}
+									key := pkg + "." + s.Name.Name + "." + n.Name
+									obj := p.info.Defs[n]
+									unused(key, obj, fld.Pos(), fld.End())
+									if _, found := findings[key]; !found && knob && !setOutside[obj] {
+										findings[key] = "a knob no non-test code outside its package sets"
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.IsExported() {
+									unused(pkg+"."+n.Name, p.info.Defs[n], s.Pos(), s.End())
+								}
 							}
 						}
 					}
@@ -256,64 +374,169 @@ func censusScan(root string) (map[string]censusDecl, map[string][]token.Pos, err
 			}
 		}
 	}
+	return findings, nil
+}
 
-	uses := map[string][]token.Pos{}
-	for _, pf := range files {
-		imports := map[string]string{} // local name → import path
-		for _, is := range pf.file.Imports {
-			ip := strings.Trim(is.Path.Value, `"`)
-			name, ok := pkgNames[ip]
-			if !ok {
-				continue // not one of ours
-			}
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = ip
-		}
-		notUses := map[*ast.Ident]bool{}
-		ast.Inspect(pf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
+// censusOrigin maps an instantiated generic member to its declaration.
+func censusOrigin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// censusNamed returns the named type t or *t is, or nil.
+func censusNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// censusSets calls set for every struct field the file writes: the
+// selectors on the left of an assignment or increment, under an address-of,
+// and the fields a composite literal fills.
+func censusSets(p *censusPkg, f *ast.File, set func(types.Object)) {
+	var lhs func(e ast.Expr)
+	lhs = func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
 			case *ast.SelectorExpr:
-				notUses[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if ip, ok := imports[x.Name]; ok {
-						k := key(ip, n.Sel.Name)
-						uses[k] = append(uses[k], n.Sel.Pos())
+				if sel, ok := p.info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+					set(sel.Obj())
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs(e)
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if e != nil {
+						lhs(e)
 					}
 				}
-			case *ast.CompositeLit:
-				if _, isMap := n.Type.(*ast.MapType); !isMap {
-					for _, e := range n.Elts {
-						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								notUses[id] = true
-							}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				lhs(n.X)
+			}
+		case *ast.CompositeLit:
+			st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if obj := p.info.Uses[id]; obj != nil {
+							set(obj)
 						}
 					}
-				}
-			case *ast.FuncDecl:
-				notUses[n.Name] = true
-			case *ast.Field:
-				for _, id := range n.Names {
-					notUses[id] = true
-				}
-			case *ast.TypeSpec:
-				notUses[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					notUses[id] = true
-				}
-			case *ast.Ident:
-				if !notUses[n] && n.IsExported() {
-					k := key(pf.importPath, n.Name)
-					uses[k] = append(uses[k], n.Pos())
+				} else if i < st.NumFields() {
+					set(st.Field(i))
 				}
 			}
-			return true
-		})
+		}
+		return true
+	})
+}
+
+// censusProtocols are interfaces the standard library asserts inline, so
+// no export data carries them: errors.Is, errors.As and errors.Unwrap's.
+const censusProtocols = `package protocols
+type is interface{ Is(error) bool }
+type as interface{ As(any) bool }
+type unwrap interface{ Unwrap() error }
+type unwrapAll interface{ Unwrap() []error }
+`
+
+// censusInterfaces returns every interface with methods that the checked
+// packages and the packages they import declare or spell out, plus error
+// and censusProtocols.
+func censusInterfaces(pkgs []*censusPkg) ([]*types.Interface, error) {
+	var out []*types.Interface
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			out = append(out, it)
+		}
 	}
-	return decls, uses, nil
+	add(types.Universe.Lookup("error").Type())
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "protocols.go", censusProtocols, 0)
+	if err != nil {
+		return nil, err
+	}
+	protocols, err := new(types.Config).Check("protocols", fset, []*ast.File{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(tp *types.Package)
+	walk = func(tp *types.Package) {
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		scope := tp.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range tp.Imports() {
+			walk(imp)
+		}
+	}
+	walk(protocols)
+	for _, p := range pkgs {
+		walk(p.pkg)
+		for e, tv := range p.info.Types {
+			if _, ok := e.(*ast.InterfaceType); ok {
+				add(tv.Type)
+			}
+		}
+	}
+	return out, nil
+}
+
+// censusSatisfies reports whether the method name of named is a method of
+// some interface that named or *named implements.
+func censusSatisfies(named *types.Named, name string, ifaces []*types.Interface) bool {
+	ptr := types.NewPointer(named)
+	for _, it := range ifaces {
+		has := false
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name {
+				has = true
+				break
+			}
+		}
+		if has && (types.Implements(named, it) || types.Implements(ptr, it)) {
+			return true
+		}
+	}
+	return false
 }
 
 // readAllowList reads "pkg.Name  reason" lines; blank lines and lines
