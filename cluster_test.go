@@ -168,7 +168,7 @@ func TestKNNOutliersValidation(t *testing.T) {
 	}
 }
 
-func TestDetectWithExactSupportAndFailures(t *testing.T) {
+func TestDetectWithExactSupport(t *testing.T) {
 	pts := testDataset(900, 21)
 	want, err := DetectCentralized(pts, BruteForce, 5, 4)
 	if err != nil {
@@ -177,7 +177,6 @@ func TestDetectWithExactSupportAndFailures(t *testing.T) {
 	res, err := Detect(pts, Config{
 		R: 5, K: 4,
 		ExactSupport: true,
-		FailureRate:  0.2,
 		SampleRate:   1,
 		Seed:         22,
 	})

@@ -156,10 +156,6 @@ type Config struct {
 	// (rounded corners) instead of the default Def. 3.3 rectangular
 	// expansion, trading mapping cost for less replication.
 	ExactSupport bool
-	// FailureRate injects task failures with this probability; failed
-	// attempts are retried, exercising fault tolerance without changing
-	// results.
-	FailureRate float64
 
 	// Engine selects where detection tasks execute: EngineLocal (the
 	// default, in-process goroutines) or EngineCluster (shipped to the
@@ -458,7 +454,6 @@ func (cfg Config) toCore() (core.Config, error) {
 	copy(candidates, cfg.Candidates)
 	parallelism := cfg.Parallelism
 	var executorFor func(*plan.Plan, detect.Params, int64) (mapreduce.Executor, error)
-	var retryBackoff time.Duration
 	switch cfg.Engine {
 	case "", EngineLocal:
 		if cfg.Coordinator != nil {
@@ -469,7 +464,6 @@ func (cfg Config) toCore() (core.Config, error) {
 			return core.Config{}, errs.BadParams("EngineCluster requires a Coordinator")
 		}
 		executorFor = core.ClusterExecutorFor(cfg.Coordinator.c)
-		retryBackoff = 50 * time.Millisecond
 		if parallelism <= 0 {
 			// The driver's parallelism bounds in-flight dispatches; with
 			// remote workers doing the actual computing, hold many more
@@ -495,8 +489,6 @@ func (cfg Config) toCore() (core.Config, error) {
 		BucketsPerDim: cfg.BucketsPerDim,
 		Seed:          cfg.Seed,
 		Parallelism:   parallelism,
-		FailureRate:   cfg.FailureRate,
-		RetryBackoff:  retryBackoff,
 		ExecutorFor:   executorFor,
 		Cluster:       cluster.PaperCluster,
 	}, nil

@@ -139,29 +139,6 @@ func TestDistributedWithSampledStatistics(t *testing.T) {
 	}
 }
 
-func TestDistributedSurvivesTaskFailures(t *testing.T) {
-	points := makeSkewed(800, 5)
-	want := bruteForceIDs(points, testParams)
-	input, err := InputFromPoints(points, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), input, Config{
-		Params:      testParams,
-		Planner:     plan.DMT,
-		PlanOpts:    plan.Options{NumReducers: 4},
-		SampleRate:  1.0,
-		Seed:        13,
-		FailureRate: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Outliers, want) {
-		t.Error("failure injection changed the outlier set")
-	}
-}
-
 func TestDomainBaselineTwoJobs(t *testing.T) {
 	points := makeSkewed(1000, 9)
 	input, err := InputFromPoints(points, 200)

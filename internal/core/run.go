@@ -45,13 +45,7 @@ type Config struct {
 	BucketsPerDim int     // mini buckets per dimension; default 32
 	Seed          int64
 
-	Parallelism int     // local goroutines for the in-process engine
-	FailureRate float64 // injected task failure rate (with retries)
-
-	// RetryBackoff is the base delay between attempts of a failed task,
-	// doubling per attempt. Zero retries immediately (the in-process
-	// default); the cluster engine sets a real backoff.
-	RetryBackoff time.Duration
+	Parallelism int // local goroutines for the in-process engine
 
 	// ExecutorFor, when set, supplies the task executor for the detection
 	// job once the plan is known — the hook the cluster engine uses to
@@ -157,11 +151,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			obs.Int("buckets_per_dim", int64(cfg.BucketsPerDim)))
 		var res *mapreduce.Result
 		var err error
-		hist, res, err = sample.RunJobContext(ctx, sCfg, mapreduce.Config{
-			Parallelism: cfg.Parallelism,
-			FailureRate: cfg.FailureRate,
-			Seed:        cfg.Seed + 1,
-		}, input.Splits)
+		hist, res, err = sample.RunJobContext(ctx, sCfg, mapreduce.Config{Parallelism: cfg.Parallelism}, input.Splits)
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocessing: %w", err)
 		}
@@ -194,13 +184,10 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 
 	// ---- Detection job (single pass, Fig. 2/3) ----
 	mrCfg := mapreduce.Config{
-		NumReducers:  pl.NumReducers,
-		Parallelism:  cfg.Parallelism,
-		Partitioner:  func(key uint64, n int) int { return pl.ReducerFor(key) },
-		FailureRate:  cfg.FailureRate,
-		RetryBackoff: cfg.RetryBackoff,
-		Trace:        tr,
-		Seed:         cfg.Seed + 2,
+		NumReducers: pl.NumReducers,
+		Parallelism: cfg.Parallelism,
+		Partitioner: func(key uint64, n int) int { return pl.ReducerFor(key) },
+		Trace:       tr,
 	}
 	if cfg.ExecutorFor != nil {
 		if pl.SupportR <= 0 {

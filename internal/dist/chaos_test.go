@@ -126,7 +126,6 @@ func TestChaosMatrix(t *testing.T) {
 
 			cfg := coreConfig()
 			cfg.ExecutorFor = core.ClusterExecutorFor(coord)
-			cfg.RetryBackoff = 2 * time.Millisecond
 			rep, err := core.Run(context.Background(), input, cfg)
 			if err != nil {
 				dumpSchedule(t, seed, in)

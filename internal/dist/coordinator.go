@@ -154,14 +154,14 @@ type taskOutcome struct {
 	err       error
 }
 
-// task is one schedulable task attempt (from the MapReduce driver's point
-// of view); the coordinator may dispatch it several times. All fields after
-// construction are guarded by the coordinator mutex.
+// task is one map or reduce task the MapReduce driver asked for once; the
+// coordinator may dispatch it several times (lease expiry, speculation,
+// nacks) until one result is accepted. All fields after construction are
+// guarded by the coordinator mutex.
 type task struct {
-	job     *jobRun
-	phase   string
-	id      int
-	attempt int
+	job   *jobRun
+	phase string
+	id    int
 
 	mapTask    *mapreduce.MapTask
 	reduceTask *mapreduce.ReduceTask
@@ -207,7 +207,6 @@ type Coordinator struct {
 
 	mu          sync.Mutex
 	closed      bool
-	draining    bool // /readyz reports not-ready; work in flight still settles
 	workers     map[string]*workerState
 	jobs        map[uint64]*jobRun
 	queue       []*task
@@ -281,9 +280,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 
 // URL returns the coordinator's base URL, e.g. "http://127.0.0.1:41327".
 func (c *Coordinator) URL() string { return "http://" + c.ln.Addr().String() }
-
-// Addr returns the coordinator's bound network address.
-func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 
 // Registry returns the registry holding the coordinator's dod_dist_*
 // instruments (also served on GET /metrics).
@@ -375,16 +371,7 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// SetDraining flips the coordinator's readiness: while draining, GET
-// /readyz answers 503 so load balancers stop routing new work here, but
-// in-flight polls, results, and queued tasks keep settling normally.
-func (c *Coordinator) SetDraining(draining bool) {
-	c.mu.Lock()
-	c.draining = draining
-	c.mu.Unlock()
-}
-
-// Executor returns a mapreduce.Executor that ships this job's task attempts
+// Executor returns a mapreduce.Executor that ships this job's tasks
 // to the coordinator's workers. spec must name a job kind registered in the
 // worker binaries.
 func (c *Coordinator) Executor(spec JobSpec) mapreduce.Executor {
@@ -404,9 +391,9 @@ func (c *Coordinator) Executor(spec JobSpec) mapreduce.Executor {
 // remoteExecutor adapts the coordinator to mapreduce's Executor seam: each
 // ExecMap/ExecReduce call enqueues one task and blocks until a worker's
 // result is accepted (or the task fails / ctx is cancelled). Lost-worker
-// re-dispatch and speculation happen inside the coordinator without
-// consuming a mapreduce attempt; only failures the cluster cannot recover
-// from surface here.
+// re-dispatch and speculation happen inside the coordinator, so this is the
+// only task recovery a job has; only failures the cluster cannot recover
+// from surface here, and they fail the job.
 type remoteExecutor struct {
 	c   *Coordinator
 	job *jobRun
@@ -414,7 +401,7 @@ type remoteExecutor struct {
 
 func (e *remoteExecutor) ExecMap(ctx context.Context, t mapreduce.MapTask) (*mapreduce.MapResult, error) {
 	tk := &task{
-		job: e.job, phase: "map", id: t.TaskID, attempt: t.Attempt,
+		job: e.job, phase: "map", id: t.TaskID,
 		mapTask: &t,
 		running: make(map[uint64]dispatchInfo),
 		outcome: make(chan taskOutcome, 1),
@@ -424,7 +411,7 @@ func (e *remoteExecutor) ExecMap(ctx context.Context, t mapreduce.MapTask) (*map
 
 func (e *remoteExecutor) ExecReduce(ctx context.Context, t mapreduce.ReduceTask) (*mapreduce.ReduceResult, error) {
 	tk := &task{
-		job: e.job, phase: "reduce", id: t.TaskID, attempt: t.Attempt,
+		job: e.job, phase: "reduce", id: t.TaskID,
 		reduceTask: &t,
 		running:    make(map[uint64]dispatchInfo),
 		outcome:    make(chan taskOutcome, 1),
@@ -604,8 +591,7 @@ func (c *Coordinator) tryDispatchLocked(ws *workerState) (*task, taskHeader) {
 		tk.running[did] = dispatchInfo{worker: ws.name, start: now}
 		ws.running[did] = tk
 		h := taskHeader{
-			Job: tk.job.id, Phase: tk.phase, Task: tk.id, Dispatch: did,
-			Attempt: tk.attempt, Spec: tk.job.spec,
+			Job: tk.job.id, Phase: tk.phase, Task: tk.id, Dispatch: did, Spec: tk.job.spec,
 		}
 		if tk.mapTask != nil {
 			h.NumReducers = tk.mapTask.NumReducers
@@ -846,17 +832,15 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 
 // handleReady serves GET /readyz: distinct from /healthz (liveness — the
 // process is up), readiness means the coordinator can actually take work:
-// not closed, not draining, and enough workers hold live leases.
+// not closed, and enough workers hold live leases.
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	workers := len(c.workers)
-	ready := !c.closed && !c.draining && workers >= c.cfg.MinReadyWorkers
+	ready := !c.closed && workers >= c.cfg.MinReadyWorkers
 	var reason string
 	switch {
 	case c.closed:
 		reason = "closed"
-	case c.draining:
-		reason = "draining"
 	case workers < c.cfg.MinReadyWorkers:
 		reason = fmt.Sprintf("%d/%d workers", workers, c.cfg.MinReadyWorkers)
 	}

@@ -1,10 +1,10 @@
 // Package dist is the real distributed execution runtime: a coordinator
 // that owns job control (scheduling, shuffle, retries) and workers that
-// execute map and reduce task attempts on other processes or machines,
+// execute map and reduce tasks on other processes or machines,
 // speaking HTTP with internal/codec framed bodies.
 //
 // The runtime slots under internal/mapreduce through its Executor seam: the
-// coordinator-side remote executor ships each task attempt to a polling
+// coordinator-side remote executor ships each task to a polling
 // worker and returns the worker's output to the unchanged MapReduce driver.
 // The topology is a star — workers long-poll the coordinator for tasks
 // (the poll doubles as a heartbeat) and stream results back, so workers
@@ -54,7 +54,6 @@ type JobSpec struct {
 type Job struct {
 	Mapper      mapreduce.Mapper
 	Reducer     mapreduce.Reducer
-	Combiner    mapreduce.Reducer     // optional
 	Partitioner mapreduce.Partitioner // optional; default key % n
 }
 

@@ -254,30 +254,6 @@ func TestWorkerKilledMidJob(t *testing.T) {
 	}
 }
 
-// ---- seeded fault injection rides over the cluster unchanged ----
-
-func TestInjectedFailuresOverCluster(t *testing.T) {
-	input := testInput(t, 2000)
-	local := runDetection(t, input, coreConfig())
-
-	coord := newCoordinator(t, dist.Config{})
-	startWorker(t, coord, "w1", 2, nil)
-	startWorker(t, coord, "w2", 2, nil)
-	if err := coord.WaitForWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := coreConfig()
-	cfg.ExecutorFor = core.ClusterExecutorFor(coord)
-	cfg.FailureRate = 0.3 // seeded driver-side rolls: deterministic, heavily retried
-	cfg.RetryBackoff = time.Millisecond
-	clustered := runDetection(t, input, cfg)
-
-	if !reflect.DeepEqual(local.Outliers, clustered.Outliers) {
-		t.Errorf("injected failures changed cluster results: %d vs %d IDs", len(clustered.Outliers), len(local.Outliers))
-	}
-}
-
 // ---- scheduling-level tests use a tiny registered test job ----
 
 const echoKind = "dist-test.echo/v1"
@@ -428,7 +404,7 @@ func TestCoordinatorCloseAborts(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		_, err := exec.ExecMap(context.Background(), mapreduce.MapTask{
-			TaskID: 0, Attempt: 1, NumReducers: 1,
+			TaskID: 0, NumReducers: 1,
 			Split: mapreduce.Split{Name: "a", Data: []byte{1}},
 		})
 		errc <- err
@@ -445,7 +421,7 @@ func TestCoordinatorCloseAborts(t *testing.T) {
 	}
 
 	// And everything after Close fails fast.
-	if _, err := exec.ExecReduce(context.Background(), mapreduce.ReduceTask{TaskID: 0, Attempt: 1}); !errors.Is(err, errs.ErrJobAborted) {
+	if _, err := exec.ExecReduce(context.Background(), mapreduce.ReduceTask{TaskID: 0}); !errors.Is(err, errs.ErrJobAborted) {
 		t.Errorf("post-Close ExecReduce error = %v, want ErrJobAborted", err)
 	}
 }

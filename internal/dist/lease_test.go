@@ -119,7 +119,7 @@ func execMapAsync(exec mapreduce.Executor, id int) <-chan mapOutcome {
 	ch := make(chan mapOutcome, 1)
 	go func() {
 		res, err := exec.ExecMap(context.Background(), mapreduce.MapTask{
-			TaskID: id, Attempt: 1, NumReducers: 1,
+			TaskID: id, NumReducers: 1,
 			Split: mapreduce.Split{Name: fmt.Sprintf("s%d", id), Data: []byte{byte(id)}},
 		})
 		ch <- mapOutcome{res, err}

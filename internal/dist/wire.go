@@ -55,7 +55,6 @@ type taskHeader struct {
 	Phase       string  `json:"phase"` // "map" or "reduce"
 	Task        int     `json:"task"`
 	Dispatch    uint64  `json:"dispatch"` // unique per dispatch, distinguishes duplicates
-	Attempt     int     `json:"attempt"`
 	NumReducers int     `json:"numReducers,omitempty"`
 	SplitName   string  `json:"splitName,omitempty"`
 	Spec        JobSpec `json:"spec"`
@@ -216,11 +215,11 @@ func decodeTaskBody(body []byte) (h taskHeader, mt *mapreduce.MapTask, rt *mapre
 			return taskHeader{}, nil, nil, codec.WireErrorf("dist: map task carries %d split frames, want 1", splits)
 		}
 		return h, &mapreduce.MapTask{
-			TaskID: h.Task, Attempt: h.Attempt, NumReducers: h.NumReducers,
+			TaskID: h.Task, NumReducers: h.NumReducers,
 			Split: mapreduce.Split{Name: h.SplitName, Data: split},
 		}, nil, nil
 	case "reduce":
-		return h, nil, &mapreduce.ReduceTask{TaskID: h.Task, Attempt: h.Attempt, Groups: groups}, nil
+		return h, nil, &mapreduce.ReduceTask{TaskID: h.Task, Groups: groups}, nil
 	default:
 		return taskHeader{}, nil, nil, codec.WireErrorf("dist: unknown task phase %q", h.Phase)
 	}

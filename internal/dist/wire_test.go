@@ -13,7 +13,7 @@ import (
 
 func sampleTaskHeader(phase string) taskHeader {
 	return taskHeader{
-		Job: 7, Phase: phase, Task: 3, Dispatch: 42, Attempt: 2,
+		Job: 7, Phase: phase, Task: 3, Dispatch: 42,
 		NumReducers: 4, SplitName: "blk-3",
 		Spec: JobSpec{Kind: "dod.test/v1", Config: []byte(`{"r":5}`)},
 	}
@@ -36,7 +36,7 @@ func TestMapTaskRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, h) {
 		t.Errorf("header round-trip:\n got %+v\nwant %+v", got, h)
 	}
-	if !reflect.DeepEqual(*mt, mapreduce.MapTask{TaskID: 3, Attempt: 2, NumReducers: 4, Split: split}) {
+	if !reflect.DeepEqual(*mt, mapreduce.MapTask{TaskID: 3, NumReducers: 4, Split: split}) {
 		t.Errorf("map task round-trip: %+v", *mt)
 	}
 }
@@ -59,7 +59,7 @@ func TestReduceTaskRoundTrip(t *testing.T) {
 	if mt != nil || rt == nil {
 		t.Fatalf("reduce body decoded as map task")
 	}
-	if rt.TaskID != 3 || rt.Attempt != 2 || len(rt.Groups) != 3 {
+	if rt.TaskID != 3 || len(rt.Groups) != 3 {
 		t.Fatalf("reduce task round-trip: %+v", *rt)
 	}
 	for i := range groups {

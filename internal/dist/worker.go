@@ -256,7 +256,7 @@ func (w *Worker) runTask(ctx context.Context, body []byte, dispatchHdr string, r
 	job, err := w.jobFor(h.Spec)
 	if err == nil {
 		tr := obs.NewTrace(fmt.Sprintf("dist-task-%d", h.Dispatch))
-		exec := mapreduce.NewLocalExecutor(job.Mapper, job.Reducer, job.Combiner, job.Partitioner, tr)
+		exec := mapreduce.NewLocalExecutor(job.Mapper, job.Reducer, job.Partitioner, tr)
 		switch {
 		case mt != nil:
 			var res *mapreduce.MapResult

@@ -43,16 +43,9 @@ func (a AF) Add(b AF) AF {
 // Params are the DSHC merging thresholds of Def. 5.2.
 type Params struct {
 	// Tdiff is the maximum density difference for two clusters to merge
-	// (criterion 1). It is an absolute difference, as in the paper, unless
-	// TdiffRelative is set.
+	// (criterion 1): an absolute difference, as in the paper. Equal
+	// densities (including two empty regions) always merge.
 	Tdiff float64
-	// TdiffRelative switches criterion 1 to a relative test:
-	// |d1 − d2| < Tdiff · max(d1, d2). Real geospatial densities span
-	// orders of magnitude, where a single absolute threshold either
-	// shatters dense regions or fuses sparse ones; the relative form keeps
-	// clusters within the same density decade. Equal densities (including
-	// two empty regions) always merge.
-	TdiffRelative bool
 	// DensityClass, when set, replaces criterion 1 entirely: two clusters
 	// are density-similar iff their densities map to the same class. The
 	// DMT planner classifies by the Corollary 4.3 algorithm regimes, the
@@ -101,9 +94,6 @@ func (p Params) densitySimilar(d1, d2 float64) bool {
 	diff := math.Abs(d1 - d2)
 	if diff == 0 {
 		return true
-	}
-	if p.TdiffRelative {
-		return diff < p.Tdiff*math.Max(d1, d2)
 	}
 	return diff < p.Tdiff
 }

@@ -52,16 +52,6 @@ func (f *Figure) Get(label, x string) (float64, bool) {
 	return 0, false
 }
 
-// MustGet is Get that panics on a missing sample (used by benches/tests
-// that assert on specific cells).
-func (f *Figure) MustGet(label, x string) float64 {
-	v, ok := f.Get(label, x)
-	if !ok {
-		panic(fmt.Sprintf("experiments: %s has no sample %q/%q", f.ID, label, x))
-	}
-	return v
-}
-
 // String renders the figure as an aligned text table: one row per series,
 // one column per x category.
 func (f *Figure) String() string {

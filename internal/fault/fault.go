@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -228,21 +227,6 @@ func (in *Injector) Schedule() []Decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([]Decision(nil), in.schedule...)
-}
-
-// SiteNames lists the sites that have been rolled at least once, sorted.
-func (in *Injector) SiteNames() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	names := make([]string, 0, len(in.sites))
-	for n := range in.sites {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Site is one named injection point. A nil *Site rolls None forever.

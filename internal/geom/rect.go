@@ -70,23 +70,6 @@ func (r Rect) Overlaps(s Rect) bool {
 	return true
 }
 
-// Adjacent reports whether r and s touch without overlapping interiors:
-// they share a boundary along exactly the dimensions where one's Max equals
-// the other's Min, and overlap in every other dimension. Used by the DSHC
-// search operation, which queries both overlapping and adjacent nodes.
-func (r Rect) Adjacent(s Rect) bool {
-	touching := false
-	for i := range r.Min {
-		if r.Max[i] < s.Min[i] || s.Max[i] < r.Min[i] {
-			return false // gap in dimension i: disjoint, not adjacent
-		}
-		if r.Max[i] == s.Min[i] || s.Max[i] == r.Min[i] {
-			touching = true
-		}
-	}
-	return touching
-}
-
 // Expand returns r grown by delta on every side in every dimension. It is
 // the supporting-area construction of Def. 3.3 (with delta = the distance
 // threshold).

@@ -12,15 +12,13 @@
 //   - Per-task wall times and per-task counters are recorded, so experiments
 //     can replay them through internal/cluster to obtain the makespan of a
 //     simulated 40-node cluster.
-//   - Task attempts can fail (injected, seeded) and are retried with
-//     exponential backoff, exercising the fault-tolerant execution
-//     MapReduce platforms provide.
 //
-// Task execution is pluggable: Config.Executor runs individual task
-// attempts, defaulting to the in-process executor. The distributed runtime
+// Task execution is pluggable: Config.Executor runs individual tasks,
+// defaulting to the in-process executor. The distributed runtime
 // (internal/dist) substitutes an executor that ships tasks to remote
-// workers over the network; the driver keeps owning scheduling, retries,
-// the shuffle, and result assembly either way.
+// workers over the network and re-runs them elsewhere when a worker is
+// lost; the driver keeps owning scheduling, the shuffle, and result
+// assembly either way. The driver runs each task once.
 //
 // Keys are uint64 (DOD keys records by grid-cell / partition ID, Fig. 2);
 // values are opaque byte slices.
@@ -28,16 +26,13 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"dod/internal/obs"
-	"dod/internal/retry"
 )
 
 // Pair is one intermediate or output record.
@@ -101,16 +96,15 @@ func DefaultPartitioner(key uint64, numReducers int) int {
 	return int(key % uint64(numReducers))
 }
 
-// MapTask is one map task attempt handed to an Executor.
+// MapTask is one map task handed to an Executor.
 type MapTask struct {
 	TaskID      int
-	Attempt     int
 	Split       Split
 	NumReducers int
 }
 
-// MapResult is a successful map attempt: the task's output partitioned
-// into per-reducer buckets (post-combiner), plus its execution metric.
+// MapResult is a successful map task: its output partitioned into
+// per-reducer buckets, plus its execution metric.
 type MapResult struct {
 	Buckets [][]Pair
 	Metric  TaskMetric
@@ -120,31 +114,29 @@ type MapResult struct {
 	Spans []obs.Span
 }
 
-// ReduceTask is one reduce task attempt handed to an Executor.
+// ReduceTask is one reduce task handed to an Executor.
 type ReduceTask struct {
-	TaskID  int
-	Attempt int
-	Groups  []Group
+	TaskID int
+	Groups []Group
 }
 
-// ReduceResult is a successful reduce attempt.
+// ReduceResult is a successful reduce task.
 type ReduceResult struct {
 	Output []Pair
 	Metric TaskMetric
 	Spans  []obs.Span
 }
 
-// Executor runs individual task attempts. The default executor runs them
+// Executor runs individual tasks. The default executor runs them
 // in-process on the calling goroutine; the distributed runtime substitutes
 // one that ships tasks to remote workers. An executor must be safe for
 // concurrent use: the driver invokes it from its worker pool.
 //
-// An executor owns the infrastructure of one attempt — where it runs and
-// how its output gets back, including re-running it elsewhere when that
-// infrastructure fails (internal/dist re-dispatches on its own; DESIGN.md §6,
-// "two failure domains"). Any error an executor returns fails the job. The
-// driver retries, with backoff, only the task failures it injects itself
-// (Config.FailureRate).
+// An executor owns task recovery: where a task runs, how its output gets
+// back, and re-running it elsewhere when that fails (internal/dist
+// re-dispatches on its own; DESIGN.md §6). The driver calls ExecMap or
+// ExecReduce once per task, and any error an executor returns fails the
+// job.
 type Executor interface {
 	ExecMap(ctx context.Context, task MapTask) (*MapResult, error)
 	ExecReduce(ctx context.Context, task ReduceTask) (*ReduceResult, error)
@@ -156,31 +148,17 @@ type Config struct {
 	Parallelism int         // concurrent task goroutines; default GOMAXPROCS
 	Partitioner Partitioner // default DefaultPartitioner
 
-	// Executor runs task attempts; default the in-process executor.
+	// Executor runs tasks; default the in-process executor.
 	Executor Executor
 
 	// Trace, when set, receives spans recorded by task user code (via
 	// TaskContext.Trace) and spans shipped back by remote executors.
 	Trace *obs.Trace
 
-	// Combiner, when set, runs map-side over each map task's output before
-	// the shuffle, exactly like Hadoop's combiner: values of equal keys
-	// emitted by one task are grouped and reduced locally, cutting shuffle
-	// volume. It must be algebraically safe to apply zero or more times
-	// (associative, commutative aggregation with idempotent re-reduction).
-	Combiner Reducer
-
-	// Failure injection: each task attempt fails with this probability
-	// (before its outputs are committed, as in Hadoop's task model).
-	FailureRate float64
-	MaxAttempts int // attempts per task before the job fails; default 4
-	// RetryBackoff is the base delay before re-running a failed attempt,
-	// growing exponentially per attempt with full jitter (capped at
-	// 100x; see internal/retry). Zero retries immediately — the default,
-	// keeping injected-failure tests fast; the distributed engine sets a
-	// real backoff.
-	RetryBackoff time.Duration
-	Seed         int64
+	// Seed is read by nothing in the engine: the driver runs every task
+	// once and draws no random numbers. It stays because the benchmark
+	// module (bench/) sets it.
+	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -193,18 +171,14 @@ func (c Config) withDefaults() Config {
 	if c.Partitioner == nil {
 		c.Partitioner = DefaultPartitioner
 	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 4
-	}
 	return c
 }
 
 // TaskContext carries per-task identity, counters, and the span sink into
 // user code.
 type TaskContext struct {
-	Phase   string // "map" or "reduce"
-	TaskID  int
-	Attempt int
+	Phase  string // "map" or "reduce"
+	TaskID int
 
 	// Trace receives spans recorded by user code ("partition.detect", ...).
 	// It may be the job's trace (in-process execution) or a per-task trace
@@ -227,10 +201,9 @@ func (tc *TaskContext) Inc(name string, delta int64) {
 	tc.mu.Unlock()
 }
 
-// TaskMetric records the execution of one task (its successful attempt).
+// TaskMetric records the execution of one task.
 type TaskMetric struct {
 	TaskID     int
-	Attempts   int
 	Duration   time.Duration
 	RecordsIn  int64
 	RecordsOut int64
@@ -262,21 +235,11 @@ type Result struct {
 	Metrics Metrics
 }
 
-// ErrTooManyFailures reports a task that exhausted its attempts.
-var ErrTooManyFailures = errors.New("mapreduce: task exceeded max attempts")
-
-// injectedFailure is the one failure the driver retries: its own injected
-// task failure. An error from the executor fails the job.
-type injectedFailure struct{ phase string }
-
-func (e injectedFailure) Error() string { return "mapreduce: injected " + e.phase + " task failure" }
-
-// localExecutor runs task attempts in-process on the calling goroutine —
+// localExecutor runs tasks in-process on the calling goroutine —
 // the engine's historical behavior, now behind the Executor seam.
 type localExecutor struct {
 	mapper      Mapper
 	reducer     Reducer
-	combiner    Reducer
 	partitioner Partitioner
 	trace       *obs.Trace
 }
@@ -285,15 +248,15 @@ type localExecutor struct {
 // default, built from a job's functions. The worker side of a distributed
 // engine reuses it to execute shipped tasks with identical semantics:
 // trace receives the spans user code records via TaskContext.Trace.
-func NewLocalExecutor(mapper Mapper, reducer Reducer, combiner Reducer, partitioner Partitioner, trace *obs.Trace) Executor {
+func NewLocalExecutor(mapper Mapper, reducer Reducer, partitioner Partitioner, trace *obs.Trace) Executor {
 	if partitioner == nil {
 		partitioner = DefaultPartitioner
 	}
-	return &localExecutor{mapper: mapper, reducer: reducer, combiner: combiner, partitioner: partitioner, trace: trace}
+	return &localExecutor{mapper: mapper, reducer: reducer, partitioner: partitioner, trace: trace}
 }
 
 func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, error) {
-	tc := &TaskContext{Phase: "map", TaskID: task.TaskID, Attempt: task.Attempt, Trace: e.trace}
+	tc := &TaskContext{Phase: "map", TaskID: task.TaskID, Trace: e.trace}
 	buckets := make([][]Pair, task.NumReducers)
 	var out, bytesOut int64
 	start := time.Now()
@@ -303,17 +266,13 @@ func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, 
 		out++
 		bytesOut += int64(8 + len(value))
 	}
-	err := e.mapper.Map(tc, task.Split, emit)
-	if err == nil && e.combiner != nil {
-		buckets, out, bytesOut, err = combine(e.combiner, tc, buckets)
-	}
-	if err != nil {
+	if err := e.mapper.Map(tc, task.Split, emit); err != nil {
 		return nil, err
 	}
 	return &MapResult{
 		Buckets: buckets,
 		Metric: TaskMetric{
-			TaskID: task.TaskID, Attempts: task.Attempt, Duration: time.Since(start),
+			TaskID: task.TaskID, Duration: time.Since(start),
 			RecordsIn: 1, RecordsOut: out,
 			BytesIn: int64(len(task.Split.Data)), BytesOut: bytesOut,
 			Counters: tc.counters,
@@ -322,7 +281,7 @@ func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, 
 }
 
 func (e *localExecutor) ExecReduce(ctx context.Context, task ReduceTask) (*ReduceResult, error) {
-	tc := &TaskContext{Phase: "reduce", TaskID: task.TaskID, Attempt: task.Attempt, Trace: e.trace}
+	tc := &TaskContext{Phase: "reduce", TaskID: task.TaskID, Trace: e.trace}
 	var output []Pair
 	var in, out, bytesIn, bytesOut int64
 	start := time.Now()
@@ -349,7 +308,7 @@ func (e *localExecutor) ExecReduce(ctx context.Context, task ReduceTask) (*Reduc
 	return &ReduceResult{
 		Output: output,
 		Metric: TaskMetric{
-			TaskID: task.TaskID, Attempts: task.Attempt, Duration: time.Since(start),
+			TaskID: task.TaskID, Duration: time.Since(start),
 			RecordsIn: in, RecordsOut: out,
 			BytesIn: bytesIn, BytesOut: bytesOut,
 			Counters: tc.counters,
@@ -373,68 +332,21 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	cfg = cfg.withDefaults()
 	exec := cfg.Executor
 	if exec == nil {
-		exec = NewLocalExecutor(mapper, reducer, cfg.Combiner, cfg.Partitioner, cfg.Trace)
-	}
-
-	// Per-task seeded RNGs make failure injection deterministic regardless
-	// of scheduling order. The roll happens driver-side after the attempt
-	// ran, before its outputs commit — mirroring Hadoop's task model and
-	// applying uniformly to local and remote executors.
-	failRoll := func(phase string, task, attempt int) bool {
-		if cfg.FailureRate <= 0 {
-			return false
-		}
-		h := cfg.Seed*1000003 + int64(task)*31 + int64(attempt)*7
-		if phase == "reduce" {
-			h += 500009
-		}
-		return rand.New(rand.NewSource(h)).Float64() < cfg.FailureRate
-	}
-
-	// backoff sleeps before retrying a failed attempt on the shared retry
-	// policy (capped exponential, full jitter), interruptible by job
-	// cancellation. Jitter is seeded per job so failure-injection tests
-	// stay reproducible.
-	retryPol := retry.Policy{Base: cfg.RetryBackoff, Max: 100 * cfg.RetryBackoff, Jitter: true}
-	var (
-		retryMu  sync.Mutex
-		retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
-	)
-	backoff := func(attempt int) error {
-		if cfg.RetryBackoff <= 0 {
-			return nil
-		}
-		retryMu.Lock()
-		d := retryPol.Delay(attempt, retryRng)
-		retryMu.Unlock()
-		return retry.Sleep(jobCtx, d)
+		exec = NewLocalExecutor(mapper, reducer, cfg.Partitioner, cfg.Trace)
 	}
 
 	// ---- Map phase ----
 	mapStart := time.Now()
 	mapOuts := make([]*MapResult, len(splits))
 	if err := runTasks(jobCtx, cfg.Parallelism, len(splits), func(i int) error {
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			res, err := exec.ExecMap(jobCtx, MapTask{
-				TaskID: i, Attempt: attempt, Split: splits[i], NumReducers: cfg.NumReducers,
-			})
-			if err != nil {
-				return fmt.Errorf("map task %d: %w", i, err)
-			}
-			if !failRoll("map", i, attempt) {
-				res.Metric.TaskID = i
-				res.Metric.Attempts = attempt
-				mapOuts[i] = res
-				addSpans(cfg.Trace, res.Spans)
-				return nil
-			}
-			if attempt < cfg.MaxAttempts {
-				if err := backoff(attempt); err != nil {
-					return err
-				}
-			}
+		res, err := exec.ExecMap(jobCtx, MapTask{TaskID: i, Split: splits[i], NumReducers: cfg.NumReducers})
+		if err != nil {
+			return fmt.Errorf("map task %d: %w", i, err)
 		}
-		return fmt.Errorf("map task %d: %w: %v", i, ErrTooManyFailures, injectedFailure{phase: "map"})
+		res.Metric.TaskID = i
+		mapOuts[i] = res
+		addSpans(cfg.Trace, res.Spans)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -466,27 +378,14 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	reduceStart := time.Now()
 	reduceOuts := make([]*ReduceResult, cfg.NumReducers)
 	if err := runTasks(jobCtx, cfg.Parallelism, cfg.NumReducers, func(r int) error {
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			res, err := exec.ExecReduce(jobCtx, ReduceTask{
-				TaskID: r, Attempt: attempt, Groups: grouped[r],
-			})
-			if err != nil {
-				return fmt.Errorf("reduce task %d: %w", r, err)
-			}
-			if !failRoll("reduce", r, attempt) {
-				res.Metric.TaskID = r
-				res.Metric.Attempts = attempt
-				reduceOuts[r] = res
-				addSpans(cfg.Trace, res.Spans)
-				return nil
-			}
-			if attempt < cfg.MaxAttempts {
-				if err := backoff(attempt); err != nil {
-					return err
-				}
-			}
+		res, err := exec.ExecReduce(jobCtx, ReduceTask{TaskID: r, Groups: grouped[r]})
+		if err != nil {
+			return fmt.Errorf("reduce task %d: %w", r, err)
 		}
-		return fmt.Errorf("reduce task %d: %w: %v", r, ErrTooManyFailures, injectedFailure{phase: "reduce"})
+		res.Metric.TaskID = r
+		reduceOuts[r] = res
+		addSpans(cfg.Trace, res.Spans)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -562,27 +461,6 @@ func groupByKey(pairs []Pair) []Group {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 	return groups
-}
-
-// combine applies the map-side combiner to each per-reducer bucket,
-// grouping equal keys and re-emitting the combined records.
-func combine(combiner Reducer, ctx *TaskContext, buckets [][]Pair) (out [][]Pair, records, bytes int64, err error) {
-	out = make([][]Pair, len(buckets))
-	for r, bucket := range buckets {
-		var combined []Pair
-		emit := func(key uint64, value []byte) {
-			combined = append(combined, Pair{Key: key, Value: value})
-			records++
-			bytes += int64(8 + len(value))
-		}
-		for _, g := range groupByKey(bucket) {
-			if err := combiner.Reduce(ctx, g.Key, g.Values, emit); err != nil {
-				return nil, 0, 0, fmt.Errorf("combiner: %w", err)
-			}
-		}
-		out[r] = combined
-	}
-	return out, records, bytes, nil
 }
 
 // runTasks executes fn(0..n-1) on a bounded worker pool, returning the

@@ -180,43 +180,6 @@ func TestReducerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionRetriesAndSucceeds(t *testing.T) {
-	cfg := Config{NumReducers: 2, FailureRate: 0.3, MaxAttempts: 50, Seed: 99}
-	got := runWordCount(t, cfg)
-	want := map[uint64]int{1: 3, 2: 3, 3: 3, 4: 1}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("with failures: count[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestFailureInjectionRecordsAttempts(t *testing.T) {
-	cfg := Config{NumReducers: 2, FailureRate: 0.5, MaxAttempts: 100, Seed: 7}
-	res, err := Run(cfg, wordSplits("a bb", "ccc dddd", "e ff"), wordLenMapper, countReducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, mt := range res.Metrics.MapTasks {
-		total += mt.Attempts
-	}
-	for _, rt := range res.Metrics.ReduceTasks {
-		total += rt.Attempts
-	}
-	if total <= len(res.Metrics.MapTasks)+len(res.Metrics.ReduceTasks) {
-		t.Error("expected at least one retry at 50% failure rate")
-	}
-}
-
-func TestFailureExhaustionFailsJob(t *testing.T) {
-	cfg := Config{NumReducers: 1, FailureRate: 1.0, MaxAttempts: 3, Seed: 1}
-	_, err := Run(cfg, wordSplits("x"), wordLenMapper, countReducer)
-	if !errors.Is(err, ErrTooManyFailures) {
-		t.Errorf("want ErrTooManyFailures, got %v", err)
-	}
-}
-
 func TestEmptyInput(t *testing.T) {
 	res, err := Run(Config{NumReducers: 3}, nil, wordLenMapper, countReducer)
 	if err != nil {

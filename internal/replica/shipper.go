@@ -100,14 +100,6 @@ func (s *Shipper) Close() {
 	<-s.done
 }
 
-// Synced reports whether the standby had applied everything up to the
-// primary's head at the last successful exchange.
-func (s *Shipper) Synced() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remoteSynced
-}
-
 func (s *Shipper) loop() {
 	defer close(s.done)
 	t := time.NewTicker(s.cfg.Interval)

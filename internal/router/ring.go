@@ -153,14 +153,6 @@ func putUint64(b []byte, v uint64) {
 	}
 }
 
-// CellSide returns the grid cell width r/(2√d) — identical to the
-// incremental index's layout, so router and shards bucket points into the
-// same cells bit-for-bit.
-func (t *Topology) CellSide() float64 {
-	t.init()
-	return t.side
-}
-
 // CellOf maps point coordinates to integer cell coordinates, with the same
 // floor expression the incremental index uses.
 func (t *Topology) CellOf(coords []float64) []int64 {
@@ -185,16 +177,6 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// BlockOf maps a cell to its block coordinates.
-func (t *Topology) BlockOf(cell []int64) []int64 {
-	t.init()
-	b := make([]int64, len(cell))
-	for i, c := range cell {
-		b[i] = floorDiv(c, int64(t.Block))
-	}
-	return b
 }
 
 // blockHash positions a cell's block on the hash circle: FNV-64a over the
@@ -238,12 +220,6 @@ func (t *Topology) OwnerIndex(cell []int64) int {
 		i = 0
 	}
 	return t.ring[i].shard
-}
-
-// OwnerOf returns the owning shard of the cell containing the given point
-// coordinates.
-func (t *Topology) OwnerOf(coords []float64) string {
-	return t.Owner(t.CellOf(coords))
 }
 
 // ShardURL returns the base URL registered for a shard name, or "".

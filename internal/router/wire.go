@@ -42,7 +42,6 @@ type IngestResponse struct {
 	Neighbors int    `json:"neighbors"`
 	Outlier   bool   `json:"outlier"`
 	Error     string `json:"error,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
 }
 
 // SupportHeader is the control header of a boundary-support body, which is

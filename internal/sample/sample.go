@@ -135,17 +135,6 @@ func (h *Histogram) BucketDensity(ord int) float64 {
 	return h.Counts[ord] / vol
 }
 
-// NonEmptyBuckets returns the ordinals with positive estimated counts.
-func (h *Histogram) NonEmptyBuckets() []int {
-	var out []int
-	for ord, c := range h.Counts {
-		if c > 0 {
-			out = append(out, ord)
-		}
-	}
-	return out
-}
-
 // FromPoints builds a histogram directly from in-memory points. It is the
 // centralized equivalent of RunJobContext, used by tests and by callers
 // that already hold the data locally.

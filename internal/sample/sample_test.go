@@ -181,25 +181,6 @@ func TestRunJobDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestRunJobSurvivesTaskFailures(t *testing.T) {
-	pts := uniformPoints(2000, 19)
-	cfg := Config{Domain: domain10(), BucketsPerDim: 4, Rate: 1.0, Seed: 21}
-	splits := splitsFor(pts, 200)
-	clean, _, err := RunJob(cfg, mapreduce.Config{}, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky, _, err := RunJob(cfg, mapreduce.Config{FailureRate: 0.3, MaxAttempts: 50, Seed: 23}, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ord := range clean.Counts {
-		if clean.Counts[ord] != flaky.Counts[ord] {
-			t.Fatalf("bucket %d: failure injection changed result", ord)
-		}
-	}
-}
-
 func TestRunJobRejectsCorruptSplit(t *testing.T) {
 	cfg := Config{Domain: domain10(), BucketsPerDim: 2, Rate: 1.0, Seed: 1}
 	splits := []mapreduce.Split{{Name: "bad", Data: []byte{0xFF}}}

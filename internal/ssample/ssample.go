@@ -102,9 +102,6 @@ type Plan struct {
 	BuildComp int64 // distance computations spent building the plan
 }
 
-// SampleSizeUsed reports the number of weighted draws in the plan.
-func (pl *Plan) SampleSizeUsed() int { return len(pl.draws) }
-
 // BuildPlan runs the pilot and sensitivity passes over the full set and
 // freezes the weighted sample. Deterministic for a fixed (all, params,
 // seed).

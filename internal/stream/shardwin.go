@@ -135,9 +135,6 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 	return sw, nil
 }
 
-// Config returns the shard window configuration.
-func (sw *ShardWindow) Config() ShardConfig { return sw.cfg }
-
 // bumpOwned adjusts by delta the count of each of p's neighbors in the
 // cells this shard owns (all, when owns is nil) and returns how many it
 // found, on the index's ring walk. Every tag the walk hands back is a

@@ -146,9 +146,6 @@ func NewWindow(cfg Config) (*Window, error) {
 	return &Window{cfg: cfg, sw: sw}, nil
 }
 
-// Config returns the window configuration.
-func (w *Window) Config() Config { return w.cfg }
-
 // Process ingests p with the given arrival time, evicting expired points
 // first, and returns p's admission verdict. Arrival times must be
 // non-decreasing for TTL semantics to be meaningful; sequence numbers are
