@@ -194,38 +194,48 @@ func TestDetectWithExactSupport(t *testing.T) {
 }
 
 // TestGeneralityHighDimAllocs bounds what one DBSCAN, LOCI and KNNOutliers
-// call allocates at d = 8: their plan reads only the domain, so the
-// domain-only histogram must stay capped the way the sampling job caps its
-// grid instead of growing 8× per dimension (8^8 zero cells are 134 MB).
+// call allocates at d = 6, 8 and 10: their plan reads only the domain, so
+// the domain-only histogram must stay capped the way the sampling job caps
+// its grid instead of growing 8× per dimension (8^8 zero cells are 134 MB),
+// and Plan.Locate's overlay grid must stay at its d = 2 cell count instead
+// of testing up to 2^20 cells against every partition.
 func TestGeneralityHighDimAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := make([]Point, 300)
-	for i := range pts {
-		c := make([]float64, 8)
-		for j := range c {
-			c[j] = rng.Float64()
-		}
-		pts[i] = Point{ID: uint64(i), Coords: c}
+	// Ceilings in KB per call at d = 6, 8, 10: the most measured at
+	// GOMAXPROCS 1, 2 and 8, plus 10 %. DBSCAN's d = 6 figure is its own
+	// cell index, not the plan.
+	ceilings := map[string][3]uint64{
+		"DBSCAN":      {232207, 5397, 10278},
+		"LOCI":        {11641, 3673, 9404},
+		"KNNOutliers": {9084, 4409, 10236},
 	}
-	// 20.9, 19.3 and 19.9 MB measured for DBSCAN, LOCI and KNNOutliers
-	// (GOMAXPROCS 1, 2 and 8 alike), plus 10 %.
-	const ceiling = 23 << 20
-	for _, run := range []struct {
-		name string
-		call func() error
-	}{
-		{"DBSCAN", func() error { _, err := DBSCAN(pts, DBSCANConfig{Eps: 1, MinPts: 4}); return err }},
-		{"LOCI", func() error { _, err := LOCI(pts, LOCIConfig{R: 1}); return err }},
-		{"KNNOutliers", func() error { _, err := KNNOutliers(pts, KNNConfig{K: 3, N: 5}); return err }},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := run.call(); err != nil {
-			t.Fatalf("%s: %v", run.name, err)
+	for di, d := range []int{6, 8, 10} {
+		rng := rand.New(rand.NewSource(int64(d)))
+		pts := make([]Point, 300)
+		for i := range pts {
+			c := make([]float64, d)
+			for j := range c {
+				c[j] = rng.Float64()
+			}
+			pts[i] = Point{ID: uint64(i), Coords: c}
 		}
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-			t.Errorf("%s at d=8 allocated %d MB, ceiling %d MB", run.name, got>>20, ceiling>>20)
+		for _, run := range []struct {
+			name string
+			call func() error
+		}{
+			{"DBSCAN", func() error { _, err := DBSCAN(pts, DBSCANConfig{Eps: 1, MinPts: 4}); return err }},
+			{"LOCI", func() error { _, err := LOCI(pts, LOCIConfig{R: 1}); return err }},
+			{"KNNOutliers", func() error { _, err := KNNOutliers(pts, KNNConfig{K: 3, N: 5}); return err }},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := run.call(); err != nil {
+				t.Fatalf("%s at d=%d: %v", run.name, d, err)
+			}
+			runtime.ReadMemStats(&after)
+			got, ceiling := (after.TotalAlloc-before.TotalAlloc)>>10, ceilings[run.name][di]
+			if got > ceiling {
+				t.Errorf("%s at d=%d allocated %d KB, ceiling %d KB", run.name, d, got, ceiling)
+			}
 		}
 	}
 }
