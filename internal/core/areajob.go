@@ -13,7 +13,7 @@ import (
 // domainHistogram is the statistics-free histogram the Domain and uniSpace
 // planners read: the domain on a sample.DimsFor grid with no counts.
 func domainHistogram(domain geom.Rect, bucketsPerDim int) *sample.Histogram {
-	grid := geom.NewGrid(domain, sample.DimsFor(domain.Dim(), bucketsPerDim))
+	grid := geom.NewGrid(domain, sample.DimsFor(domain.Dim(), bucketsPerDim, sample.MaxCells))
 	return &sample.Histogram{Grid: grid, Counts: make([]float64, grid.NumCells()), Rate: 1}
 }
 

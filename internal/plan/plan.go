@@ -20,6 +20,7 @@ import (
 	"dod/internal/cost"
 	"dod/internal/detect"
 	"dod/internal/geom"
+	"dod/internal/sample"
 )
 
 // Partition is one element of a partition plan.
@@ -240,21 +241,7 @@ func (pl *Plan) buildIndex() *overlayIndex {
 	// Higher dimension: every cell is tested against every partition, so
 	// cap the cells at perDim², the d = 2 count, by lowering the per-axis
 	// resolution. 1-D and 2-D grids keep perDim per axis.
-	side, limit := perDim, perDim*perDim
-	for ; side > 1; side-- {
-		cells := 1
-		for i := 0; i < pl.Domain.Dim() && cells <= limit; i++ {
-			cells *= side
-		}
-		if cells <= limit {
-			break
-		}
-	}
-	dims := make([]int, pl.Domain.Dim())
-	for i := range dims {
-		dims[i] = side
-	}
-	grid := geom.NewGrid(pl.Domain, dims)
+	grid := geom.NewGrid(pl.Domain, sample.DimsFor(pl.Domain.Dim(), perDim, perDim*perDim))
 	idx := &overlayIndex{
 		grid:    grid,
 		core:    make([][]int, grid.NumCells()),

@@ -157,12 +157,14 @@ func FromPoints(cfg Config, points []geom.Point) (*Histogram, error) {
 	return h, nil
 }
 
+// MaxCells bounds a histogram grid's cell count: perDim^dim overflows int
+// (and any allocation budget) long before the d≥32 workloads this repo
+// targets, while a coarser grid still orders plan generation.
+const MaxCells = 1 << 20
+
 // DimsFor returns perDim buckets along each of dim axes, lowered so the
-// total cell count stays within a flat-array-friendly bound: perDim^dim
-// overflows int (and any allocation budget) long before the d≥32 workloads
-// this repo targets, while a coarser grid still orders plan generation.
-func DimsFor(dim, perDim int) []int {
-	const maxCells = 1 << 20
+// total cell count stays within maxCells.
+func DimsFor(dim, perDim, maxCells int) []int {
 	for {
 		total := 1
 		fits := true
@@ -186,7 +188,7 @@ func DimsFor(dim, perDim int) []int {
 }
 
 func dims(cfg Config) []int {
-	return DimsFor(cfg.Domain.Dim(), cfg.BucketsPerDim)
+	return DimsFor(cfg.Domain.Dim(), cfg.BucketsPerDim, MaxCells)
 }
 
 // RunJobContext executes the distributed sampling job over the given input
