@@ -281,10 +281,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // URL returns the coordinator's base URL, e.g. "http://127.0.0.1:41327".
 func (c *Coordinator) URL() string { return "http://" + c.ln.Addr().String() }
 
-// Registry returns the registry holding the coordinator's dod_dist_*
-// instruments (also served on GET /metrics).
-func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Obs }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)

@@ -113,9 +113,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg, base: base, jobs: make(map[string]builtJob)}, nil
 }
 
-// Name returns the worker's cluster-unique name.
-func (w *Worker) Name() string { return w.cfg.Name }
-
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logf != nil {
 		w.cfg.Logf(format, args...)

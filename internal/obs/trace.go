@@ -61,14 +61,6 @@ func NewTrace(name string) *Trace {
 	return &Trace{name: name, start: time.Now()}
 }
 
-// Name returns the trace's name.
-func (t *Trace) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Add records a completed span.
 func (t *Trace) Add(name string, start time.Time, d time.Duration, attrs ...Attr) {
 	if t == nil {

@@ -10,3 +10,6 @@ func SetClock(cfg *Config, now func() time.Time) { cfg.now = now }
 func (t *Topology) OwnerOf(coords []float64) string {
 	return t.Owner(t.CellOf(coords))
 }
+
+// Topology returns the current ownership view (a deep copy).
+func (rt *Router) Topology() *Topology { return rt.topology().Clone() }

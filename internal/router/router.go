@@ -196,12 +196,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Trace exposes the router's span trace (drain/handoff timings).
-func (rt *Router) Trace() *obs.Trace { return rt.trace }
-
-// Topology returns the current ownership view (a deep copy).
-func (rt *Router) Topology() *Topology { return rt.topology().Clone() }
-
 func (rt *Router) topology() *Topology {
 	rt.topoMu.RLock()
 	defer rt.topoMu.RUnlock()
