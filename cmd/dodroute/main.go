@@ -32,8 +32,9 @@
 //
 // -standbys attaches warm standbys (dodserve -shard -standby processes,
 // started with the same shard names) to shards by name. When a primary's
-// health-probe breaker opens and it has a standby, the router promotes the
-// standby automatically — the same lag-bounded transaction as /v1/promote.
+// last 3 calls and /healthz probes have all failed and it has a standby,
+// the router promotes the standby automatically — the same lag-bounded
+// transaction as /v1/promote.
 //
 // -pprof additionally mounts the net/http/pprof profiling handlers under
 // /debug/pprof/, same as dodserve's flag — profile the router and a shard

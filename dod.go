@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"dod/internal/cluster"
 	"dod/internal/core"
 	"dod/internal/detect"
 	"dod/internal/dshc"
@@ -490,6 +489,5 @@ func (cfg Config) toCore() (core.Config, error) {
 		Seed:          cfg.Seed,
 		Parallelism:   parallelism,
 		ExecutorFor:   executorFor,
-		Cluster:       cluster.PaperCluster,
 	}, nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"dod/internal/cluster"
-	"dod/internal/detect"
 	"dod/internal/plan"
 )
 
@@ -62,31 +60,9 @@ func TestReportAccounting(t *testing.T) {
 	}
 }
 
-func TestCustomClusterConfig(t *testing.T) {
-	points := makeSkewed(800, 75)
-	input, _ := InputFromPoints(points, 100)
-	run := func(nodes int) *Report {
-		rep, err := Run(context.Background(), input, Config{
-			Params:     testParams,
-			Planner:    plan.CDriven,
-			PlanOpts:   plan.Options{NumReducers: 8, NumPartitions: 16, Detector: detect.NestedLoop},
-			SampleRate: 1,
-			Seed:       77,
-			Cluster:    cluster.Config{Nodes: nodes, SlotsPerNode: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	small := run(1)  // one slot: phases serialize
-	large := run(64) // plenty of slots
-	if small.Simulated.Reduce <= large.Simulated.Reduce {
-		t.Errorf("1-slot reduce %v should exceed 64-node reduce %v",
-			small.Simulated.Reduce, large.Simulated.Reduce)
-	}
-	// The verdicts are identical regardless of the simulated cluster.
-	if len(small.Outliers) != len(large.Outliers) {
-		t.Error("cluster size changed verdicts")
+func TestPhaseBreakdown(t *testing.T) {
+	a := PhaseBreakdown{Preprocess: 1, Map: 2, Shuffle: 3, Reduce: 4}
+	if a.Total() != 10 {
+		t.Errorf("Total = %v", a.Total())
 	}
 }

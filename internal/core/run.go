@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"dod/internal/cluster"
+	"dod/internal/binpack"
 	"dod/internal/detect"
 	"dod/internal/geom"
 	"dod/internal/mapreduce"
@@ -31,6 +31,9 @@ const (
 	// writing, and re-distribution of the data over a series of separate
 	// jobs" that Sec. I attributes to them.
 	IORate = 100e6
+	// Slots is the simulated cluster's task slots: the paper's testbed of
+	// 40 machines running up to 8 tasks each (Sec. VI-A).
+	Slots = 40 * 8
 )
 
 // Config controls one end-to-end DOD run.
@@ -56,8 +59,6 @@ type Config struct {
 	// baseline's second job has its own mapper/reducer pair that workers
 	// do not know how to build.
 	ExecutorFor func(pl *plan.Plan, params detect.Params, seed int64) (mapreduce.Executor, error)
-
-	Cluster cluster.Config // simulated cluster; default the paper's 40×8
 }
 
 func (c Config) withDefaults() Config {
@@ -67,10 +68,21 @@ func (c Config) withDefaults() Config {
 	if c.BucketsPerDim < 1 {
 		c.BucketsPerDim = 32
 	}
-	if c.Cluster.Slots() <= 1 && c.Cluster.Nodes == 0 {
-		c.Cluster = cluster.PaperCluster
-	}
 	return c
+}
+
+// PhaseBreakdown is the time of each MapReduce stage, matching the axes
+// of Fig. 10.
+type PhaseBreakdown struct {
+	Preprocess time.Duration
+	Map        time.Duration
+	Shuffle    time.Duration
+	Reduce     time.Duration
+}
+
+// Total returns the end-to-end time.
+func (b PhaseBreakdown) Total() time.Duration {
+	return b.Preprocess + b.Map + b.Shuffle + b.Reduce
 }
 
 // Report is the outcome of a DOD run: the verdicts plus the execution
@@ -96,10 +108,10 @@ type Report struct {
 
 	// Simulated is the paper-comparable stage breakdown: per-task work
 	// counters replayed through the cluster simulator.
-	Simulated cluster.PhaseBreakdown
+	Simulated PhaseBreakdown
 	// Wall is the in-process wall-clock breakdown of the same stages,
 	// derived from Trace.
-	Wall cluster.PhaseBreakdown
+	Wall PhaseBreakdown
 
 	ShuffleBytes   int64
 	ShuffleRecords int64
@@ -108,7 +120,8 @@ type Report struct {
 	DistComps      int64
 	PointsIndexed  int64
 
-	// ReduceImbalance is max/mean simulated reduce-task load (1 = perfect).
+	// ReduceImbalance is max/mean simulated load over the slots that ran
+	// a reduce task (1 = perfect).
 	ReduceImbalance float64
 	NumJobs         int
 }
@@ -156,7 +169,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("core: preprocessing: %w", err)
 		}
 		sp.SetAttr(obs.Int("sampled", res.Metrics.Counter("sample.sampled"))).End()
-		pre := simulateJob(cfg.Cluster, res)
+		pre := simulateJob(res)
 		rep.Simulated.Preprocess = pre.Map + pre.Shuffle + pre.Reduce
 		rep.NumJobs++
 	} else {
@@ -210,7 +223,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res, tr)
+		accumulateJob(rep, res, tr)
 	} else {
 		// ---- Domain baseline: two jobs ----
 		res1, err := mapreduce.RunContext(ctx, mrCfg, input.Splits, detectionMapper(pl), domainJob1Reducer(pl, cfg.Params, cfg.Seed))
@@ -222,7 +235,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res1, tr)
+		accumulateJob(rep, res1, tr)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -241,13 +254,13 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 		}
 		rep.Outliers = append(finals, confirmed...)
 		rep.NumJobs++
-		accumulateJob(rep, cfg.Cluster, res2, tr)
+		accumulateJob(rep, res2, tr)
 	}
 
 	// The Wall breakdown is a view over the trace: stage spans are
 	// summed across jobs, making the Report derivable from the trace
 	// rather than a parallel bookkeeping structure.
-	rep.Wall = cluster.PhaseBreakdown{
+	rep.Wall = PhaseBreakdown{
 		Preprocess: tr.Total("preprocess"),
 		Map:        tr.Total("map"),
 		Shuffle:    tr.Total("shuffle"),
@@ -267,34 +280,30 @@ type jobBreakdown struct {
 	shuffleBytes, records int64
 }
 
-// simulateJob replays a job's per-task work counters through the cluster
-// simulator: one makespan for the map tasks, one for the reduce tasks.
-func simulateJob(cfg cluster.Config, res *mapreduce.Result) jobBreakdown {
-	taskFor := func(m mapreduce.TaskMetric, phase, counter string) cluster.Task {
-		units := m.Counters[counter]
-		if units < m.RecordsIn {
-			units = m.RecordsIn // floor: every record is at least touched
+// simulateJob replays a job's per-task work counters on the simulated
+// cluster: each phase's tasks, one item per task weighing its modeled
+// duration in nanoseconds, are scheduled longest first onto the Slots
+// (binpack.LPT), and the phase takes its makespan, the heaviest slot.
+func simulateJob(res *mapreduce.Result) jobBreakdown {
+	phase := func(tasks []mapreduce.TaskMetric, counter string) *binpack.Assignment {
+		items := make([]binpack.Item, len(tasks))
+		for i, m := range tasks {
+			units := m.Counters[counter]
+			if units < m.RecordsIn {
+				units = m.RecordsIn // floor: every record is at least touched
+			}
+			cpu := float64(units) / WorkRate
+			io := float64(m.BytesIn) / IORate
+			items[i] = binpack.Item{ID: m.TaskID, Weight: float64(time.Duration((cpu + io) * float64(time.Second)))}
 		}
-		cpu := float64(units) / WorkRate
-		io := float64(m.BytesIn) / IORate
-		return cluster.Task{
-			Name:     fmt.Sprintf("%s-%04d", phase, m.TaskID),
-			Duration: time.Duration((cpu + io) * float64(time.Second)),
-		}
+		return binpack.LPT(items, Slots)
 	}
-	var mapTasks, reduceTasks []cluster.Task
-	for _, m := range res.Metrics.MapTasks {
-		mapTasks = append(mapTasks, taskFor(m, "map", counterMapWork))
-	}
-	for _, m := range res.Metrics.ReduceTasks {
-		reduceTasks = append(reduceTasks, taskFor(m, "reduce", counterReduceWork))
-	}
-	reduceSched := cluster.RunPhase(cfg, reduceTasks)
+	reduce := phase(res.Metrics.ReduceTasks, counterReduceWork)
 	return jobBreakdown{
-		Map:             cluster.RunPhase(cfg, mapTasks).Makespan,
+		Map:             time.Duration(phase(res.Metrics.MapTasks, counterMapWork).MaxLoad()),
 		Shuffle:         time.Duration(float64(res.Metrics.ShuffleBytes) / ShuffleRate * float64(time.Second)),
-		Reduce:          reduceSched.Makespan,
-		reduceImbalance: reduceSched.Imbalance(),
+		Reduce:          time.Duration(reduce.MaxLoad()),
+		reduceImbalance: reduce.Imbalance(),
 		mapWall:         res.Metrics.MapWall,
 		reduceWall:      res.Metrics.ReduceWall,
 		shuffleWall:     res.Metrics.ShuffleWall,
@@ -306,8 +315,8 @@ func simulateJob(cfg cluster.Config, res *mapreduce.Result) jobBreakdown {
 // the job's map/shuffle/reduce stages as trace spans (start times are
 // reconstructed backwards from the job's completion instant, so spans
 // order correctly in the trace).
-func accumulateJob(rep *Report, cfg cluster.Config, res *mapreduce.Result, tr *obs.Trace) {
-	jb := simulateJob(cfg, res)
+func accumulateJob(rep *Report, res *mapreduce.Result, tr *obs.Trace) {
+	jb := simulateJob(res)
 	job := int64(rep.NumJobs - 1)
 	reduceStart := time.Now().Add(-jb.reduceWall)
 	shuffleStart := reduceStart.Add(-jb.shuffleWall)

@@ -3,10 +3,11 @@
 // runs the corresponding workload sweep and returns a Figure holding the
 // same series the paper plots; String renders it as a text table.
 //
-// Times on the y-axes are simulated-cluster makespans (internal/cluster)
-// derived from deterministic work counters, so results are reproducible and
-// machine-independent; EXPERIMENTS.md compares their *shape* against the
-// paper's reported curves.
+// Times on the y-axes are simulated-cluster makespans (core.Report's
+// Simulated: per-task work counters scheduled by binpack.LPT on the paper's
+// 40 × 8 slots), so results are reproducible and machine-independent;
+// EXPERIMENTS.md compares their *shape* against the paper's reported
+// curves.
 package experiments
 
 import (

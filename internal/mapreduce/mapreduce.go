@@ -9,9 +9,9 @@
 //   - Intermediate records are real serialized bytes, so shuffle volume —
 //     the communication cost the single-pass framework minimizes — is
 //     measured, not estimated.
-//   - Per-task wall times and per-task counters are recorded, so experiments
-//     can replay them through internal/cluster to obtain the makespan of a
-//     simulated 40-node cluster.
+//   - Per-task wall times and per-task counters are recorded, so core can
+//     schedule them (binpack.LPT) to obtain the makespan of a simulated
+//     40-node cluster.
 //
 // Task execution is pluggable: Config.Executor runs individual tasks,
 // defaulting to the in-process executor. The distributed runtime

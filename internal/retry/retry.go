@@ -1,4 +1,4 @@
-// Package retry is the repo's single backoff and circuit-breaking policy.
+// Package retry is the repo's single backoff policy.
 //
 // Before it existed, dist, serve, and the mapreduce driver each hand-rolled
 // a slightly different delay loop (pure exponential, fixed 200ms, doubling
@@ -13,32 +13,24 @@
 // schedule is reproducible: the fault-injection harness (internal/fault)
 // replays failing schedules with the same seed and observes the same
 // backoff decisions.
-//
-// Breaker is the companion circuit breaker: repeated failures open it,
-// calls are refused (the caller falls back — e.g. serve's cluster scorer
-// trips back to the in-process engine), and after a cooldown a single
-// half-open probe decides whether to close it again.
 package retry
 
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dod/internal/obs"
 )
 
-// Policy describes capped exponential backoff with full jitter. The zero
-// value of any field takes its default.
+// Policy describes capped exponential backoff with full jitter: the delay
+// doubles per attempt. The zero value of any field takes its default.
 type Policy struct {
 	// Base is the delay before the first retry; default 50ms.
 	Base time.Duration
 	// Max caps the exponentially-grown delay; default 32 x Base.
 	Max time.Duration
-	// Multiplier grows the delay per attempt; default 2.
-	Multiplier float64
 	// Jitter selects full jitter (delay drawn uniformly from (0, d]) when
 	// true. False keeps the deterministic cap — for tests that assert
 	// exact delays.
@@ -51,9 +43,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Max <= 0 {
 		p.Max = 32 * p.Base
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
 	}
 	return p
 }
@@ -68,7 +57,7 @@ func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 	}
 	d := float64(p.Base)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.Max) {
 			break
 		}
@@ -123,121 +112,4 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// BreakerState is the observable state of a Breaker.
-type BreakerState int
-
-const (
-	// BreakerClosed passes calls through (the healthy state).
-	BreakerClosed BreakerState = iota
-	// BreakerOpen refuses calls until the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen admits one probe call; its outcome decides.
-	BreakerHalfOpen
-)
-
-// String names the state for metrics and logs.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// BreakerConfig tunes a Breaker. The zero value is usable.
-type BreakerConfig struct {
-	// Threshold is how many consecutive failures open the breaker;
-	// default 3.
-	Threshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// half-open probe; default 5s.
-	Cooldown time.Duration
-	// now overrides the clock in tests.
-	now func() time.Time
-}
-
-// Breaker is a concurrency-safe circuit breaker. Allow gates each call;
-// Success and Failure report the outcome of an allowed call.
-type Breaker struct {
-	cfg BreakerConfig
-
-	mu       sync.Mutex
-	state    BreakerState
-	failures int
-	openedAt time.Time
-	probing  bool
-}
-
-// NewBreaker builds a closed Breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
-	return &Breaker{cfg: cfg}
-}
-
-// Allow reports whether a call may proceed. In the open state it returns
-// false until the cooldown has elapsed, then admits exactly one half-open
-// probe at a time.
-func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if b.cfg.now().Sub(b.openedAt) < b.cfg.Cooldown {
-			return false
-		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open: one probe in flight at a time
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// Success reports a successful allowed call; a half-open probe success
-// closes the breaker.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = BreakerClosed
-	b.failures = 0
-	b.probing = false
-}
-
-// Failure reports a failed allowed call; Threshold consecutive failures
-// (or any half-open probe failure) open the breaker.
-func (b *Breaker) Failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures++
-	if b.state == BreakerHalfOpen || b.failures >= b.cfg.Threshold {
-		b.state = BreakerOpen
-		b.openedAt = b.cfg.now()
-		b.probing = false
-	}
-}
-
-// State snapshots the breaker's state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }

@@ -74,57 +74,3 @@ func TestSleepHonorsContext(t *testing.T) {
 		t.Error("Sleep returned early")
 	}
 }
-
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute, now: func() time.Time { return now }})
-
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("new breaker should be closed")
-	}
-	b.Failure()
-	if !b.Allow() {
-		t.Fatal("one failure under threshold 2 should stay closed")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatal("threshold failures should open the breaker")
-	}
-	if b.Allow() {
-		t.Fatal("open breaker within cooldown should refuse")
-	}
-
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("cooled-down breaker should admit a probe")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe should be refused")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatal("probe failure should re-open")
-	}
-
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("second probe window")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("probe success should close the breaker")
-	}
-}
-
-func TestBreakerStateString(t *testing.T) {
-	for st, want := range map[BreakerState]string{
-		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open",
-	} {
-		if st.String() != want {
-			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
-		}
-	}
-}

@@ -21,13 +21,13 @@ package router_test
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"testing"
 	"time"
 
 	"dod/internal/fault"
-	"dod/internal/retry"
 	"dod/internal/router"
 )
 
@@ -88,12 +88,12 @@ func TestRouterChaosMatchesSingleProcess(t *testing.T) {
 					// Generous retry budget: partition windows span 3
 					// calls, so 12 attempts ride out back-to-back faults.
 					cfg.RetryAttempts = 12
-					// The breaker must not open under injected probe
-					// failures: a degraded (breaker-skipped) shard answers
-					// score requests with partial counts, which is correct
-					// degraded behavior but not byte-identical to the
-					// healthy reference this test asserts against.
-					cfg.Breaker = retry.BreakerConfig{Threshold: 1 << 20}
+					// No shard may go down under injected probe failures:
+					// Score skips a down shard and answers with partial
+					// counts, which is correct degraded behavior but not
+					// byte-identical to the healthy reference this test
+					// asserts against.
+					router.SetDownAfter(cfg, math.MaxInt)
 				},
 			})
 			rng := rand.New(rand.NewSource(seed))

@@ -11,7 +11,6 @@ import (
 	"dod/internal/geom"
 	"dod/internal/httpapi"
 	"dod/internal/index"
-	"dod/internal/retry"
 	"dod/internal/stream"
 )
 
@@ -566,7 +565,7 @@ func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now ti
 // shard for the whole range: each probe's neighborhood cells are
 // grouped by owner, every owner reports its count capped at K, and the
 // capped sum equals the single-process count (min distributes over the
-// partition). Shards whose breaker is open are skipped — scoring degrades
+// partition). Shards that are down are skipped — scoring degrades
 // to the reachable window rather than blocking. Score runs concurrently
 // under the front's fan-out, so its arenas are its own.
 func (rt *Router) Score(ctx context.Context, items []httpapi.BatchItem, lo, hi int, out []httpapi.ScoreLine) {
@@ -617,7 +616,7 @@ func (rt *Router) Score(ctx context.Context, items []httpapi.BatchItem, lo, hi i
 			continue
 		}
 		name, res := topo.Shards[s].Name, &results[s]
-		if rt.breaker(name).State() == retry.BreakerOpen {
+		if rt.shardDown(name) {
 			res.open = true // degraded: count what the healthy shards can see
 			continue
 		}

@@ -21,7 +21,6 @@ import (
 
 	"dod/internal/fault"
 	"dod/internal/replica"
-	"dod/internal/retry"
 	"dod/internal/router"
 )
 
@@ -167,18 +166,16 @@ func TestFailoverMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestAutoPromoteOnBreakerOpen exercises the unattended path: the health
-// probe's breaker opens on the dead primary and the router promotes the
-// standby on its own.
-func TestAutoPromoteOnBreakerOpen(t *testing.T) {
+// TestAutoPromoteOnShardDown exercises the unattended path: the health
+// probes take the dead primary down and the router promotes the standby
+// on its own.
+func TestAutoPromoteOnShardDown(t *testing.T) {
 	c := newCluster(t, clusterOpts{
 		shards: 2, capacity: 150, block: 2,
 		standbys: []string{"s1"},
 		routerOpts: func(cfg *router.Config) {
 			cfg.ProbeInterval = 20 * time.Millisecond
-			// A long cooldown keeps the opened breaker open until the
-			// promotion transaction replaces it.
-			cfg.Breaker = retry.BreakerConfig{Threshold: 2, Cooldown: time.Minute}
+			router.SetDownAfter(cfg, 2)
 		},
 	})
 	rng := rand.New(rand.NewSource(21))
@@ -190,7 +187,7 @@ func TestAutoPromoteOnBreakerOpen(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for c.rt.Topology().ShardURL("s1") != standbyURL {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker-driven promotion never happened; topology still %q", c.rt.Topology().ShardURL("s1"))
+			t.Fatalf("automatic promotion never happened; topology still %q", c.rt.Topology().ShardURL("s1"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -11,7 +11,6 @@ import (
 	"dod/internal/httpapi"
 	"dod/internal/obs"
 	"dod/internal/replica"
-	"dod/internal/retry"
 )
 
 // PromoteResponse answers POST /v1/promote.
@@ -41,7 +40,8 @@ func (e *promoteError) Error() string { return e.code + ": " + e.msg }
 //     in, epoch advanced — and push it to the promoted standby first (the
 //     push IS its promotion signal), then to the survivors.
 //  3. Install the successor locally unless another transaction won the
-//     epoch race, and reset the shard's breaker so traffic flows at once.
+//     epoch race, and clear the shard's failure count so traffic flows at
+//     once.
 //
 // In-flight requests need no explicit replay step: callShard re-resolves
 // the shard's URL on every retry attempt, so a request stuck retrying the
@@ -144,12 +144,10 @@ func (rt *Router) Promote(ctx context.Context, name string) (*PromoteResponse, e
 		// permanent loss — make it countable.
 		rt.met.replicaLost.Add(int64(lag))
 	}
-	rt.breakMu.Lock()
-	rt.breakers[name] = retry.NewBreaker(rt.cfg.Breaker)
-	rt.breakMu.Unlock()
-	rt.replicaMu.Lock()
+	rt.healthMu.Lock()
+	delete(rt.failures, name)
 	delete(rt.replicaHeads, name)
-	rt.replicaMu.Unlock()
+	rt.healthMu.Unlock()
 	span.SetAttr(obs.Int("epoch", next.Epoch), obs.Int("lag", int64(lag)))
 	return &PromoteResponse{Shard: name, URL: next.ShardURL(name), Epoch: next.Epoch, Lag: lag}, nil
 }
@@ -157,8 +155,8 @@ func (rt *Router) Promote(ctx context.Context, name string) (*PromoteResponse, e
 // lastReplicaHead returns the primary's last probed op-log head (0 if no
 // probe ever reported one).
 func (rt *Router) lastReplicaHead(name string) uint64 {
-	rt.replicaMu.Lock()
-	defer rt.replicaMu.Unlock()
+	rt.healthMu.Lock()
+	defer rt.healthMu.Unlock()
 	return rt.replicaHeads[name]
 }
 
@@ -188,7 +186,7 @@ func (rt *Router) replicaStatus(ctx context.Context, base string) (*replica.Stat
 }
 
 // handlePromote serves POST /v1/promote?shard=NAME — the manual form of
-// the breaker-driven automatic failover.
+// the automatic failover of a down shard.
 func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

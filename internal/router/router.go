@@ -58,9 +58,6 @@ type Config struct {
 	Retry retry.Policy
 	// RetryAttempts bounds shard-call attempts; default 8.
 	RetryAttempts int
-	// Breaker tunes the per-shard health breakers (zero value: trip after
-	// 3 consecutive failures, probe again after 5s).
-	Breaker retry.BreakerConfig
 	// PromoteLagBound is the largest number of unreplicated ops a standby
 	// may be missing — measured against the primary's last probed log
 	// head — and still be promoted. 0 demands a fully caught-up standby.
@@ -69,6 +66,9 @@ type Config struct {
 	PromoteLagBound uint64
 	// now overrides the clock in tests.
 	now func() time.Time
+	// downAfter is how many consecutive failed calls and probes take a
+	// shard down; default 3. Tests set it.
+	downAfter int
 }
 
 // resident is the router's per-point window metadata: enough to know WHERE
@@ -104,13 +104,15 @@ type Router struct {
 	topoMu sync.RWMutex
 	topo   *Topology
 
-	breakMu  sync.Mutex
-	breakers map[string]*retry.Breaker
-
-	// replicaHeads is the last log head each primary reported on /healthz —
-	// the promotion-time yardstick for how far a standby may lag. Guarded
-	// by replicaMu; promoteMu serializes whole promotion transactions.
-	replicaMu    sync.Mutex
+	// failures counts each shard's consecutive failed calls and probes; a
+	// shard is down from cfg.downAfter on, until a call or probe succeeds
+	// or it is promoted. Score skips a down shard and the probe loop
+	// promotes its standby. replicaHeads is the last log head each primary
+	// reported on /healthz — the promotion-time yardstick for how far a
+	// standby may lag. healthMu guards both; promoteMu serializes whole
+	// promotion transactions.
+	healthMu     sync.Mutex
+	failures     map[string]int
 	replicaHeads map[string]uint64
 	promoteMu    sync.Mutex
 	promoting    map[string]bool
@@ -159,6 +161,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	if cfg.downAfter <= 0 {
+		cfg.downAfter = 3
+	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = httpapi.NewTransport()
@@ -172,14 +177,11 @@ func New(cfg Config) (*Router, error) {
 		l2:           detect.L2Radius(cfg.Dim),
 		cellsPer:     neighborhoodCells(cfg.Dim, detect.L2Radius(cfg.Dim)),
 		topo:         topo,
-		breakers:     make(map[string]*retry.Breaker),
+		failures:     make(map[string]int),
 		replicaHeads: make(map[string]uint64),
 		promoting:    make(map[string]bool),
 		residents:    make(map[uint64]resident),
 		stopProbe:    make(chan struct{}),
-	}
-	for _, s := range cfg.Shards {
-		rt.breakers[s.Name] = retry.NewBreaker(cfg.Breaker)
 	}
 	rt.Front = httpapi.NewFront(cfg.FrontConfig, cfg.Obs, cfg.now, rt)
 	rt.SetReady(false) // until Start has pushed the topology
@@ -202,15 +204,28 @@ func (rt *Router) topology() *Topology {
 	return rt.topo
 }
 
-func (rt *Router) breaker(name string) *retry.Breaker {
-	rt.breakMu.Lock()
-	defer rt.breakMu.Unlock()
-	b := rt.breakers[name]
-	if b == nil {
-		b = retry.NewBreaker(rt.cfg.Breaker)
-		rt.breakers[name] = b
-	}
-	return b
+// shardFailed counts a failed call or probe to the named shard and
+// reports whether the shard is down.
+func (rt *Router) shardFailed(name string) bool {
+	rt.healthMu.Lock()
+	defer rt.healthMu.Unlock()
+	rt.failures[name]++
+	return rt.failures[name] >= rt.cfg.downAfter
+}
+
+// shardOK records a successful call or probe: the shard is up.
+func (rt *Router) shardOK(name string) {
+	rt.healthMu.Lock()
+	delete(rt.failures, name)
+	rt.healthMu.Unlock()
+}
+
+// shardDown reports whether the named shard's last cfg.downAfter calls
+// and probes all failed.
+func (rt *Router) shardDown(name string) bool {
+	rt.healthMu.Lock()
+	defer rt.healthMu.Unlock()
+	return rt.failures[name] >= rt.cfg.downAfter
 }
 
 // Start pushes the initial topology to every shard (retrying until ctx is
@@ -243,7 +258,7 @@ func (rt *Router) Close() {
 }
 
 // probeLoop probes every shard's /healthz each ProbeInterval, feeding the
-// per-shard breakers that gate read-path routing.
+// per-shard failure counts that gate read-path routing.
 func (rt *Router) probeLoop() {
 	defer rt.probeWG.Done()
 	t := time.NewTicker(rt.cfg.ProbeInterval)
@@ -273,19 +288,17 @@ func (rt *Router) probeShard(s ShardInfo) {
 		raw, _ = io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}
-	b := rt.breaker(s.Name)
 	if err != nil || resp.StatusCode/100 != 2 {
 		rt.met.probeFails.Inc()
-		b.Failure()
-		// A tripped breaker on a shard with a warm standby starts the
-		// failover: promotion runs off the probe loop so one slow standby
-		// status call cannot stall probing of the other shards.
-		if b.State() == retry.BreakerOpen && s.Standby != "" {
+		// A down shard with a warm standby starts the failover: promotion
+		// runs off the probe loop so one slow standby status call cannot
+		// stall probing of the other shards.
+		if rt.shardFailed(s.Name) && s.Standby != "" {
 			go rt.autoPromote(s.Name)
 		}
 		return
 	}
-	b.Success()
+	rt.shardOK(s.Name)
 	// A replicating primary reports its op-log head on /healthz; remember
 	// it as the promotion-time yardstick for standby lag.
 	var hb struct {
@@ -295,15 +308,15 @@ func (rt *Router) probeShard(s ShardInfo) {
 		} `json:"replica"`
 	}
 	if json.Unmarshal(raw, &hb) == nil && hb.Replica.Role == "primary" {
-		rt.replicaMu.Lock()
+		rt.healthMu.Lock()
 		if hb.Replica.Head > rt.replicaHeads[s.Name] {
 			rt.replicaHeads[s.Name] = hb.Replica.Head
 		}
-		rt.replicaMu.Unlock()
+		rt.healthMu.Unlock()
 	}
 }
 
-// autoPromote attempts a breaker-driven promotion, swallowing failures (a
+// autoPromote attempts a promotion of a down shard, swallowing failures (a
 // refused or raced promotion leaves the shard degraded; the next failed
 // probe tries again).
 func (rt *Router) autoPromote(name string) {
@@ -315,8 +328,8 @@ func (rt *Router) autoPromote(name string) {
 	rt.Promote(ctx, name) //nolint:errcheck
 }
 
-// callURL POSTs body to base+path with bounded retries and per-shard
-// breaker bookkeeping. Mutating calls are retry-safe because shards dedupe
+// callURL POSTs body to base+path with bounded retries, counting each
+// attempt's outcome toward the shard's health. Mutating calls are retry-safe because shards dedupe
 // by reqKey; pass reqKey "" for read-only calls to skip shard-side
 // deduplication.
 func (rt *Router) callURL(ctx context.Context, shard, base, path, reqKey string, body []byte, out any) error {
@@ -325,7 +338,6 @@ func (rt *Router) callURL(ctx context.Context, shard, base, path, reqKey string,
 
 // callURLResolved is callURL with the target URL re-resolved per attempt.
 func (rt *Router) callURLResolved(ctx context.Context, shard string, resolve func() string, path, reqKey string, body []byte, out any) error {
-	b := rt.breaker(shard)
 	var lastErr error
 	for attempt := 0; attempt < rt.cfg.RetryAttempts; attempt++ {
 		if attempt > 0 {
@@ -345,14 +357,14 @@ func (rt *Router) callURLResolved(ctx context.Context, shard string, resolve fun
 		}
 		resp, err := rt.client.Do(req)
 		if err != nil {
-			b.Failure()
+			rt.shardFailed(shard)
 			lastErr = err
 			continue
 		}
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 		resp.Body.Close()
 		if err != nil {
-			b.Failure()
+			rt.shardFailed(shard)
 			lastErr = err
 			continue
 		}
@@ -361,10 +373,10 @@ func (rt *Router) callURLResolved(ctx context.Context, shard string, resolve fun
 			if resp.StatusCode/100 == 4 {
 				return lastErr // malformed request: retries will not heal it
 			}
-			b.Failure()
+			rt.shardFailed(shard)
 			continue
 		}
-		b.Success()
+		rt.shardOK(shard)
 		if out != nil {
 			if err := json.Unmarshal(raw, out); err != nil {
 				lastErr = fmt.Errorf("shard %s %s: bad response: %v", shard, path, err)
@@ -659,15 +671,18 @@ func (rt *Router) Stats(m map[string]any) {
 		Name        string `json:"name"`
 		URL         string `json:"url"`
 		Standby     string `json:"standby,omitempty"`
-		Breaker     string `json:"breaker"`
+		Health      string `json:"breaker"` // "open" while the shard is down
 		ReplicaHead uint64 `json:"replica_head,omitempty"`
 	}
 	shards := make([]shardHealth, len(topo.Shards))
 	for i, s := range topo.Shards {
 		shards[i] = shardHealth{
 			Name: s.Name, URL: s.URL, Standby: s.Standby,
-			Breaker:     rt.breaker(s.Name).State().String(),
+			Health:      "closed",
 			ReplicaHead: rt.lastReplicaHead(s.Name),
+		}
+		if rt.shardDown(s.Name) {
+			shards[i].Health = "open"
 		}
 	}
 	m["epoch"] = topo.Epoch
