@@ -201,10 +201,10 @@ func TestDetectWithExactSupport(t *testing.T) {
 // of testing up to 2^20 cells against every partition.
 func TestGeneralityHighDimAllocs(t *testing.T) {
 	// Ceilings in KB per call at d = 6, 8, 10: the most measured at
-	// GOMAXPROCS 1, 2 and 8, plus 10 %. DBSCAN's d = 6 figure is its own
-	// cell index, not the plan.
+	// GOMAXPROCS 1, 2 and 8, plus 10 %. DBSCAN's BFS queues each point
+	// once; when it queued every neighbour list, d = 6 took ~210 MB.
 	ceilings := map[string][3]uint64{
-		"DBSCAN":      {232207, 5397, 10278},
+		"DBSCAN":      {20961, 3891, 9644},
 		"LOCI":        {11641, 3673, 9404},
 		"KNNOutliers": {9084, 4409, 10236},
 	}
