@@ -292,17 +292,29 @@ func (dmtPlanner) Build(hist *sample.Histogram, opts Options) (*Plan, error) {
 // over their 3×3 (3^d) neighborhood, suppressing Poisson speckle before
 // clustering. Totals are approximately preserved; exact counts are always
 // re-derived from the original histogram.
+//
+// Only non-empty buckets are walked: each scatters its count to its
+// neighbours in ascending ordinal order, so every bucket's sum takes its
+// neighbours' counts in row-major order, as a gather over the
+// neighbourhood would, and skips only +0 terms. The sum is then divided by
+// the bucket's clipped neighbourhood size.
 func smoothHistogram(hist *sample.Histogram) *sample.Histogram {
 	grid := hist.Grid
 	out := &sample.Histogram{Grid: grid, Counts: make([]float64, len(hist.Counts)), Rate: hist.Rate}
-	for ord := range hist.Counts {
-		var sum float64
-		var cells int
-		grid.Neighborhood(grid.Unflatten(ord), 1, func(o int) {
-			sum += hist.Counts[o]
-			cells++
-		})
-		out.Counts[ord] = sum / float64(cells)
+	for ord, c := range hist.Counts {
+		if c != 0 {
+			grid.Neighborhood(grid.Unflatten(ord), 1, func(o int) { out.Counts[o] += c })
+		}
+	}
+	for ord := range out.Counts {
+		cells := 1
+		for i, rest := len(grid.Dims)-1, ord; i >= 0; i-- {
+			n := grid.Dims[i]
+			c := rest % n
+			rest /= n
+			cells *= min(c+1, n-1) - max(c-1, 0) + 1
+		}
+		out.Counts[ord] /= float64(cells)
 	}
 	return out
 }
