@@ -38,7 +38,7 @@ func TestSimulatedPinned(t *testing.T) {
 			pin{0, 5220, 468554, 3234629, 4611200939553161978}},
 		{"CDriven", plan.CDriven, plan.Options{NumReducers: 500, NumPartitions: 600, Detector: detect.NestedLoop},
 			pin{777224, 17060, 3792436, 2069720, 4628823694669764702}},
-		{"DMT", plan.DMT, plan.Options{NumReducers: 8},
+		{"DMT", plan.DMT, plan.Options{NumReducers: 8, Candidates: plan.PaperCandidates()},
 			pin{777224, 8339, 1883440, 2738620, 4610969121118919993}},
 		{"Domain", plan.Domain, plan.Options{NumReducers: 4, NumPartitions: 9, Detector: detect.NestedLoop},
 			pin{0, 74840, 284518, 7749950, 4613915000908057338}},

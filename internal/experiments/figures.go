@@ -58,6 +58,7 @@ func runCase(cfg Config, pts []geom.Point, planner plan.Planner, det detect.Kind
 			NumReducers:   cfg.Reducers,
 			NumPartitions: cfg.Partitions,
 			Detector:      det,
+			Candidates:    plan.PaperCandidates(), // the figures are the paper's A
 		},
 		SampleRate:    sampleRate(len(pts)),
 		BucketsPerDim: bucketsPerDim(len(pts)),

@@ -238,9 +238,10 @@ func TestCDrivenBalancesCostBetterThanDDriven(t *testing.T) {
 
 func TestDMTSelectsDifferentAlgorithmsOnSkewedData(t *testing.T) {
 	// The multi-tactic property: on data with dense and intermediate
-	// regions, DMT's algorithm plan must contain both candidates.
+	// regions, DMT's algorithm plan over the paper's A must contain both
+	// candidates.
 	h := skewedHistogram(t)
-	pl, err := DMT.Build(h, Options{NumReducers: 4, Params: testParams})
+	pl, err := DMT.Build(h, Options{NumReducers: 4, Params: testParams, Candidates: PaperCandidates()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +255,9 @@ func TestDMTSelectsDifferentAlgorithmsOnSkewedData(t *testing.T) {
 }
 
 func TestDMTAlgorithmPlanMatchesCorollary43(t *testing.T) {
+	// Corollary 4.3 chooses between the paper's A.
 	h := skewedHistogram(t)
-	pl, err := DMT.Build(h, Options{NumReducers: 4, Params: testParams})
+	pl, err := DMT.Build(h, Options{NumReducers: 4, Params: testParams, Candidates: PaperCandidates()})
 	if err != nil {
 		t.Fatal(err)
 	}
