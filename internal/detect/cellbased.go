@@ -79,20 +79,35 @@ func (cr cellRules) centre(c coreCell) []float64 {
 // block count and whether c is undecided ("white") and needs per-point
 // work.
 func (cr cellRules) prune(od *geom.Odometer, c coreCell, k int, t *Result) (cnt1 int, white bool) {
-	q := cr.centre(c)
-	cnt1 = cr.ix.BlockCount(od, q, 1)
-	if cnt1-1 >= k {
-		t.Stats.CellsPruned++ // inlier cell
+	cnt1, inlier := cr.inlier(od, c, k, t)
+	if inlier {
 		return cnt1, false
 	}
-	if cr.ix.BlockCount(od, q, cr.l2)-1 < k {
-		t.Stats.CellsPruned++ // outlier cell
-		for _, pi := range cr.ix.Order[c.lo:c.hi] {
-			t.OutlierIDs = append(t.OutlierIDs, cr.all.IDs[pi])
-		}
+	if cr.ix.BlockCount(od, cr.centre(c), cr.l2)-1 < k {
+		cr.outliers(c, t)
 		return cnt1, false
 	}
 	return cnt1, true
+}
+
+// inlier applies the L1 rule to core cell c: it returns the L1 block count
+// and whether the block holds more than k points, which makes c an inlier
+// cell.
+func (cr cellRules) inlier(od *geom.Odometer, c coreCell, k int, t *Result) (cnt1 int, inlier bool) {
+	cnt1 = cr.ix.BlockCount(od, cr.centre(c), 1)
+	if cnt1-1 >= k {
+		t.Stats.CellsPruned++
+		return cnt1, true
+	}
+	return cnt1, false
+}
+
+// outliers reports every core member of c, an outlier cell by the L2 rule.
+func (cr cellRules) outliers(c coreCell, t *Result) {
+	t.Stats.CellsPruned++
+	for _, pi := range cr.ix.Order[c.lo:c.hi] {
+		t.OutlierIDs = append(t.OutlierIDs, cr.all.IDs[pi])
+	}
 }
 
 // cellBasedDetector implements the Cell-Based algorithm exactly as the
@@ -164,29 +179,22 @@ func (cellBasedL2Detector) prepare(all *geom.PointSet, nCore int, params Params,
 	r2 := params.R * params.R
 	return len(cells), func(lo, hi int, t *Result) {
 		od := geom.NewOdometer(all.Dim)
-		// Per-cell scratch, reused across undecided cells: the L1 block's
-		// ordinals and the ring membership (point indices).
-		var l1Ords []int
-		var ring []int32
+		var ring []int32 // the ring's members, reused across cells
 		for _, c := range cells[lo:hi] {
-			cnt1, white := cr.prune(&od, c, params.K, t)
-			if !white {
+			cnt1, inlier := cr.inlier(&od, c, params.K, t)
+			if inlier {
+				continue
+			}
+			// The L2 block is the L1 block and the ring between L1 and L2,
+			// so the ring's members also count the L2 block for the
+			// outlier rule.
+			ring = cr.ix.AppendRing(ring[:0], &od, cr.centre(c), 1, cr.l2)
+			if cnt1+len(ring)-1 < params.K {
+				cr.outliers(c, t)
 				continue
 			}
 			// Points in the L1 block are guaranteed neighbors; only the ring
-			// between L1 and L2 needs distance checks.
-			q := cr.centre(c)
-			l1Ords = l1Ords[:0]
-			cr.ix.Grid.Block(&od, q, 1, func(o int) { l1Ords = append(l1Ords, o) })
-			ring = ring[:0]
-			cr.ix.Grid.Block(&od, q, cr.l2, func(o int) {
-				for _, l1 := range l1Ords {
-					if o == l1 {
-						return
-					}
-				}
-				ring = append(ring, cr.ix.Members(o)...)
-			})
+			// needs distance checks.
 			for _, pi := range cr.ix.Order[c.lo:c.hi] {
 				neighbors := cnt1 - 1 // every L1-block point is within r
 				for _, qi := range ring {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -75,4 +76,52 @@ func TestCellIndexWithinAcrossRoundedEdge(t *testing.T) {
 	if want := []int{1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("Within(3, 1.5) = %v, want %v", got, want)
 	}
+}
+
+// TestCellIndexRowWrapsPastMaxInt: on a 3 × (2⁶²+1) grid of unit cells
+// the ordinal product overflows, so the index is sparse, and the row at
+// first index 1 runs from ordinal 2⁶²+1 past math.MaxInt: its last cell,
+// holding the point at (1, 2⁶²), wraps to math.MinInt+1. Around that
+// point the row walks split the row where it wraps and find what the
+// per-cell walk finds.
+func TestCellIndexRowWrapsPastMaxInt(t *testing.T) {
+	top := math.Ldexp(1, 62)
+	pts := []Point{
+		{ID: 1, Coords: []float64{0, 0}},
+		{ID: 2, Coords: []float64{1, top}},
+		{ID: 3, Coords: []float64{1, top - 1024}},
+		{ID: 4, Coords: []float64{2, top}},
+		{ID: 5, Coords: []float64{0, top}},
+	}
+	ix := NewCellIndex(PointSetOf(pts), 1)
+	if ix.ords == nil {
+		t.Fatalf("grid %v: want the sparse layout", ix.Grid.Dims)
+	}
+	od := NewOdometer(2)
+	q := pts[1].Coords
+	// From radius 2 on, the row's first cell's ordinal is at most
+	// math.MaxInt and its last one's wraps.
+	for radius, want := range []int{1, 3, 3, 3} {
+		walked := 0
+		ix.Grid.Block(&od, q, radius, func(o int) { walked += len(ix.Members(o)) })
+		if got := ix.BlockCount(&od, q, radius); got != walked || got != want {
+			t.Errorf("BlockCount(radius %d) = %d, per-cell walk %d, want %d", radius, got, walked, want)
+		}
+	}
+	if got, want := ix.AppendRing(nil, &od, q, 0, 3), ringRef0(ix, &od, q, 3); !slices.Equal(got, want) || len(got) != 2 {
+		t.Errorf("AppendRing = %v, per-cell walk %v, want two points", got, want)
+	}
+}
+
+// ringRef0 is the per-cell walk of the cells within Chebyshev distance
+// outer of q's cell other than that cell.
+func ringRef0(ix *CellIndex, od *Odometer, q []float64, outer int) []int32 {
+	centre := ix.Grid.CellOrdinalCoords(q)
+	var ring []int32
+	ix.Grid.Block(od, q, outer, func(o int) {
+		if o != centre {
+			ring = append(ring, ix.Members(o)...)
+		}
+	})
+	return ring
 }

@@ -159,25 +159,26 @@ func (g *Grid) Boundary(i, c int) float64 {
 	return g.Domain.Min[i] + float64(c)*g.width[i]
 }
 
-// Odometer is the scratch of one block walk: the walk's per-dimension
-// bounds and cursor. A walk touches nothing else, so a caller holding one
-// Odometer per goroutine walks blocks without allocating while the grid,
-// and any index over it, is only read.
+// Odometer is the scratch of one block walk: the block's per-dimension
+// bounds, the cell it is centred on, the walk's cursor and a sparse
+// CellIndex's search cursor. A walk touches nothing else, so a caller
+// holding one Odometer per goroutine walks blocks without allocating while
+// the grid, and any index over it, is only read.
 type Odometer struct {
-	lo, hi, cur []int
+	lo, hi, mid, cur []int
+	slot             int
 }
 
 // NewOdometer returns the scratch for block walks over d-dimensional
 // grids.
 func NewOdometer(d int) Odometer {
-	backing := make([]int, 3*d)
-	return Odometer{lo: backing[:d], hi: backing[d : 2*d], cur: backing[2*d:]}
+	backing := make([]int, 4*d)
+	return Odometer{lo: backing[:d], hi: backing[d : 2*d], mid: backing[2*d : 3*d], cur: backing[3*d:]}
 }
 
 // Neighborhood calls fn with the flattened ordinal of every cell within
 // Chebyshev distance radius of the cell at idx (including idx itself),
-// clipped to the grid, in row-major order. The Cell-Based detector uses
-// radius 1 for the L1 block and ⌈2√d⌉ for the L2 block.
+// clipped to the grid, in row-major order.
 func (g *Grid) Neighborhood(idx []int, radius int, fn func(ord int)) {
 	od := NewOdometer(len(idx))
 	for i, n := range g.Dims {
@@ -186,14 +187,16 @@ func (g *Grid) Neighborhood(idx []int, radius int, fn func(ord int)) {
 	g.walk(&od, fn)
 }
 
-// Block is Neighborhood around the cell holding the coordinate row q, over
-// od's scratch, so it allocates nothing.
-func (g *Grid) Block(od *Odometer, q []float64, radius int, fn func(ord int)) {
+// block sets od to the cells within Chebyshev distance radius of the cell
+// holding the coordinate row q, clipped to the grid, and centres it on that
+// cell. The Cell-Based detectors use radius 1 for the L1 block and ⌈2√d⌉
+// for the L2 block.
+func (g *Grid) block(od *Odometer, q []float64, radius int) {
 	for i, n := range g.Dims {
 		c := g.cellOf(i, q[i])
+		od.mid[i] = c
 		od.lo[i], od.hi[i] = max(c-radius, 0), min(c+radius, n-1)
 	}
-	g.walk(od, fn)
 }
 
 // distSlack bounds how far past dist, relatively, a pair that a
@@ -203,34 +206,50 @@ func (g *Grid) Block(od *Odometer, q []float64, radius int, fn func(ord int)) {
 // d under 2¹³.
 const distSlack = 0x1p-40
 
-// Box calls fn with the ordinal of every cell that can hold a point within
-// dist of the coordinate row q, in row-major order, over od's scratch.
-// Along each dimension it walks from the cell holding q - dist to the cell
-// holding q + dist, both pushed out past the rounding of the distance test
-// and of the bound itself. Cell lookup is monotone in the coordinate, so
-// every point that WithinDist accepts lies in the box, however the cell
-// arithmetic rounds near an edge; a Chebyshev ring of ⌈dist/width⌉ cells
-// misses a pair at exactly dist whose cell coordinates round apart.
-func (g *Grid) Box(od *Odometer, q []float64, dist float64, fn func(ord int)) {
+// box sets od to every cell that can hold a point within dist of the
+// coordinate row q. Along each dimension it spans from the cell holding
+// q - dist to the cell holding q + dist, both pushed out past the rounding
+// of the distance test and of the bound itself. Cell lookup is monotone in
+// the coordinate, so every point that WithinDist accepts lies in the box,
+// however the cell arithmetic rounds near an edge; a Chebyshev ring of
+// ⌈dist/width⌉ cells misses a pair at exactly dist whose cell coordinates
+// round apart.
+func (g *Grid) box(od *Odometer, q []float64, dist float64) {
 	reach := dist * (1 + distSlack)
 	for i := range g.Dims {
 		od.lo[i] = g.cellOf(i, math.Nextafter(q[i]-reach, math.Inf(-1)))
 		od.hi[i] = g.cellOf(i, math.Nextafter(q[i]+reach, math.Inf(1)))
 	}
-	g.walk(od, fn)
 }
 
-// walk runs the odometer over the cells between od.lo and od.hi: the last
-// dimension turns fastest, so ordinals come in row-major order.
+// walk calls fn with the ordinal of every cell between od.lo and od.hi,
+// in row-major order.
 func (g *Grid) walk(od *Odometer, fn func(ord int)) {
-	copy(od.cur, od.lo)
-	for {
-		o := 0
-		for i, n := range g.Dims {
-			o = o*n + od.cur[i]
+	g.spans(od, func(base, a, b int) {
+		for c := a; c <= b; c++ {
+			fn(base + c)
 		}
-		fn(o)
-		i := len(g.Dims) - 1
+	})
+}
+
+// spans runs the odometer over the rows of the block between od.lo and
+// od.hi: for each combination of the leading d−1 indices (the last of them
+// turning fastest) it calls fn with the row's cells base+a … base+b, where
+// base is the ordinal of the row's cell at last index 0 and a, b are od.lo
+// and od.hi's last entries. Along the last axis ordinals are consecutive,
+// so the rows give the block's cells in row-major order. On entry to fn,
+// od.cur holds the row's leading indices.
+func (g *Grid) spans(od *Odometer, fn func(base, a, b int)) {
+	last := len(g.Dims) - 1
+	a, b := od.lo[last], od.hi[last]
+	copy(od.cur[:last], od.lo[:last])
+	for {
+		base := 0
+		for i := 0; i < last; i++ {
+			base = base*g.Dims[i] + od.cur[i]
+		}
+		fn(base*g.Dims[last], a, b)
+		i := last - 1
 		for ; i >= 0; i-- {
 			od.cur[i]++
 			if od.cur[i] <= od.hi[i] {
