@@ -201,12 +201,14 @@ func TestDetectWithExactSupport(t *testing.T) {
 // of testing up to 2^20 cells against every partition.
 func TestGeneralityHighDimAllocs(t *testing.T) {
 	// Ceilings in KB per call at d = 6, 8, 10: the most measured at
-	// GOMAXPROCS 1, 2 and 8, plus 10 %. DBSCAN's BFS queues each point
-	// once; when it queued every neighbour list, d = 6 took ~210 MB.
+	// GOMAXPROCS 1, 2, 4 and 8 and under -race, plus 10 %. DBSCAN's BFS
+	// queues each point once; when it queued every neighbour list, d = 6
+	// took ~210 MB. The uniSpace plan reads a one-bucket histogram; when it
+	// zero-filled a grid of up to 2²⁰ buckets, d = 8 and 10 took 3–10 MB.
 	ceilings := map[string][3]uint64{
-		"DBSCAN":      {20961, 3891, 9644},
-		"LOCI":        {11641, 3673, 9404},
-		"KNNOutliers": {9084, 4409, 10236},
+		"DBSCAN":      {20335, 534, 638},
+		"LOCI":        {10207, 385, 393},
+		"KNNOutliers": {7538, 1313, 1373},
 	}
 	for di, d := range []int{6, 8, 10} {
 		rng := rand.New(rand.NewSource(int64(d)))

@@ -11,10 +11,14 @@ import (
 )
 
 // domainHistogram is the statistics-free histogram the Domain and uniSpace
-// planners read: the domain on a sample.DimsFor grid with no counts.
-func domainHistogram(domain geom.Rect, bucketsPerDim int) *sample.Histogram {
-	grid := geom.NewGrid(domain, sample.DimsFor(domain.Dim(), bucketsPerDim, sample.MaxCells))
-	return &sample.Histogram{Grid: grid, Counts: make([]float64, grid.NumCells()), Rate: 1}
+// planners read: the domain as one empty bucket. They take the domain from
+// it, and its counts, zero at any resolution, price nothing.
+func domainHistogram(domain geom.Rect) *sample.Histogram {
+	ones := make([]int, domain.Dim())
+	for i := range ones {
+		ones[i] = 1
+	}
+	return &sample.Histogram{Grid: geom.NewGrid(domain, ones), Counts: make([]float64, 1), Rate: 1}
 }
 
 // AreaOptions configure a supporting-area job.
@@ -53,7 +57,7 @@ func NewAreaJob(points []geom.Point, r float64, opts AreaOptions) (*AreaJob, err
 		return nil, err
 	}
 	// uniSpace reads only the histogram's domain.
-	pl, err := plan.UniSpace.Build(domainHistogram(in.Domain, 8), plan.Options{
+	pl, err := plan.UniSpace.Build(domainHistogram(in.Domain), plan.Options{
 		NumReducers:   opts.NumReducers,
 		NumPartitions: opts.NumPartitions,
 		Params:        detect.Params{R: r, K: 1},

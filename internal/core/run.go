@@ -174,7 +174,7 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 		rep.NumJobs++
 	} else {
 		// Domain/uniSpace only need the domain rectangle.
-		hist = domainHistogram(input.Domain, cfg.BucketsPerDim)
+		hist = domainHistogram(input.Domain)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
