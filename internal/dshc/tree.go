@@ -156,17 +156,30 @@ func removeChild(p *node, child *node) {
 	}
 }
 
-// adjustUpward recomputes bounding rectangles from n to the root.
+// adjustUpward recomputes bounding rectangles from n to the root. Each
+// internal node's rectangle is its own pair of slices, written in place:
+// the min and max of its children's bounds, folded in child order. The
+// builtin min and max treat NaN and signed zeros as math.Min and math.Max
+// do, so the bounds are Rect.Union's.
 func (t *Tree) adjustUpward(n *node) {
 	for ; n != nil; n = n.parent {
 		if len(n.children) == 0 {
 			continue
 		}
-		rect := childRect(n.children[0])
-		for _, c := range n.children[1:] {
-			rect = rect.Union(childRect(c))
+		first := childRect(n.children[0])
+		if n.rect.Min == nil {
+			n.rect = first.Clone()
+		} else {
+			copy(n.rect.Min, first.Min)
+			copy(n.rect.Max, first.Max)
 		}
-		n.rect = rect
+		for _, c := range n.children[1:] {
+			cr := childRect(c)
+			for i := range n.rect.Min {
+				n.rect.Min[i] = min(n.rect.Min[i], cr.Min[i])
+				n.rect.Max[i] = max(n.rect.Max[i], cr.Max[i])
+			}
+		}
 	}
 }
 
