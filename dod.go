@@ -49,14 +49,20 @@ type Rect = geom.Rect
 type Detector = detect.Kind
 
 // The available detectors. NestedLoop and CellBased form the paper's
-// candidate set; KDTree is an extension; BruteForce is the O(n²) reference.
+// candidate set; NestedLoop and CellBasedL2 form StrategyDMT's default
+// one; KDTree is an extension; BruteForce is the O(n²) reference.
 const (
 	BruteForce = detect.BruteForce
 	NestedLoop = detect.NestedLoop
-	CellBased  = detect.CellBased
-	KDTree     = detect.KDTree
-	// CellBasedL2 is an optimized Cell-Based variant (beyond the paper)
-	// that restricts undecided-cell scans to the L1–L2 cell ring.
+	// CellBased is the paper's Cell-Based: an undecided cell's points scan
+	// the whole candidate pool (Lemma 4.2's fallback).
+	CellBased = detect.CellBased
+	KDTree    = detect.KDTree
+	// CellBasedL2 is the Cell-Based variant beyond the paper that Knorr and
+	// Ng's cell algorithm describes: an undecided cell's points scan only
+	// the ring between its L1 and L2 blocks. It prunes the same cells and
+	// gives the same verdicts as CellBased, and it is the grid tactic of
+	// the default candidate set.
 	CellBasedL2 = detect.CellBasedL2
 	// ProxGraph is the exact proximity-graph tactic: a navigable neighbor
 	// graph built once per partition answers threshold queries by graph
@@ -122,7 +128,12 @@ type Config struct {
 	// CellBased.
 	Detector Detector
 	// Candidates overrides DMT's algorithm candidate set; default
-	// {NestedLoop, CellBased}.
+	// {NestedLoop, CellBasedL2}. That is not the paper's set {NestedLoop,
+	// CellBased}: both grid tactics prune whole cells alike, but the
+	// paper's scans the whole pool for each point of an undecided cell,
+	// where CellBasedL2 scans only the cell's L1–L2 ring, so the default
+	// typically computes far fewer distances for the same verdicts. Set
+	// the paper's pair to reproduce its figures.
 	Candidates []Detector
 	// AllowApprox opts in to approximate detectors (those whose
 	// Detector.Approximate() reports true, currently SensSample): without

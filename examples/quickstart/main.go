@@ -42,7 +42,8 @@ func main() {
 
 	// Detect with R=4, K=3: an outlier has fewer than 3 neighbors within
 	// distance 4. Everything else is defaulted: DMT partitioning, the
-	// {Nested-Loop, Cell-Based} candidate set, 8 reducers.
+	// {Nested-Loop, Cell-Based-L2} candidate set (the paper's is
+	// {Nested-Loop, Cell-Based}), 8 reducers.
 	result, err := dod.Detect(points, dod.Config{R: 4, K: 3, SampleRate: 1, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
