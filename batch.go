@@ -3,6 +3,7 @@ package dod
 import (
 	"errors"
 	"runtime"
+	"slices"
 
 	"dod/internal/detect"
 	"dod/internal/errs"
@@ -74,7 +75,9 @@ func (b *Batch) Append(p Point) error {
 	return nil
 }
 
-// validate checks the structural invariants DetectBatch relies on.
+// validate checks the structural invariants DetectBatch relies on, in
+// checkPoints' order: the dimensionality and the coordinate count first,
+// then the smallest repeated ID.
 func (b *Batch) validate() error {
 	if b == nil || len(b.IDs) == 0 {
 		return errs.ErrEmptyDataset
@@ -86,14 +89,7 @@ func (b *Batch) validate() error {
 		return errs.BadParams("batch has %d coords for %d points of dim %d (want %d)",
 			len(b.Coords), len(b.IDs), b.Dim, b.Dim*len(b.IDs))
 	}
-	seen := make(map[uint64]struct{}, len(b.IDs))
-	for _, id := range b.IDs {
-		if _, dup := seen[id]; dup {
-			return &errs.DuplicateIDError{ID: id}
-		}
-		seen[id] = struct{}{}
-	}
-	return nil
+	return checkRepeats(slices.Clone(b.IDs))
 }
 
 // DetectBatch is the columnar, parallel counterpart of DetectCentralized:
@@ -107,6 +103,8 @@ func (b *Batch) validate() error {
 // Validation matches DetectCentralized: an empty batch is ErrEmptyDataset,
 // duplicate IDs are ErrDuplicateID, and bad parameters (r <= 0, k < 1, or
 // a Coords slice whose length disagrees with Dim×Len) are ErrBadParams.
+// A bad Dim or coordinate count is reported before a repeat, and the
+// repeat reported is the smallest repeated ID.
 func DetectBatch(b *Batch, detector Detector, r float64, k int) ([]uint64, error) {
 	params, err := Config{R: r, K: k}.params()
 	if err != nil {
