@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dod/internal/errs"
@@ -115,13 +116,23 @@ func DecodeTaggedPoint(buf []byte) (tag byte, p geom.Point, n int, err error) {
 }
 
 // EncodePoints encodes a slice of points with a leading count. This is the
-// DFS block payload format.
+// DFS block payload format. The block is sized before it is written, so it
+// is one allocation of exactly its length.
 func EncodePoints(points []geom.Point) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(points)))
+	size := uvarintLen(uint64(len(points)))
+	for _, p := range points {
+		size += uvarintLen(p.ID) + uvarintLen(uint64(len(p.Coords))) + 8*len(p.Coords)
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(points)))
 	for _, p := range points {
 		buf = AppendPoint(buf, p)
 	}
 	return buf
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // DecodePoints decodes a block produced by EncodePoints.
@@ -202,13 +213,23 @@ func DecodeTaggedPointInto(buf []byte, set *geom.PointSet) (tag byte, n int, err
 
 // DecodePointsInto decodes an EncodePoints block into the set, appending
 // every point. The set keeps its capacity across calls, so a pooled set
-// amortizes all decode allocations.
+// amortizes all decode allocations; a set short of room grows once per
+// column, by the block's count of IDs and by that many rows of the first
+// record's dimensionality. A column is grown only for a count the rest of
+// the block can hold (DecodePoints' rule: at least 2 bytes a record, and
+// 8 more per coordinate), so a forged header cannot buy an allocation.
 func DecodePointsInto(buf []byte, set *geom.PointSet) error {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return ErrTruncated
 	}
 	off := n
+	if rest := uint64(len(buf[off:])); count <= rest/2 {
+		set.IDs = slices.Grow(set.IDs, int(count))
+		if dim, ok := firstDim(buf[off:]); ok && dim <= 1<<16 && count*dim*8 <= rest {
+			set.Coords = slices.Grow(set.Coords, int(count*dim))
+		}
+	}
 	for i := uint64(0); i < count; i++ {
 		m, err := DecodePointInto(buf[off:], set)
 		if err != nil {
@@ -217,4 +238,15 @@ func DecodePointsInto(buf []byte, set *geom.PointSet) error {
 		off += m
 	}
 	return nil
+}
+
+// firstDim reads the dimensionality of the point record at the front of
+// buf without decoding it.
+func firstDim(buf []byte) (uint64, bool) {
+	_, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, false
+	}
+	dim, m := binary.Uvarint(buf[n:])
+	return dim, m > 0
 }

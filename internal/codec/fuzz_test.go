@@ -5,6 +5,7 @@ package codec
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"dod/internal/errs"
@@ -94,7 +95,8 @@ func FuzzDecodeTaggedPointInto(f *testing.F) {
 }
 
 // FuzzDecodePointsInto covers the block decoder: a forged count header must
-// never cause a huge allocation or mask a truncated tail.
+// never cause a huge allocation (decoding allocates at most 64 bytes per
+// input byte plus 16 KiB) or mask a truncated tail.
 func FuzzDecodePointsInto(f *testing.F) {
 	f.Add(EncodePoints(nil))
 	f.Add(EncodePoints([]geom.Point{{ID: 1, Coords: []float64{1, 2}}, {ID: 2, Coords: []float64{3, 4}}}))
@@ -102,11 +104,19 @@ func FuzzDecodePointsInto(f *testing.F) {
 	for i := range block {
 		f.Add(block[:i])
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // count ~2^32, no payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})                     // count ~2^32, no payload
+	f.Add(append([]byte{8, 1, 0xff, 0xff, 3}, make([]byte, 30)...)) // forged dim in a fitting count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var set geom.PointSet
-		if err := DecodePointsInto(data, &set); err != nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodePointsInto(data, &set)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (> %d)", len(data), got, limit)
+		}
+		if err != nil {
 			if !errors.Is(err, errs.ErrWireFormat) {
 				t.Fatalf("non-wire-format error: %v", err)
 			}

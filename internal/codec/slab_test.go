@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -81,5 +82,69 @@ func TestDecodePointAllocs(t *testing.T) {
 	buf := AppendPoint(nil, geom.Point{ID: 9, Coords: []float64{1, 2, 3}})
 	if got := testing.AllocsPerRun(100, func() { _, _, _ = DecodePoint(buf) }); got != 1 {
 		t.Fatalf("DecodePoint allocates %v objects per point, want 1", got)
+	}
+}
+
+// blockPoints returns n points of dimension dim with IDs across every
+// uvarint length up to five bytes.
+func blockPoints(n, dim int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		c := make([]float64, dim)
+		for j := range c {
+			c[j] = float64(i*dim + j)
+		}
+		pts[i] = geom.Point{ID: uint64(i) << (i % 29), Coords: c}
+	}
+	return pts
+}
+
+// TestEncodePointsExactSize: a block is one allocation whose capacity is
+// its length, and it holds the count and the records AppendPoint writes.
+func TestEncodePointsExactSize(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 1000} {
+		pts := blockPoints(n, 3)
+		want := binary.AppendUvarint(nil, uint64(n))
+		for _, p := range pts {
+			want = AppendPoint(want, p)
+		}
+		got := EncodePoints(pts)
+		if !bytes.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("%d points: block of %d bytes (cap %d), want the %d bytes AppendPoint writes", n, len(got), cap(got), len(want))
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	pts := blockPoints(1000, 2)
+	if got := testing.AllocsPerRun(20, func() { _ = EncodePoints(pts) }); got != 1 {
+		t.Errorf("EncodePoints made %v allocations, want 1", got)
+	}
+}
+
+// TestDecodePointsIntoAllocs: decoding a block into an empty set grows each
+// column once, and a set already large enough is not grown at all.
+func TestDecodePointsIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under -race")
+	}
+	block := EncodePoints(blockPoints(1000, 3))
+	if got := testing.AllocsPerRun(20, func() {
+		var set geom.PointSet
+		if err := DecodePointsInto(block, &set); err != nil || set.Len() != 1000 {
+			t.Fatalf("decoded %d points: %v", set.Len(), err)
+		}
+	}); got > 2 {
+		t.Errorf("DecodePointsInto into an empty set made %v allocations, want at most 2", got)
+	}
+	var pooled geom.PointSet
+	if err := DecodePointsInto(block, &pooled); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		pooled.Clear()
+		_ = DecodePointsInto(block, &pooled)
+	}); got != 0 {
+		t.Errorf("DecodePointsInto into a set with room made %v allocations, want 0", got)
 	}
 }
