@@ -110,7 +110,7 @@ func TestResultTrace(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("run recorded no trace spans")
 	}
-	want := map[string]bool{"preprocess": false, "plan": false, "map": false, "shuffle": false, "reduce": false, "partition.detect": false}
+	want := map[string]bool{"input": false, "preprocess": false, "plan": false, "map": false, "shuffle": false, "reduce": false, "partition.detect": false}
 	for _, s := range spans {
 		if _, ok := want[s.Name]; ok {
 			want[s.Name] = true

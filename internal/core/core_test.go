@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"dod/internal/codec"
 	"dod/internal/detect"
 	"dod/internal/geom"
+	"dod/internal/mapreduce"
 	"dod/internal/plan"
 	"dod/internal/synth"
 )
@@ -243,6 +246,30 @@ func TestInputFromPoints(t *testing.T) {
 	}
 	if _, err := InputFromPoints(nil, 10); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// TestInputSplitsMatchSerialEncoding: the parallel encoder gives every
+// split the name, the points and the bytes a one-goroutine loop gives it,
+// in the same order, whether a tile holds many splits, one, or part of
+// one.
+func TestInputSplitsMatchSerialEncoding(t *testing.T) {
+	points := makeSkewed(3000, 41)
+	for _, per := range []int{1, 7, 64, 100, 1499, 1500, 2999, 3000, 5000} {
+		input, err := InputFromPoints(points, per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []mapreduce.Split
+		for i := 0; i < len(points); i += per {
+			want = append(want, mapreduce.Split{
+				Name: fmt.Sprintf("mem-%06d", i/per),
+				Data: codec.EncodePoints(points[i:min(i+per, len(points))]),
+			})
+		}
+		if !reflect.DeepEqual(input.Splits, want) {
+			t.Fatalf("%d points a split: the splits differ from a serial encoding", per)
+		}
 	}
 }
 

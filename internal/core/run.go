@@ -100,10 +100,11 @@ type Report struct {
 	Engine string
 
 	// Trace is the structured execution record: one span per pipeline
-	// stage ("preprocess", "plan", "map", "shuffle", "reduce") plus one
-	// "partition.detect" span per partition annotated with the chosen
-	// detector and its work counters. The Wall breakdown below is derived
-	// from it.
+	// stage ("input", "preprocess", "plan", "map", "shuffle", "reduce")
+	// plus one "partition.detect" span per partition annotated with the
+	// chosen detector and its work counters. The Wall breakdown below is
+	// derived from it; the "input" span, the encoding of the splits
+	// before Run began, is in none of its four fields.
 	Trace *obs.Trace
 
 	// Simulated is the paper-comparable stage breakdown: per-task work
@@ -148,6 +149,12 @@ func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
 	rep := &Report{Trace: tr, Engine: "local"}
 	if cfg.ExecutorFor != nil {
 		rep.Engine = "cluster"
+	}
+
+	if !input.built.IsZero() {
+		tr.Add("input", input.built, input.buildTook,
+			obs.Int("splits", int64(len(input.Splits))),
+			obs.Int("bytes", input.bytes()))
 	}
 
 	// ---- Preprocessing: sampling + plan generation ----
