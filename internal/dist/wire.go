@@ -148,11 +148,20 @@ func spansFromWire(spans []wireSpan) []obs.Span {
 // codec.AppendHeaderFrame it returns a marshal failure rather than
 // panicking: a task header carries the caller-supplied JobSpec.Config.
 func appendHeader(dst []byte, h any) ([]byte, error) {
+	raw, err := marshalHeader(h)
+	if err != nil {
+		return nil, err
+	}
+	return codec.AppendFrame(dst, frameHeader, raw), nil
+}
+
+// marshalHeader is the payload of a header frame.
+func marshalHeader(h any) ([]byte, error) {
 	raw, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("dist: marshal header: %w", err)
 	}
-	return codec.AppendFrame(dst, frameHeader, raw), nil
+	return raw, nil
 }
 
 // encodeMapTaskBody builds the wire body of a map task dispatch.
@@ -225,45 +234,35 @@ func decodeTaskBody(body []byte) (h taskHeader, mt *mapreduce.MapTask, rt *mapre
 	}
 }
 
-func toKVs(pairs []mapreduce.Pair) []codec.KV {
-	kvs := make([]codec.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = codec.KV{Key: p.Key, Value: p.Value}
-	}
-	return kvs
-}
-
-func fromKVs(kvs []codec.KV) []mapreduce.Pair {
-	if len(kvs) == 0 {
-		return nil
-	}
-	pairs := make([]mapreduce.Pair, len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = mapreduce.Pair{Key: kv.Key, Value: kv.Value}
-	}
-	return pairs
-}
-
 // encodeMapResultBody builds the wire body of a successful map attempt: one
 // bucket frame per reducer (possibly empty), in reducer order.
 func encodeMapResultBody(h resultHeader, res *mapreduce.MapResult) ([]byte, error) {
-	buf, err := appendHeader(nil, h)
-	if err != nil {
-		return nil, err
-	}
-	for _, bucket := range res.Buckets {
-		buf = codec.AppendFrame(buf, frameBucket, codec.AppendKVs(nil, toKVs(bucket)))
-	}
-	return codec.AppendSumFrame(buf), nil
+	return encodeKVsBody(h, frameBucket, res.Buckets...)
 }
 
 // encodeReduceResultBody builds the wire body of a successful reduce attempt.
 func encodeReduceResultBody(h resultHeader, res *mapreduce.ReduceResult) ([]byte, error) {
-	buf, err := appendHeader(nil, h)
+	return encodeKVsBody(h, frameOutput, res.Output)
+}
+
+// encodeKVsBody builds a result body of the header, one frame of the given
+// kind per record list in order, and the integrity frame. The body is
+// sized before it is written, and each list's records are written straight
+// into it.
+func encodeKVsBody(h resultHeader, kind byte, lists ...[]mapreduce.Pair) ([]byte, error) {
+	raw, err := marshalHeader(h)
 	if err != nil {
 		return nil, err
 	}
-	return codec.AppendSumFrame(codec.AppendFrame(buf, frameOutput, codec.AppendKVs(nil, toKVs(res.Output)))), nil
+	size := codec.FrameLen(len(raw)) + codec.FrameLen(8)
+	for _, kvs := range lists {
+		size += codec.FrameLen(codec.KVsLen(kvs))
+	}
+	buf := codec.AppendFrame(make([]byte, 0, size), frameHeader, raw)
+	for _, kvs := range lists {
+		buf = codec.AppendKVsFrame(buf, kind, kvs)
+	}
+	return codec.AppendSumFrame(buf), nil
 }
 
 // encodeErrorResultBody builds the wire body of a failed attempt (header
@@ -290,12 +289,9 @@ func decodeResultBody(body []byte) (h resultHeader, buckets [][]mapreduce.Pair, 
 		}
 		switch {
 		case kind == frameBucket && h.Phase == "map":
-			buckets = append(buckets, fromKVs(kvs))
+			buckets = append(buckets, kvs)
 		case kind == frameOutput && h.Phase == "reduce" && output == nil:
-			output = fromKVs(kvs)
-			if output == nil {
-				output = []mapreduce.Pair{} // distinguish "empty output" from "missing frame"
-			}
+			output = kvs // never nil, even when empty: "missing frame" stays nil
 		default:
 			return codec.WireErrorf("dist: unexpected frame kind %d in %s result", kind, h.Phase)
 		}

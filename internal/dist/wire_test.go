@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"dod/internal/codec"
 	"dod/internal/errs"
 	"dod/internal/mapreduce"
 	"dod/internal/obs"
@@ -108,6 +111,34 @@ func TestMapResultRoundTrip(t *testing.T) {
 	}
 	if buckets[0][0].Key != 1 || string(buckets[0][0].Value) != "\xaa" || buckets[2][0].Key != 3 {
 		t.Errorf("bucket contents: %v", buckets)
+	}
+}
+
+// TestResultBodySizedOnce: a result body is allocated at its final length
+// and holds the frames a payload-buffer encoding writes: the header, one
+// KV-list frame per bucket (or the output), and the integrity frame.
+func TestResultBodySizedOnce(t *testing.T) {
+	buckets := [][]mapreduce.Pair{
+		{{Key: 1, Value: []byte{0xaa}}, {Key: 1 << 40, Value: nil}},
+		{},
+		{{Key: 3, Value: make([]byte, 300)}},
+	}
+	h := sampleResultHeader("map")
+	raw, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := codec.AppendFrame(nil, frameHeader, raw)
+	for _, b := range buckets {
+		want = codec.AppendFrame(want, frameBucket, codec.AppendKVs(nil, b))
+	}
+	want = codec.AppendSumFrame(want)
+	got, err := encodeMapResultBody(h, &mapreduce.MapResult{Buckets: buckets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("map result body: %d bytes (cap %d), want the %d bytes of a payload-buffer encoding", len(got), cap(got), len(want))
 	}
 }
 

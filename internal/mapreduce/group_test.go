@@ -59,11 +59,25 @@ func checkGroups(t *testing.T, name string, got, want []Group) {
 	}
 }
 
+// cutRuns cuts pairs into between one and eight runs at random points,
+// empty runs among them, as map tasks' buckets for one reducer.
+func cutRuns(rng *rand.Rand, pairs []Pair) [][]Pair {
+	runs := make([][]Pair, 1+rng.Intn(8))
+	for i := range runs[:len(runs)-1] {
+		n := rng.Intn(len(pairs) + 1)
+		runs[i], pairs = pairs[:n], pairs[n:]
+	}
+	runs[len(runs)-1] = pairs
+	return runs
+}
+
 // TestGroupByKeyEqualsStableSortThenRuns: the shuffle's grouping has one
 // right answer — groups in ascending key order, each group's values in
-// arrival order — whatever way it is computed.
+// arrival order — whatever way it is computed, and however the map tasks'
+// buckets cut the arrivals into runs.
 func TestGroupByKeyEqualsStableSortThenRuns(t *testing.T) {
 	checkGroups(t, "empty", groupByKey(nil), nil)
+	checkGroups(t, "empty runs", groupByKey(make([][]Pair, 3)), nil)
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(600)
@@ -73,6 +87,7 @@ func TestGroupByKeyEqualsStableSortThenRuns(t *testing.T) {
 		}
 		pairs := randomPairs(rng, n, keys)
 		want := groupBySortRef(pairs)
-		checkGroups(t, fmt.Sprintf("seed %d", seed), groupByKey(pairs), want)
+		checkGroups(t, fmt.Sprintf("seed %d, one run", seed), groupByKey([][]Pair{pairs}), want)
+		checkGroups(t, fmt.Sprintf("seed %d, cut into runs", seed), groupByKey(cutRuns(rng, pairs)), want)
 	}
 }

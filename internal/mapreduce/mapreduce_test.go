@@ -258,17 +258,28 @@ func TestManySplitsManyReducers(t *testing.T) {
 // TestGroupByKeyAllocs: grouping allocates the slot map, the group list and
 // one backing array for every group's values (29 objects for 100 groups) —
 // not a slice per group, nothing per pair, and no sort of the pairs. The
-// sort + run scan it replaced made 111 here.
+// sort + run scan it replaced made 111 here. The same pairs as one bucket
+// from each of eight map tasks stay under the same ceiling: the runs are
+// read where they are, not concatenated.
 func TestGroupByKeyAllocs(t *testing.T) {
 	const groups, ceiling = 100, 50
 	pairs := make([]Pair, 5000)
 	for i := range pairs {
 		pairs[i] = Pair{Key: uint64(i*7919) % groups, Value: []byte{byte(i)}}
 	}
-	if got := len(groupByKey(pairs)); got != groups {
-		t.Fatalf("%d groups, want %d", got, groups)
+	runs := make([][]Pair, 8)
+	for i := range runs {
+		runs[i] = pairs[i*len(pairs)/len(runs) : (i+1)*len(pairs)/len(runs)]
 	}
-	if allocs := testing.AllocsPerRun(20, func() { groupByKey(pairs) }); allocs > ceiling {
-		t.Errorf("groupByKey made %.0f allocations for %d pairs in %d groups, ceiling %d", allocs, len(pairs), groups, ceiling)
+	for _, c := range []struct {
+		name string
+		runs [][]Pair
+	}{{"one run", [][]Pair{pairs}}, {"eight runs", runs}} {
+		if got := len(groupByKey(c.runs)); got != groups {
+			t.Fatalf("%s: %d groups, want %d", c.name, got, groups)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { groupByKey(c.runs) }); allocs > ceiling {
+			t.Errorf("%s: groupByKey made %.0f allocations for %d pairs in %d groups, ceiling %d", c.name, allocs, len(pairs), groups, ceiling)
+		}
 	}
 }
