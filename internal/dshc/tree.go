@@ -26,6 +26,10 @@ type Tree struct {
 	root   *node
 	params Params
 	leaves int
+
+	// adjacent and stack are searchAdjacent's result and walk buffers,
+	// reused by every search of one build.
+	adjacent, stack []*node
 }
 
 // NewTree builds an empty AF-tree.
@@ -57,23 +61,30 @@ func (t *Tree) Clusters() []Cluster {
 }
 
 // searchAdjacent returns all leaves whose rectangle overlaps or touches
-// rect — the list of merging candidates (LMC) of the search operation.
+// rect — the list of merging candidates (LMC) of the search operation — in
+// depth-first order, children left to right. The walk keeps an explicit
+// stack, and the list is the tree's buffer: it holds until the next
+// search.
 func (t *Tree) searchAdjacent(rect geom.Rect) []*node {
-	var out []*node
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil || !n.rect.Overlaps(rect) {
-			return
+	out, stack := t.adjacent[:0], t.stack[:0]
+	if t.root != nil {
+		stack = append(stack, t.root)
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !n.rect.Overlaps(rect) {
+			continue
 		}
 		if n.isLeaf() {
 			out = append(out, n)
-			return
+			continue
 		}
-		for _, c := range n.children {
-			walk(c)
+		for i := len(n.children) - 1; i >= 0; i-- {
+			stack = append(stack, n.children[i])
 		}
 	}
-	walk(t.root)
+	t.adjacent, t.stack = out, stack
 	return out
 }
 
