@@ -127,8 +127,13 @@ func detectionReducer(pl *plan.Plan, params detect.Params, seed int64) mapreduce
 			obs.Int("support", int64(nSupport)),
 			obs.Int("distcomps", res.Stats.DistComps),
 			obs.Int("outliers", int64(len(res.OutlierIDs))))
+		// One slab holds every outlier record of the partition; each
+		// emitted record is a capacity-clipped slice of it.
+		slab := make([]byte, 0, len(res.OutlierIDs)*binary.MaxVarintLen64)
 		for _, id := range res.OutlierIDs {
-			emit(key, binary.AppendUvarint(nil, id))
+			off := len(slab)
+			slab = binary.AppendUvarint(slab, id)
+			emit(key, slab[off:len(slab):len(slab)])
 		}
 		ctx.Inc(counterReduceWork, res.Stats.Cost()+int64(len(values)))
 		ctx.Inc(counterDistComps, res.Stats.DistComps)
