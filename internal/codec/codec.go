@@ -135,7 +135,12 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// DecodePoints decodes a block produced by EncodePoints.
+// DecodePoints decodes a block produced by EncodePoints. Every point's
+// Coords is carved, capacity-clipped, from one coordinate slab sized from
+// the first record's dimensionality, so n points of one dimensionality
+// cost two allocations, not n + 1. As in DecodePointsInto, the slab is
+// presized only for a count the rest of the block can hold; a block of
+// mixed dimensionality grows it as DecodePointAppend does.
 func DecodePoints(buf []byte) ([]geom.Point, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -145,15 +150,21 @@ func DecodePoints(buf []byte) ([]geom.Point, error) {
 	// A well-formed record is at least 2 bytes (one-byte ID + zero
 	// dimensions), so a count beyond len(buf)/2 cannot be satisfied —
 	// reject it up front instead of pre-allocating for a forged header.
-	if count > uint64(len(buf[off:])/2) {
+	rest := uint64(len(buf[off:]))
+	if count > rest/2 {
 		return nil, corrupt("codec: count %d exceeds buffer capacity", count)
+	}
+	var slab []float64
+	if dim, ok := firstDim(buf[off:]); ok && dim <= 1<<16 && count*dim*8 <= rest {
+		slab = make([]float64, 0, count*dim)
 	}
 	points := make([]geom.Point, 0, count)
 	for i := uint64(0); i < count; i++ {
-		p, m, err := DecodePoint(buf[off:])
+		p, grown, m, err := DecodePointAppend(slab, buf[off:])
 		if err != nil {
 			return nil, fmt.Errorf("codec: point %d/%d: %w", i, count, err)
 		}
+		slab = grown
 		off += m
 		points = append(points, p)
 	}

@@ -3,6 +3,7 @@
 package codec
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"runtime"
@@ -179,6 +180,49 @@ func FuzzDecodeKVs(f *testing.F) {
 		}
 		for _, kv := range kvs {
 			_ = kv.Key
+		}
+	})
+}
+
+// FuzzDecodeKVColumns holds the columnar decoder to DecodeKVs on every
+// input: the same error or none, the same bytes consumed and the same
+// records. A forged count or length must not buy an allocation: decoding
+// allocates at most 64 bytes per input byte plus 16 KiB.
+func FuzzDecodeKVColumns(f *testing.F) {
+	f.Add(AppendKVs(nil, nil))
+	f.Add(AppendKVs(nil, []KV{{Key: 1, Value: []byte("a")}, {Key: 2, Value: nil}, {Key: 1 << 60, Value: []byte("bcd")}}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f})       // forged count
+	f.Add([]byte{2, 1, 0xff, 0xff, 0xff, 0x7f}) // value length far beyond the buffer
+	f.Add([]byte{1, 0x80})                      // unterminated key
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cols, n, err := DecodeKVColumns(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (> %d)", len(data), got, limit)
+		}
+		kvs, wantN, wantErr := DecodeKVs(data)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("DecodeKVColumns error %v, DecodeKVs error %v", err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, errs.ErrWireFormat) {
+				t.Fatalf("non-wire-format error: %v", err)
+			}
+			return
+		}
+		if n != wantN || cols.Len() != len(kvs) {
+			t.Fatalf("consumed %d bytes into %d records, DecodeKVs %d into %d", n, cols.Len(), wantN, len(kvs))
+		}
+		for i, kv := range kvs {
+			if cols.Keys[i] != kv.Key || !bytes.Equal(cols.Value(i), kv.Value) {
+				t.Fatalf("record %d: (%d, %x), DecodeKVs (%d, %x)", i, cols.Keys[i], cols.Value(i), kv.Key, kv.Value)
+			}
+		}
+		if again := AppendKVColumns(nil, &cols); !bytes.Equal(again, AppendKVs(nil, kvs)) || len(again) != KVColumnsLen(&cols) {
+			t.Fatalf("re-encoded columns differ from the re-encoded records")
 		}
 	})
 }

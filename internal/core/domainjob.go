@@ -232,12 +232,16 @@ func domainJob2Mapper(pl *plan.Plan, params detect.Params) mapreduce.MapperFunc 
 			return fmt.Errorf("core: split %s: %w", split.Name, err)
 		}
 		var work int64
+		var rec []byte
+		var supports []int // LocateInto's scratch
 		for i, n := 0, sc.core.Len(); i < n; i++ {
 			work++
 			p := sc.core.At(i)
-			core, _ := pl.Locate(p)
+			var core int
+			core, supports = pl.LocateInto(p, supports)
 			if nearBoundary(pl.Partitions[core].Rect, p, params.R) {
-				emit(uint64(core), codec.AppendTaggedPoint(nil, job2BorderPoint, p))
+				rec = codec.AppendTaggedPoint(rec[:0], job2BorderPoint, p)
+				emit(uint64(core), rec)
 			}
 		}
 		ctx.Inc(counterMapWork, work)

@@ -49,35 +49,26 @@ func detectionMapper(pl *plan.Plan) mapreduce.MapperFunc {
 		if err := codec.DecodePointsInto(split.Data, &sc.core); err != nil {
 			return fmt.Errorf("core: split %s: %w", split.Name, err)
 		}
-		// rec is the one encode buffer; each emitted record is a
-		// capacity-clipped copy of it in a per-split slab. Emit may retain
-		// the record, so a full slab is left to its records and a fresh one
-		// started, never grown in place; one slab fits every core record (a
-		// tag byte per encoded point). Counters are tallied here and posted
-		// once per split (Inc takes the task's mutex and hashes the counter
-		// name); a counter with nothing to count stays absent from the
-		// task's metric.
+		// rec is the one encode buffer and supports the one routing
+		// scratch: Emit copies each record, and LocateInto writes over
+		// supports. Counters are tallied here and posted once per split
+		// (Inc takes the task's mutex and hashes the counter name); a
+		// counter with nothing to count stays absent from the task's
+		// metric.
 		n := sc.core.Len()
-		slabSize := len(split.Data) + n
-		var rec, slab []byte
-		put := func(key uint64) {
-			if len(slab)+len(rec) > cap(slab) {
-				slab = make([]byte, 0, max(slabSize, len(rec)))
-			}
-			off := len(slab)
-			slab = append(slab, rec...)
-			emit(key, slab[off:len(slab):len(slab)])
-		}
+		var rec []byte
+		var supports []int
 		var supportRecords int64
 		for i := 0; i < n; i++ {
 			p := sc.core.At(i) // aliased view; Locate and the codec copy, never retain
-			core, supports := pl.Locate(p)
+			var core int
+			core, supports = pl.LocateInto(p, supports)
 			rec = codec.AppendTaggedPoint(rec[:0], codec.TagCore, p)
-			put(uint64(core))
+			emit(uint64(core), rec)
 			if len(supports) > 0 {
 				rec = codec.AppendTaggedPoint(rec[:0], codec.TagSupport, p)
 				for _, s := range supports {
-					put(uint64(s))
+					emit(uint64(s), rec)
 				}
 				supportRecords += int64(len(supports))
 			}
@@ -127,13 +118,9 @@ func detectionReducer(pl *plan.Plan, params detect.Params, seed int64) mapreduce
 			obs.Int("support", int64(nSupport)),
 			obs.Int("distcomps", res.Stats.DistComps),
 			obs.Int("outliers", int64(len(res.OutlierIDs))))
-		// One slab holds every outlier record of the partition; each
-		// emitted record is a capacity-clipped slice of it.
-		slab := make([]byte, 0, len(res.OutlierIDs)*binary.MaxVarintLen64)
+		var rec [binary.MaxVarintLen64]byte
 		for _, id := range res.OutlierIDs {
-			off := len(slab)
-			slab = binary.AppendUvarint(slab, id)
-			emit(key, slab[off:len(slab):len(slab)])
+			emit(key, binary.AppendUvarint(rec[:0], id))
 		}
 		ctx.Inc(counterReduceWork, res.Stats.Cost()+int64(len(values)))
 		ctx.Inc(counterDistComps, res.Stats.DistComps)

@@ -470,7 +470,7 @@ func (c *Coordinator) enqueue(tk *task) error {
 // and assembles the executor-facing outcome. Shared by the live result
 // path and journal replay, so a replayed task is byte-identical to a
 // freshly computed one.
-func buildOutcome(tk *task, h resultHeader, buckets [][]mapreduce.Pair, output []mapreduce.Pair) taskOutcome {
+func buildOutcome(tk *task, h resultHeader, buckets []mapreduce.Bucket, output []mapreduce.Pair) taskOutcome {
 	metric := metricFromWire(h.Metric)
 	spans := spansFromWire(h.Spans)
 	var out taskOutcome

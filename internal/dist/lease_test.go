@@ -99,7 +99,7 @@ func (pw *protoWorker) finishMap(h taskHeader, dur time.Duration) int {
 		Job: h.Job, Phase: h.Phase, Task: h.Task, Dispatch: h.Dispatch,
 		Worker: pw.name, Metric: wireMetric{DurationNs: int64(dur)},
 	}
-	res := &mapreduce.MapResult{Buckets: [][]mapreduce.Pair{{{Key: 1, Value: []byte(pw.name)}}}}
+	res := &mapreduce.MapResult{Buckets: bucketsOf([]mapreduce.Pair{{Key: 1, Value: []byte(pw.name)}})}
 	body, err := encodeMapResultBody(rh, res)
 	if err != nil {
 		pw.t.Fatal(err)
@@ -164,7 +164,7 @@ func TestLeaseBoundaryCompletion(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if got := string(out.res.Buckets[0][0].Value); got != w.name {
+	if got := string(out.res.Buckets[0].Value(0)); got != w.name {
 		t.Fatalf("result attributed to %q, want %q", got, w.name)
 	}
 
@@ -285,7 +285,7 @@ func TestSpeculativeDuplicateFinishesSecond(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if got := string(out.res.Buckets[0][0].Value); got != w1.name {
+	if got := string(out.res.Buckets[0].Value(0)); got != w1.name {
 		t.Fatalf("delivered result from %q, want original worker %q", got, w1.name)
 	}
 

@@ -235,34 +235,43 @@ func decodeTaskBody(body []byte) (h taskHeader, mt *mapreduce.MapTask, rt *mapre
 }
 
 // encodeMapResultBody builds the wire body of a successful map attempt: one
-// bucket frame per reducer (possibly empty), in reducer order.
+// bucket frame per reducer (possibly empty), in reducer order, each the
+// AppendKVs list of the bucket's records, written from its columns.
 func encodeMapResultBody(h resultHeader, res *mapreduce.MapResult) ([]byte, error) {
-	return encodeKVsBody(h, frameBucket, res.Buckets...)
+	buckets := res.Buckets
+	size := 0
+	for i := range buckets {
+		size += codec.FrameLen(codec.KVColumnsLen(&buckets[i]))
+	}
+	buf, err := resultBodyHeader(h, size)
+	if err != nil {
+		return nil, err
+	}
+	for i := range buckets {
+		buf = codec.AppendKVColumnsFrame(buf, frameBucket, &buckets[i])
+	}
+	return codec.AppendSumFrame(buf), nil
 }
 
 // encodeReduceResultBody builds the wire body of a successful reduce attempt.
 func encodeReduceResultBody(h resultHeader, res *mapreduce.ReduceResult) ([]byte, error) {
-	return encodeKVsBody(h, frameOutput, res.Output)
+	buf, err := resultBodyHeader(h, codec.FrameLen(codec.KVsLen(res.Output)))
+	if err != nil {
+		return nil, err
+	}
+	return codec.AppendSumFrame(codec.AppendKVsFrame(buf, frameOutput, res.Output)), nil
 }
 
-// encodeKVsBody builds a result body of the header, one frame of the given
-// kind per record list in order, and the integrity frame. The body is
-// sized before it is written, and each list's records are written straight
-// into it.
-func encodeKVsBody(h resultHeader, kind byte, lists ...[]mapreduce.Pair) ([]byte, error) {
+// resultBodyHeader starts a result body holding the header frame, with
+// room for data frames of dataSize bytes and the integrity frame, so the
+// body is sized before it is written.
+func resultBodyHeader(h resultHeader, dataSize int) ([]byte, error) {
 	raw, err := marshalHeader(h)
 	if err != nil {
 		return nil, err
 	}
-	size := codec.FrameLen(len(raw)) + codec.FrameLen(8)
-	for _, kvs := range lists {
-		size += codec.FrameLen(codec.KVsLen(kvs))
-	}
-	buf := codec.AppendFrame(make([]byte, 0, size), frameHeader, raw)
-	for _, kvs := range lists {
-		buf = codec.AppendKVsFrame(buf, kind, kvs)
-	}
-	return codec.AppendSumFrame(buf), nil
+	size := codec.FrameLen(len(raw)) + dataSize + codec.FrameLen(8)
+	return codec.AppendFrame(make([]byte, 0, size), frameHeader, raw), nil
 }
 
 // encodeErrorResultBody builds the wire body of a failed attempt (header
@@ -276,21 +285,26 @@ func encodeErrorResultBody(h resultHeader) ([]byte, error) {
 }
 
 // decodeResultBody parses a result message. For a successful map result,
-// buckets has one entry per reducer; for reduce, output holds the task's
-// emissions. Both are nil when h.Err is set.
-func decodeResultBody(body []byte) (h resultHeader, buckets [][]mapreduce.Pair, output []mapreduce.Pair, err error) {
+// buckets has one entry per reducer, decoded into columns; for reduce,
+// output holds the task's emissions, aliasing body. Both are nil when h.Err
+// is set.
+func decodeResultBody(body []byte) (h resultHeader, buckets []mapreduce.Bucket, output []mapreduce.Pair, err error) {
 	err = codec.DecodeSealed(body, &h, func(kind byte, payload []byte) error {
 		if h.Err != "" {
 			return codec.WireErrorf("dist: error result carries frame kind %d", kind)
 		}
-		kvs, _, err := codec.DecodeKVs(payload)
-		if err != nil {
-			return err
-		}
 		switch {
 		case kind == frameBucket && h.Phase == "map":
-			buckets = append(buckets, kvs)
+			b, _, err := codec.DecodeKVColumns(payload)
+			if err != nil {
+				return err
+			}
+			buckets = append(buckets, b)
 		case kind == frameOutput && h.Phase == "reduce" && output == nil:
+			kvs, _, err := codec.DecodeKVs(payload)
+			if err != nil {
+				return err
+			}
 			output = kvs // never nil, even when empty: "missing frame" stays nil
 		default:
 			return codec.WireErrorf("dist: unexpected frame kind %d in %s result", kind, h.Phase)

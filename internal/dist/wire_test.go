@@ -85,13 +85,24 @@ func sampleResultHeader(phase string) resultHeader {
 	}
 }
 
+// bucketsOf copies each list of pairs into a Bucket, a map result's form.
+func bucketsOf(lists ...[]mapreduce.Pair) []mapreduce.Bucket {
+	buckets := make([]mapreduce.Bucket, len(lists))
+	for i, kvs := range lists {
+		for _, p := range kvs {
+			buckets[i].Append(p.Key, p.Value)
+		}
+	}
+	return buckets
+}
+
 func TestMapResultRoundTrip(t *testing.T) {
 	h := sampleResultHeader("map")
-	res := &mapreduce.MapResult{Buckets: [][]mapreduce.Pair{
-		{{Key: 1, Value: []byte{0xaa}}, {Key: 2, Value: nil}},
-		{}, // empty bucket must survive as a bucket, preserving reducer order
-		{{Key: 3, Value: []byte{1, 2, 3}}},
-	}}
+	res := &mapreduce.MapResult{Buckets: bucketsOf(
+		[]mapreduce.Pair{{Key: 1, Value: []byte{0xaa}}, {Key: 2, Value: nil}},
+		nil, // empty bucket must survive as a bucket, preserving reducer order
+		[]mapreduce.Pair{{Key: 3, Value: []byte{1, 2, 3}}},
+	)}
 	body, err := encodeMapResultBody(h, res)
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +117,10 @@ func TestMapResultRoundTrip(t *testing.T) {
 	if got.Worker != "w1" || got.Metric.Counters["dist.comps"] != 123 {
 		t.Errorf("result header round-trip: %+v", got)
 	}
-	if len(buckets) != 3 || len(buckets[0]) != 2 || len(buckets[1]) != 0 || len(buckets[2]) != 1 {
+	if len(buckets) != 3 || buckets[0].Len() != 2 || buckets[1].Len() != 0 || buckets[2].Len() != 1 {
 		t.Fatalf("bucket shape: %v", buckets)
 	}
-	if buckets[0][0].Key != 1 || string(buckets[0][0].Value) != "\xaa" || buckets[2][0].Key != 3 {
+	if buckets[0].Keys[0] != 1 || string(buckets[0].Value(0)) != "\xaa" || buckets[2].Keys[0] != 3 {
 		t.Errorf("bucket contents: %v", buckets)
 	}
 }
@@ -133,7 +144,7 @@ func TestResultBodySizedOnce(t *testing.T) {
 		want = codec.AppendFrame(want, frameBucket, codec.AppendKVs(nil, b))
 	}
 	want = codec.AppendSumFrame(want)
-	got, err := encodeMapResultBody(h, &mapreduce.MapResult{Buckets: buckets})
+	got, err := encodeMapResultBody(h, &mapreduce.MapResult{Buckets: bucketsOf(buckets...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +218,7 @@ func TestDecodeCorruptBodies(t *testing.T) {
 	}
 	errWithPayload := sampleResultHeader("map")
 	errWithPayload.Err = "boom"
-	errPayloadBody, err := encodeMapResultBody(errWithPayload, &mapreduce.MapResult{Buckets: [][]mapreduce.Pair{{}}})
+	errPayloadBody, err := encodeMapResultBody(errWithPayload, &mapreduce.MapResult{Buckets: make([]mapreduce.Bucket, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func TestDecodeCorruptBodies(t *testing.T) {
 	}
 	// Frame-kind/phase mismatch: a reduce-phase header followed by a map
 	// bucket frame.
-	mismatch, err := encodeMapResultBody(sampleResultHeader("reduce"), &mapreduce.MapResult{Buckets: [][]mapreduce.Pair{{}}})
+	mismatch, err := encodeMapResultBody(sampleResultHeader("reduce"), &mapreduce.MapResult{Buckets: make([]mapreduce.Bucket, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

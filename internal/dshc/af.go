@@ -34,10 +34,12 @@ func (a AF) Density() float64 {
 	return a.NumPoints / a.Rect.AreaEps(areaEps)
 }
 
-// Add implements Def. 5.4: the AF of the merged cluster is the summed
-// cardinality over the union bounding box.
-func (a AF) Add(b AF) AF {
-	return AF{NumPoints: a.NumPoints + b.NumPoints, Rect: a.Rect.Union(b.Rect)}
+// absorb implements Def. 5.4 in place: the AF of the merged cluster is the
+// summed cardinality over the union bounding box, written into a's own
+// rectangle.
+func (a *AF) absorb(b AF) {
+	a.NumPoints += b.NumPoints
+	a.Rect.Absorb(b.Rect)
 }
 
 // Params are the DSHC merging thresholds of Def. 5.2.

@@ -9,6 +9,14 @@ import (
 	"dod/internal/geom"
 )
 
+// Add is Def. 5.4 as a value: the AF of a and b merged, leaving both as
+// they are. It runs the build's in-place absorb on a copy of a.
+func (a AF) Add(b AF) AF {
+	a.Rect = a.Rect.Clone()
+	a.absorb(b)
+	return a
+}
+
 // randomAF generates a bounded, well-formed AF from quick's rand source.
 func randomAF(rng *rand.Rand) AF {
 	x, y := rng.Float64()*100, rng.Float64()*100

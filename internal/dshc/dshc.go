@@ -3,6 +3,7 @@ package dshc
 import (
 	"math"
 
+	"dod/internal/geom"
 	"dod/internal/sample"
 )
 
@@ -14,22 +15,28 @@ import (
 // The returned clusters are pairwise interior-disjoint rectangles whose
 // union tiles the histogram's domain, so every data point maps to exactly
 // one cluster.
+//
+// Each bucket's rectangle is written into one scratch rectangle, which
+// Insert does not retain, so the scan allocates per cluster, not per
+// bucket.
 func Build(hist *sample.Histogram, params Params) []Cluster {
 	t := NewTree(params)
 	grid := hist.Grid
+	d := grid.Domain.Dim()
+	bounds := make([]float64, 2*d)
+	cell := geom.Rect{Min: bounds[:d:d], Max: bounds[d:]}
 	for ord := 0; ord < grid.NumCells(); ord++ {
-		af := AF{
-			NumPoints: hist.BucketCount(ord),
-			Rect:      grid.CellRect(grid.Unflatten(ord)),
-		}
-		t.Insert(af)
+		grid.CellRectInto(ord, cell)
+		t.Insert(AF{NumPoints: hist.BucketCount(ord), Rect: cell})
 	}
 	return t.Clusters()
 }
 
 // Insert runs the DSHC per-bucket step: search for merging candidates,
 // merge into the most density-similar one and recursively merge upward, or
-// insert the bucket as a new cluster.
+// insert the bucket as a new cluster. It retains nothing of bucket.Rect: a
+// new cluster gets a copy, and a merge grows the target's own rectangle in
+// place.
 func (t *Tree) Insert(bucket AF) {
 	lmc := t.searchAdjacent(bucket.Rect)
 
@@ -50,8 +57,7 @@ func (t *Tree) Insert(bucket AF) {
 
 	// Merge operation: absorb the bucket, then recursively merge the
 	// augmented cluster with other clusters until no merge applies.
-	target.af = target.af.Add(bucket)
-	target.rect = target.af.Rect.Clone()
+	target.af.absorb(bucket)
 	t.adjustUpward(target.parent)
 	t.mergeUpward(target)
 }
@@ -109,8 +115,7 @@ func (t *Tree) mergeUpward(augmented *node) {
 		if best == nil {
 			return
 		}
-		augmented.af = augmented.af.Add(best.af)
-		augmented.rect = augmented.af.Rect.Clone()
+		augmented.af.absorb(best.af)
 		t.removeLeaf(best)
 		t.adjustUpward(augmented.parent)
 	}

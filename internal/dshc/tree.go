@@ -8,7 +8,8 @@ import (
 
 // node is one AF-tree node. Leaves carry a cluster AF; internal nodes carry
 // child pointers under a bounding rectangle, exactly the (Rect,
-// child-pointer) pairs of Sec. V-A.
+// child-pointer) pairs of Sec. V-A. A leaf's rect shares its AF's slices,
+// so a merge that grows the AF in place grows both.
 type node struct {
 	parent   *node
 	rect     geom.Rect
@@ -40,7 +41,8 @@ func NewTree(params Params) *Tree {
 // Len returns the number of clusters (leaves).
 func (t *Tree) Len() int { return t.leaves }
 
-// Clusters returns every current cluster, in deterministic tree order.
+// Clusters returns every current cluster, in deterministic tree order. The
+// clusters' rectangles are the tree's own: a later Insert may grow them.
 func (t *Tree) Clusters() []Cluster {
 	var out []Cluster
 	var walk func(n *node)
@@ -115,7 +117,8 @@ func (t *Tree) chooseParent(rect geom.Rect) *node {
 // attaching it near `hint` when given (the parent of the most
 // density-similar LMC member per Sec. V-A) and splitting on overflow.
 func (t *Tree) insertLeaf(af AF, hint *node) *node {
-	leaf := &node{rect: af.Rect.Clone(), af: af}
+	af.Rect = af.Rect.Clone()
+	leaf := &node{rect: af.Rect, af: af}
 	t.leaves++
 	if t.root == nil {
 		t.root = &node{rect: af.Rect.Clone(), children: []*node{leaf}}
@@ -238,12 +241,13 @@ func quadraticSplit(children []*node) (g1, g2 []*node) {
 	for i := 0; i < len(children); i++ {
 		for j := i + 1; j < len(children); j++ {
 			ri, rj := childRect(children[i]), childRect(children[j])
-			waste := ri.Union(rj).Area() - ri.Area() - rj.Area()
+			waste := ri.UnionArea(rj) - ri.Area() - rj.Area()
 			if waste > worst {
 				worst, seed1, seed2 = waste, i, j
 			}
 		}
 	}
+	// r1 and r2 are the groups' bounds, grown in place.
 	r1, r2 := childRect(children[seed1]).Clone(), childRect(children[seed2]).Clone()
 	g1 = append(g1, children[seed1])
 	g2 = append(g2, children[seed2])
@@ -256,10 +260,10 @@ func quadraticSplit(children []*node) (g1, g2 []*node) {
 		// Balance: avoid starving either group.
 		if e1 < e2 || (e1 == e2 && len(g1) <= len(g2)) {
 			g1 = append(g1, c)
-			r1 = r1.Union(rc)
+			r1.Absorb(rc)
 		} else {
 			g2 = append(g2, c)
-			r2 = r2.Union(rc)
+			r2.Absorb(rc)
 		}
 	}
 	return g1, g2

@@ -146,6 +146,18 @@ func (g *Grid) CellRect(idx []int) Rect {
 	return Rect{Min: min, Max: max}
 }
 
+// CellRectInto writes the rectangle of the cell with row-major ordinal
+// ord into dst's Min and Max, which must have the grid's dimension: the
+// bounds CellRect(Unflatten(ord)) returns, without allocating.
+func (g *Grid) CellRectInto(ord int, dst Rect) {
+	for i := len(g.Dims) - 1; i >= 0; i-- {
+		c := ord % g.Dims[i]
+		ord /= g.Dims[i]
+		dst.Min[i] = g.Boundary(i, c)
+		dst.Max[i] = g.Boundary(i, c+1)
+	}
+}
+
 // Boundary returns the coordinate of grid line number c (0..Dims[i]) along
 // dimension i. Line 0 is the domain minimum and line Dims[i] is exactly the
 // domain maximum.
@@ -220,6 +232,27 @@ func (g *Grid) box(od *Odometer, q []float64, dist float64) {
 		od.lo[i] = g.cellOf(i, math.Nextafter(q[i]-reach, math.Inf(-1)))
 		od.hi[i] = g.cellOf(i, math.Nextafter(q[i]+reach, math.Inf(1)))
 	}
+}
+
+// CoverRows runs fn over the rows of the block of cells that the points
+// of r (closed) land in, as spans does: fn gets each row's cells
+// base+a … base+b, in row-major order. Along each dimension the block runs
+// from the cell holding r.Min to the cell holding r.Max, found with
+// cellOf's arithmetic; cell lookup is monotone in the coordinate, so no
+// point of r lands outside the block, however the division rounds. The
+// bounds are compared as floats before they are converted, so an infinite
+// or far-out bound clips to the edge cell, and NaN takes the whole axis.
+func (g *Grid) CoverRows(od *Odometer, r Rect, fn func(base, a, b int)) {
+	for i, n := range g.Dims {
+		od.lo[i], od.hi[i] = 0, n-1
+		if lo := (r.Min[i] - g.Domain.Min[i]) / g.width[i]; lo > 0 {
+			od.lo[i] = int(min(lo, float64(n-1)))
+		}
+		if hi := (r.Max[i] - g.Domain.Min[i]) / g.width[i]; hi < float64(n) {
+			od.hi[i] = int(max(hi, 0))
+		}
+	}
+	g.spans(od, fn)
 }
 
 // walk calls fn with the ordinal of every cell between od.lo and od.hi,

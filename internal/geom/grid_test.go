@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -113,4 +114,76 @@ func TestGridPanicsOnBadDims(t *testing.T) {
 		}
 	}()
 	NewGrid(r2(0, 0, 1, 1), []int{0, 2})
+}
+
+// TestCoverRowsHoldsEveryPoint: every point of a rectangle, its corners
+// and their neighbouring floats included, lands in a cell of the
+// rectangle's CoverRows block, the rows come in row-major order, and
+// rectangles reaching past the domain, or to ±Inf, clip to the grid.
+func TestCoverRowsHoldsEveryPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(4)
+		lo, hi, dims := make([]float64, d), make([]float64, d), make([]int, d)
+		for i := range lo {
+			lo[i] = rng.NormFloat64() * 100
+			hi[i] = lo[i] + rng.Float64()*50
+			dims[i] = 1 + rng.Intn(9)
+		}
+		g := NewGrid(NewRect(lo, hi), dims)
+		r := Rect{Min: make([]float64, d), Max: make([]float64, d)}
+		for i := range r.Min {
+			a := lo[i] + (rng.Float64()*1.4-0.2)*(hi[i]-lo[i])
+			b := a + rng.Float64()*(hi[i]-lo[i])/2
+			switch rng.Intn(8) {
+			case 0:
+				a = math.Inf(-1)
+			case 1:
+				b = math.Inf(1)
+			case 2:
+				a = g.Boundary(i, rng.Intn(dims[i]+1))
+				b = max(a, b)
+			}
+			r.Min[i], r.Max[i] = a, b
+		}
+		od := NewOdometer(d)
+		in := map[int]bool{}
+		last := -1
+		g.CoverRows(&od, r, func(base, a, b int) {
+			for c := base + a; c <= base+b; c++ {
+				if c <= last {
+					t.Fatalf("trial %d: cell %d after %d", trial, c, last)
+				}
+				last = c
+				in[c] = true
+			}
+		})
+		for k := 0; k < 64; k++ {
+			p := make([]float64, d)
+			for i := range p {
+				switch rng.Intn(4) {
+				case 0:
+					p[i] = r.Min[i]
+				case 1:
+					p[i] = r.Max[i]
+				default:
+					lo, hi := max(r.Min[i], g.Domain.Min[i]-10), min(r.Max[i], g.Domain.Max[i]+10)
+					p[i] = lo + rng.Float64()*(hi-lo)
+				}
+				// A point far past the domain stands in for an infinite
+				// bound: the lookup clamps it to the edge cell either way.
+				if math.IsInf(p[i], -1) {
+					p[i] = g.Domain.Min[i] - 10
+				} else if math.IsInf(p[i], 1) {
+					p[i] = g.Domain.Max[i] + 10
+				}
+				if p[i] < r.Min[i] || p[i] > r.Max[i] {
+					p[i] = r.Min[i] // a clipped interval can leave no room; its corner is still in r
+				}
+			}
+			if ord := g.CellOrdinalCoords(p); !in[ord] {
+				t.Fatalf("trial %d: point %v of %v lands in cell %d, outside the block", trial, p, r, ord)
+			}
+		}
+	}
 }

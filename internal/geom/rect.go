@@ -83,15 +83,24 @@ func (r Rect) Expand(delta float64) Rect {
 	return Rect{Min: min, Max: max}
 }
 
-// Union returns the minimal bounding rectangle of r and s.
-func (r Rect) Union(s Rect) Rect {
-	min := make([]float64, len(r.Min))
-	max := make([]float64, len(r.Max))
+// Absorb grows r in place, in its own Min and Max slices, to the minimal
+// bounding rectangle of r and s.
+func (r Rect) Absorb(s Rect) {
 	for i := range r.Min {
-		min[i] = math.Min(r.Min[i], s.Min[i])
-		max[i] = math.Max(r.Max[i], s.Max[i])
+		r.Min[i] = math.Min(r.Min[i], s.Min[i])
+		r.Max[i] = math.Max(r.Max[i], s.Max[i])
 	}
-	return Rect{Min: min, Max: max}
+}
+
+// UnionArea returns the area of the minimal bounding rectangle of r and s
+// without building it: the bounds Absorb writes, multiplied in Area's
+// order, so the same bits as absorbing and then taking the area.
+func (r Rect) UnionArea(s Rect) float64 {
+	a := 1.0
+	for i := range r.Min {
+		a *= math.Max(r.Max[i], s.Max[i]) - math.Min(r.Min[i], s.Min[i])
+	}
+	return a
 }
 
 // Area returns the d-dimensional volume of r. A degenerate rectangle
@@ -123,7 +132,7 @@ func (r Rect) AreaEps(eps float64) float64 {
 // Enlargement returns the increase in area required for r to include s.
 // Used by the AF-tree insert path ("least enlargement" parent choice).
 func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
+	return r.UnionArea(s) - r.Area()
 }
 
 // Center returns the center point of r (with a zero ID).

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -88,6 +89,57 @@ func TestRectExpand(t *testing.T) {
 	want := r2(-2, -2, 12, 12)
 	if !r.Equal(want) {
 		t.Errorf("Expand = %v, want %v", r, want)
+	}
+}
+
+// Union returns the minimal bounding rectangle of r and s as a new
+// rectangle: the bounds of a copy of r after Absorb(s).
+func (r Rect) Union(s Rect) Rect {
+	u := r.Clone()
+	u.Absorb(s)
+	return u
+}
+
+// TestUnionAreaMatchesAbsorb: UnionArea and Enlargement give the bits of
+// the absorbed rectangle's Area, infinite and signed-zero bounds included
+// (any NaN for a NaN), and Absorb leaves s alone.
+func TestUnionAreaMatchesAbsorb(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e-308}
+	coord := func() float64 {
+		if rng.Intn(4) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * 10
+	}
+	for i := 0; i < 2000; i++ {
+		d := 1 + rng.Intn(5)
+		r, s := Rect{Min: make([]float64, d), Max: make([]float64, d)}, Rect{Min: make([]float64, d), Max: make([]float64, d)}
+		for j := 0; j < d; j++ {
+			r.Min[j], r.Max[j], s.Min[j], s.Max[j] = coord(), coord(), coord(), coord()
+		}
+		sCopy := s.Clone()
+		area, enl := r.UnionArea(s), r.Enlargement(s)
+		u := r.Clone()
+		u.Absorb(s)
+		if !same(area, u.Area()) {
+			t.Fatalf("%v ∪ %v: UnionArea %g, absorbed Area %g", r, s, area, u.Area())
+		}
+		if want := u.Area() - r.Area(); !same(enl, want) {
+			t.Fatalf("%v ∪ %v: Enlargement %g, want %g", r, s, enl, want)
+		}
+		for j := 0; j < d; j++ {
+			if !same(s.Min[j], sCopy.Min[j]) || !same(s.Max[j], sCopy.Max[j]) {
+				t.Fatalf("Absorb changed its argument: %v, was %v", s, sCopy)
+			}
+			wantMin, wantMax := math.Min(r.Min[j], s.Min[j]), math.Max(r.Max[j], s.Max[j])
+			if !same(u.Min[j], wantMin) || !same(u.Max[j], wantMax) {
+				t.Fatalf("%v ∪ %v: absorbed %v, axis %d want [%g, %g]", r, s, u, j, wantMin, wantMax)
+			}
+		}
 	}
 }
 

@@ -141,9 +141,13 @@ func TopNDistributed(points []geom.Point, params Params, s float64, opts core.Ar
 			if err != nil {
 				return err
 			}
+			var rec []byte
+			var supports []int // LocateInto's scratch
 			for _, p := range pts {
-				home, _ := pl.Locate(p)
-				emit(uint64(home), codec.AppendTaggedPoint(nil, codec.TagCore, p))
+				var home int
+				home, supports = pl.LocateInto(p, supports)
+				rec = codec.AppendTaggedPoint(rec[:0], codec.TagCore, p)
+				emit(uint64(home), rec)
 			}
 			return nil
 		})

@@ -59,6 +59,18 @@ func checkGroups(t *testing.T, name string, got, want []Group) {
 	}
 }
 
+// bucketsOf copies each run of pairs into a Bucket, the map tasks' output
+// form that groupByKey reads.
+func bucketsOf(runs ...[]Pair) []Bucket {
+	buckets := make([]Bucket, len(runs))
+	for i, run := range runs {
+		for _, p := range run {
+			buckets[i].Append(p.Key, p.Value)
+		}
+	}
+	return buckets
+}
+
 // cutRuns cuts pairs into between one and eight runs at random points,
 // empty runs among them, as map tasks' buckets for one reducer.
 func cutRuns(rng *rand.Rand, pairs []Pair) [][]Pair {
@@ -77,7 +89,7 @@ func cutRuns(rng *rand.Rand, pairs []Pair) [][]Pair {
 // buckets cut the arrivals into runs.
 func TestGroupByKeyEqualsStableSortThenRuns(t *testing.T) {
 	checkGroups(t, "empty", groupByKey(nil), nil)
-	checkGroups(t, "empty runs", groupByKey(make([][]Pair, 3)), nil)
+	checkGroups(t, "empty runs", groupByKey(make([]Bucket, 3)), nil)
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(600)
@@ -87,7 +99,7 @@ func TestGroupByKeyEqualsStableSortThenRuns(t *testing.T) {
 		}
 		pairs := randomPairs(rng, n, keys)
 		want := groupBySortRef(pairs)
-		checkGroups(t, fmt.Sprintf("seed %d, one run", seed), groupByKey([][]Pair{pairs}), want)
-		checkGroups(t, fmt.Sprintf("seed %d, cut into runs", seed), groupByKey(cutRuns(rng, pairs)), want)
+		checkGroups(t, fmt.Sprintf("seed %d, one run", seed), groupByKey(bucketsOf(pairs)), want)
+		checkGroups(t, fmt.Sprintf("seed %d, cut into runs", seed), groupByKey(bucketsOf(cutRuns(rng, pairs)...)), want)
 	}
 }

@@ -37,10 +37,17 @@ import (
 	"dod/internal/obs"
 )
 
-// Pair is one intermediate or output record. It is the codec's key/value
-// record, so a bucket ships between processes (codec.AppendKVs) and comes
-// back (codec.DecodeKVs) without a conversion.
+// Pair is one output record: the codec's key/value record, so a reduce
+// task's output ships between processes (codec.AppendKVs) and comes back
+// (codec.DecodeKVs) without a conversion.
 type Pair = codec.KV
+
+// Bucket is one map task's intermediate records for one reducer, in emit
+// order: keys, value end offsets and one byte arena (codec.KVColumns). It
+// holds no pointer per record, so the garbage collector does not scan the
+// shuffle, and it ships between processes (codec.AppendKVColumns) in the
+// same bytes as the equivalent []Pair.
+type Bucket = codec.KVColumns
 
 // Split is one unit of map input.
 type Split struct {
@@ -55,9 +62,8 @@ type Group struct {
 }
 
 // Emit is the record-output callback handed to map and reduce functions.
-// Emit may retain value without copying it — the local executor holds it
-// through the shuffle and the reduce — so the caller must not write to it
-// afterwards.
+// Emit copies value before it returns, so the caller may reuse its buffer
+// for the next record at once.
 type Emit func(key uint64, value []byte)
 
 // Mapper processes one input split.
@@ -105,9 +111,11 @@ type MapTask struct {
 }
 
 // MapResult is a successful map task: its output partitioned into
-// per-reducer buckets, plus its execution metric.
+// per-reducer buckets, Buckets[r] holding reducer r's records in emit
+// order, plus its execution metric. Each bucket's arena holds copies of the
+// emitted values; the shuffle hands reducers slices of it.
 type MapResult struct {
-	Buckets [][]Pair
+	Buckets []Bucket
 	Metric  TaskMetric
 	// Spans are trace spans recorded while the task ran. The in-process
 	// executor records directly onto the job trace and leaves this nil;
@@ -258,12 +266,11 @@ func NewLocalExecutor(mapper Mapper, reducer Reducer, partitioner Partitioner, t
 
 func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, error) {
 	tc := &TaskContext{Phase: "map", TaskID: task.TaskID, Trace: e.trace}
-	buckets := make([][]Pair, task.NumReducers)
+	buckets := make([]Bucket, task.NumReducers)
 	var out, bytesOut int64
 	start := time.Now()
 	emit := func(key uint64, value []byte) {
-		r := e.partitioner(key, task.NumReducers)
-		buckets[r] = append(buckets[r], Pair{Key: key, Value: value})
+		buckets[e.partitioner(key, task.NumReducers)].Append(key, value)
 		out++
 		bytesOut += int64(8 + len(value))
 	}
@@ -283,11 +290,11 @@ func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, 
 
 func (e *localExecutor) ExecReduce(ctx context.Context, task ReduceTask) (*ReduceResult, error) {
 	tc := &TaskContext{Phase: "reduce", TaskID: task.TaskID, Trace: e.trace}
-	var output []Pair
+	var output codec.KVColumns
 	var in, out, bytesIn, bytesOut int64
 	start := time.Now()
 	emit := func(key uint64, value []byte) {
-		output = append(output, Pair{Key: key, Value: value})
+		output.Append(key, value)
 		out++
 		bytesOut += int64(8 + len(value))
 	}
@@ -307,7 +314,7 @@ func (e *localExecutor) ExecReduce(ctx context.Context, task ReduceTask) (*Reduc
 		}
 	}
 	return &ReduceResult{
-		Output: output,
+		Output: output.Pairs(),
 		Metric: TaskMetric{
 			TaskID: task.TaskID, Duration: time.Since(start),
 			RecordsIn: in, RecordsOut: out,
@@ -357,16 +364,15 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 	shuffleStart := time.Now()
 	var shuffleBytes, shuffleRecords int64
 	for _, mo := range mapOuts {
-		for _, bucket := range mo.Buckets {
-			for _, p := range bucket {
-				shuffleBytes += int64(8 + len(p.Value))
-			}
-			shuffleRecords += int64(len(bucket))
+		for i := range mo.Buckets {
+			b := &mo.Buckets[i]
+			shuffleBytes += int64(8*b.Len() + len(b.Data))
+			shuffleRecords += int64(b.Len())
 		}
 	}
 	grouped := make([][]Group, cfg.NumReducers)
 	if err := runTasks(jobCtx, cfg.Parallelism, cfg.NumReducers, func(r int) error {
-		runs := make([][]Pair, len(mapOuts))
+		runs := make([]Bucket, len(mapOuts))
 		for i, mo := range mapOuts {
 			runs[i] = mo.Buckets[r]
 		}
@@ -439,22 +445,23 @@ func addSpans(tr *obs.Trace, spans []obs.Span) {
 // groupByKey groups one reducer's map output, its bucket from each map
 // task in task order, by key: groups in ascending key order, each group's
 // values in the order they arrived — what concatenating the runs, a stable
-// sort by key and a scan of the key runs produce, without moving a pair.
+// sort by key and a scan of the key runs produce, without moving a record.
 // One pass gives each distinct key a slot and counts it, a second files
-// the values straight from the runs, and only the groups are sorted.
-func groupByKey(runs [][]Pair) []Group {
+// each value, a slice of its bucket's arena, and only the groups are
+// sorted.
+func groupByKey(runs []Bucket) []Group {
 	slot := make(map[uint64]int) // key → index into groups, in first-arrival order
 	var groups []Group
 	var counts []int
 	total := 0
-	for _, run := range runs {
-		total += len(run)
-		for _, p := range run {
-			s, ok := slot[p.Key]
+	for r := range runs {
+		total += runs[r].Len()
+		for _, key := range runs[r].Keys {
+			s, ok := slot[key]
 			if !ok {
 				s = len(groups)
-				slot[p.Key] = s
-				groups = append(groups, Group{Key: p.Key})
+				slot[key] = s
+				groups = append(groups, Group{Key: key})
 				counts = append(counts, 0)
 			}
 			counts[s]++
@@ -468,10 +475,10 @@ func groupByKey(runs [][]Pair) []Group {
 		groups[s].Values = values[:0:n]
 		values = values[n:]
 	}
-	for _, run := range runs {
-		for _, p := range run {
-			g := &groups[slot[p.Key]]
-			g.Values = append(g.Values, p.Value)
+	for r := range runs {
+		for i, key := range runs[r].Keys {
+			g := &groups[slot[key]]
+			g.Values = append(g.Values, runs[r].Value(i))
 		}
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })

@@ -273,8 +273,8 @@ func TestGroupByKeyAllocs(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		runs [][]Pair
-	}{{"one run", [][]Pair{pairs}}, {"eight runs", runs}} {
+		runs []Bucket
+	}{{"one run", bucketsOf(pairs)}, {"eight runs", bucketsOf(runs...)}} {
 		if got := len(groupByKey(c.runs)); got != groups {
 			t.Fatalf("%s: %d groups, want %d", c.name, got, groups)
 		}

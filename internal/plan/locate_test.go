@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dod/internal/detect"
@@ -91,6 +92,7 @@ func TestLocateMatchesDefinition(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d %s: %v", d, planner.Name(), err)
 			}
+			checkOverlayLists(t, pl)
 			probes := locateProbes(rng, pl, 200)
 			for _, exact := range []bool{false, true} {
 				pl.ExactSupport = exact
@@ -101,6 +103,54 @@ func TestLocateMatchesDefinition(t *testing.T) {
 						t.Fatalf("d=%d %s exact=%v %s: Locate = (%d, %v), definition = (%d, %v)",
 							d, planner.Name(), exact, fmt.Sprint(p.Coords), core, supports, wantCore, wantSupports)
 					}
+				}
+			}
+		}
+	}
+}
+
+// checkOverlayLists holds pl's overlay index to what Locate needs of it:
+// every cell's lists ascend, and every corner of a partition's rectangle,
+// and of its supporting area clamped into the domain, lands in a cell
+// whose core (support) list holds the partition.
+func checkOverlayLists(t *testing.T, pl *Plan) {
+	t.Helper()
+	ix := pl.buildIndex()
+	lists := func(ord int, support bool) []int32 {
+		if support {
+			return ix.supportIDs[ix.supportOff[ord]:ix.supportOff[ord+1]]
+		}
+		return ix.coreIDs[ix.coreOff[ord]:ix.coreOff[ord+1]]
+	}
+	for _, support := range []bool{false, true} {
+		if support && pl.SupportR <= 0 {
+			continue
+		}
+		for ord := 0; ord < ix.grid.NumCells(); ord++ {
+			ids := lists(ord, support)
+			for i := 1; i < len(ids); i++ {
+				if ids[i] <= ids[i-1] {
+					t.Fatalf("%s cell %d list %v (support %v) does not ascend", pl.Name, ord, ids, support)
+				}
+			}
+		}
+		d := pl.Domain.Dim()
+		for _, part := range pl.Partitions {
+			r := part.Rect
+			if support {
+				r = r.Expand(pl.SupportR)
+			}
+			for mask := 0; mask < 1<<d; mask++ {
+				corner := make([]float64, d)
+				for j := range corner {
+					corner[j] = r.Min[j]
+					if mask>>j&1 == 1 {
+						corner[j] = r.Max[j]
+					}
+				}
+				ord := ix.grid.CellOrdinal(pl.Domain.Clamp(geom.Point{Coords: corner}))
+				if ids := lists(ord, support); !slices.Contains(ids, int32(part.ID)) {
+					t.Fatalf("%s: corner %v of partition %d (support %v) lands in cell %d, whose list %v misses it", pl.Name, corner, part.ID, support, ord, ids)
 				}
 			}
 		}

@@ -119,18 +119,27 @@ func interiorOverlap(a, b geom.Rect) bool {
 // Locate maps a point to its core partition and, when supporting areas are
 // enabled, to every partition holding it as a support point (Fig. 3's map
 // function). Points outside the domain are clamped for core assignment.
+// It is LocateInto with no scratch: supports is a fresh slice, or nil.
 func (pl *Plan) Locate(p geom.Point) (core int, supports []int) {
+	return pl.LocateInto(p, nil)
+}
+
+// LocateInto is Locate writing the supporting partitions over dst[:0], in
+// ascending ID order: a caller that hands the returned slice back as dst
+// for the next point locates in-domain points without allocating. The
+// result aliases dst's array, so it holds until that next call.
+func (pl *Plan) LocateInto(p geom.Point, dst []int) (core int, supports []int) {
 	ix := pl.index.Load()
 	if ix == nil {
 		ix = pl.buildIndex()
 		pl.index.CompareAndSwap(nil, ix) // concurrent builds are identical
 	}
 	clamped := pl.Domain.Clamp(p)
-	cands := ix.candidates(clamped)
+	ord := ix.grid.CellOrdinal(clamped)
 	core = -1
-	for _, id := range cands.core {
+	for _, id := range ix.coreIDs[ix.coreOff[ord]:ix.coreOff[ord+1]] {
 		if pl.containsHalfOpen(pl.Partitions[id].Rect, clamped) {
-			core = id
+			core = int(id)
 			break
 		}
 	}
@@ -152,13 +161,11 @@ func (pl *Plan) Locate(p geom.Point) (core int, supports []int) {
 			}
 		}
 	}
+	supports = dst[:0]
 	if pl.SupportR > 0 {
-		for _, id := range cands.support {
-			if id == core {
-				continue
-			}
-			if pl.isSupport(ix, id, p) {
-				supports = append(supports, id)
+		for _, id := range ix.supportIDs[ix.supportOff[ord]:ix.supportOff[ord+1]] {
+			if int(id) != core && pl.isSupport(ix, int(id), p) {
+				supports = append(supports, int(id))
 			}
 		}
 	}
@@ -171,7 +178,7 @@ func (pl *Plan) isSupport(ix *overlayIndex, id int, p geom.Point) bool {
 	if pl.ExactSupport {
 		return rectDist2(pl.Partitions[id].Rect, p) <= pl.SupportR*pl.SupportR
 	}
-	return ix.expanded[id].Contains(p)
+	return ix.expandedRect(id).Contains(p)
 }
 
 // containsHalfOpen treats partition boundaries as half-open [min, max) so a
@@ -212,22 +219,32 @@ func (pl *Plan) MaxEstCost() float64 {
 	return max
 }
 
-// overlayIndex accelerates Locate with a uniform grid over the domain;
-// each cell lists the partitions that may contain (core) or support-cover
-// points falling in the cell. expanded holds each partition's Def. 3.3
-// supporting area, Rect.Expand(SupportR), derived once (nil when supporting
-// areas are off).
+// overlayIndex accelerates Locate with a uniform grid over the domain.
+// Each cell lists, in ascending ID order, the partitions that may contain
+// (core) or support (support) a point falling in the cell, as compressed
+// rows: cell c's core list is coreIDs[coreOff[c]:coreOff[c+1]], and
+// likewise for support. expanded holds each partition's Def. 3.3
+// supporting area, Rect.Expand(SupportR), derived once and flattened, 2d
+// values a partition, Min then Max (nil when supporting areas are off).
 type overlayIndex struct {
-	grid     *geom.Grid
-	core     [][]int
-	support  [][]int
-	expanded []geom.Rect
+	grid                *geom.Grid
+	coreOff, supportOff []int32
+	coreIDs, supportIDs []int32
+	expanded            []float64
 }
 
-type candidateSet struct {
-	core    []int
-	support []int
+// expandedRect is partition id's supporting area, a view of expanded.
+func (ix *overlayIndex) expandedRect(id int) geom.Rect {
+	d := ix.grid.Domain.Dim()
+	o := 2 * d * id
+	return geom.Rect{Min: ix.expanded[o : o+d : o+d], Max: ix.expanded[o+d : o+2*d : o+2*d]}
 }
+
+// supportSlack widens the supporting areas the support lists are built
+// from past the rounding of the exact criterion: rectDist2 ≤ R² puts a
+// point at most R·(1 + 2⁻⁵¹) from the rectangle along any axis, well
+// inside R·(1 + 2⁻⁴⁰).
+const supportSlack = 0x1p-40
 
 func (pl *Plan) buildIndex() *overlayIndex {
 	// Resolution: aim for a few partitions per cell.
@@ -238,36 +255,72 @@ func (pl *Plan) buildIndex() *overlayIndex {
 	if perDim > 256 {
 		perDim = 256
 	}
-	// Higher dimension: every cell is tested against every partition, so
-	// cap the cells at perDim², the d = 2 count, by lowering the per-axis
-	// resolution. 1-D and 2-D grids keep perDim per axis.
+	// Higher dimension: cap the cells at perDim², the d = 2 count, by
+	// lowering the per-axis resolution. 1-D and 2-D grids keep perDim per
+	// axis.
 	grid := geom.NewGrid(pl.Domain, sample.DimsFor(pl.Domain.Dim(), perDim, perDim*perDim))
-	idx := &overlayIndex{
-		grid:    grid,
-		core:    make([][]int, grid.NumCells()),
-		support: make([][]int, grid.NumCells()),
-	}
+	idx := &overlayIndex{grid: grid}
+	d := pl.Domain.Dim()
+	od := geom.NewOdometer(d)
+	idx.coreOff, idx.coreIDs = coverLists(grid, &od, len(pl.Partitions), func(i int) geom.Rect { return pl.Partitions[i].Rect })
 	if pl.SupportR > 0 {
-		idx.expanded = make([]geom.Rect, len(pl.Partitions))
+		idx.expanded = make([]float64, 2*d*len(pl.Partitions))
 		for i, part := range pl.Partitions {
-			idx.expanded[i] = part.Rect.Expand(pl.SupportR)
-		}
-	}
-	for ord := 0; ord < grid.NumCells(); ord++ {
-		cellRect := grid.CellRect(grid.Unflatten(ord))
-		for i, part := range pl.Partitions {
-			if part.Rect.Overlaps(cellRect) {
-				idx.core[ord] = append(idx.core[ord], part.ID)
-			}
-			if pl.SupportR > 0 && idx.expanded[i].Overlaps(cellRect) {
-				idx.support[ord] = append(idx.support[ord], part.ID)
+			r := idx.expandedRect(i)
+			for j := range r.Min {
+				r.Min[j] = part.Rect.Min[j] - pl.SupportR
+				r.Max[j] = part.Rect.Max[j] + pl.SupportR
 			}
 		}
+		// Both criteria are served by one list: the areas it is built
+		// from hold every point either accepts.
+		reach := pl.SupportR * (1 + supportSlack)
+		wide := geom.Rect{Min: make([]float64, d), Max: make([]float64, d)}
+		idx.supportOff, idx.supportIDs = coverLists(grid, &od, len(pl.Partitions), func(i int) geom.Rect {
+			r := pl.Partitions[i].Rect
+			for j := range r.Min {
+				wide.Min[j] = math.Nextafter(r.Min[j]-reach, math.Inf(-1))
+				wide.Max[j] = math.Nextafter(r.Max[j]+reach, math.Inf(1))
+			}
+			return wide
+		})
 	}
 	return idx
 }
 
-func (ix *overlayIndex) candidates(p geom.Point) candidateSet {
-	ord := ix.grid.CellOrdinal(p)
-	return candidateSet{core: ix.core[ord], support: ix.support[ord]}
+// coverLists builds the compressed per-cell lists of n rectangles: each
+// rectangle's ID goes to every cell of its CoverRows block, so a point of
+// the rectangle finds it listed in its own cell. Rectangles are visited in
+// ascending ID, so every list ascends. One pass counts each cell's entries
+// and a second fills them.
+func coverLists(grid *geom.Grid, od *geom.Odometer, n int, rect func(i int) geom.Rect) (off, ids []int32) {
+	cells := grid.NumCells()
+	off = make([]int32, cells+1)
+	count := func(base, a, b int) {
+		for c := base + a; c <= base+b; c++ {
+			off[c+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		grid.CoverRows(od, rect(i), count)
+	}
+	for c := 1; c <= cells; c++ {
+		off[c] += off[c-1]
+	}
+	// Fill with off[c] as cell c's cursor: it ends at the start of cell
+	// c+1, so one shift restores the offsets.
+	ids = make([]int32, off[cells])
+	var id int32
+	fill := func(base, a, b int) {
+		for c := base + a; c <= base+b; c++ {
+			ids[off[c]] = id
+			off[c]++
+		}
+	}
+	for ; int(id) < n; id++ {
+		grid.CoverRows(od, rect(int(id)), fill)
+	}
+	copy(off[1:], off[:cells])
+	off[0] = 0
+	return off, ids
 }

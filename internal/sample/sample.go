@@ -234,8 +234,9 @@ func RunJobContext(jobCtx context.Context, cfg Config, mrCfg mapreduce.Config, s
 		if sampled > 0 {
 			ctx.Inc("sample.sampled", sampled)
 		}
+		var rec [binary.MaxVarintLen64]byte // Emit copies, so one buffer serves every count record
 		for ord, count := range local {
-			emit(uint64(ord), binary.AppendUvarint(nil, count))
+			emit(uint64(ord), binary.AppendUvarint(rec[:0], count))
 		}
 		if len(retained) > 0 {
 			emit(sampledKey, codec.EncodePoints(retained))
@@ -243,6 +244,9 @@ func RunJobContext(jobCtx context.Context, cfg Config, mrCfg mapreduce.Config, s
 		return nil
 	})
 
+	// The job has one reduce task (below), whose calls run one after
+	// another, so they share one count buffer; Emit copies it.
+	var countRec []byte
 	reducer := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
 		if key == sampledKey {
 			// Merge per-task retained points; sorting by ID before the cap
@@ -270,7 +274,8 @@ func RunJobContext(jobCtx context.Context, cfg Config, mrCfg mapreduce.Config, s
 			}
 			total += n
 		}
-		emit(key, binary.AppendUvarint(nil, total))
+		countRec = binary.AppendUvarint(countRec[:0], total)
+		emit(key, countRec)
 		return nil
 	})
 

@@ -1,0 +1,7 @@
+//go:build race
+
+package dod
+
+// raceEnabled reports a -race build, where allocation counts are not the
+// program's.
+const raceEnabled = true
