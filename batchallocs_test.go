@@ -41,3 +41,34 @@ func TestBatchJobAllocs(t *testing.T) {
 		t.Errorf("Detect on %d points made %d mallocs, ceiling %d", len(pts), most, ceiling)
 	}
 }
+
+// TestHighDimJobAllocs gates the mallocs of one batch-highdim-shaped job:
+// 4 000 32-d points that plan as one Prox-Graph partition, so one reduce
+// task runs the kernel on every core the job has. Each of the kernel's
+// tiles takes one presized search scratch, which no walk grows. The
+// ceiling is the most measured at GOMAXPROCS 1, 2 and 8 (491, at 8), plus
+// 10 %; each tile beyond the first costs a scratch and a goroutine.
+func TestHighDimJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under -race")
+	}
+	const ceiling = 540
+	pts, _ := synth.HighDimUniform(4000, 32, 4, 0.005, 1)
+	cfg := onePartitionConfig(0)
+	if _, err := Detect(pts, cfg); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	var most uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Detect(pts, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		most = max(most, after.Mallocs-before.Mallocs)
+	}
+	if most > ceiling {
+		t.Errorf("Detect on %d points made %d mallocs, ceiling %d", len(pts), most, ceiling)
+	}
+}

@@ -92,10 +92,12 @@ func domainJob1Reducer(pl *plan.Plan, params detect.Params, seed int64) mapreduc
 		part := pl.Partitions[key]
 		detector := detect.New(part.Algo, seed+int64(key))
 		start := time.Now()
-		res := detect.DetectSet(detector, &sc.core, nCore, params)
+		cores := ctx.Cores()
+		res := detect.DetectSetParallel(detector, &sc.core, nCore, params, cores)
 		ctx.Trace.Add("partition.detect", start, time.Since(start),
 			obs.Int("partition", int64(key)),
 			obs.Str("algo", part.Algo.String()),
+			obs.Int("cores", int64(cores)),
 			obs.Int("core", int64(nCore)),
 			obs.Int("distcomps", res.Stats.DistComps),
 			obs.Int("outliers", int64(len(res.OutlierIDs))))

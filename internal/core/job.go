@@ -86,10 +86,11 @@ func detectionMapper(pl *plan.Plan) mapreduce.MapperFunc {
 
 // detectionReducer implements the reduce function of Fig. 3: split the
 // group into core and support lists, run the partition's assigned detector,
-// and report outliers among the core points. Each partition's detector
-// choice and runtime is recorded as a "partition.detect" span on the task's
-// trace — the job trace in-process, a shipped-back per-task trace on a
-// remote worker.
+// and report outliers among the core points. The detector runs on the
+// task's cores (TaskContext.Cores); its Result does not depend on how
+// many. Each partition's detector choice, cores and runtime is recorded
+// as a "partition.detect" span on the task's trace — the job trace
+// in-process, a shipped-back per-task trace on a remote worker.
 func detectionReducer(pl *plan.Plan, params detect.Params, seed int64) mapreduce.ReducerFunc {
 	return func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
 		if key >= uint64(len(pl.Partitions)) {
@@ -110,10 +111,12 @@ func detectionReducer(pl *plan.Plan, params detect.Params, seed int64) mapreduce
 		part := pl.Partitions[key]
 		detector := detect.New(part.Algo, seed+int64(key))
 		start := time.Now()
-		res := detect.DetectSet(detector, &sc.core, nCore, params)
+		cores := ctx.Cores()
+		res := detect.DetectSetParallel(detector, &sc.core, nCore, params, cores)
 		ctx.Trace.Add("partition.detect", start, time.Since(start),
 			obs.Int("partition", int64(key)),
 			obs.Str("algo", part.Algo.String()),
+			obs.Int("cores", int64(cores)),
 			obs.Int("core", int64(nCore)),
 			obs.Int("support", int64(nSupport)),
 			obs.Int("distcomps", res.Stats.DistComps),

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -294,5 +295,30 @@ func TestMetricAndSpanConversion(t *testing.T) {
 	}
 	if spansToWire(nil) != nil || spansFromWire(nil) != nil {
 		t.Error("nil span lists should stay nil on the wire")
+	}
+}
+
+// TestDecodedReduceTaskCores: the wire carries no core count, so a reduce
+// task a worker decodes runs its user code on one core whatever the
+// coordinator's Parallelism.
+func TestDecodedReduceTaskCores(t *testing.T) {
+	body, err := encodeReduceTaskBody(sampleTaskHeader("reduce"), []mapreduce.Group{{Key: 1, Values: [][]byte{{1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, rt, err := decodeTaskBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := 0
+	reducer := mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key uint64, values [][]byte, emit mapreduce.Emit) error {
+		cores = ctx.Cores()
+		return nil
+	})
+	if _, err := mapreduce.NewLocalExecutor(nil, reducer, nil, nil).ExecReduce(context.Background(), *rt); err != nil {
+		t.Fatal(err)
+	}
+	if cores != 1 {
+		t.Errorf("decoded reduce task ran on %d cores, want 1", cores)
 	}
 }

@@ -119,16 +119,19 @@ func (g *Grid) CellOrdinalCoords(coords []float64) int {
 // cellOf returns the index along dimension i of the cell holding
 // coordinate v. Points on the upper domain boundary go to the last cell and
 // out-of-domain points are clamped, so every point maps to exactly one
-// cell.
+// cell; NaN maps to cell 0. The clamps compare the cell coordinate as a
+// float before converting it, as CoverRows does: Go leaves the conversion
+// of a float beyond int's range to the platform, and on amd64 it turns
+// 1e300 and +Inf into a negative int.
 func (g *Grid) cellOf(i int, v float64) int {
-	c := int((v - g.Domain.Min[i]) / g.width[i])
-	if c < 0 {
+	c := (v - g.Domain.Min[i]) / g.width[i]
+	if !(c > 0) { // below the domain's first cell, or NaN
 		return 0
 	}
-	if c >= g.Dims[i] {
+	if c >= float64(g.Dims[i]) {
 		return g.Dims[i] - 1
 	}
-	return c
+	return int(c)
 }
 
 // CellRect returns the rectangle of the cell at the given indices.

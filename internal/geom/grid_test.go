@@ -187,3 +187,39 @@ func TestCoverRowsHoldsEveryPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCellOfClampsFarValues: coordinates far past either end of the domain,
+// infinite or NaN clamp to an edge cell. Converting such a value to int
+// before the clamp sent 1e300 and +Inf to cell 0 on amd64.
+func TestCellOfClampsFarValues(t *testing.T) {
+	g := NewGrid(Rect{Min: []float64{0}, Max: []float64{10}}, []int{5})
+	for _, tc := range []struct {
+		v    float64
+		want int
+	}{
+		{math.Inf(-1), 0}, {-1e300, 0}, {-1, 0}, {0, 0}, {1.999, 0}, {2, 1},
+		{9.999, 4}, {10, 4}, {11, 4}, {1e19, 4}, {1e300, 4}, {math.Inf(1), 4},
+		{math.NaN(), 0},
+	} {
+		if got := g.cellOf(0, tc.v); got != tc.want {
+			t.Errorf("cellOf(%g) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+}
+
+// TestWithinHugeRadius: a walk whose radius reaches past the domain on
+// both sides covers every cell, so it reports every point.
+func TestWithinHugeRadius(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]Point, 200)
+	for i := range pts {
+		pts[i] = Point{ID: uint64(i), Coords: []float64{rng.Float64() * 10, rng.Float64() * 10}}
+	}
+	ix := NewCellIndex(PointSetOf(pts), 1)
+	od := NewOdometer(2)
+	seen := 0
+	ix.Within(&od, pts[0].Coords, 1e300, func(int) { seen++ })
+	if seen != len(pts) {
+		t.Errorf("Within(radius 1e300) reported %d of %d points", seen, len(pts))
+	}
+}

@@ -127,6 +127,12 @@ type MapResult struct {
 type ReduceTask struct {
 	TaskID int
 	Groups []Group
+	// Cores is how many cores the task's user code may use at once.
+	// RunContext sets it after the shuffle to Parallelism divided among
+	// the reduce tasks that have at least one group, so a task whose
+	// peers got nothing runs on their cores too. It is not on the wire: a
+	// task decoded on a remote worker has 0 and runs on one core.
+	Cores int
 }
 
 // ReduceResult is a successful reduce task.
@@ -195,9 +201,16 @@ type TaskContext struct {
 	// Trace is a valid no-op sink.
 	Trace *obs.Trace
 
+	cores    int
 	mu       sync.Mutex
 	counters map[string]int64
 }
+
+// Cores returns how many cores the task's user code may use at once: its
+// ReduceTask.Cores, and 1 for a map task or a task that was given none.
+// User code passes it as a worker count to a kernel whose output does not
+// depend on the worker count (detect.DetectSetParallel).
+func (tc *TaskContext) Cores() int { return max(1, tc.cores) }
 
 // Inc adds delta to the named per-task counter. Counters are aggregated
 // into TaskMetric.Counters and into job-level totals.
@@ -289,7 +302,7 @@ func (e *localExecutor) ExecMap(ctx context.Context, task MapTask) (*MapResult, 
 }
 
 func (e *localExecutor) ExecReduce(ctx context.Context, task ReduceTask) (*ReduceResult, error) {
-	tc := &TaskContext{Phase: "reduce", TaskID: task.TaskID, Trace: e.trace}
+	tc := &TaskContext{Phase: "reduce", TaskID: task.TaskID, Trace: e.trace, cores: task.Cores}
 	var output codec.KVColumns
 	var in, out, bytesIn, bytesOut int64
 	start := time.Now()
@@ -385,9 +398,10 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 
 	// ---- Reduce phase ----
 	reduceStart := time.Now()
+	cores := reduceCores(cfg.Parallelism, grouped)
 	reduceOuts := make([]*ReduceResult, cfg.NumReducers)
 	if err := runTasks(jobCtx, cfg.Parallelism, cfg.NumReducers, func(r int) error {
-		res, err := exec.ExecReduce(jobCtx, ReduceTask{TaskID: r, Groups: grouped[r]})
+		res, err := exec.ExecReduce(jobCtx, ReduceTask{TaskID: r, Groups: grouped[r], Cores: cores})
 		if err != nil {
 			return fmt.Errorf("reduce task %d: %w", r, err)
 		}
@@ -430,6 +444,20 @@ func RunContext(jobCtx context.Context, cfg Config, splits []Split, mapper Mappe
 		res.Output = append(res.Output, ro.Output...)
 	}
 	return res, nil
+}
+
+// reduceCores shares parallelism among the reduce tasks that have work:
+// each gets max(1, parallelism / busy) cores, where busy counts the tasks
+// with at least one group. A task without groups returns at once, so the
+// cores it would have held go to the busy ones.
+func reduceCores(parallelism int, grouped [][]Group) int {
+	busy := 0
+	for _, g := range grouped {
+		if len(g) > 0 {
+			busy++
+		}
+	}
+	return max(1, parallelism/max(1, busy))
 }
 
 // addSpans folds remotely recorded spans into the job trace.

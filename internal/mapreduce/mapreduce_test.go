@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -281,5 +282,51 @@ func TestGroupByKeyAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { groupByKey(c.runs) }); allocs > ceiling {
 			t.Errorf("%s: groupByKey made %.0f allocations for %d pairs in %d groups, ceiling %d", c.name, allocs, len(pairs), groups, ceiling)
 		}
+	}
+}
+
+// TestReduceCores holds the cores rule at its edges: Parallelism is shared
+// among the reduce tasks that got at least one group, never below one core
+// a task, and a map task always runs on one.
+func TestReduceCores(t *testing.T) {
+	for _, tc := range []struct {
+		reducers, busy, parallelism, want int
+	}{
+		{reducers: 4, busy: 1, parallelism: 4, want: 4},
+		{reducers: 8, busy: 8, parallelism: 2, want: 1},
+		{reducers: 4, busy: 3, parallelism: 8, want: 2},
+	} {
+		name := fmt.Sprintf("%d of %d busy at parallelism %d", tc.busy, tc.reducers, tc.parallelism)
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			cores := map[int]int{} // reduce task → Cores() seen by its groups
+			mapper := MapperFunc(func(ctx *TaskContext, split Split, emit Emit) error {
+				if c := ctx.Cores(); c != 1 {
+					t.Errorf("map task %d: Cores() = %d, want 1", ctx.TaskID, c)
+				}
+				for key := 0; key < tc.busy; key++ {
+					emit(uint64(key), []byte{byte(key)})
+				}
+				return nil
+			})
+			reducer := ReducerFunc(func(ctx *TaskContext, key uint64, values [][]byte, emit Emit) error {
+				mu.Lock()
+				cores[ctx.TaskID] = ctx.Cores()
+				mu.Unlock()
+				return nil
+			})
+			cfg := Config{NumReducers: tc.reducers, Parallelism: tc.parallelism}
+			if _, err := Run(cfg, wordSplits("x", "y"), mapper, reducer); err != nil {
+				t.Fatal(err)
+			}
+			if len(cores) != tc.busy {
+				t.Fatalf("%d reduce tasks ran a group, want %d", len(cores), tc.busy)
+			}
+			for task, c := range cores {
+				if c != tc.want {
+					t.Errorf("reduce task %d: Cores() = %d, want %d", task, c, tc.want)
+				}
+			}
+		})
 	}
 }

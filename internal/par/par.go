@@ -1,5 +1,8 @@
 // Package par provides the bounded-fanout tiling primitive shared by the
-// parallel detection kernels and the batch scoring paths.
+// parallel detection kernels and the batch scoring paths. The detection
+// kernels tile inside a reduce task too: a task whose peers got no work
+// runs on their cores (mapreduce.TaskContext.Cores), so a plan with fewer
+// partitions than cores still keeps every core busy.
 //
 // The model is deliberately minimal: split [0, n) into at most `workers`
 // contiguous tiles and run one function per tile on its own goroutine,

@@ -45,13 +45,10 @@ const (
 // candidates and sends certifiable inliers to the linear fallback. A
 // wide beam costs certified points nothing — their walk still exits at
 // the k-th verified neighbor — and only the rare hard points explore it.
-func EfSearch(k int) int {
-	ef := 4 * k
-	if ef < 128 {
-		ef = 128
-	}
-	return ef
-}
+func EfSearch(k int) int { return max(4*k, efSearchFloor) }
+
+// efSearchFloor is EfSearch's floor: the beam width of every k <= 32.
+const efSearchFloor = 128
 
 // WalkBudget returns the hard visit cap of one range-certification walk.
 // Past it the walk gives up and the caller falls back to the verified
@@ -97,9 +94,38 @@ type Scratch struct {
 	cands    []cand // link's current neighbors plus the new one
 }
 
-// NewScratch returns search scratch for point sets of up to n points.
+// NewScratch returns search scratch for point sets of up to n points. The
+// marks take one allocation and the six candidate buffers are carved from
+// one more, each capacity-clipped to what one search can hold: the result
+// heap EfSearch's floor plus the one entry pushed before the worst is
+// popped, the frontier heap one entry per visit (WalkBudget's floor, or n),
+// and Build's link buffers Degree+1 or EfBuild. A CountWithin walk with
+// k <= 32 therefore never grows a buffer; a wider beam, or a Build search
+// that queues more than the clip, grows its own piece by append without
+// reaching a neighbour's.
 func NewScratch(n int) *Scratch {
-	return &Scratch{mark: make([]uint32, n)}
+	sizes := [...]int{
+		min(n, WalkBudget(0)),  // heap
+		efSearchFloor + 1,      // res
+		Degree,                 // links
+		Degree,                 // kept
+		max(EfBuild, Degree+1), // rejected: at most all of selectDiverse's candidates
+		Degree + 1,             // cands
+	}
+	total := 0
+	for _, size := range sizes {
+		total += size
+	}
+	slab := make([]cand, total)
+	var pieces [len(sizes)][]cand
+	for i, size := range sizes {
+		pieces[i], slab = slab[:0:size], slab[size:]
+	}
+	return &Scratch{
+		mark: make([]uint32, n),
+		heap: pieces[0], res: pieces[1],
+		links: pieces[2], kept: pieces[3], rejected: pieces[4], cands: pieces[5],
+	}
 }
 
 func (sc *Scratch) reset() {
@@ -118,45 +144,92 @@ func (sc *Scratch) visited(i int32) bool { return sc.mark[i] == sc.epoch }
 func (sc *Scratch) visit(i int32)        { sc.mark[i] = sc.epoch }
 
 // ---- small inline binary heaps (no container/heap interface churn) ----
+//
+// One pair per ordering, each calling candLess directly so the comparison
+// inlines into every sift step. (d2, idx) is a total order, so every pop,
+// and with it every walk and DistComps count, is fixed by the pushes.
 
-func heapPush(h *[]cand, c cand, less func(a, b cand) bool) {
+// minPush adds c to the min-heap h (nearest (d2, idx) on top).
+func minPush(h *[]cand, c cand) {
 	*h = append(*h, c)
-	i := len(*h) - 1
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less((*h)[i], (*h)[p]) {
+		if !candLess(s[i], s[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		s[i], s[p] = s[p], s[i]
 		i = p
 	}
 }
 
-func heapPop(h *[]cand, less func(a, b cand) bool) cand {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
+// minPop removes and returns the min-heap h's top.
+func minPop(h *[]cand) cand {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(*h) && less((*h)[l], (*h)[small]) {
+		if l < len(s) && candLess(s[l], s[small]) {
 			small = l
 		}
-		if r < len(*h) && less((*h)[r], (*h)[small]) {
+		if r < len(s) && candLess(s[r], s[small]) {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		s[i], s[small] = s[small], s[i]
 		i = small
 	}
 	return top
 }
 
-func candMore(a, b cand) bool { return candLess(b, a) }
+// maxPush adds c to the max-heap h (farthest (d2, idx) on top).
+func maxPush(h *[]cand, c cand) {
+	*h = append(*h, c)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !candLess(s[p], s[i]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// maxPop removes the max-heap h's top.
+func maxPop(h *[]cand) {
+	s := *h
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		big := i
+		if l < len(s) && candLess(s[big], s[l]) {
+			big = l
+		}
+		if r < len(s) && candLess(s[big], s[r]) {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		s[i], s[big] = s[big], s[i]
+		i = big
+	}
+}
 
 // Build constructs the graph over all of set's points by incremental
 // insertion in a seeded random order, returning the graph and the number of
@@ -284,11 +357,11 @@ func (g *Graph) searchNearest(q []float64, ef int, sc *Scratch, comps *int64) []
 	sc.visit(g.entry)
 	*comps += 1
 	e := cand{d2: set.Dist2Coords(int(g.entry), q), idx: g.entry}
-	heapPush(&sc.heap, e, candLess)
-	heapPush(&sc.res, e, candMore)
+	minPush(&sc.heap, e)
+	maxPush(&sc.res, e)
 
 	for len(sc.heap) > 0 {
-		c := heapPop(&sc.heap, candLess)
+		c := minPop(&sc.heap)
 		if len(sc.res) >= ef && candLess(sc.res[0], c) {
 			break // nearest frontier is farther than the worst kept result
 		}
@@ -302,10 +375,10 @@ func (g *Graph) searchNearest(q []float64, ef int, sc *Scratch, comps *int64) []
 			*comps += 1
 			nc := cand{d2: set.Dist2Coords(int(nb), q), idx: nb}
 			if len(sc.res) < ef || candLess(nc, sc.res[0]) {
-				heapPush(&sc.heap, nc, candLess)
-				heapPush(&sc.res, nc, candMore)
+				minPush(&sc.heap, nc)
+				maxPush(&sc.res, nc)
 				if len(sc.res) > ef {
-					heapPop(&sc.res, candMore)
+					maxPop(&sc.res)
 				}
 			}
 		}
@@ -347,12 +420,12 @@ func (g *Graph) CountWithin(qi int, r2 float64, k int, sc *Scratch) (found int, 
 			return found, true, comps
 		}
 	}
-	heapPush(&sc.heap, e, candLess)
-	heapPush(&sc.res, e, candMore)
+	minPush(&sc.heap, e)
+	maxPush(&sc.res, e)
 	visits := 1
 
 	for len(sc.heap) > 0 && visits < budget {
-		c := heapPop(&sc.heap, candLess)
+		c := minPop(&sc.heap)
 		if len(sc.res) >= ef && candLess(sc.res[0], c) {
 			break
 		}
@@ -373,10 +446,10 @@ func (g *Graph) CountWithin(qi int, r2 float64, k int, sc *Scratch) (found int, 
 				}
 			}
 			if len(sc.res) < ef || candLess(nc, sc.res[0]) {
-				heapPush(&sc.heap, nc, candLess)
-				heapPush(&sc.res, nc, candMore)
+				minPush(&sc.heap, nc)
+				maxPush(&sc.res, nc)
 				if len(sc.res) > ef {
-					heapPop(&sc.res, candMore)
+					maxPop(&sc.res)
 				}
 			}
 			if visits >= budget {

@@ -142,3 +142,33 @@ func TestBuildAllocsConstant(t *testing.T) {
 		t.Fatalf("Build allocations grow with n: %v at n=500, %v at n=4000", small, large)
 	}
 }
+
+// TestCountWithinAllocs: NewScratch sizes every buffer a walk uses, so a
+// fresh scratch carries a whole detection pass, at k = 4 and at the widest
+// k of EfSearch's floor, without one allocation; and it is three
+// allocations itself (the struct, the marks and one candidate slab).
+func TestCountWithinAllocs(t *testing.T) {
+	pts, _ := synth.HighDimUniform(2000, 32, 4, 0.02, 5)
+	s := setOf(pts)
+	g, _ := Build(s, 5)
+	const runs = 3
+	fresh := make([]*Scratch, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range fresh {
+		fresh[i] = NewScratch(s.Len())
+	}
+	next := 0
+	walks := testing.AllocsPerRun(runs, func() {
+		sc := fresh[next]
+		next++
+		for i := 0; i < s.Len(); i++ {
+			g.CountWithin(i, 16, 4, sc)
+			g.CountWithin(i, 16, 32, sc)
+		}
+	})
+	if walks != 0 {
+		t.Errorf("a detection pass on a fresh scratch made %v allocations, want 0", walks)
+	}
+	if got := testing.AllocsPerRun(runs, func() { NewScratch(s.Len()) }); got > 3 {
+		t.Errorf("NewScratch made %v allocations, want at most 3", got)
+	}
+}
