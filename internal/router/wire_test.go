@@ -3,7 +3,7 @@ package router
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -12,8 +12,9 @@ import (
 )
 
 // refBody lays a sealed body out by hand — kind byte, uvarint length,
-// payload per frame, then the FNV-64a integrity frame — so the golden test
-// below pins the bytes on the wire, not whichever codec produced them.
+// payload per frame, then the integrity frame (CRC-32 in the high word,
+// CRC-32C in the low, little endian) — so the golden test below pins the
+// bytes on the wire, not whichever codec produced them.
 type refBody struct{ buf []byte }
 
 func (b *refBody) frame(kind byte, payload []byte) {
@@ -23,9 +24,8 @@ func (b *refBody) frame(kind byte, payload []byte) {
 }
 
 func (b *refBody) sealed() []byte {
-	h := fnv.New64a()
-	h.Write(b.buf)
-	b.frame(0x7f, binary.LittleEndian.AppendUint64(nil, h.Sum64()))
+	sum := uint64(crc32.ChecksumIEEE(b.buf))<<32 | uint64(crc32.Checksum(b.buf, crc32.MakeTable(crc32.Castagnoli)))
+	b.frame(0x7f, binary.LittleEndian.AppendUint64(nil, sum))
 	return b.buf
 }
 
