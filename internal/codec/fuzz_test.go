@@ -226,3 +226,34 @@ func FuzzDecodeKVColumns(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStripSumFrame seals a body, XORs a non-empty mask into it at an
+// offset, and requires StripSumFrame never to accept the changed body with
+// different bytes: it fails with ErrWireFormat or returns the original.
+func FuzzStripSumFrame(f *testing.F) {
+	f.Add([]byte("header"), []byte{1}, uint16(0))
+	f.Add(make([]byte, 300), []byte{0x80, 0, 0, 1}, uint16(150))
+	f.Add([]byte{}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(3))
+	f.Fuzz(func(t *testing.T, data, mask []byte, off uint16) {
+		sealed := AppendSumFrame(AppendFrame(nil, 2, data))
+		orig := append([]byte(nil), sealed[:len(sealed)-FrameLen(8)]...)
+		start := int(off) % len(sealed)
+		changed := false
+		for i, m := range mask {
+			if start+i < len(sealed) && m != 0 {
+				sealed[start+i] ^= m
+				changed = true
+			}
+		}
+		if !changed {
+			t.Skip("mask changes no byte")
+		}
+		got, err := StripSumFrame(sealed)
+		if err == nil && !bytes.Equal(got, orig) {
+			t.Fatalf("changed body accepted: %x, want %x", got, orig)
+		}
+		if err != nil && !errors.Is(err, errs.ErrWireFormat) {
+			t.Fatalf("non-wire error %v", err)
+		}
+	})
+}

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -242,7 +242,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		sweepDone: make(chan struct{}),
 	}
 	if cfg.JournalPath != "" {
-		j, recovered, err := openJournal(cfg.JournalPath)
+		j, recovered, err := openJournal(cfg.JournalPath, c.logf)
 		if err != nil {
 			ln.Close()
 			return nil, err
@@ -687,6 +687,9 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			c.met.phaseCounterDispatch(tk.phase).Inc()
 			c.met.bytesShipped.Add(int64(len(body)))
 			w.Header().Set("Content-Type", "application/octet-stream")
+			// A declared length lets the worker read the body into one
+			// buffer, where a chunked body would grow it as bytes arrive.
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			// The dispatch ID rides in a header so a worker that cannot
 			// decode the (possibly corrupted) body can still nack it.
 			w.Header().Set(headerDispatch, fmt.Sprintf("%d", h.Dispatch))
@@ -712,7 +715,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxResultBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r.Body, r.ContentLength, c.cfg.MaxResultBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -62,9 +62,12 @@ type journal struct {
 }
 
 // openJournal opens or creates the journal at path, loads every intact
-// record, and truncates any torn tail so subsequent appends are clean.
-// It returns the journal and how many records were recovered.
-func openJournal(path string) (*journal, int, error) {
+// record, and truncates any torn tail so subsequent appends are clean,
+// logging how many bytes it dropped. Records sealed with another integrity
+// sum (a journal written before the seal became CRC-32/CRC-32C) fail their
+// check and are dropped the same way, so their tasks re-run. It returns
+// the journal and how many records were recovered.
+func openJournal(path string, logf func(format string, args ...any)) (*journal, int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: opening journal: %w", err)
@@ -89,6 +92,8 @@ func openJournal(path string) (*journal, int, error) {
 			f.Close()
 			return nil, 0, fmt.Errorf("dist: truncating torn journal tail: %w", err)
 		}
+		logf("dist: journal %s: dropped %d bytes after %d intact bytes (a torn or unreadable tail; any task it held re-runs)",
+			path, len(data)-valid, valid)
 	}
 	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		f.Close()

@@ -7,13 +7,17 @@ package dist_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dod/internal/codec"
 	"dod/internal/core"
 	"dod/internal/dist"
 )
@@ -151,4 +155,80 @@ func TestJournalReplayDoesNotMutate(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("replay-only run mutated the journal: %d -> %d bytes", len(before), len(after))
 	}
+}
+
+// TestJournalOldSealDropped: a journal written before the frame seal
+// became CRC-32/CRC-32C holds records sealed with FNV-64a. The next
+// incarnation must treat them as a torn tail — recover 0 records, log the
+// bytes it dropped, truncate them — and re-run every task, still
+// byte-identical to the local engine.
+func TestJournalOldSealDropped(t *testing.T) {
+	input := testInput(t, 2000)
+	local := runDetection(t, input, coreConfig())
+	jp := filepath.Join(t.TempDir(), "checkpoint.log")
+
+	_, firstStats := journaledRun(t, input, jp, 2)
+	data, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records int64
+	for off := 0; off < len(data); records++ {
+		_, _, n, err := codec.DecodeFrame(data[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, sum, m, err := codec.DecodeFrame(data[off+n:])
+		if err != nil || kind != codec.FrameSum || len(sum) != 8 {
+			t.Fatalf("record %d: no sum frame (%v)", records, err)
+		}
+		binary.LittleEndian.PutUint64(sum, fnv64a(data[off:off+n]))
+		off += n + m
+	}
+	if records != firstStats.TasksOK {
+		t.Fatalf("journal holds %d records, want %d", records, firstStats.TasksOK)
+	}
+	if err := os.WriteFile(jp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var dropped atomic.Bool
+	want := fmt.Sprintf("dropped %d bytes after 0 intact bytes", len(data))
+	coord := newCoordinator(t, dist.Config{JournalPath: jp, Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), want) {
+			dropped.Store(true)
+		}
+		t.Logf(format, args...)
+	}})
+	startWorker(t, coord, "jw0", 2, nil)
+	if err := coord.WaitForWorkers(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	cfg := coreConfig()
+	cfg.ExecutorFor = core.ClusterExecutorFor(coord)
+	resumed := runDetection(t, input, cfg)
+	st := coord.Stats()
+	if !reflect.DeepEqual(local.Outliers, resumed.Outliers) {
+		t.Fatal("run on an FNV-sealed journal diverged from local engine")
+	}
+	if st.JournalReplays != 0 {
+		t.Errorf("replayed %d FNV-sealed records, want 0", st.JournalReplays)
+	}
+	if st.TasksOK != firstStats.TasksOK {
+		t.Errorf("re-ran %d tasks, want all %d", st.TasksOK, firstStats.TasksOK)
+	}
+	if !dropped.Load() {
+		t.Errorf("no log line %q", want)
+	}
+}
+
+// fnv64a is the FNV-64a sum the frame layer sealed with before
+// CRC-32/CRC-32C, kept here as the reference for an old journal.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"dod/internal/codec"
@@ -48,6 +50,25 @@ const (
 // coordinator re-queues immediately instead of waiting for speculation or
 // a lease timeout.
 const headerDispatch = "X-Dod-Dispatch"
+
+// maxPresize caps the buffer readBody reserves from a declared length
+// before any byte arrives, so a lying Content-Length cannot reserve
+// gigabytes; a longer body grows as its bytes arrive.
+const maxPresize = 64 << 20
+
+// readBody reads r to the end. When the body's declared length (an HTTP
+// Content-Length, -1 if unknown) is positive and at most both limit and
+// maxPresize, it reads into one buffer of that size plus bytes.MinRead, so
+// the read that meets the end needs no growth; otherwise the buffer grows
+// as bytes arrive, as io.ReadAll's does. Errors are r's.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared <= 0 || declared > min(limit, maxPresize) {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, declared+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
 
 // taskHeader is the control-plane header of a dispatched task.
 type taskHeader struct {
@@ -144,29 +165,9 @@ func spansFromWire(spans []wireSpan) []obs.Span {
 	return out
 }
 
-// appendHeader marshals h as the leading header frame. Unlike
-// codec.AppendHeaderFrame it returns a marshal failure rather than
-// panicking: a task header carries the caller-supplied JobSpec.Config.
-func appendHeader(dst []byte, h any) ([]byte, error) {
-	raw, err := marshalHeader(h)
-	if err != nil {
-		return nil, err
-	}
-	return codec.AppendFrame(dst, frameHeader, raw), nil
-}
-
-// marshalHeader is the payload of a header frame.
-func marshalHeader(h any) ([]byte, error) {
-	raw, err := json.Marshal(h)
-	if err != nil {
-		return nil, fmt.Errorf("dist: marshal header: %w", err)
-	}
-	return raw, nil
-}
-
 // encodeMapTaskBody builds the wire body of a map task dispatch.
 func encodeMapTaskBody(h taskHeader, split mapreduce.Split) ([]byte, error) {
-	buf, err := appendHeader(nil, h)
+	buf, err := sizedBody(h, codec.FrameLen(len(split.Data)))
 	if err != nil {
 		return nil, err
 	}
@@ -174,17 +175,21 @@ func encodeMapTaskBody(h taskHeader, split mapreduce.Split) ([]byte, error) {
 }
 
 // encodeReduceTaskBody builds the wire body of a reduce task dispatch: one
-// group frame per key group.
+// group frame per key group, written straight into the body.
 func encodeReduceTaskBody(h taskHeader, groups []mapreduce.Group) ([]byte, error) {
-	buf, err := appendHeader(nil, h)
+	size := 0
+	for _, g := range groups {
+		size += codec.FrameLen(codec.GroupLen(g.Key, g.Values))
+	}
+	buf, err := sizedBody(h, size)
 	if err != nil {
 		return nil, err
 	}
-	var scratch []byte
 	for _, g := range groups {
-		scratch = binary.AppendUvarint(scratch[:0], g.Key)
-		scratch = codec.AppendBytesList(scratch, g.Values)
-		buf = codec.AppendFrame(buf, frameGroup, scratch)
+		buf = append(buf, frameGroup)
+		buf = binary.AppendUvarint(buf, uint64(codec.GroupLen(g.Key, g.Values)))
+		buf = binary.AppendUvarint(buf, g.Key)
+		buf = codec.AppendBytesList(buf, g.Values)
 	}
 	return codec.AppendSumFrame(buf), nil
 }
@@ -243,7 +248,7 @@ func encodeMapResultBody(h resultHeader, res *mapreduce.MapResult) ([]byte, erro
 	for i := range buckets {
 		size += codec.FrameLen(codec.KVColumnsLen(&buckets[i]))
 	}
-	buf, err := resultBodyHeader(h, size)
+	buf, err := sizedBody(h, size)
 	if err != nil {
 		return nil, err
 	}
@@ -255,20 +260,22 @@ func encodeMapResultBody(h resultHeader, res *mapreduce.MapResult) ([]byte, erro
 
 // encodeReduceResultBody builds the wire body of a successful reduce attempt.
 func encodeReduceResultBody(h resultHeader, res *mapreduce.ReduceResult) ([]byte, error) {
-	buf, err := resultBodyHeader(h, codec.FrameLen(codec.KVsLen(res.Output)))
+	buf, err := sizedBody(h, codec.FrameLen(codec.KVsLen(res.Output)))
 	if err != nil {
 		return nil, err
 	}
 	return codec.AppendSumFrame(codec.AppendKVsFrame(buf, frameOutput, res.Output)), nil
 }
 
-// resultBodyHeader starts a result body holding the header frame, with
+// sizedBody starts a task or result body holding the header frame, with
 // room for data frames of dataSize bytes and the integrity frame, so the
-// body is sized before it is written.
-func resultBodyHeader(h resultHeader, dataSize int) ([]byte, error) {
-	raw, err := marshalHeader(h)
+// body is sized before it is written. Unlike codec.AppendHeaderFrame it
+// returns a marshal failure rather than panicking: a task header carries
+// the caller-supplied JobSpec.Config.
+func sizedBody(h any, dataSize int) ([]byte, error) {
+	raw, err := json.Marshal(h)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: marshal header: %w", err)
 	}
 	size := codec.FrameLen(len(raw)) + dataSize + codec.FrameLen(8)
 	return codec.AppendFrame(make([]byte, 0, size), frameHeader, raw), nil
@@ -277,7 +284,7 @@ func resultBodyHeader(h resultHeader, dataSize int) ([]byte, error) {
 // encodeErrorResultBody builds the wire body of a failed attempt (header
 // only, Err set).
 func encodeErrorResultBody(h resultHeader) ([]byte, error) {
-	buf, err := appendHeader(nil, h)
+	buf, err := sizedBody(h, 0)
 	if err != nil {
 		return nil, err
 	}

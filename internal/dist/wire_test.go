@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -154,6 +155,51 @@ func TestResultBodySizedOnce(t *testing.T) {
 	}
 }
 
+// TestTaskBodySizedOnce: a map or reduce task body is allocated at its
+// final length and holds the bytes of the encoding that built each frame's
+// payload in a buffer of its own: the header, the split or one group frame
+// per key group, and the integrity frame.
+func TestTaskBodySizedOnce(t *testing.T) {
+	header := func(h taskHeader) []byte {
+		raw, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return codec.AppendFrame(nil, frameHeader, raw)
+	}
+	split := mapreduce.Split{Name: "blk-3", Data: make([]byte, 300)}
+	want := codec.AppendSumFrame(codec.AppendFrame(header(sampleTaskHeader("map")), frameSplit, split.Data))
+	got, err := encodeMapTaskBody(sampleTaskHeader("map"), split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("map task body: %d bytes (cap %d), want the %d bytes of a payload-buffer encoding", len(got), cap(got), len(want))
+	}
+
+	groups := []mapreduce.Group{
+		{Key: 0, Values: [][]byte{{1}, {2, 2}, {}}},
+		{Key: 1 << 40, Values: [][]byte{make([]byte, 200)}},
+		{Key: 9, Values: nil},
+		{Key: 300, Values: [][]byte{make([]byte, 130), {7}}},
+	}
+	want = header(sampleTaskHeader("reduce"))
+	var scratch []byte
+	for _, g := range groups {
+		scratch = binary.AppendUvarint(scratch[:0], g.Key)
+		scratch = codec.AppendBytesList(scratch, g.Values)
+		want = codec.AppendFrame(want, frameGroup, scratch)
+	}
+	want = codec.AppendSumFrame(want)
+	got, err = encodeReduceTaskBody(sampleTaskHeader("reduce"), groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("reduce task body: %d bytes (cap %d), want the %d bytes of a payload-buffer encoding", len(got), cap(got), len(want))
+	}
+}
+
 func TestReduceResultRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -263,7 +309,7 @@ func TestDecodeCorruptBodies(t *testing.T) {
 	if _, _, _, err := decodeResultBody(mismatch); !errors.Is(err, errs.ErrWireFormat) {
 		t.Errorf("bucket frame in reduce result = %v, want ErrWireFormat", err)
 	}
-	missing, err := appendHeader(nil, sampleResultHeader("reduce"))
+	missing, err := sizedBody(sampleResultHeader("reduce"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -209,6 +209,11 @@ func (w *Worker) pollLoop(ctx context.Context, cancel context.CancelFunc, slot i
 		case err != nil:
 			failures++
 			w.logf("dist: worker %s: poll: %v", w.cfg.Name, err)
+			if status == http.StatusOK {
+				// The task body broke off in transit: hand the dispatch
+				// back now, as for a body that arrives corrupted.
+				w.nack(ctx, hdr.Get(headerDispatch), err)
+			}
 			retry.Sleep(ctx, w.cfg.Retry.Delay(failures, rng)) //nolint:errcheck // loop re-checks ctx
 		case status == http.StatusNoContent:
 			// Idle poll; go straight back — the poll is the heartbeat.
@@ -361,7 +366,8 @@ func (w *Worker) post(ctx context.Context, path string, body []byte, contentType
 		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	// A response body has no limit of its own: the coordinator sizes it.
+	data, err := readBody(resp.Body, resp.ContentLength, math.MaxInt64)
 	if err != nil {
 		return nil, resp.StatusCode, resp.Header, err
 	}
