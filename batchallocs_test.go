@@ -48,6 +48,14 @@ func TestBatchJobAllocs(t *testing.T) {
 // tiles takes one presized search scratch, which no walk grows. The
 // ceiling is the most measured at GOMAXPROCS 1, 2 and 8 (491, at 8), plus
 // 10 %; each tile beyond the first costs a scratch and a goroutine.
+// Over 20 jobs a job made 374–378 mallocs at GOMAXPROCS 1, 390–404 at 2
+// and 433–457 at 8. What still varies is the runtime's and the standard
+// library's: goroutine and M descriptors and sudogs allocated when their
+// free lists are empty, and sync.Pool locals and fmt printers refilled
+// after a GC emptied their pools. The reducer's decode scratch is sized
+// before its first point, so a scratch the pool lost to a GC costs four
+// mallocs, where its growth by doubling cost 44 (jobs of 444–447 at 2 and
+// up to 495 at 8).
 func TestHighDimJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the program's under -race")

@@ -208,6 +208,19 @@ func DecodePointInto(buf []byte, set *geom.PointSet) (int, error) {
 	return off, nil
 }
 
+// TaggedPointDim is the dimensionality of the (tag, point) record at the
+// front of buf, read without decoding it; 0 when the record is malformed.
+func TaggedPointDim(buf []byte) int {
+	if len(buf) < 1 {
+		return 0
+	}
+	dim, ok := firstDim(buf[1:])
+	if !ok || dim > 1<<16 {
+		return 0
+	}
+	return int(dim)
+}
+
 // DecodeTaggedPointInto decodes a (tag, point) record from the front of
 // buf into the set, returning the tag and the bytes consumed.
 func DecodeTaggedPointInto(buf []byte, set *geom.PointSet) (tag byte, n int, err error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,9 +139,24 @@ func detectionReducer(pl *plan.Plan, params detect.Params, seed int64) mapreduce
 // columnar arrays (no intermediate []geom.Point). It returns the core count;
 // the caller decides whether to merge supp into core (the detection job's
 // neighbor pool) or ignore it (the Domain baseline detects on core alone).
+// Both sets are sized before the first decode, core for the whole group so
+// the merge grows nothing: a scratch the pool lost to a GC then costs its
+// arrays once, not one growth per doubling.
 func decodeTaggedGroupSet(values [][]byte, sc *taskScratch) (nCore int, err error) {
 	sc.core.Clear()
 	sc.supp.Clear()
+	if len(values) > 0 {
+		n, dim := len(values), codec.TaggedPointDim(values[0])
+		for _, v := range values {
+			if len(v) > 0 && v[0] == codec.TagCore {
+				nCore++
+			}
+		}
+		sc.core.IDs = slices.Grow(sc.core.IDs, n)
+		sc.core.Coords = slices.Grow(sc.core.Coords, n*dim)
+		sc.supp.IDs = slices.Grow(sc.supp.IDs, n-nCore)
+		sc.supp.Coords = slices.Grow(sc.supp.Coords, (n-nCore)*dim)
+	}
 	for _, v := range values {
 		if len(v) == 0 {
 			return 0, codec.ErrTruncated
