@@ -15,7 +15,8 @@ import (
 // Float64bits, for every planner family on one skewed input. Ten-point
 // splits make more map tasks than the 320 slots, so slots run several
 // tasks; 500 reducers do the same for the reduce phase, with zero-length
-// tasks tied at the end. A scheduler change must leave every figure alone.
+// tasks tied at the end. The 32 mini buckets per axis are stated, not
+// defaulted. A scheduler change must leave every figure alone.
 func TestSimulatedPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("simulated figures are pinned on amd64")
@@ -44,7 +45,7 @@ func TestSimulatedPinned(t *testing.T) {
 			pin{0, 74840, 284518, 7749950, 4613915000908057338}},
 	} {
 		rep, err := Run(context.Background(), input, Config{
-			Params: testParams, Planner: tc.planner, PlanOpts: tc.opts, SampleRate: 0.5, Seed: 93,
+			Params: testParams, Planner: tc.planner, PlanOpts: tc.opts, SampleRate: 0.5, BucketsPerDim: 32, Seed: 93,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
