@@ -24,7 +24,6 @@ package dod
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -152,7 +151,8 @@ type Config struct {
 	// SampleRate is the preprocessing sampling rate Υ; default 0.005.
 	// Rates this low need large datasets; small inputs should raise it.
 	SampleRate float64
-	// BucketsPerDim is the mini-bucket resolution; default 32.
+	// BucketsPerDim is the mini-bucket resolution per axis; by default
+	// sample.BucketsFor sizes it from the point count and dimension.
 	BucketsPerDim int
 	// Tdiff, if positive, sets DSHC's absolute density-difference merge
 	// threshold (Def. 5.2); by default a relative threshold is used.
@@ -337,18 +337,6 @@ func Detect(points []Point, cfg Config) (*Result, error) {
 func DetectContext(ctx context.Context, points []Point, cfg Config) (*Result, error) {
 	if err := validatePoints(points); err != nil {
 		return nil, err
-	}
-	if cfg.BucketsPerDim == 0 {
-		// Size mini buckets so density estimates stay statistically stable
-		// (~25 expected points per bucket).
-		b := int(math.Sqrt(float64(len(points)) / 25))
-		if b < 8 {
-			b = 8
-		}
-		if b > 40 {
-			b = 40
-		}
-		cfg.BucketsPerDim = b
 	}
 	coreCfg, err := cfg.toCore()
 	if err != nil {

@@ -45,7 +45,7 @@ type Config struct {
 	PlanOpts plan.Options
 
 	SampleRate    float64 // preprocessing sampling rate Υ; default 0.005
-	BucketsPerDim int     // mini buckets per dimension; default 32
+	BucketsPerDim int     // mini buckets per dimension; default sample.BucketsFor
 	Seed          int64
 
 	Parallelism int // local goroutines for the in-process engine
@@ -61,12 +61,12 @@ type Config struct {
 	ExecutorFor func(pl *plan.Plan, params detect.Params, seed int64) (mapreduce.Executor, error)
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults(input *Input) Config {
 	if c.SampleRate <= 0 {
 		c.SampleRate = sample.DefaultRate
 	}
 	if c.BucketsPerDim < 1 {
-		c.BucketsPerDim = 32
+		c.BucketsPerDim = sample.BucketsFor(input.Count, input.Dim)
 	}
 	return c
 }
@@ -137,7 +137,7 @@ type Report struct {
 // records a structured trace (Report.Trace) from which the Wall breakdown
 // is derived.
 func Run(ctx context.Context, input *Input, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(input)
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"dod/internal/core"
 	"dod/internal/detect"
@@ -29,21 +28,6 @@ func sampleRate(n int) float64 {
 	return r
 }
 
-// bucketsPerDim picks a mini-bucket resolution so the expected per-bucket
-// sample count stays high enough (~25 points) for density estimates to be
-// statistically stable — Poisson noise on near-empty buckets otherwise
-// fragments the DSHC clustering.
-func bucketsPerDim(n int) int {
-	b := int(math.Sqrt(float64(n) / 25))
-	if b < 8 {
-		b = 8
-	}
-	if b > 40 {
-		b = 40
-	}
-	return b
-}
-
 // runCase executes one (dataset, planner, detector) configuration and
 // returns its report.
 func runCase(cfg Config, pts []geom.Point, planner plan.Planner, det detect.Kind) (*core.Report, error) {
@@ -60,9 +44,8 @@ func runCase(cfg Config, pts []geom.Point, planner plan.Planner, det detect.Kind
 			Detector:      det,
 			Candidates:    plan.PaperCandidates(), // the figures are the paper's A
 		},
-		SampleRate:    sampleRate(len(pts)),
-		BucketsPerDim: bucketsPerDim(len(pts)),
-		Seed:          cfg.Seed,
+		SampleRate: sampleRate(len(pts)),
+		Seed:       cfg.Seed,
 	})
 }
 

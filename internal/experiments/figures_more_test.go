@@ -112,15 +112,6 @@ func TestSampleRateBounds(t *testing.T) {
 	}
 }
 
-func TestBucketsPerDimBounds(t *testing.T) {
-	if got := bucketsPerDim(10); got != 8 {
-		t.Errorf("tiny n buckets = %d, want 8", got)
-	}
-	if got := bucketsPerDim(100_000_000); got != 40 {
-		t.Errorf("huge n buckets = %d, want 40", got)
-	}
-}
-
 func TestGeneralityAgreement(t *testing.T) {
 	fig, err := Generality(Config{SegmentN: 2500, Reducers: 4, Partitions: 16, Seed: 3})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -155,6 +156,18 @@ func FromPoints(cfg Config, points []geom.Point) (*Histogram, error) {
 		}
 	}
 	return h, nil
+}
+
+// BucketsFor returns the default mini buckets per axis for n points in d
+// dimensions. The per-axis count b = ⌊√(n/25)⌋, clamped to [8, 40], keeps
+// about 25 expected points per bucket at d = 2, so density estimates stay
+// statistically stable (Poisson noise on near-empty buckets otherwise
+// fragments the DSHC clustering). Past d = 2 it is lowered until the grid
+// holds at most b² cells, the d = 2 count: a fixed per-axis count would
+// grow the grid, and DSHC's work, exponentially with d.
+func BucketsFor(n, d int) int {
+	b := min(max(int(math.Sqrt(float64(n)/25)), 8), 40)
+	return DimsFor(d, b, b*b)[0]
 }
 
 // MaxCells bounds a histogram grid's cell count: perDim^dim overflows int
