@@ -8,12 +8,12 @@ import (
 )
 
 func TestRegimeCuts2D(t *testing.T) {
-	sparse, dense := RegimeCuts(2, paperParams)
+	sparse, dense := regimeCuts(2, paperParams)
 	// Cell volume r²/8 = 3.125; L1 = 9 cells, L2 = 49 cells.
 	wantSparse := 4.0 / (49 * 3.125)
 	wantDense := 4.0 / (9 * 3.125)
 	if math.Abs(sparse-wantSparse) > 1e-12 || math.Abs(dense-wantDense) > 1e-12 {
-		t.Errorf("RegimeCuts = (%g, %g), want (%g, %g)", sparse, dense, wantSparse, wantDense)
+		t.Errorf("regimeCuts = (%g, %g), want (%g, %g)", sparse, dense, wantSparse, wantDense)
 	}
 	if sparse >= dense {
 		t.Error("sparse cut must be below dense cut")
@@ -21,11 +21,11 @@ func TestRegimeCuts2D(t *testing.T) {
 }
 
 func TestRegimeCutsMatchCellCase(t *testing.T) {
-	// The cuts must agree with CellCase's classification at every density.
-	sparse, dense := RegimeCuts(2, paperParams)
+	// The cuts must agree with cellCase's classification at every density.
+	sparse, dense := regimeCuts(2, paperParams)
 	for _, density := range []float64{sparse / 2, sparse * 1.01, dense * 0.99, dense * 1.01, dense * 100} {
 		p := profile2D(density*1e6, 1e6)
-		got := CellCase(p, paperParams)
+		got := cellCase(p, paperParams)
 		var want CellCaseKind
 		switch {
 		case density < sparse:
@@ -36,14 +36,14 @@ func TestRegimeCutsMatchCellCase(t *testing.T) {
 			want = CaseDenseInlier
 		}
 		if got != want {
-			t.Errorf("density %g: CellCase %v, cuts say %v", density, got, want)
+			t.Errorf("density %g: cellCase %v, cuts say %v", density, got, want)
 		}
 	}
 }
 
 func TestRegimeClass(t *testing.T) {
 	class := RegimeClass(2, paperParams)
-	sparse, dense := RegimeCuts(2, paperParams)
+	sparse, dense := regimeCuts(2, paperParams)
 	cases := []struct {
 		density float64
 		want    int
@@ -73,7 +73,7 @@ func TestCellBasedL2Model(t *testing.T) {
 	// Intermediate: strictly cheaper than the paper's CellBased model
 	// (ring-bounded fallback beats the full Nested-Loop term).
 	mid := profile2D(10000, 200000)
-	if CellCase(mid, paperParams) != CaseIntermediate {
+	if cellCase(mid, paperParams) != CaseIntermediate {
 		t.Fatal("fixture not intermediate")
 	}
 	cbl2, cb := CellBasedL2(mid, paperParams), CellBased(mid, paperParams)
@@ -143,7 +143,7 @@ func TestCellCaseUnknownString(t *testing.T) {
 }
 
 func TestRegimeCuts3D(t *testing.T) {
-	sparse3, dense3 := RegimeCuts(3, paperParams)
+	sparse3, dense3 := regimeCuts(3, paperParams)
 	if !(sparse3 > 0 && sparse3 < dense3) {
 		t.Errorf("3D cuts malformed: %g, %g", sparse3, dense3)
 	}

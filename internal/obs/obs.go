@@ -129,9 +129,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// ExpBuckets returns n exponentially growing bucket bounds starting at
+// expBuckets returns n exponentially growing bucket bounds starting at
 // start (> 0) with the given growth factor (> 1).
-func ExpBuckets(start, factor float64, n int) []float64 {
+func expBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
 	v := start
 	for i := range out {
@@ -153,7 +153,7 @@ func LinearBuckets(start, width float64, n int) []float64 {
 // DurationBuckets are the default latency bounds in seconds: 1µs to ~34s,
 // doubling. They cover both sub-millisecond index probes and multi-second
 // batch stages.
-func DurationBuckets() []float64 { return ExpBuckets(1e-6, 2, 26) }
+func DurationBuckets() []float64 { return expBuckets(1e-6, 2, 26) }
 
 // metric is one registered instrument instance (a family member).
 type metric struct {
