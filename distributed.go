@@ -28,13 +28,9 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may go silent before it is declared
 	// lost and its tasks are re-executed elsewhere; default 10s.
 	LeaseTTL time.Duration
-	// MaxTaskDispatches bounds re-execution plus speculation per task
+	// MaxTaskDispatches bounds how many times one task is handed out
 	// before the job fails with ErrWorkerLost; default 8.
 	MaxTaskDispatches int
-	// TaskTimeout, when positive, withdraws and re-queues any single
-	// dispatch that has run longer than this, even if its worker is still
-	// heartbeating — the backstop for results repeatedly lost in transit.
-	TaskTimeout time.Duration
 	// JournalPath, when set, enables checkpoint/resume: accepted task
 	// results are fsynced to this append-only log before delivery, and a
 	// restarted coordinator pointed at the same path answers already-
@@ -42,7 +38,7 @@ type CoordinatorConfig struct {
 	// keyed by job spec content, so it survives process restarts.
 	JournalPath string
 	// Logf, when set, receives scheduling events (worker joins and losses,
-	// re-dispatches, speculative duplicates).
+	// re-dispatches, passed deadlines).
 	Logf func(format string, args ...any)
 }
 
@@ -62,7 +58,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Listen:            cfg.Listen,
 		LeaseTTL:          cfg.LeaseTTL,
 		MaxTaskDispatches: cfg.MaxTaskDispatches,
-		TaskTimeout:       cfg.TaskTimeout,
 		JournalPath:       cfg.JournalPath,
 		Logf:              cfg.Logf,
 	})
@@ -95,7 +90,7 @@ type ClusterStats struct {
 	// Workers holds live leases right now.
 	Workers int
 	// Dispatches counts task payloads handed to workers, including
-	// re-executions and speculative duplicates.
+	// re-executions.
 	Dispatches int64
 	// TasksOK / TasksErr / TasksLate count accepted results, worker-side
 	// task failures, and discarded duplicate results.
@@ -103,14 +98,15 @@ type ClusterStats struct {
 	// BytesShipped / BytesCollected measure task and result payload bytes
 	// over the wire.
 	BytesShipped, BytesCollected int64
-	// WorkersLost counts lease expiries; Redispatches the task
-	// re-executions they caused; Speculative the straggler duplicates.
-	WorkersLost, Redispatches, Speculative int64
+	// WorkersLost counts lease expiries; Deadlines counts dispatches
+	// withdrawn for running past their deadline while their worker kept
+	// polling; Redispatches counts the task re-queues after either, or
+	// after a nack.
+	WorkersLost, Deadlines, Redispatches int64
 	// Nacks counts dispatches whose payload arrived at a worker corrupted
-	// and was reported back; TaskTimeouts counts dispatches withdrawn by
-	// the per-task timeout backstop; JournalReplays counts tasks settled
-	// from the checkpoint journal instead of a worker.
-	Nacks, TaskTimeouts, JournalReplays int64
+	// and was reported back; JournalReplays counts tasks settled from the
+	// checkpoint journal instead of a worker.
+	Nacks, JournalReplays int64
 }
 
 // Stats snapshots the coordinator's scheduling counters — the same values
@@ -127,9 +123,8 @@ func (c *Coordinator) Stats() ClusterStats {
 		BytesCollected: s.BytesCollected,
 		WorkersLost:    s.WorkersLost,
 		Redispatches:   s.Redispatches,
-		Speculative:    s.Speculative,
+		Deadlines:      s.Deadlines,
 		Nacks:          s.Nacks,
-		TaskTimeouts:   s.TaskTimeouts,
 		JournalReplays: s.JournalReplays,
 	}
 }

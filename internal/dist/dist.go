@@ -15,12 +15,15 @@
 //   - Heartbeats and leases: a worker that stops polling past its lease is
 //     declared lost; every task attempt it was running is re-dispatched to
 //     a surviving worker, with exponential backoff per re-dispatch.
-//   - Speculative execution: once enough attempts of a phase have finished
-//     to establish a median duration, a straggling attempt gets a duplicate
-//     dispatch; the first result wins and the loser is discarded.
+//   - Nacks: a worker that receives a corrupted task payload hands the
+//     dispatch back at once.
+//   - Deadlines: every dispatch has one — the lease, or 4 × the phase's
+//     median task time once three tasks have finished — doubling with each
+//     earlier dispatch of the task. Past it the task is re-queued; the
+//     first result of any of its dispatches wins.
 //   - Determinism: tasks are pure functions of their payload, so
-//     re-execution and speculation never change results — a cluster run is
-//     byte-identical to the in-process engine on the same seed.
+//     re-execution never changes results — a cluster run is byte-identical
+//     to the in-process engine on the same seed.
 //
 // Workers know how to build job logic from a JobSpec via the job registry:
 // the coordinator ships {kind, config} and the worker's registered builder

@@ -170,7 +170,7 @@ func (j *journal) append(key journalKey, body []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.results[key]; ok {
-		return nil // already journaled (speculative duplicate accepted first)
+		return nil // already journaled (another dispatch's result accepted first)
 	}
 	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("dist: journal append: %w", err)

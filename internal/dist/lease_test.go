@@ -18,8 +18,9 @@ import (
 )
 
 // leaseTTL is deliberately enormous: the background sweeper (which uses the
-// real clock) can then never expire anything mid-test, and each test expires
-// leases itself via c.sweep(syntheticNow).
+// real clock) can then never expire a lease or, with no median of a few
+// seconds or more, a deadline mid-test, and each test expires them itself
+// via c.sweep(syntheticNow).
 const leaseTTL = time.Hour
 
 func newLeaseCoord(t *testing.T, cfg Config) *Coordinator {
@@ -92,7 +93,7 @@ func (pw *protoWorker) pollTask() taskHeader {
 }
 
 // finishMap uploads a successful single-bucket map result for h whose bucket
-// value marks which worker produced it; dur feeds the speculation median.
+// value marks which worker produced it; dur feeds the deadline's median.
 func (pw *protoWorker) finishMap(h taskHeader, dur time.Duration) int {
 	pw.t.Helper()
 	rh := resultHeader{
@@ -127,6 +128,28 @@ func execMapAsync(exec mapreduce.Executor, id int) <-chan mapOutcome {
 	return ch
 }
 
+// heartbeat sends one idle poll, renewing the worker's lease; the queue
+// must be empty.
+func (pw *protoWorker) heartbeat() {
+	pw.t.Helper()
+	req, _ := json.Marshal(pollRequest{Worker: pw.name})
+	if status, _, _ := pw.post(pathPoll, req, "application/json"); status != http.StatusNoContent {
+		pw.t.Fatalf("worker %s: idle poll: HTTP %d", pw.name, status)
+	}
+}
+
+// dispatchStart reads when the dispatch h describes was handed out.
+func dispatchStart(t *testing.T, c *Coordinator, h taskHeader) time.Time {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	di, ok := c.jobs[h.Job].tasks[taskKey{h.Phase, h.Task}].running[h.Dispatch]
+	if !ok {
+		t.Fatalf("dispatch %d is not live", h.Dispatch)
+	}
+	return di.start
+}
+
 func lastSeenOf(t *testing.T, c *Coordinator, name string) time.Time {
 	t.Helper()
 	c.mu.Lock()
@@ -143,7 +166,7 @@ func lastSeenOf(t *testing.T, c *Coordinator, name string) time.Time {
 // inclusive), its in-flight result is accepted normally, and when the lease
 // later does expire, the already-settled task is not re-dispatched.
 func TestLeaseBoundaryCompletion(t *testing.T) {
-	c := newLeaseCoord(t, Config{SpeculativeFactor: -1})
+	c := newLeaseCoord(t, Config{})
 	exec := c.Executor(JobSpec{Kind: "lease-test/v1"})
 	ch := execMapAsync(exec, 0)
 
@@ -191,7 +214,7 @@ func TestLeaseBoundaryCompletion(t *testing.T) {
 // fresh result — while the stale result from the withdrawn dispatch is
 // discarded as late, not double-delivered.
 func TestDeadWorkerRePolls(t *testing.T) {
-	c := newLeaseCoord(t, Config{SpeculativeFactor: -1})
+	c := newLeaseCoord(t, Config{})
 	exec := c.Executor(JobSpec{Kind: "lease-test/v1"})
 	ch := execMapAsync(exec, 0)
 
@@ -236,67 +259,140 @@ func TestDeadWorkerRePolls(t *testing.T) {
 	}
 }
 
-// TestSpeculativeDuplicateFinishesSecond runs a real speculation race to
-// its unhappy end: the original dispatch wins, and the speculative
-// duplicate's later result must be discarded without disturbing the
-// delivered outcome.
-func TestSpeculativeDuplicateFinishesSecond(t *testing.T) {
-	c := newLeaseCoord(t, Config{
-		SpeculativeFactor:  1,
-		SpeculativeMinDone: 1,
-		SpeculativeMinAge:  time.Nanosecond,
-	})
-	exec := c.Executor(JobSpec{Kind: "lease-test/v1"})
-
-	w1 := &protoWorker{t: t, base: c.URL(), name: "sw1"}
-	w1.join()
-
-	// Task 0 completes quickly, seeding the phase's duration median.
-	ch0 := execMapAsync(exec, 0)
-	h0 := w1.pollTask()
-	if status := w1.finishMap(h0, time.Millisecond); status != http.StatusOK {
-		t.Fatalf("seed task rejected: HTTP %d", status)
+// TestDeadlineBase pins the deadline's rule: the lease until three of the
+// phase's tasks have finished, then 4 × their median, floored at 200ms,
+// doubled for each earlier dispatch of the task.
+func TestDeadlineBase(t *testing.T) {
+	c, err := newCoordinator(Config{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out := <-ch0; out.err != nil {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		done []time.Duration
+		n    int
+		want time.Duration
+	}{
+		{nil, 1, time.Minute},
+		{[]time.Duration{ms, ms}, 1, time.Minute},
+		{[]time.Duration{ms, ms}, 3, 4 * time.Minute},
+		{[]time.Duration{ms, 2 * ms, ms}, 1, 200 * ms},
+		{[]time.Duration{time.Second, 9 * time.Second, time.Second}, 1, 4 * time.Second},
+		{[]time.Duration{time.Second, time.Second, time.Second}, 8, 128 * 4 * time.Second},
+	} {
+		tk := &task{phase: "map", job: &jobRun{durations: map[string][]time.Duration{"map": tc.done}}}
+		if got := c.deadline(tk, tc.n); got != tc.want {
+			t.Errorf("finished %v, dispatch %d: deadline %v, want %v", tc.done, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestDeadlineWithoutMedian covers a phase with fewer than three finished
+// tasks, where the deadline is the lease: a dispatch whose worker keeps
+// polling is withdrawn one tick past LeaseTTL, not at it, and its task is
+// re-queued at once to the same worker, whose lease survives.
+func TestDeadlineWithoutMedian(t *testing.T) {
+	c := newLeaseCoord(t, Config{})
+	ch := execMapAsync(c.Executor(JobSpec{Kind: "lease-test/v1"}), 0)
+	w := &protoWorker{t: t, base: c.URL(), name: "nw1"}
+	w.join()
+	h1 := w.pollTask()
+	start := dispatchStart(t, c, h1)
+	w.heartbeat()
+
+	c.sweep(start.Add(leaseTTL))
+	if st := c.Stats(); st.Deadlines != 0 {
+		t.Fatalf("dispatch withdrawn at its deadline, not past it: %+v", st)
+	}
+	c.sweep(start.Add(leaseTTL + time.Nanosecond))
+	if st := c.Stats(); st.Deadlines != 1 || st.Redispatches != 1 || st.WorkersLost != 0 {
+		t.Fatalf("deadline did not withdraw the dispatch alone: %+v", st)
+	}
+	h2 := w.pollTask()
+	if h2.Task != h1.Task || h2.Dispatch == h1.Dispatch {
+		t.Fatalf("re-dispatch malformed: %+v vs %+v", h2, h1)
+	}
+	if status := w.finishMap(h2, time.Millisecond); status != http.StatusOK {
+		t.Fatalf("re-dispatch's result rejected: HTTP %d", status)
+	}
+	if out := <-ch; out.err != nil {
 		t.Fatal(out.err)
 	}
+}
 
-	// Task 1 hangs on w1 long past the median: the sweep speculates exactly
-	// one duplicate, which w2 picks up.
-	ch1 := execMapAsync(exec, 1)
+// TestDeadlineWithMedian covers a phase with a median: after three tasks
+// finish in 1s each, a straggler's deadline is 4s, and its re-dispatch's
+// is 8s.
+func TestDeadlineWithMedian(t *testing.T) {
+	c := newLeaseCoord(t, Config{})
+	exec := c.Executor(JobSpec{Kind: "lease-test/v1"})
+	w := &protoWorker{t: t, base: c.URL(), name: "mw1"}
+	w.join()
+	for id := 0; id < 3; id++ {
+		ch := execMapAsync(exec, id)
+		if status := w.finishMap(w.pollTask(), time.Second); status != http.StatusOK {
+			t.Fatalf("task %d rejected: HTTP %d", id, status)
+		}
+		if out := <-ch; out.err != nil {
+			t.Fatal(out.err)
+		}
+	}
+
+	ch := execMapAsync(exec, 3)
+	h := w.pollTask()
+	for i, base := range []time.Duration{4 * time.Second, 8 * time.Second} {
+		start := dispatchStart(t, c, h)
+		c.sweep(start.Add(base))
+		if st := c.Stats(); st.Deadlines != int64(i) {
+			t.Fatalf("dispatch %d withdrawn at its %v deadline, not past it: %+v", i+1, base, st)
+		}
+		c.sweep(start.Add(base + time.Nanosecond))
+		if st := c.Stats(); st.Deadlines != int64(i+1) {
+			t.Fatalf("dispatch %d not withdrawn past its %v deadline: %+v", i+1, base, st)
+		}
+		h = w.pollTask()
+	}
+	if status := w.finishMap(h, time.Second); status != http.StatusOK {
+		t.Fatalf("third dispatch's result rejected: HTTP %d", status)
+	}
+	if out := <-ch; out.err != nil {
+		t.Fatal(out.err)
+	}
+}
+
+// TestWithdrawnDispatchWins: a dispatch withdrawn past its deadline still
+// settles its task if its result arrives first, and the re-dispatch's
+// later result is discarded as late.
+func TestWithdrawnDispatchWins(t *testing.T) {
+	c := newLeaseCoord(t, Config{})
+	ch := execMapAsync(c.Executor(JobSpec{Kind: "lease-test/v1"}), 0)
+	w1 := &protoWorker{t: t, base: c.URL(), name: "ww1"}
+	w1.join()
 	h1 := w1.pollTask()
-	c.sweep(time.Now().Add(time.Minute))
-	if st := c.Stats(); st.Speculative != 1 {
-		t.Fatalf("Speculative = %d, want 1: %+v", st.Speculative, st)
-	}
+	start := dispatchStart(t, c, h1)
+	w1.heartbeat()
+	c.sweep(start.Add(leaseTTL + time.Nanosecond))
 
-	w2 := &protoWorker{t: t, base: c.URL(), name: "sw2"}
+	w2 := &protoWorker{t: t, base: c.URL(), name: "ww2"}
 	w2.join()
-	h1dup := w2.pollTask()
-	if h1dup.Task != h1.Task || h1dup.Dispatch == h1.Dispatch {
-		t.Fatalf("duplicate dispatch malformed: %+v vs %+v", h1dup, h1)
+	h2 := w2.pollTask()
+	if h2.Task != h1.Task || h2.Dispatch == h1.Dispatch {
+		t.Fatalf("re-dispatch malformed: %+v vs %+v", h2, h1)
 	}
-
-	// Original finishes first and wins; the duplicate finishes second.
-	if status := w1.finishMap(h1, 2*time.Millisecond); status != http.StatusOK {
-		t.Fatalf("winning result rejected: HTTP %d", status)
+	if status := w1.finishMap(h1, time.Millisecond); status != http.StatusOK {
+		t.Fatalf("withdrawn dispatch's result rejected: HTTP %d", status)
 	}
-	out := <-ch1
+	out := <-ch
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
 	if got := string(out.res.Buckets[0].Value(0)); got != w1.name {
-		t.Fatalf("delivered result from %q, want original worker %q", got, w1.name)
+		t.Fatalf("delivered result from %q, want the withdrawn dispatch's worker %q", got, w1.name)
 	}
-
-	if status := w2.finishMap(h1dup, 2*time.Millisecond); status != http.StatusOK {
-		t.Fatalf("losing duplicate not absorbed: HTTP %d", status)
+	if status := w2.finishMap(h2, time.Millisecond); status != http.StatusOK {
+		t.Fatalf("losing re-dispatch not absorbed: HTTP %d", status)
 	}
-	st := c.Stats()
-	if st.TasksLate != 1 {
-		t.Errorf("TasksLate = %d, want 1 (the losing duplicate)", st.TasksLate)
-	}
-	if st.TasksOK != 2 {
-		t.Errorf("TasksOK = %d, want 2", st.TasksOK)
+	if st := c.Stats(); st.TasksOK != 1 || st.TasksLate != 1 || st.Deadlines != 1 {
+		t.Errorf("TasksOK %d, TasksLate %d, Deadlines %d; want 1, 1, 1", st.TasksOK, st.TasksLate, st.Deadlines)
 	}
 }

@@ -20,11 +20,10 @@ type coordMetrics struct {
 	bytesBack    *obs.Counter // result payload bytes workers -> coordinator
 
 	workersLost *obs.Counter
-	redispatch  *obs.Counter // re-dispatches after a lost worker or exhausted lease
-	speculative *obs.Counter // duplicate dispatches of suspected stragglers
+	redispatch  *obs.Counter // re-queues after a lost lease, a nack or a passed deadline
+	deadlines   *obs.Counter // dispatches withdrawn past their deadline
 
 	nacks          *obs.Counter // corrupted-payload nacks from workers
-	taskTimeouts   *obs.Counter // dispatches withdrawn by the TaskTimeout backstop
 	journalReplays *obs.Counter // tasks answered from the journal instead of a worker
 	journalRecords *obs.Counter // results appended to the journal
 }
@@ -39,8 +38,7 @@ func newCoordMetrics(reg *obs.Registry, workers func() float64) *coordMetrics {
 		shipHelp  = "Bytes of task payload shipped to workers."
 		backHelp  = "Bytes of result payload streamed back from workers."
 		lostHelp  = "Workers declared lost after missing their lease."
-		redisHelp = "Task re-dispatches caused by lost workers."
-		specHelp  = "Speculative duplicate dispatches of straggler tasks."
+		redisHelp = "Task re-dispatches after a lost lease, a nack or a passed deadline."
 	)
 	perPhase := func(build func(phase string) *obs.Counter) map[string]*obs.Counter {
 		return map[string]*obs.Counter{"map": build("map"), "reduce": build("reduce")}
@@ -68,11 +66,10 @@ func newCoordMetrics(reg *obs.Registry, workers func() float64) *coordMetrics {
 		bytesBack:    reg.Counter("dod_dist_bytes_total", shipHelp, obs.L("direction", "collect")),
 		workersLost:  reg.Counter("dod_dist_workers_lost_total", lostHelp),
 		redispatch:   reg.Counter("dod_dist_redispatches_total", redisHelp),
-		speculative:  reg.Counter("dod_dist_speculative_total", specHelp),
+		deadlines: reg.Counter("dod_dist_deadlines_total",
+			"Dispatches withdrawn after running past their deadline."),
 		nacks: reg.Counter("dod_dist_nacks_total",
 			"Dispatches nacked by workers after the payload arrived corrupted."),
-		taskTimeouts: reg.Counter("dod_dist_task_timeouts_total",
-			"Dispatches withdrawn by the per-task timeout backstop."),
 		journalReplays: reg.Counter("dod_dist_journal_replays_total",
 			"Tasks settled from the checkpoint journal instead of a worker."),
 		journalRecords: reg.Counter("dod_dist_journal_records_total",
@@ -103,8 +100,7 @@ type Stats struct {
 	BytesCollected int64 // result payloads, workers -> coordinator
 	WorkersLost    int64
 	Redispatches   int64
-	Speculative    int64
+	Deadlines      int64
 	Nacks          int64
-	TaskTimeouts   int64
 	JournalReplays int64
 }

@@ -47,8 +47,8 @@ const (
 // headerDispatch duplicates the dispatch ID of a task response in an HTTP
 // header. If the body arrives corrupted the worker cannot read the ID out
 // of it, but it can still nack the dispatch by this header so the
-// coordinator re-queues immediately instead of waiting for speculation or
-// a lease timeout.
+// coordinator re-queues immediately instead of waiting for the dispatch's
+// deadline.
 const headerDispatch = "X-Dod-Dispatch"
 
 // maxPresize caps the buffer readBody reserves from a declared length
