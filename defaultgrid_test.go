@@ -75,3 +75,29 @@ func TestDefaultGridStaysSmall(t *testing.T) {
 			wall.Round(time.Microsecond), planSpan.Duration.Round(time.Microsecond))
 	}
 }
+
+// TestPaperPairChargesCellBasedItsL2Walk runs the paper's candidate pair
+// on the n = 4 000, d = 7 planted set. Cell-Based's prune counts the
+// points of the 13^7-cell L2 block for every cell its L1 rule leaves open,
+// so its price charges that walk as Cell-Based-L2's does, and the plan
+// must hand it no partition. The outliers must equal the centralized
+// answer.
+func TestPaperPairChargesCellBasedItsL2Walk(t *testing.T) {
+	pts, _ := synth.HighDimPlanted(4000, 7, 4, 0.02, 1)
+	res, err := Detect(pts, Config{R: 4, K: 4, Candidates: []Detector{NestedLoop, CellBased}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range res.Report.Plan.Partitions {
+		if p.Algo == CellBased {
+			t.Errorf("partition %d of %d goes to Cell-Based", i, len(res.Report.Plan.Partitions))
+		}
+	}
+	want, err := DetectCentralized(pts, NestedLoop, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.OutlierIDs, want) {
+		t.Errorf("%d outliers, centralized %d", len(res.OutlierIDs), len(want))
+	}
+}

@@ -114,24 +114,22 @@ func (c CellCaseKind) String() string {
 	}
 }
 
-// BlockSide is the side, in cells, of the block GridEnumExcess charges a
-// grid tactic for: 3, Cell-Based's L1 block, or 2⌈2√d⌉+1, the L2 block
-// (out to detect.L2Radius) whose ring Cell-Based-L2 walks. The two
-// generalize the paper's two-dimensional 9-cell and 49-cell blocks.
-func BlockSide(kind detect.Kind, dim int) int {
-	if kind == detect.CellBasedL2 {
-		return 2*detect.L2Radius(dim) + 1
-	}
-	return 3
+// BlockSide is the side, in cells, of the L2 block around a cell: out to
+// detect.L2Radius, 2⌈2√d⌉+1 cells, generalizing the paper's
+// two-dimensional 49-cell block. Both grid tactics walk it for every cell
+// their L1 rule leaves open: Cell-Based-L2 scans its ring, and both
+// tactics' prune counts its points (CellIndex.BlockCount).
+func BlockSide(dim int) int {
+	return 2*detect.L2Radius(dim) + 1
 }
 
-// BlockVolumes returns the volumes of the L1 and L2 blocks around a cell:
-// BlockSide^d cells of volume (r/(2√d))^d each.
+// BlockVolumes returns the volumes of the L1 block (3^d cells, the paper's
+// 9-cell block in two dimensions) and the L2 block (BlockSide^d cells)
+// around a cell, each cell of volume (r/(2√d))^d.
 func BlockVolumes(dim int, r float64) (l1, l2 float64) {
 	cellVol := math.Pow(detect.CellSide(dim, r), float64(dim))
 	d := float64(dim)
-	return math.Pow(float64(BlockSide(detect.CellBased, dim)), d) * cellVol,
-		math.Pow(float64(BlockSide(detect.CellBasedL2, dim)), d) * cellVol
+	return math.Pow(3, d) * cellVol, math.Pow(float64(BlockSide(dim)), d) * cellVol
 }
 
 // cellCase classifies the partition into a Lemma 4.2 regime.
@@ -241,22 +239,19 @@ func ballVolume(d int, r float64) float64 {
 }
 
 // GridEnumExcess is the per-point neighborhood-enumeration overhead the
-// grid detectors pay in high dimension: an undecided point's block walk
-// steps through side^d cell ordinals whether or not the cells hold data.
-// side is the tactic's BlockSide: the L1 block for Cell-Based, and the L2
-// block for Cell-Based-L2, whose kernel walks that block's ring and scans
-// its members (CellIndex.AppendRing) for every undecided cell. In low
-// dimension that walk is negligible next to the point scans (and Lemma
-// 4.2 rightly ignores it), so the penalty is structurally zero while
-// side^d stays within max(pool, 3^6), which holds for both blocks
-// through d = 3 (7², 9³ ≤ 729); past that the odometer itself dominates,
-// growing exponentially until the grid tactics price themselves out —
-// which is exactly what happens when they run. The floor and the /8 are
-// uncalibrated.
-func GridEnumExcess(dim, side int, poolCount float64) float64 {
-	block := math.Pow(float64(side), float64(dim))
+// grid detectors pay in high dimension: an undecided cell's L2 block walk
+// steps through BlockSide^d cell ordinals whether or not the cells hold
+// data, in both tactics (see BlockSide). In low dimension that walk is
+// negligible next to the point scans (and Lemma 4.2 rightly ignores it),
+// so the penalty is structurally zero while BlockSide^d stays within
+// max(pool, 3^6), which holds through d = 3 (7², 9³ ≤ 729); past that the
+// odometer itself dominates, growing exponentially until the grid tactics
+// price themselves out — which is exactly what happens when they run. The
+// floor and the /8 are uncalibrated.
+func GridEnumExcess(dim int, poolCount float64) float64 {
+	block := math.Pow(float64(BlockSide(dim)), float64(dim))
 	floor := poolCount
-	if floor < 729 { // 3^6: below d=7 the L1 walk never exceeds the scan term
+	if floor < 729 { // 3^6
 		floor = 729
 	}
 	if block <= floor {
@@ -357,7 +352,7 @@ func Estimate(kind detect.Kind, p PartitionProfile, params detect.Params) float6
 	case detect.NestedLoop:
 		return NestedLoop(p, params)
 	case detect.CellBased:
-		return CellBased(p, params) + p.Cardinality*GridEnumExcess(p.Dim, BlockSide(kind, p.Dim), p.Cardinality)
+		return CellBased(p, params) + p.Cardinality*GridEnumExcess(p.Dim, p.Cardinality)
 	case detect.BruteForce:
 		return p.Cardinality * p.Cardinality
 	case detect.KDTree:
@@ -367,7 +362,7 @@ func Estimate(kind detect.Kind, p PartitionProfile, params detect.Params) float6
 		}
 		return n * KDPerQuery(n, p.Dim, params)
 	case detect.CellBasedL2:
-		return CellBasedL2(p, params) + p.Cardinality*GridEnumExcess(p.Dim, BlockSide(kind, p.Dim), p.Cardinality)
+		return CellBasedL2(p, params) + p.Cardinality*GridEnumExcess(p.Dim, p.Cardinality)
 	case detect.PGraph:
 		return ProxGraph(p, params)
 	case detect.SSample:

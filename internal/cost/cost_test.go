@@ -272,33 +272,25 @@ func SelectFrom(candidates []detect.Kind, p PartitionProfile, params detect.Para
 	return best
 }
 
-// TestGridEnumExcessL2Ring: Cell-Based-L2's ring walk is priced at zero
-// through d = 3 for every pool size — so no 1-, 2- or 3-D plan moves for
-// it — and never below Cell-Based's L1 walk, which it contains.
+// TestGridEnumExcessL2Ring: both grid tactics are charged the walk of the
+// L2 block, 2⌈2√d⌉+1 cells a side — Cell-Based-L2 scans its ring, and
+// both tactics' prune counts its points. The walk is priced at zero
+// through d = 3 for every pool size, so no 1-, 2- or 3-D plan moves for
+// it, and from d = 4 on where the pool does not cover it.
 func TestGridEnumExcessL2Ring(t *testing.T) {
 	pools := []float64{0, 1, 100, 728, 729, 730, 1e4, 1e6, 1e9}
 	for d := 1; d <= 12; d++ {
-		l1 := BlockSide(detect.CellBased, d)
-		l2 := BlockSide(detect.CellBasedL2, d)
-		if l1 != 3 || l2 != 2*detect.L2Radius(d)+1 {
-			t.Fatalf("d=%d: block sides %d, %d", d, l1, l2)
+		if side := BlockSide(d); side != 2*detect.L2Radius(d)+1 {
+			t.Fatalf("d=%d: block side %d", d, side)
 		}
 		for _, pool := range pools {
-			cb := GridEnumExcess(d, l1, pool)
-			ring := GridEnumExcess(d, l2, pool)
-			if d <= 3 && ring != 0 {
-				t.Errorf("d=%d pool %g: L2 excess %g, want 0", d, pool, ring)
-			}
-			if ring < cb {
-				t.Errorf("d=%d pool %g: L2 excess %g below Cell-Based's %g", d, pool, ring, cb)
+			if got := GridEnumExcess(d, pool); d <= 3 && got != 0 {
+				t.Errorf("d=%d pool %g: excess %g, want 0", d, pool, got)
 			}
 		}
 	}
-	// The ring is priced where the L1 block is not: d = 4, 9^4 cells.
-	if got, want := GridEnumExcess(4, BlockSide(detect.CellBasedL2, 4), 100), (6561.0-729)/8; got != want {
-		t.Errorf("d=4 L2 excess %g, want %g", got, want)
-	}
-	if got := GridEnumExcess(4, 3, 100); got != 0 {
-		t.Errorf("d=4 L1 excess %g, want 0", got)
+	// d = 4: 9^4 cells.
+	if got, want := GridEnumExcess(4, 100), (6561.0-729)/8; got != want {
+		t.Errorf("d=4 excess %g, want %g", got, want)
 	}
 }

@@ -471,10 +471,9 @@ func priceRegion(hist *sample.Histogram, rect geom.Rect, kinds []detect.Kind, pa
 		return Partition{Rect: rect, Algo: kinds[0]}
 	}
 	regime := cost.RegimeClass(dim, params)
-	// The grid tactics' block-walk excesses and the L2 block's volume
-	// depend on the region alone, not on the bucket.
-	cbExcess := cost.GridEnumExcess(dim, cost.BlockSide(detect.CellBased, dim), poolCount)
-	l2Excess := cost.GridEnumExcess(dim, cost.BlockSide(detect.CellBasedL2, dim), poolCount)
+	// The grid tactics' block-walk excess and the L2 block's volume depend
+	// on the region alone, not on the bucket.
+	gridExcess := cost.GridEnumExcess(dim, poolCount)
 	_, l2Vol := cost.BlockVolumes(dim, params.R)
 	// Prox-Graph rescales the histogram's empirical pair statistic from the
 	// global average density; both are properties of the whole histogram.
@@ -512,12 +511,12 @@ func priceRegion(hist *sample.Histogram, rect geom.Rect, kinds []detect.Kind, pa
 				// full-pool Nested-Loop fallback of Lemma 4.2 Eq. (3); plus the
 				// high-dimensional neighborhood-enumeration overhead (zero in
 				// low dimension, where Lemma 4.2 is exact).
-				perPoint = 1 + cbExcess
+				perPoint = 1 + gridExcess
 				if regime(density) == 2 {
 					perPoint += cost.PerPointTrials(density, poolCount, dim, params)
 				}
 			case detect.CellBasedL2:
-				perPoint = 1 + l2Excess
+				perPoint = 1 + gridExcess
 				if regime(density) == 2 {
 					ring := l2Vol * density
 					trials := cost.PerPointTrials(density, poolCount, dim, params)

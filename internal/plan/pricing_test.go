@@ -70,12 +70,12 @@ func mixedCostRef(hist *sample.Histogram, rect geom.Rect, kind detect.Kind, para
 		case detect.NestedLoop:
 			perPoint = cost.PerPointTrials(density, poolCount, dim, params)
 		case detect.CellBased:
-			perPoint = 1 + cost.GridEnumExcess(dim, 3, poolCount) // the L1 block
+			perPoint = 1 + cost.GridEnumExcess(dim, poolCount) // the L2 block walk
 			if regime(density) == 2 {
 				perPoint += cost.PerPointTrials(density, poolCount, dim, params)
 			}
 		case detect.CellBasedL2:
-			perPoint = 1 + cost.GridEnumExcess(dim, 2*detect.L2Radius(dim)+1, poolCount) // the L2 ring
+			perPoint = 1 + cost.GridEnumExcess(dim, poolCount) // the L2 block walk
 			if regime(density) == 2 {
 				ring := ringPopulation(dim, params, density)
 				trials := cost.PerPointTrials(density, poolCount, dim, params)
