@@ -38,6 +38,19 @@ func TestReadBodySizedOnce(t *testing.T) {
 	}
 }
 
+// listening starts a coordinator with a listener, for tests that write
+// raw HTTP to it.
+func listening(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
+	cfg.Logf = t.Logf
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // rawResultPost sends a result POST by hand over one connection: a header
 // declaring contentLength, then body, then a half-close. It returns the
 // response's status and structured error code.
@@ -71,7 +84,7 @@ func rawResultPost(t *testing.T, c *Coordinator, contentLength int64, body []byt
 // whole MaxResultBytes (2 GiB by default) but sends 10 bytes fails with
 // 400 read_failed, and reading it allocates less than maxPresize.
 func TestResultLyingLengthReservesNothing(t *testing.T) {
-	c := newLeaseCoord(t, Config{})
+	c := listening(t, Config{})
 	if c.cfg.MaxResultBytes <= maxPresize {
 		t.Fatalf("MaxResultBytes %d does not exceed maxPresize %d", c.cfg.MaxResultBytes, maxPresize)
 	}
@@ -90,7 +103,7 @@ func TestResultLyingLengthReservesNothing(t *testing.T) {
 // TestResultOverLimitRejected: a result POST that declares (and sends)
 // more than MaxResultBytes still gets 413 result_too_large.
 func TestResultOverLimitRejected(t *testing.T) {
-	c := newLeaseCoord(t, Config{MaxResultBytes: 1024})
+	c := listening(t, Config{MaxResultBytes: 1024})
 	body := []byte(strings.Repeat("x", 2048))
 	if status, code := rawResultPost(t, c, int64(len(body)), body); status != http.StatusRequestEntityTooLarge || code != "result_too_large" {
 		t.Errorf("over-limit result: HTTP %d %q, want 413 result_too_large", status, code)

@@ -24,7 +24,6 @@ import (
 	"dod/internal/core"
 	"dod/internal/dist"
 	"dod/internal/fault"
-	"dod/internal/retry"
 )
 
 // faultSeed, when set (>0), narrows the chaos matrix to a single seed —
@@ -67,7 +66,6 @@ func startChaosWorker(t *testing.T, coord *dist.Coordinator, name string, in *fa
 				Name:        name,
 				Parallelism: 2,
 				Client:      &http.Client{Transport: fault.Transport(nil, in, name+":")},
-				Retry:       retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: true},
 				Logf:        t.Logf,
 			})
 			if err != nil {
@@ -111,10 +109,7 @@ func TestChaosMatrix(t *testing.T) {
 			in := fault.New(fault.Config{Seed: seed, Rules: chaosRules()})
 			coord := newCoordinator(t, dist.Config{
 				LeaseTTL:          500 * time.Millisecond,
-				PollWait:          100 * time.Millisecond,
-				RedispatchBackoff: 5 * time.Millisecond,
 				MaxTaskDispatches: 24,
-				Seed:              seed,
 			})
 			for i := 0; i < 3; i++ {
 				startChaosWorker(t, coord, fmt.Sprintf("chaos-w%d", i), in)
@@ -161,7 +156,6 @@ func TestCorruptTaskPayloadNacked(t *testing.T) {
 	}})
 	coord := newCoordinator(t, dist.Config{
 		LeaseTTL:          5 * time.Second, // leases never expire; only nacks can recycle the task
-		RedispatchBackoff: time.Millisecond,
 		MaxTaskDispatches: 3,
 	})
 	w, err := dist.NewWorker(dist.WorkerConfig{
@@ -169,7 +163,6 @@ func TestCorruptTaskPayloadNacked(t *testing.T) {
 		Name:        "w1",
 		Parallelism: 1,
 		Client:      &http.Client{Transport: fault.Transport(nil, in, "w1:")},
-		Retry:       retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		Logf:        t.Logf,
 	})
 	if err != nil {

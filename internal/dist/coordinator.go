@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"sort"
@@ -20,34 +19,23 @@ import (
 )
 
 // Config tunes a Coordinator. The zero value is usable: it listens on a
-// loopback ephemeral port with production-ish lease and retry settings.
+// loopback ephemeral port with a 10s lease.
 type Config struct {
 	// Listen is the address to bind ("host:port"); default "127.0.0.1:0".
 	Listen string
 
 	// LeaseTTL is how long a worker may go without polling before it is
-	// declared lost and its running tasks are re-dispatched. Default 10s.
+	// declared lost and its running tasks are re-dispatched. It is the one
+	// timeout a deployment sets: an idle poll is held for LeaseTTL/10, a
+	// dispatch's first deadline is LeaseTTL, and workers, which read it at
+	// join, back off from LeaseTTL/100 up to LeaseTTL/5. Default 10s.
 	LeaseTTL time.Duration
-
-	// PollWait is how long an idle poll is held open before returning 204.
-	// Polls double as heartbeats, so PollWait must stay well under
-	// LeaseTTL. Default 1s.
-	PollWait time.Duration
 
 	// MaxTaskDispatches bounds how many times one task may be handed out
 	// (the first dispatch plus every re-dispatch after a lost lease, a
 	// nack or a passed deadline) before the task fails with ErrWorkerLost.
 	// Default 8.
 	MaxTaskDispatches int
-
-	// RedispatchBackoff is the base delay before re-dispatching a task
-	// whose worker was lost, doubling per prior dispatch (capped at 16x).
-	// Default 50ms.
-	RedispatchBackoff time.Duration
-
-	// Seed feeds the coordinator's re-dispatch jitter source, so a chaos
-	// run's backoff schedule is reproducible. Default 1.
-	Seed int64
 
 	// JournalPath, when set, enables checkpoint/resume: every accepted
 	// task result is fsynced to this append-only log before delivery, and
@@ -68,27 +56,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// defaultLease is Config.LeaseTTL's default, and the lease a worker times
+// its join retries by before it has read the coordinator's.
+const defaultLease = 10 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.Listen == "" {
 		c.Listen = "127.0.0.1:0"
 	}
 	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = time.Second
-	}
-	if c.PollWait > c.LeaseTTL/2 {
-		c.PollWait = c.LeaseTTL / 2
+		c.LeaseTTL = defaultLease
 	}
 	if c.MaxTaskDispatches <= 0 {
 		c.MaxTaskDispatches = 8
-	}
-	if c.RedispatchBackoff <= 0 {
-		c.RedispatchBackoff = 50 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.MaxResultBytes <= 0 {
 		c.MaxResultBytes = 2 << 30
@@ -134,7 +114,6 @@ type task struct {
 	dispatches int
 	queued     bool
 	done       bool
-	notBefore  time.Time
 	running    map[uint64]dispatchInfo // dispatch id -> outstanding hand-out
 
 	outcome chan taskOutcome // buffered 1; receives exactly one value
@@ -162,13 +141,12 @@ type workerState struct {
 // worker leases, dispatch deadlines and re-execution, and serves the
 // worker protocol plus /metrics and /healthz over HTTP.
 type Coordinator struct {
-	cfg      Config
-	met      *coordMetrics
-	ln       net.Listener
-	srv      *http.Server
-	journal  *journal     // nil unless Config.JournalPath is set
-	retryPol retry.Policy // re-dispatch backoff (jittered, capped)
-	now      func() time.Time
+	cfg     Config
+	met     *coordMetrics
+	ln      net.Listener
+	srv     *http.Server
+	journal *journal // nil unless Config.JournalPath is set
+	now     func() time.Time
 
 	mu          sync.Mutex
 	closed      bool
@@ -178,7 +156,6 @@ type Coordinator struct {
 	notify      chan struct{} // closed and replaced whenever the queue changes
 	jobSeq      uint64
 	dispatchSeq uint64
-	rng         *rand.Rand // jitter source; guarded by mu
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -224,17 +201,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg: cfg,
-		retryPol: retry.Policy{
-			Base:   cfg.RedispatchBackoff,
-			Max:    16 * cfg.RedispatchBackoff,
-			Jitter: true,
-		},
+		cfg:     cfg,
 		now:     time.Now,
 		workers: make(map[string]*workerState),
 		jobs:    make(map[uint64]*jobRun),
 		notify:  make(chan struct{}),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.JournalPath != "" {
 		j, recovered, err := openJournal(cfg.JournalPath, c.logf)
@@ -505,25 +476,6 @@ func (c *Coordinator) kickLocked() {
 	c.notify = make(chan struct{})
 }
 
-// requeueLocked puts tk back on the queue after delay (0 = immediately
-// dispatchable).
-func (c *Coordinator) requeueLocked(tk *task, delay time.Duration) {
-	tk.queued = true
-	tk.notBefore = c.now().Add(delay)
-	c.queue = append(c.queue, tk)
-	if delay > 0 {
-		// Pollers wake on queue changes, not timers; arrange a kick for
-		// when the backoff expires.
-		time.AfterFunc(delay+time.Millisecond, func() {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			c.kickLocked()
-		})
-	} else {
-		c.kickLocked()
-	}
-}
-
 // ensureWorkerLocked registers a worker on first contact (join is an
 // explicit handshake, but any authenticated poll also establishes a lease,
 // which makes worker restarts under the same name seamless).
@@ -538,27 +490,21 @@ func (c *Coordinator) ensureWorkerLocked(name string) *workerState {
 	return ws
 }
 
-// tryDispatchLocked pops the first dispatchable task for worker ws,
-// returning it plus the header describing this dispatch. Done tasks are
-// dropped from the queue lazily; backing-off tasks are skipped.
+// tryDispatchLocked pops the first queued task for worker ws, returning it
+// plus the header describing this dispatch. Done tasks are dropped from the
+// queue lazily.
 func (c *Coordinator) tryDispatchLocked(ws *workerState) (*task, taskHeader) {
-	now := c.now()
-	for i := 0; i < len(c.queue); {
-		tk := c.queue[i]
+	for len(c.queue) > 0 {
+		tk := c.queue[0]
+		c.queue = append(c.queue[:0], c.queue[1:]...)
 		if tk.done || !tk.queued {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			continue
 		}
-		if now.Before(tk.notBefore) {
-			i++
-			continue
-		}
-		c.queue = append(c.queue[:i], c.queue[i+1:]...)
 		tk.queued = false
 		c.dispatchSeq++
 		did := c.dispatchSeq
 		tk.dispatches++
-		tk.running[did] = dispatchInfo{worker: ws.name, start: now, n: tk.dispatches}
+		tk.running[did] = dispatchInfo{worker: ws.name, start: c.now(), n: tk.dispatches}
 		ws.running[did] = tk
 		h := taskHeader{
 			Job: tk.job.id, Phase: tk.phase, Task: tk.id, Dispatch: did, Spec: tk.job.spec,
@@ -618,10 +564,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	c.met.joins.Inc()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(joinResponse{ //nolint:errcheck
-		LeaseMs:    c.cfg.LeaseTTL.Milliseconds(),
-		PollWaitMs: c.cfg.PollWait.Milliseconds(),
-	})
+	json.NewEncoder(w).Encode(joinResponse{LeaseMs: c.cfg.LeaseTTL.Milliseconds()}) //nolint:errcheck
 }
 
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -632,7 +575,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.met.heartbeats.Inc()
-	deadline := c.now().Add(c.cfg.PollWait)
+	deadline := c.now().Add(c.pollHold())
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -769,9 +712,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleNack processes a worker's report that a dispatched task payload
 // arrived undecodable (corrupted in transit). The dispatch is withdrawn
-// and the task re-queued after a short backoff — without the nack, the
-// worker would keep heartbeating and the dispatch would sit until its
-// deadline.
+// and the task re-queued at once — without the nack, the worker would keep
+// heartbeating and the dispatch would sit until its deadline.
 func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxControlBody)
 	var req nackRequest
@@ -789,7 +731,7 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 	}
 	if tk != nil {
 		c.logf("dist: dispatch %d (%s task %d) nacked by %s: %s", req.Dispatch, tk.phase, tk.id, req.Worker, req.Reason)
-		c.withdrawLocked(tk, req.Dispatch, true)
+		c.withdrawLocked(tk, req.Dispatch)
 	}
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)
@@ -839,6 +781,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck
 }
 
+// pollHold is how long an idle poll is held open before it returns 204.
+// Polls double as heartbeats, so it is a tenth of the lease.
+func (c *Coordinator) pollHold() time.Duration { return c.cfg.LeaseTTL / 10 }
+
 // ---- lease sweeper and dispatch deadlines ----
 
 func (c *Coordinator) sweeper() {
@@ -874,7 +820,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			c.met.workersLost.Inc()
 			c.logf("dist: worker %s lost (no heartbeat for %v), re-dispatching %d tasks", name, now.Sub(ws.lastSeen).Round(time.Millisecond), len(ws.running))
 			for did, tk := range ws.running {
-				c.withdrawLocked(tk, did, true)
+				c.withdrawLocked(tk, did)
 			}
 			continue
 		}
@@ -884,7 +830,7 @@ func (c *Coordinator) sweep(now time.Time) {
 				delete(ws.running, did)
 				c.met.deadlines.Inc()
 				c.logf("dist: dispatch %d (%s task %d on %s) ran past its %v deadline, re-queueing", did, tk.phase, tk.id, name, limit)
-				c.withdrawLocked(tk, did, false)
+				c.withdrawLocked(tk, did)
 			}
 		}
 	}
@@ -905,13 +851,13 @@ func (c *Coordinator) deadline(tk *task, n int) time.Duration {
 	return base << min(uint(n-1), 20)
 }
 
-// withdrawLocked takes dispatch did of tk back. Unless tk is settled, is
-// already queued or has another live dispatch, it goes back on the queue
-// (after a jittered backoff if asked, so tasks orphaned together do not
-// re-dispatch in lockstep), or fails with ErrWorkerLost once it has used
-// its dispatch budget. A withdrawn dispatch's result still settles the
-// task if it arrives first.
-func (c *Coordinator) withdrawLocked(tk *task, did uint64, backoff bool) {
+// withdrawLocked takes dispatch did of tk back, whether its worker's lease
+// expired, it was nacked or it ran past its deadline. Unless tk is settled,
+// is already queued or has another live dispatch, it goes back on the
+// queue at once, or fails with ErrWorkerLost once it has used its dispatch
+// budget. A withdrawn dispatch's result still settles the task if it
+// arrives first.
+func (c *Coordinator) withdrawLocked(tk *task, did uint64) {
 	delete(tk.running, did)
 	if tk.done || tk.queued || len(tk.running) > 0 {
 		return
@@ -921,11 +867,9 @@ func (c *Coordinator) withdrawLocked(tk *task, did uint64, backoff bool) {
 		return
 	}
 	c.met.redispatch.Inc()
-	var delay time.Duration
-	if backoff {
-		delay = c.retryPol.Delay(tk.dispatches, c.rng)
-	}
-	c.requeueLocked(tk, delay)
+	tk.queued = true
+	c.queue = append(c.queue, tk)
+	c.kickLocked()
 }
 
 func medianDuration(durs []time.Duration) time.Duration {

@@ -10,17 +10,19 @@
 // (the poll doubles as a heartbeat) and stream results back, so workers
 // need no inbound connectivity and can sit behind NAT.
 //
-// Robustness is first-class:
+// Robustness is first-class, and every timing derives from the lease:
 //
 //   - Heartbeats and leases: a worker that stops polling past its lease is
-//     declared lost; every task attempt it was running is re-dispatched to
-//     a surviving worker, with exponential backoff per re-dispatch.
+//     declared lost; every task attempt it was running is re-queued at
+//     once for a surviving worker.
 //   - Nacks: a worker that receives a corrupted task payload hands the
-//     dispatch back at once.
+//     dispatch back, and the task is re-queued at once.
 //   - Deadlines: every dispatch has one — the lease, or 4 × the phase's
 //     median task time once three tasks have finished — doubling with each
-//     earlier dispatch of the task. Past it the task is re-queued; the
-//     first result of any of its dispatches wins.
+//     earlier dispatch of the task. Past it the task is re-queued at once;
+//     the first result of any of its dispatches wins.
+//   - Worker retries: a worker reads the lease at join and backs off from
+//     a hundredth of it up to a fifth, with full jitter.
 //   - Determinism: tasks are pure functions of their payload, so
 //     re-execution never changes results — a cluster run is byte-identical
 //     to the in-process engine on the same seed.

@@ -201,10 +201,7 @@ func TestWorkerKilledMidJob(t *testing.T) {
 	input := testInput(t, 4000)
 	local := runDetection(t, input, coreConfig())
 
-	coord := newCoordinator(t, dist.Config{
-		LeaseTTL:          300 * time.Millisecond,
-		RedispatchBackoff: 5 * time.Millisecond,
-	})
+	coord := newCoordinator(t, dist.Config{LeaseTTL: 300 * time.Millisecond})
 
 	// The victim gets the most slots so it is sure to be holding reduce
 	// work when it dies.

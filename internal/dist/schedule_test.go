@@ -69,7 +69,6 @@ func scheduleConfig(seed int64) Config {
 	return Config{
 		LeaseTTL:          time.Second,
 		MaxTaskDispatches: 1 + int(seed%8),
-		Seed:              seed,
 	}
 }
 

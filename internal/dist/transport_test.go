@@ -12,7 +12,6 @@ import (
 
 	"dod/internal/core"
 	"dod/internal/dist"
-	"dod/internal/retry"
 )
 
 // truncatingTransport cuts the body of the first `left` task responses to
@@ -55,7 +54,7 @@ func TestTruncatedTaskBodyRetried(t *testing.T) {
 	input := testInput(t, 2000)
 	local := runDetection(t, input, coreConfig())
 
-	coord := newCoordinator(t, dist.Config{RedispatchBackoff: time.Millisecond})
+	coord := newCoordinator(t, dist.Config{LeaseTTL: time.Second})
 	tt := &truncatingTransport{inner: http.DefaultTransport}
 	tt.left.Store(3)
 	w, err := dist.NewWorker(dist.WorkerConfig{
@@ -63,7 +62,6 @@ func TestTruncatedTaskBodyRetried(t *testing.T) {
 		Name:        "w1",
 		Parallelism: 2,
 		Client:      &http.Client{Transport: tt},
-		Retry:       retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		Logf:        t.Logf,
 	})
 	if err != nil {

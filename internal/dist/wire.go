@@ -342,8 +342,7 @@ type joinRequest struct {
 }
 
 type joinResponse struct {
-	LeaseMs    int64 `json:"leaseMs"`    // poll at least this often or be declared lost
-	PollWaitMs int64 `json:"pollWaitMs"` // how long the coordinator holds an idle poll
+	LeaseMs int64 `json:"leaseMs"` // poll at least this often or be declared lost
 }
 
 type pollRequest struct {

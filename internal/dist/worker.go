@@ -38,16 +38,6 @@ type WorkerConfig struct {
 	// The chaos harness swaps in a client whose transport injects faults.
 	Client *http.Client
 
-	// Retry is the backoff policy for join retries, poll transport
-	// errors, and result re-sends. The zero value uses the package
-	// default: 100ms base, 2s cap, full jitter.
-	Retry retry.Policy
-
-	// ResultAttempts bounds how many times one task result is (re)sent
-	// before the worker gives up and leaves the task to the coordinator,
-	// which re-queues it once the dispatch passes its deadline. Default 6.
-	ResultAttempts int
-
 	// Logf, when set, receives worker lifecycle and task events.
 	Logf func(format string, args ...any)
 
@@ -63,14 +53,18 @@ type WorkerConfig struct {
 // Task spans are recorded on a fresh per-task trace and shipped home in
 // the result header.
 //
-// Transport robustness: every post retries on the shared retry.Policy
-// (capped exponential backoff, full jitter); an undecodable task payload
-// (corrupted in transit) is nacked back to the coordinator by dispatch ID
-// so it re-queues immediately; result sends are retried — safe because the
-// coordinator treats results as idempotent and discards duplicates.
+// Transport robustness: the worker's timing comes from the lease the
+// coordinator announces at join. Failed posts back off on a retry.Policy
+// from a hundredth of the lease up to a fifth of it, with full jitter
+// (join retries, made before the lease is known, assume the default 10s).
+// An undecodable task payload (corrupted in transit) is nacked back to the
+// coordinator by dispatch ID so it re-queues immediately. A result is sent
+// up to resultAttempts times — safe because the coordinator treats results
+// as idempotent and discards duplicates.
 type Worker struct {
-	cfg  WorkerConfig
-	base string
+	cfg     WorkerConfig
+	base    string
+	backoff retry.Policy // set by join, before any poll loop starts
 
 	mu   sync.Mutex
 	jobs map[string]builtJob // spec kind+config -> built job (or its build error)
@@ -104,13 +98,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	if cfg.Retry == (retry.Policy{}) {
-		cfg.Retry = retry.Policy{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: true}
-	}
-	if cfg.ResultAttempts <= 0 {
-		cfg.ResultAttempts = 6
-	}
-	return &Worker{cfg: cfg, base: base, jobs: make(map[string]builtJob)}, nil
+	return &Worker{cfg: cfg, base: base, backoff: leaseBackoff(defaultLease), jobs: make(map[string]builtJob)}, nil
+}
+
+// resultAttempts bounds how many times one task result is (re)sent before
+// the worker leaves the task to the coordinator, which re-queues it once
+// the dispatch passes its deadline. The five backoffs between the sends sum
+// to under a third of the lease.
+const resultAttempts = 6
+
+// leaseBackoff is a worker's retry policy under a coordinator's lease.
+func leaseBackoff(lease time.Duration) retry.Policy {
+	return retry.Policy{Base: lease / 100, Max: lease / 5, Jitter: true}
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -155,7 +154,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// join performs the handshake, retrying transport errors until ctx ends.
+// join performs the handshake, retrying transport errors until ctx ends,
+// and adopts the backoff of the lease the coordinator announces.
 func (w *Worker) join(ctx context.Context) error {
 	req, err := json.Marshal(joinRequest{Worker: w.cfg.Name, Capacity: w.cfg.Parallelism, Kinds: RegisteredKinds()})
 	if err != nil {
@@ -173,6 +173,9 @@ func (w *Worker) join(ctx context.Context) error {
 				err = fmt.Errorf("dist: join response: %w", uerr)
 				break
 			}
+			if resp.LeaseMs > 0 {
+				w.backoff = leaseBackoff(time.Duration(resp.LeaseMs) * time.Millisecond)
+			}
 			return nil
 		case err == nil && status == http.StatusGone:
 			return fmt.Errorf("dist: coordinator %s is closed", w.base)
@@ -184,15 +187,15 @@ func (w *Worker) join(ctx context.Context) error {
 		} else {
 			w.logf("dist: worker %s: join %s: HTTP %d (retrying)", w.cfg.Name, w.base, status)
 		}
-		if err := retry.Sleep(ctx, w.cfg.Retry.Delay(attempt, rng)); err != nil {
+		if err := retry.Sleep(ctx, w.backoff.Delay(attempt, rng)); err != nil {
 			return err
 		}
 	}
 }
 
 // pollLoop is one task slot: poll, execute, report, repeat. Transport
-// errors back off on the shared policy; the attempt counter resets on any
-// successful round-trip so a healthy loop never sleeps.
+// errors back off on the worker's policy; the attempt counter resets on
+// any successful round-trip so a healthy loop never sleeps.
 func (w *Worker) pollLoop(ctx context.Context, cancel context.CancelFunc, slot int) {
 	poll, err := json.Marshal(pollRequest{Worker: w.cfg.Name})
 	if err != nil {
@@ -214,7 +217,7 @@ func (w *Worker) pollLoop(ctx context.Context, cancel context.CancelFunc, slot i
 				// back now, as for a body that arrives corrupted.
 				w.nack(ctx, hdr.Get(headerDispatch), err)
 			}
-			retry.Sleep(ctx, w.cfg.Retry.Delay(failures, rng)) //nolint:errcheck // loop re-checks ctx
+			retry.Sleep(ctx, w.backoff.Delay(failures, rng)) //nolint:errcheck // loop re-checks ctx
 		case status == http.StatusNoContent:
 			// Idle poll; go straight back — the poll is the heartbeat.
 			failures = 0
@@ -228,7 +231,7 @@ func (w *Worker) pollLoop(ctx context.Context, cancel context.CancelFunc, slot i
 		default:
 			failures++
 			w.logf("dist: worker %s: poll: HTTP %d", w.cfg.Name, status)
-			retry.Sleep(ctx, w.cfg.Retry.Delay(failures, rng)) //nolint:errcheck // loop re-checks ctx
+			retry.Sleep(ctx, w.backoff.Delay(failures, rng)) //nolint:errcheck // loop re-checks ctx
 		}
 	}
 }
@@ -295,7 +298,7 @@ func (w *Worker) execute(ctx context.Context, h taskHeader, mt *mapreduce.MapTas
 }
 
 // sendResult posts one result, retrying transport failures and non-OK
-// statuses on the shared policy. Re-sends are safe: the coordinator
+// statuses on the worker's backoff. Re-sends are safe: the coordinator
 // settles each task once and discards duplicates as late results. If the
 // attempts run out, the dispatch is left to its deadline: the worker keeps
 // polling, so its lease never expires, and the coordinator re-queues the
@@ -317,12 +320,12 @@ func (w *Worker) sendResult(ctx context.Context, h taskHeader, resp []byte, rng 
 		} else {
 			w.logf("dist: worker %s: reporting %s task %d (attempt %d): HTTP %d", w.cfg.Name, h.Phase, h.Task, attempt, status)
 		}
-		if attempt >= w.cfg.ResultAttempts {
+		if attempt >= resultAttempts {
 			w.logf("dist: worker %s: giving up on %s task %d result after %d attempts; the coordinator re-runs it past the dispatch's deadline",
 				w.cfg.Name, h.Phase, h.Task, attempt)
 			return
 		}
-		if retry.Sleep(ctx, w.cfg.Retry.Delay(attempt, rng)) != nil {
+		if retry.Sleep(ctx, w.backoff.Delay(attempt, rng)) != nil {
 			return
 		}
 	}

@@ -5,9 +5,9 @@
 // capped at 100x). They now share one Policy: capped exponential backoff
 // with full jitter ("Exponential Backoff And Jitter", AWS Architecture
 // Blog), interruptible by context. Full jitter matters under correlated
-// failures — when a worker dies, every one of its tasks re-dispatches at
-// once, and without jitter they march through the cluster in lockstep,
-// re-synchronizing load spikes at every backoff step.
+// failures — when a coordinator or shard drops out, every client retries
+// at once, and without jitter they march in lockstep, re-synchronizing
+// load spikes at every backoff step.
 //
 // Jitter draws from a caller-supplied seeded source, so a run's delay
 // schedule is reproducible: the fault-injection harness (internal/fault)

@@ -95,7 +95,6 @@ type Router struct {
 	met    *routerMetrics
 	trace  *obs.Trace
 	client *http.Client
-	now    func() time.Time
 	l2     int
 	// cellsPer is a neighbourhood's cell count, capped; it sizes Score's
 	// cell arenas, which grow past it if they must.
@@ -173,7 +172,6 @@ func New(cfg Config) (*Router, error) {
 		met:          newRouterMetrics(cfg.Obs),
 		trace:        obs.NewTrace("dodroute"),
 		client:       &http.Client{Transport: transport},
-		now:          cfg.now,
 		l2:           detect.L2Radius(cfg.Dim),
 		cellsPer:     neighborhoodCells(cfg.Dim, detect.L2Radius(cfg.Dim)),
 		topo:         topo,
@@ -438,7 +436,7 @@ func (rt *Router) pushTopology(ctx context.Context, topo *Topology, shards []Sha
 func (rt *Router) Ingest(ctx context.Context, reqID string, items []httpapi.BatchItem, out []httpapi.VerdictLine) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ingestLocked(ctx, rt.topology(), rt.now(), reqID, items, out)
+	rt.ingestLocked(ctx, rt.topology(), rt.cfg.now(), reqID, items, out)
 }
 
 // reclaimFifoLocked drops the drained FIFO prefix once it dominates the
